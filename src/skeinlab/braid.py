@@ -28,7 +28,7 @@ from .linmap import (
     trace_of_product,
 )
 from .planar import jones_polynomial
-from .rmatrix import SkeinRMatrix, build_R
+from .rmatrix import SkeinRMatrix, build_R, check_strands
 from .scalars import LaurentA, NotInvertibleError, format_scalar, promote
 from .switchback import SwitchbackPair
 
@@ -122,15 +122,7 @@ class TuraevData:
 
 def _proportionality(m: LinearMap, target: LinearMap):
     """The scalar c with m = c * target, or None if no such c exists."""
-    probe = next(
-        (
-            (i, j)
-            for i in range(len(target.rows))
-            for j in range(len(target.rows[0]))
-            if not target.entry(i, j).is_zero()
-        ),
-        None,
-    )
+    probe = next(((i, j) for i, j, _ in target.nonzeros()), None)
     if probe is None:
         return None
     try:
@@ -211,6 +203,7 @@ def verify_turaev(td: TuraevData) -> bool:
 def r_of_word(td: TuraevData, w: BraidWord) -> LinearMap:
     """Product over letters of 1^(i-1) x R^(sign) x 1^(n-i-1), first letter
     applied first (bottom of the diagram)."""
+    check_strands(w.n)
     d, ring, n = td.rmx.R.shape.d, td.rmx.R.ring, w.n
     one = LinearMap.identity(d, 1, ring)
     embedded: dict[tuple[int, int], LinearMap] = {}
@@ -227,8 +220,9 @@ def r_of_word(td: TuraevData, w: BraidWord) -> LinearMap:
 
 def invariant(td: TuraevData, w: BraidWord):
     """u^(-writhe) * v^(-n) * Tr(twist^(x n) . R(w))."""
+    rw = r_of_word(td, w)
     nun = tensor_all([td.nu] * w.n, td.nu.shape.d, td.nu.ring)
-    tr = trace_of_product(nun, r_of_word(td, w))
+    tr = trace_of_product(nun, rw)
     return td.u ** (-w.writhe) * td.v ** (-w.n) * tr
 
 

@@ -37,6 +37,7 @@ from .linmap import LinearMap, ShapeMismatchError
 from .planar import PlanarityError
 from .rmatrix import (
     RMatrixError,
+    check_strands,
     solve_deformed_coefficients,
     tl_first_failure,
     tl_generators,
@@ -338,6 +339,7 @@ def cmd_verify_ybe(args, out: Out) -> int:
 
 
 def cmd_tl_check(args, out: Out) -> int:
+    check_strands(args.strands)
     base = _load_pair(args)
     if args.cocycle:
         phi1, phi2 = _load_cocycle(args, base)

@@ -1,22 +1,30 @@
 """Linear maps between tensor powers of a d-dimensional free module.
 
-A LinearMap of shape (d, p, q) sends V^{⊗p} -> V^{⊗q} and is stored as a
-dense d^q x d^p matrix over one ring of the scalar tower (rows index the
-codomain).  Basis ordering contract: the basis vector
-e_{i_0} ⊗ ... ⊗ e_{i_{n-1}} has index sum_k i_k * d^{n-1-k}, i.e. the
-leftmost tensor factor is the most significant digit.  `tensor` is the
-Kronecker product consistent with that ordering.
+A LinearMap of shape (d, p, q) sends V^{⊗p} -> V^{⊗q}; it is a d^q x d^p
+matrix over one ring of the scalar tower (rows index the codomain).  Basis
+ordering contract: the basis vector e_{i_0} ⊗ ... ⊗ e_{i_{n-1}} has index
+sum_k i_k * d^{n-1-k}, i.e. the leftmost tensor factor is the most
+significant digit.  `tensor` is the Kronecker product consistent with that
+ordering.
+
+Storage is sparse, and only this module knows its format: row -> {col:
+scalar}, where no stored scalar is an exact zero and no stored row is
+empty.  Every operation visits nonzero entries only, results that cancel
+are dropped (over the dual numbers this includes products such as t*t), and
+`is_zero` is O(1).  Read entries with `entry` or `nonzeros`; `rows` is a
+dense read-only view, built on first read, for printing.
 
 Arity 0 is the ground ring: a map V^{⊗2} -> K is a 1 x d^2 matrix, a map
 K -> V^{⊗2} is d^2 x 1.
 
 Exact Gaussian elimination (rank / kernel_basis / solve) is provided for
-matrices over the field rings only (GaussRat and RatFunA).
+dense row lists over the field rings only (GaussRat and RatFunA).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .scalars import Dual, Ring, RingMismatchError, dual, promote, ring_of, specialize
 
@@ -45,42 +53,95 @@ class MapShape:
         return f"(d={self.d}, {self.p}->{self.q})"
 
 
+@cache
+def _zero(ring: Ring) -> Scalar:
+    # scalars are immutable, so one zero per ring serves every map
+    return ring.zero()
+
+
+def _pruned(rows) -> dict[int, dict[int, Scalar]]:
+    """Sparse storage from (row, {col: scalar}) pairs: exact zeros and the
+    rows they leave empty are dropped."""
+    out = {}
+    for r, row in rows:
+        kept = {c: v for c, v in row.items() if not v.is_zero()}
+        if kept:
+            out[r] = kept
+    return out
+
+
+def _sum(values, ring: Ring) -> Scalar:
+    acc = None
+    for v in values:
+        acc = v if acc is None else acc + v
+    return _zero(ring) if acc is None else acc
+
+
 @dataclass(frozen=True)
 class LinearMap:
     shape: MapShape
     ring: Ring
-    rows: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.shape.rows or any(
-            len(r) != self.shape.cols for r in self.rows
-        ):
-            raise ShapeMismatchError(
-                f"matrix is {len(self.rows)} x {len(self.rows[0]) if self.rows else 0}, "
-                f"shape {self.shape} wants {self.shape.rows} x {self.shape.cols}"
-            )
+    # row -> {col: nonzero scalar}; built only by this module
+    _entries: dict[int, dict[int, Scalar]]
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rows(d: int, p: int, q: int, ring: Ring, rows) -> "LinearMap":
-        return LinearMap(MapShape(d, p, q), ring, tuple(tuple(r) for r in rows))
+        """From a dense list of d^q rows of d^p scalars."""
+        shape = MapShape(d, p, q)
+        rows = [tuple(r) for r in rows]
+        if len(rows) != shape.rows or any(len(r) != shape.cols for r in rows):
+            raise ShapeMismatchError(
+                f"matrix is {len(rows)} x {len(rows[0]) if rows else 0}, "
+                f"shape {shape} wants {shape.rows} x {shape.cols}"
+            )
+        return LinearMap(shape, ring, _pruned(
+            (i, dict(enumerate(r))) for i, r in enumerate(rows)
+        ))
 
     @staticmethod
     def zero(d: int, p: int, q: int, ring: Ring) -> "LinearMap":
-        z = ring.zero()
-        shape = MapShape(d, p, q)
-        return LinearMap(shape, ring, tuple(
-            (z,) * shape.cols for _ in range(shape.rows)
-        ))
+        return LinearMap(MapShape(d, p, q), ring, {})
 
     @staticmethod
     def identity(d: int, n: int, ring: Ring) -> "LinearMap":
-        z, o = ring.zero(), ring.one()
-        dim = d**n
-        return LinearMap(MapShape(d, n, n), ring, tuple(
-            tuple(o if i == j else z for j in range(dim)) for i in range(dim)
-        ))
+        o = ring.one()
+        return LinearMap(MapShape(d, n, n), ring, {i: {i: o} for i in range(d**n)})
+
+    # -- reading ------------------------------------------------------------
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense read-only view: d^q rows of d^p scalars, zeros included."""
+        z = _zero(self.ring)
+        empty = (z,) * self.shape.cols
+        out = []
+        for r in range(self.shape.rows):
+            row = self._entries.get(r)
+            if row is None:
+                out.append(empty)
+                continue
+            dense = list(empty)
+            for c, v in row.items():
+                dense[c] = v
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def entry(self, i: int, j: int) -> Scalar:
+        row = self._entries.get(i)
+        v = None if row is None else row.get(j)
+        return _zero(self.ring) if v is None else v
+
+    def nonzeros(self):
+        """(row, col, scalar) for every nonzero entry, in row-major order."""
+        for r in sorted(self._entries):
+            row = self._entries[r]
+            for c in sorted(row):
+                yield r, c, row[c]
+
+    def is_zero(self) -> bool:
+        return not self._entries
 
     # -- elementwise --------------------------------------------------------
 
@@ -96,37 +157,36 @@ class LinearMap:
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         self._check_same(other, "add")
-        return LinearMap(self.shape, self.ring, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        out = {r: dict(row) for r, row in self._entries.items()}
+        for r, orow in other._entries.items():
+            row = out.setdefault(r, {})
+            for c, v in orow.items():
+                s = row[c] + v if c in row else v
+                if s.is_zero():
+                    del row[c]
+                else:
+                    row[c] = s
+            if not row:
+                del out[r]
+        return LinearMap(self.shape, self.ring, out)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         self._check_same(other, "subtract")
-        return LinearMap(self.shape, self.ring, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        return self + (-other)
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self.shape, self.ring, tuple(
-            tuple(-a for a in r) for r in self.rows
-        ))
+        return LinearMap(self.shape, self.ring, {
+            r: {c: -v for c, v in row.items()} for r, row in self._entries.items()
+        })
 
     def scale(self, s: Scalar) -> "LinearMap":
         if not isinstance(s, int) and ring_of(s) != self.ring:
             raise RingMismatchError(
                 f"scalar ring {ring_of(s)} differs from map ring {self.ring}"
             )
-        return LinearMap(self.shape, self.ring, tuple(
-            tuple(s * a for a in r) for r in self.rows
+        return LinearMap(self.shape, self.ring, _pruned(
+            (r, {c: s * v for c, v in row.items()}) for r, row in self._entries.items()
         ))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -139,23 +199,21 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         )
     if f.ring != g.ring:
         raise RingMismatchError(f"compose: rings differ, {f.ring} vs {g.ring}")
-    z = f.ring.zero()
-    n, k, m = f.shape.rows, f.shape.cols, g.shape.cols
-    out = [[z] * m for _ in range(n)]
-    for r in range(n):
-        frow = f.rows[r]
-        outr = out[r]
-        for t in range(k):
-            c = frow[t]
-            if c.is_zero():
+    grows = g._entries
+    out = {}
+    for r, frow in f._entries.items():
+        acc: dict[int, Scalar] = {}
+        for t, c in frow.items():
+            grow = grows.get(t)
+            if grow is None:
                 continue
-            grow = g.rows[t]
-            for s in range(m):
-                gv = grow[s]
-                if not gv.is_zero():
-                    outr[s] = outr[s] + c * gv
-    return LinearMap(MapShape(f.shape.d, g.shape.p, f.shape.q), f.ring,
-                     tuple(tuple(r) for r in out))
+            for s, gv in grow.items():
+                prev = acc.get(s)
+                acc[s] = c * gv if prev is None else prev + c * gv
+        row = {s: v for s, v in acc.items() if not v.is_zero()}
+        if row:
+            out[r] = row
+    return LinearMap(MapShape(f.shape.d, g.shape.p, f.shape.q), f.ring, out)
 
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -164,21 +222,22 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
         raise ShapeMismatchError(f"tensor: d differs, {f.shape} vs {g.shape}")
     if f.ring != g.ring:
         raise RingMismatchError(f"tensor: rings differ, {f.ring} vs {g.ring}")
-    z = f.ring.zero()
-    gz = (z,) * g.shape.cols
-    rows = []
-    for rf in f.rows:
-        for rg in g.rows:
-            row: list[Scalar] = []
-            for cf in rf:
-                if cf.is_zero():
-                    row.extend(gz)
-                else:
-                    row.extend(cf * cg for cg in rg)
-            rows.append(tuple(row))
+    grows, gcols = g.shape.rows, g.shape.cols
+    out = {}
+    for rf, frow in f._entries.items():
+        for rg, grow in g._entries.items():
+            row = {}
+            for cf, a in frow.items():
+                base = cf * gcols
+                for cg, b in grow.items():
+                    v = a * b
+                    if not v.is_zero():
+                        row[base + cg] = v
+            if row:
+                out[rf * grows + rg] = row
     return LinearMap(
         MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q),
-        f.ring, tuple(rows),
+        f.ring, out,
     )
 
 
@@ -212,16 +271,15 @@ def permutation(d: int, n: int, perm: tuple[int, ...], ring: Ring) -> LinearMap:
     """
     if sorted(perm) != list(range(n)):
         raise ShapeMismatchError(f"not a permutation of range({n}): {perm}")
-    z, o = ring.zero(), ring.one()
-    dim = d**n
-    rows = [[z] * dim for _ in range(dim)]
-    for col in range(dim):
+    o = ring.one()
+    out = {}
+    for col in range(d**n):
         src = _digits(col, d, n)
         dst = [0] * n
         for k in range(n):
             dst[perm[k]] = src[k]
-        rows[_index(dst, d)][col] = o
-    return LinearMap(MapShape(d, n, n), ring, tuple(tuple(r) for r in rows))
+        out[_index(dst, d)] = {col: o}
+    return LinearMap(MapShape(d, n, n), ring, out)
 
 
 def swap(d: int, ring: Ring) -> LinearMap:
@@ -236,23 +294,23 @@ def partial_trace(f: LinearMap, slot: int) -> LinearMap:
         raise ShapeMismatchError(f"partial trace needs square shape, got {f.shape}")
     if not 0 <= slot < p:
         raise ShapeMismatchError(f"slot {slot} out of range for arity {p}")
-    n = p
-    z = f.ring.zero()
-    dim = d ** (n - 1)
-    rows = [[z] * dim for _ in range(dim)]
-    for r in range(dim):
-        rd = _digits(r, d, n - 1)
-        for c in range(dim):
-            cd = _digits(c, d, n - 1)
-            acc = z
-            for b in range(d):
-                ri = _index(rd[:slot] + (b,) + rd[slot:], d)
-                ci = _index(cd[:slot] + (b,) + cd[slot:], d)
-                v = f.rows[ri][ci]
-                if not v.is_zero():
-                    acc = acc + v
-            rows[r][c] = acc
-    return LinearMap(MapShape(d, n - 1, n - 1), f.ring, tuple(tuple(r) for r in rows))
+    # place value of the traced digit; dropping it keeps the digits below
+    # and shifts the ones above down by one place
+    low = d ** (p - 1 - slot)
+    high = low * d
+    acc: dict[int, dict[int, Scalar]] = {}
+    for r, row in f._entries.items():
+        digit = r // low % d
+        out_row = None
+        for c, v in row.items():
+            if c // low % d != digit:
+                continue
+            if out_row is None:
+                out_row = acc.setdefault(r // high * low + r % low, {})
+            k = c // high * low + c % low
+            prev = out_row.get(k)
+            out_row[k] = v if prev is None else prev + v
+    return LinearMap(MapShape(d, p - 1, p - 1), f.ring, _pruned(acc.items()))
 
 
 def partial_trace_last(f: LinearMap) -> LinearMap:
@@ -264,10 +322,7 @@ def partial_trace_last(f: LinearMap) -> LinearMap:
 def full_trace(f: LinearMap) -> Scalar:
     if f.shape.p != f.shape.q:
         raise ShapeMismatchError(f"trace needs square shape, got {f.shape}")
-    acc = f.ring.zero()
-    for i in range(f.shape.rows):
-        acc = acc + f.rows[i][i]
-    return acc
+    return _sum((row[r] for r, row in f._entries.items() if r in row), f.ring)
 
 
 def trace_of_product(f: LinearMap, g: LinearMap) -> Scalar:
@@ -276,16 +331,17 @@ def trace_of_product(f: LinearMap, g: LinearMap) -> Scalar:
         raise ShapeMismatchError(f"trace of product: {f.shape} vs {g.shape}")
     if f.ring != g.ring:
         raise RingMismatchError(f"rings differ, {f.ring} vs {g.ring}")
-    acc = f.ring.zero()
-    for i in range(f.shape.rows):
-        frow = f.rows[i]
-        for j in range(f.shape.cols):
-            v = frow[j]
-            if not v.is_zero():
-                w = g.rows[j][i]
-                if not w.is_zero():
-                    acc = acc + v * w
-    return acc
+    grows = g._entries
+
+    def products():
+        for i, frow in f._entries.items():
+            for j, v in frow.items():
+                grow = grows.get(j)
+                w = None if grow is None else grow.get(i)
+                if w is not None:
+                    yield v * w
+
+    return _sum(products(), f.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +438,10 @@ def invert_rows(rows, ring: Ring) -> list[list[Scalar]] | None:
 # --- ring-changing entry maps -------------------------------------------
 
 def map_apply(f: LinearMap, fn, ring: Ring) -> LinearMap:
-    return LinearMap(f.shape, ring, tuple(tuple(fn(x) for x in row) for row in f.rows))
+    """fn applied to every entry; fn must send zero to zero."""
+    return LinearMap(f.shape, ring, _pruned(
+        (r, {c: fn(v) for c, v in row.items()}) for r, row in f._entries.items()
+    ))
 
 
 def map_promote(f: LinearMap, target: Ring) -> LinearMap:
@@ -391,14 +450,8 @@ def map_promote(f: LinearMap, target: Ring) -> LinearMap:
 
 def map_specialize(f: LinearMap, value) -> LinearMap:
     """Substitute a rational value for the Laurent variable in every entry."""
-    out = tuple(tuple(specialize(x, value) for x in row) for row in f.rows)
-    return LinearMap(f.shape, ring_of(out[0][0]), out)
-
-
-def dual_embed(f: LinearMap) -> LinearMap:
-    """View a map over the dual ring with zero slope part."""
-    dr = dual(f.ring)
-    return map_apply(f, lambda x: Dual(x, f.ring.zero()), dr)
+    ring = ring_of(specialize(_zero(f.ring), value))
+    return map_apply(f, lambda x: specialize(x, value), ring)
 
 
 def dual_parts(f: LinearMap) -> tuple[LinearMap, LinearMap]:
@@ -409,3 +462,24 @@ def dual_parts(f: LinearMap) -> tuple[LinearMap, LinearMap]:
     body = map_apply(f, lambda x: x.body, base)
     slope = map_apply(f, lambda x: x.slope, base)
     return body, slope
+
+
+def dual_from_parts(body: LinearMap, slope: LinearMap) -> LinearMap:
+    """body + t*slope over the dual of their common ring (inverse of
+    dual_parts)."""
+    if body.ring is not slope.ring:
+        raise RingMismatchError(
+            f"body over {body.ring} but slope over {slope.ring}"
+        )
+    if body.shape != slope.shape:
+        raise ShapeMismatchError(
+            f"body has shape {body.shape} but slope {slope.shape}"
+        )
+    z = _zero(body.ring)
+    out = {}
+    for r in body._entries.keys() | slope._entries.keys():
+        brow, srow = body._entries.get(r, {}), slope._entries.get(r, {})
+        out[r] = {
+            c: Dual(brow.get(c, z), srow.get(c, z)) for c in brow.keys() | srow.keys()
+        }
+    return LinearMap(body.shape, dual(body.ring), out)

@@ -38,6 +38,10 @@ class ScalarSyntaxError(ScalarError):
     """parse_scalar rejected the input; message includes the column."""
 
 
+class ScalarInvariantError(ScalarError):
+    """An internal invariant of exact polynomial arithmetic failed."""
+
+
 RationalLike = Union[int, Fraction]
 
 
@@ -275,7 +279,8 @@ def _laurent_valuation(x: LaurentA) -> tuple[list[GaussRat], int]:
 
     Returns (dense coefficient list of p, v).  x must be nonzero.
     """
-    assert x.terms
+    if not x.terms:
+        raise ScalarInvariantError("the zero polynomial has no valuation")
     v = x.terms[0][0]
     deg = x.terms[-1][0] - v
     coeffs = [_G_ZERO] * (deg + 1)
@@ -328,7 +333,8 @@ def _poly_divexact(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
         for i, bc in enumerate(b):
             a[off + i] = a[off + i] - q * bc
         _poly_trim(a)
-    assert not a, "inexact polynomial division"
+    if a:
+        raise ScalarInvariantError("inexact polynomial division")
     return out
 
 

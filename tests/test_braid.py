@@ -1,6 +1,8 @@
 """Braid words, the trace invariant, and the oracle comparison."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeinlab.braid import (
     BraidSyntaxError,
@@ -19,7 +21,7 @@ from skeinlab.braid import (
     turaev_first_failure,
     verify_turaev,
 )
-from skeinlab.rmatrix import solve_deformed_coefficients
+from skeinlab.rmatrix import MAX_STRANDS, RMatrixError, solve_deformed_coefficients
 from skeinlab.scalars import LAURENT, RATFUN, dual, parse_scalar, promote
 from skeinlab.switchback import bracket_cocycle, deform, make_bracket_pair
 
@@ -135,6 +137,28 @@ def test_normalized_invariant_matches_known_values(text, n, expected):
     value = normalized_invariant(td, w)
     assert value == promote(parse_scalar(expected, LAURENT), RATFUN)
     assert value == promote(jones_oracle(w), RATFUN)
+
+
+_RATFUN_TD = _turaev(RATFUN)
+
+
+@st.composite
+def _words(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    letter = st.tuples(st.integers(min_value=1, max_value=n - 1), st.sampled_from((1, -1)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=n + 1))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_words())
+def test_normalized_invariant_matches_oracle_on_random_words(w):
+    # the planar oracle shares no code with linmap
+    assert normalized_invariant(_RATFUN_TD, w) == promote(jones_oracle(w), RATFUN)
+
+
+def test_invariant_rejects_too_many_strands():
+    with pytest.raises(RMatrixError, match=f"limit of {MAX_STRANDS}"):
+        invariant(_RATFUN_TD, parse_braid("s30"))
 
 
 def test_unnormalized_unknot_is_the_loop_value():

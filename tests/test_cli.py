@@ -263,6 +263,30 @@ def test_bad_braid_is_an_error(capsys):
     assert out.startswith("FAIL: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariant", "--braid", "s30"),
+    ("compare", "--braid", "s30"),
+    ("tl-check", "--strands", "30"),
+])
+def test_too_many_strands_fail_up_front(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    strands = 31 if "--braid" in argv else 30
+    assert out == f"FAIL: {strands} strands is more than the limit of 10\n"
+
+
+def test_deform_rejects_a_pair_that_is_not_switchback(capsys, tmp_path):
+    pair = tmp_path / "broken.pair"
+    pair.write_text(
+        "dimension = 2\nring = gauss\nbeta = 1, 0, 0, 1\ngamma = 1; 0; 0; 2\n"
+    )
+    cocycle = tmp_path / "zero.cfg"
+    cocycle.write_text("phi1 = 0, 0, 0, 0\nphi2 = 0; 0; 0; 0\n")
+    code, out = run(capsys, "deform", "--pair", str(pair), "--cocycle", str(cocycle))
+    assert code == 2
+    assert out.endswith("FAIL: the undeformed pair fails the switchback conditions\n")
+
+
 def test_bad_specialize_is_an_error(capsys):
     code, out = run(capsys, "cohomology", "--specialize", "B=2")
     assert code == 2

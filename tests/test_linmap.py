@@ -10,7 +10,7 @@ from skeinlab.linmap import (
     LinearMap,
     ShapeMismatchError,
     compose,
-    dual_embed,
+    dual_from_parts,
     dual_parts,
     full_trace,
     invert_rows,
@@ -195,10 +195,11 @@ def test_ring_changing_maps():
     up = map_promote(f, RATFUN)
     assert up.ring is RATFUN
     assert map_specialize(map_promote(f, LAURENT), GaussRat(2)) == f
-    emb = dual_embed(up)
+    emb = dual_from_parts(up, LinearMap.zero(2, 1, 1, RATFUN))
     assert emb.ring is dual(RATFUN)
     body, slope = dual_parts(emb)
     assert body == up and slope.is_zero()
+    assert dual_parts(dual_from_parts(up, up.scale(-1))) == (up, -up)
     with pytest.raises(RingMismatchError):
         dual_parts(up)
 
@@ -208,3 +209,125 @@ def test_mixed_ring_map_arithmetic_rejected():
     g = map_promote(f, LAURENT)
     with pytest.raises(RingMismatchError):
         f + g
+
+
+# ---------------------------------------------------------------------------
+# Sparse storage against a dense reference.  The reference below works on
+# plain row lists and shares no code with linmap.
+# ---------------------------------------------------------------------------
+
+# entry pools per ring; zero is drawn often, and the dual pool has pure
+# t-multiples whose products cancel (t*t = 0)
+POOLS = {
+    "laurent": (LAURENT, ("0", "0", "0", "1", "-1", "A", "-A", "A^-1", "2 - i*A^2")),
+    "dual-ratfun": (dual(RATFUN), (
+        "0", "0", "0", "0 + t*( 1 )", "0 + t*( -A )", "1 + t*( 0 )",
+        "-1 + t*( A )", "A + t*( 0 )", "( 1 )/( 1 + A ) + t*( 0 )",
+    )),
+}
+VALUES = {
+    name: (ring, [parse_scalar(text, ring) for text in texts])
+    for name, (ring, texts) in POOLS.items()
+}
+
+
+def _dense_sum(values, zero):
+    acc = zero
+    for v in values:
+        acc = acc + v
+    return acc
+
+
+def _dense_compose(a, b, zero):
+    return [
+        [_dense_sum((a[i][t] * b[t][j] for t in range(len(b))), zero)
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _dense_tensor(a, b):
+    return [
+        [x * y for x in ra for y in rb]
+        for ra in a for rb in b
+    ]
+
+
+def _dense_partial_trace(a, d, n, slot, zero):
+    place = d ** (n - 1 - slot)
+
+    def widen(idx, digit):
+        # insert `digit` at `slot` into an (n-1)-digit base-d index
+        return (idx // place) * place * d + digit * place + idx % place
+
+    dim = d ** (n - 1)
+    return [
+        [_dense_sum((a[widen(r, b)][widen(c, b)] for b in range(d)), zero)
+         for c in range(dim)]
+        for r in range(dim)
+    ]
+
+
+def _draw_rows(data, name, p, q):
+    _, values = VALUES[name]
+    return [[data.draw(st.sampled_from(values)) for _ in range(2**p)] for _ in range(2**q)]
+
+
+def _assert_matches(m, ref):
+    """m equals the dense reference and stores no zero."""
+    assert m.rows == tuple(tuple(r) for r in ref)
+    assert all(not v.is_zero() for _, _, v in m.nonzeros())
+    assert m.is_zero() == all(x.is_zero() for r in ref for x in r)
+
+
+@pytest.mark.parametrize("name", sorted(POOLS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_sparse_ops_match_dense_reference(name, data):
+    ring, values = VALUES[name]
+    zero = ring.zero()
+    p, k, q = (data.draw(st.integers(min_value=0, max_value=2)) for _ in range(3))
+    a, c = _draw_rows(data, name, k, q), _draw_rows(data, name, k, q)
+    b = _draw_rows(data, name, p, k)
+    s = data.draw(st.sampled_from(values))
+    fa, fc = LinearMap.from_rows(2, k, q, ring, a), LinearMap.from_rows(2, k, q, ring, c)
+    fb = LinearMap.from_rows(2, p, k, ring, b)
+    _assert_matches(fa, a)
+    _assert_matches(compose(fa, fb), _dense_compose(a, b, zero))
+    _assert_matches(tensor(fa, fb), _dense_tensor(a, b))
+    _assert_matches(fa + fc, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)])
+    _assert_matches(fa - fc, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)])
+    _assert_matches(-fa, [[-x for x in ra] for ra in a])
+    _assert_matches(fa.scale(s), [[s * x for x in ra] for ra in a])
+    # f: V^k -> V^q and g: V^q -> V^k
+    g = _draw_rows(data, name, q, k)
+    expected = _dense_sum(
+        (a[i][j] * g[j][i] for i in range(len(a)) for j in range(len(g))), zero
+    )
+    assert trace_of_product(fa, LinearMap.from_rows(2, q, k, ring, g)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(POOLS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sparse_traces_match_dense_reference(name, data):
+    ring, _ = VALUES[name]
+    zero = ring.zero()
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    slot = data.draw(st.integers(min_value=0, max_value=n - 1))
+    a = _draw_rows(data, name, n, n)
+    f = LinearMap.from_rows(2, n, n, ring, a)
+    _assert_matches(partial_trace(f, slot), _dense_partial_trace(a, 2, n, slot, zero))
+    assert full_trace(f) == _dense_sum((a[i][i] for i in range(len(a))), zero)
+
+
+def test_cancelled_entries_are_dropped():
+    ring = dual(RATFUN)
+    t = parse_scalar("0 + t*( 1 )", ring)
+    z = ring.zero()
+    f = LinearMap.from_rows(2, 1, 1, ring, [[t, z], [z, t]])
+    # t * t = 0 in every entry of the product
+    assert compose(f, f) == LinearMap.zero(2, 1, 1, ring)
+    assert tensor(f, f).is_zero() and f.scale(t).is_zero()
+    assert (f - f).is_zero() and not (f + f).is_zero()
+    assert list(f.nonzeros()) == [(0, 0, t), (1, 1, t)]

@@ -6,6 +6,7 @@ import pytest
 
 from skeinlab.linmap import LinearMap, compose, kernel_basis
 from skeinlab.rmatrix import (
+    MAX_STRANDS,
     RMatrixError,
     build_R,
     cupcap,
@@ -115,6 +116,11 @@ def test_tl_wrong_delta_reported():
 def test_tl_needs_two_strands():
     with pytest.raises(RMatrixError, match="at least 2"):
         tl_generators(make_bracket_pair(), 1)
+
+
+def test_tl_strand_limit_is_checked_before_building():
+    with pytest.raises(RMatrixError, match=f"limit of {MAX_STRANDS}"):
+        tl_generators(make_bracket_pair(), 30)
 
 
 # ---------------------------------------------------------------------------

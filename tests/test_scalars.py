@@ -17,7 +17,10 @@ from skeinlab.scalars import (
     NotInvertibleError,
     RatFunA,
     RingMismatchError,
+    ScalarInvariantError,
     ScalarSyntaxError,
+    _laurent_valuation,
+    _poly_divexact,
     demote,
     dual,
     format_scalar,
@@ -195,3 +198,13 @@ def test_format_is_canonical_and_ascending():
     assert format_scalar(x) == "A^-2 + A^3"
     y = parse_scalar("-1 - i", GAUSS)
     assert format_scalar(y) == "-1 - i"
+
+
+def test_polynomial_helper_invariants_raise():
+    g = GaussRat
+    # x^2 + 1 is not divisible by x + 2
+    with pytest.raises(ScalarInvariantError, match="inexact"):
+        _poly_divexact([g(1), g(0), g(1)], [g(2), g(1)])
+    assert _poly_divexact([g(-1), g(0), g(1)], [g(1), g(1)]) == [g(-1), g(1)]
+    with pytest.raises(ScalarInvariantError):
+        _laurent_valuation(LaurentA())

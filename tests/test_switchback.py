@@ -255,6 +255,15 @@ def test_non_cocycle_obstruction_equals_differential():
     assert not (xi1.is_zero() and xi2.is_zero())
 
 
+def test_obstruction_rejects_a_pair_that_is_not_switchback():
+    pair = parse_pair_config(
+        "dimension = 2\nring = gauss\nbeta = 1, 0, 0, 1\ngamma = 1; 0; 0; 2\n"
+    )
+    phi1, phi2 = LinearMap.zero(2, 2, 0, GAUSS), LinearMap.zero(2, 0, 2, GAUSS)
+    with pytest.raises(SwitchbackError, match="undeformed pair"):
+        deformation_obstruction(pair, phi1, phi2)
+
+
 def test_degree2_analysis_on_basis():
     pair = _bracket()
     for phi1, phi2 in solve_2cocycles(pair):
