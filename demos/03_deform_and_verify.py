@@ -11,9 +11,9 @@ obstruction.
 from skeinlab.rmatrix import (
     build_R,
     solve_deformed_coefficients,
+    tl_first_failure,
     tl_generators,
-    verify_tl_relations,
-    verify_ybe,
+    ybe_residual,
 )
 from skeinlab.scalars import RATFUN, format_scalar
 from skeinlab.switchback import (
@@ -46,11 +46,11 @@ print("a =", format_scalar(a_t))
 print("b =", format_scalar(b_t))
 
 rmx = build_R(pair_t, a_t, b_t)
-print("Yang-Baxter over the dual ring:", verify_ybe(rmx.R))
+print("Yang-Baxter over the dual ring:", ybe_residual(rmx.R).is_zero())
 
 gens = tl_generators(pair_t, 4)
 print("Temperley-Lieb (4 strands, deformed delta):",
-      verify_tl_relations(gens, loop_t))
+      tl_first_failure(gens, loop_t) is None)
 print()
 
 # second order: the cocycle composed with itself across each zig-zag is a

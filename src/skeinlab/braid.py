@@ -191,10 +191,6 @@ def turaev_first_failure(td: TuraevData) -> str | None:
     return None
 
 
-def verify_turaev(td: TuraevData) -> bool:
-    return turaev_first_failure(td) is None
-
-
 # ---------------------------------------------------------------------------
 # The invariant
 # ---------------------------------------------------------------------------
@@ -282,7 +278,8 @@ class CompareReport:
         )
 
 
-def _body(x):
+def t0_part(x):
+    """The t = 0 part of a value: the body of a dual number, else x."""
     return x.body if hasattr(x, "body") else x
 
 
@@ -298,7 +295,7 @@ def compare_with_oracle(td: TuraevData, corpus) -> CompareReport:
     for w in corpus:
         value = normalized_invariant(td, w)
         oracle = promote(jones_oracle(w), base)
-        entries.append(CompareEntry(str(w), value, oracle, _body(value) == oracle))
+        entries.append(CompareEntry(str(w), value, oracle, t0_part(value) == oracle))
     a, b = td.rmx.a, td.rmx.b
     c = a * b.inv()
     ell = b.inv() * td.u

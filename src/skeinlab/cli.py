@@ -24,6 +24,7 @@ from .braid import (
     make_turaev,
     normalized_invariant,
     parse_braid,
+    t0_part,
 )
 from .identities import (
     DslError,
@@ -44,11 +45,14 @@ from .rmatrix import (
     ybe_residual,
 )
 from .scalars import (
+    A,
+    A_INV,
     GAUSS,
     LAURENT,
     RATFUN,
     ScalarError,
     format_scalar,
+    into_ring,
     parse_scalar,
     promote,
     ring_by_name,
@@ -75,16 +79,35 @@ class CliError(ValueError):
 
 
 class Out:
-    """text mode prints prose; records mode prints kind TAB k=v TAB ..."""
+    """The report of one CLI run and the verdicts it has given.
+
+    Every line is given in both forms: `text` for text mode, which prints
+    prose, and `kind` with `fields` for records mode, which prints
+    kind TAB k=v TAB ...  `verdict` prints an ok/FAIL line and remembers a
+    failure; `exit_code` turns the remembered verdicts into the exit status,
+    ending a failed run with the `fail` line.
+    """
 
     def __init__(self, mode: str):
         self.records = mode == "records"
+        self.failed = False
 
     def emit(self, kind: str, fields, text: str):
         if self.records:
             print("\t".join([kind] + [f"{k}={v}" for k, v in fields]))
         else:
             print(text)
+
+    def verdict(self, ok: bool, kind: str, fields, text: str, key: str = "ok"):
+        """Emit a line whose last field is `key` = true/false."""
+        self.emit(kind, [*fields, (key, str(ok).lower())], text)
+        self.failed = self.failed or not ok
+
+    def exit_code(self, reason: str) -> int:
+        if not self.failed:
+            return 0
+        self.fail(reason)
+        return 1
 
     def fail(self, reason: str):
         self.emit("fail", [("reason", reason)], f"FAIL: {reason}")
@@ -158,22 +181,22 @@ def _random_f(d: int, ring, rng: random.Random) -> LinearMap:
 def _run_d2d1(idents, model: str, trials: int, seed: int, out: Out) -> int:
     assignment, d, ring = _model_assignment(model)
     rng = random.Random(seed)
-    code = 0
     for ident in idents:
         ok = all(
             check_d2d1(ident, assignment, _random_f(d, ring, rng))
             for _ in range(trials)
         )
-        out.emit(
-            "check-d2d1",
-            [("identity", ident.label), ("ok", str(ok).lower())],
+        out.verdict(
+            ok, "check-d2d1", [("identity", ident.label)],
             f"check-d2d1 {ident.label}: {'OK' if ok else 'FAIL'} ({trials} random f)",
         )
-        if not ok:
-            code = 1
-    if code:
-        out.fail("d2d1 residual nonzero")
-    return code
+    return out.exit_code("d2d1 residual nonzero")
+
+
+def _load_identities(args):
+    path = _resolve(args.file, ".idl")
+    idf = parse_identity_file(path.read_text())
+    return idf.identities if not args.identity else (idf.identity(args.identity),)
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +205,26 @@ def _run_d2d1(idents, model: str, trials: int, seed: int, out: Out) -> int:
 
 
 def cmd_infiltrate(args, out: Out) -> int:
-    path = _resolve(args.file, ".idl")
-    idf = parse_identity_file(path.read_text())
-    idents = idf.identities if not args.identity else (idf.identity(args.identity),)
+    idents = _load_identities(args)
     for ident in idents:
         plan = elaborate(ident)
         diff = infiltrate(plan).differential.canonical()
-        if out.records:
-            out.emit(
-                "plan",
-                [
-                    ("identity", ident.label),
-                    ("lhs", to_text(plan.lhs)),
-                    ("rhs", to_text(plan.rhs)),
-                ],
-                "",
-            )
-            out.emit(
-                "differential",
-                [("identity", ident.label), ("sum", diff.to_text())],
-                "",
-            )
-        else:
-            print(f"identity {ident.label}: {to_text(ident.lhs)} = {to_text(ident.rhs)}")
-            print(f"  plan lhs: {to_text(plan.lhs)}")
-            print(f"  plan rhs: {to_text(plan.rhs)}")
-            print("  differential:")
-            if not diff.terms:
-                print("    0")
-            for coeff, term in diff.terms:
-                mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
-                print(f"    {'+' if coeff > 0 else '-'} {mag}{to_text(term)}")
+        out.emit(
+            "plan",
+            [("identity", ident.label), ("lhs", to_text(plan.lhs)), ("rhs", to_text(plan.rhs))],
+            f"identity {ident.label}: {to_text(ident.lhs)} = {to_text(ident.rhs)}\n"
+            f"  plan lhs: {to_text(plan.lhs)}\n"
+            f"  plan rhs: {to_text(plan.rhs)}",
+        )
+        terms = []
+        for coeff, term in diff.terms:
+            mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
+            terms.append(f"    {'+' if coeff > 0 else '-'} {mag}{to_text(term)}")
+        out.emit(
+            "differential",
+            [("identity", ident.label), ("sum", diff.to_text())],
+            "\n".join(["  differential:", *(terms or ["    0"])]),
+        )
     if args.check_d2d1:
         if not args.model:
             raise CliError("--check-d2d1 needs --model")
@@ -221,29 +233,22 @@ def cmd_infiltrate(args, out: Out) -> int:
 
 
 def cmd_check_d2d1(args, out: Out) -> int:
-    path = _resolve(args.file, ".idl")
-    idf = parse_identity_file(path.read_text())
-    idents = idf.identities if not args.identity else (idf.identity(args.identity),)
-    return _run_d2d1(idents, args.model, args.trials, args.seed, out)
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
+    return _run_d2d1(_load_identities(args), args.model, args.trials, args.seed, out)
 
 
 def cmd_verify_switchback(args, out: Out) -> int:
     pair = _load_pair(args)
     r1, r2 = switchback_residuals(pair)
     conds = [("(beta x 1)(1 x gamma) = 1", r1), ("(1 x beta)(gamma x 1) = 1", r2)]
-    code = 0
     for k, (label, r) in enumerate(conds, 1):
         ok = r.is_zero()
-        out.emit(
-            "switchback",
-            [("condition", str(k)), ("ok", str(ok).lower())],
+        out.verdict(
+            ok, "switchback", [("condition", str(k))],
             f"switchback {label}: {'OK' if ok else 'FAIL'}",
         )
-        if not ok:
-            code = 1
-    if code:
-        out.fail("switchback conditions violated")
-    return code
+    return out.exit_code("switchback conditions violated")
 
 
 def cmd_cohomology(args, out: Out) -> int:
@@ -254,11 +259,7 @@ def cmd_cohomology(args, out: Out) -> int:
         ("z3", dims.z3), ("b4", dims.b4), ("h1", dims.h1), ("h2", dims.h2),
         ("h3", dims.h3),
     ]
-    if out.records:
-        out.emit("cohomology", fields, "")
-    else:
-        for name, value in fields:
-            print(f"{name} = {value}")
+    out.emit("cohomology", fields, "\n".join(f"{name} = {value}" for name, value in fields))
     return 0
 
 
@@ -284,20 +285,17 @@ def cmd_deform(args, out: Out) -> int:
     out.emit("deformed", [("gamma", gamma_t)], f"gamma_t = {gamma_t}")
     r1, r2 = switchback_residuals(pt)
     ok = r1.is_zero() and r2.is_zero()
-    out.emit(
-        "switchback",
-        [("deformed", "true"), ("ok", str(ok).lower())],
+    out.verdict(
+        ok, "switchback", [("deformed", "true")],
         f"deformed switchback: {'OK' if ok else 'FAIL'}",
     )
-    if ok:
-        return 0
-    xi1, xi2 = deformation_obstruction(pair, phi1, phi2)
-    ob1 = ", ".join(format_scalar(e) for e in xi1.rows[0])
-    ob2 = "; ".join(format_scalar(r[0]) for r in xi2.rows)
-    out.emit("obstruction", [("xi1", ob1)], f"obstruction xi1 = {ob1}")
-    out.emit("obstruction", [("xi2", ob2)], f"obstruction xi2 = {ob2}")
-    out.fail("deformation does not satisfy the switchback conditions")
-    return 1
+    if not ok:
+        xi1, xi2 = deformation_obstruction(pair, phi1, phi2)
+        ob1 = ", ".join(format_scalar(e) for e in xi1.rows[0])
+        ob2 = "; ".join(format_scalar(r[0]) for r in xi2.rows)
+        out.emit("obstruction", [("xi1", ob1)], f"obstruction xi1 = {ob1}")
+        out.emit("obstruction", [("xi2", ob2)], f"obstruction xi2 = {ob2}")
+    return out.exit_code("deformation does not satisfy the switchback conditions")
 
 
 def _turaev_data(args, base: SwitchbackPair):
@@ -313,8 +311,8 @@ def _turaev_data(args, base: SwitchbackPair):
         a, b = solve_deformed_coefficients(work, a0, b0)
     else:
         work = base
-        a = a0 if a0 is not None else parse_scalar("A", base.ring)
-        b = b0 if b0 is not None else parse_scalar("A^-1", base.ring)
+        a = a0 if a0 is not None else into_ring(A, base.ring)
+        b = b0 if b0 is not None else into_ring(A_INV, base.ring)
     return make_turaev(work, a, b)
 
 
@@ -328,17 +326,17 @@ def cmd_verify_ybe(args, out: Out) -> int:
                  f"b = {format_scalar(td.rmx.b)}")
     res = ybe_residual(td.rmx.R)
     ok = res.is_zero()
-    out.emit("ybe", [("ok", str(ok).lower())], f"ybe residual zero: {str(ok).lower()}")
-    if ok:
-        return 0
-    for i, row in enumerate(res.rows):
-        line = ", ".join(format_scalar(e) for e in row)
-        out.emit("residual", [("row", i), ("entries", line)], f"row {i}: {line}")
-    out.fail("Yang-Baxter residual nonzero")
-    return 1
+    out.verdict(ok, "ybe", [], f"ybe residual zero: {str(ok).lower()}")
+    if not ok:
+        for i, row in enumerate(res.rows):
+            line = ", ".join(format_scalar(e) for e in row)
+            out.emit("residual", [("row", i), ("entries", line)], f"row {i}: {line}")
+    return out.exit_code("Yang-Baxter residual nonzero")
 
 
 def cmd_tl_check(args, out: Out) -> int:
+    if args.strands < 2:
+        raise CliError(f"--strands must be at least 2, got {args.strands}")
     check_strands(args.strands)
     base = _load_pair(args)
     if args.cocycle:
@@ -349,52 +347,33 @@ def cmd_tl_check(args, out: Out) -> int:
     delta = delta0(work)
     out.emit("delta0", [("value", format_scalar(delta))],
              f"delta0 = {format_scalar(delta)}")
-    code = 0
     for n in range(2, args.strands + 1):
         failure = tl_first_failure(tl_generators(work, n), delta)
-        ok = failure is None
-        out.emit(
-            "tl",
-            [("strands", n), ("ok", str(ok).lower())],
-            f"tl n={n}: {'OK' if ok else failure}",
+        out.verdict(
+            failure is None, "tl", [("strands", n)], f"tl n={n}: {failure or 'OK'}"
         )
-        if not ok:
-            code = 1
-    if code:
-        out.fail("Temperley-Lieb relations violated")
-    return code
+    return out.exit_code("Temperley-Lieb relations violated")
 
 
 def _invariant_line(out: Out, word: str, value):
     # the report line format is the same in both modes: word TAB scalar
-    if out.records:
-        out.emit("invariant", [("word", word), ("value", value)], "")
-    else:
-        print(f"{word}\t{value}")
+    out.emit("invariant", [("word", word), ("value", value)], f"{word}\t{value}")
 
 
 def cmd_invariant(args, out: Out) -> int:
     base = _field_pair(_load_pair(args))
     td = _turaev_data(args, base)
-    code = 0
     for text in args.braid:
         w = parse_braid(text)
         value = normalized_invariant(td, w)
         _invariant_line(out, str(w), format_scalar(value))
         if args.compare_oracle:
-            oracle = promote(jones_oracle(w), base.ring)
-            body = value.body if hasattr(value, "body") else value
-            ok = body == oracle
-            out.emit(
-                "oracle",
-                [("word", str(w)), ("match", str(ok).lower())],
-                f"oracle {w}: {'match' if ok else 'MISMATCH'}",
+            ok = t0_part(value) == promote(jones_oracle(w), base.ring)
+            out.verdict(
+                ok, "oracle", [("word", str(w))],
+                f"oracle {w}: {'match' if ok else 'MISMATCH'}", key="match",
             )
-            if not ok:
-                code = 1
-    if code:
-        out.fail("invariant disagrees with the oracle at t=0")
-    return code
+    return out.exit_code("invariant disagrees with the oracle at t=0")
 
 
 def cmd_jones_oracle(args, out: Out) -> int:
@@ -417,11 +396,10 @@ def cmd_compare(args, out: Out) -> int:
         corpus += [parse_braid(t) for t in _CORPUS if t]
     rep = compare_with_oracle(td, corpus)
     for e in rep.entries:
-        out.emit(
-            "compare",
-            [("word", e.word), ("value", format_scalar(e.value)),
-             ("match", str(e.matches).lower())],
+        out.verdict(
+            e.matches, "compare", [("word", e.word), ("value", format_scalar(e.value))],
             f"{e.word}\t{format_scalar(e.value)}\toracle {'match' if e.matches else 'MISMATCH'}",
+            key="match",
         )
     out.emit(
         "constants",
@@ -431,17 +409,12 @@ def cmd_compare(args, out: Out) -> int:
         f"delta0 = -(c + c^-1): {str(rep.loop_is_minus_c_plus_cinv).lower()}",
     )
     for word, ok in rep.skein_ok:
-        out.emit(
-            "skein",
-            [("word", word), ("ok", str(ok).lower())],
+        out.verdict(
+            ok, "skein", [("word", word)],
             f"skein at first letter of {word}: {'OK' if ok else 'FAIL'}",
         )
-    out.emit("summary", [("ok", str(rep.all_ok).lower())],
-             f"all checks: {'OK' if rep.all_ok else 'FAIL'}")
-    if not rep.all_ok:
-        out.fail("oracle comparison failed")
-        return 1
-    return 0
+    out.verdict(rep.all_ok, "summary", [], f"all checks: {'OK' if rep.all_ok else 'FAIL'}")
+    return out.exit_code("oracle comparison failed")
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +537,9 @@ def main(argv=None) -> int:
         TuraevError,
         PlanarityError,
         CliError,
-        KeyError,
         OSError,
     ) as e:
-        reason = str(e) if not isinstance(e, KeyError) else e.args[0]
-        out.fail(reason)
+        out.fail(str(e))
         return 2
 
 

@@ -50,6 +50,10 @@ class IdentityNotSatisfiedError(DslError):
     """check_d2d1's hypothesis gate: the assignment violates the identity."""
 
 
+class UnknownNameError(DslError):
+    """A label or symbol that the identity file or assignment does not bind."""
+
+
 # ---------------------------------------------------------------------------
 # Expression AST
 # ---------------------------------------------------------------------------
@@ -271,7 +275,7 @@ class IdentityFile:
         for ident in self.identities:
             if ident.label == label:
                 return ident
-        raise KeyError(f"no identity labelled {label!r}")
+        raise UnknownNameError(f"no identity labelled {label!r}")
 
 
 _RESERVED = {"gen", "identity", "id", "X", "x", "t", "phi"}
@@ -546,7 +550,7 @@ def evaluate_expr(expr: Expr, env: dict[str, LinearMap], d: int, ring: Ring) -> 
     if isinstance(expr, Sym):
         key = _env_key(expr)
         if key not in env:
-            raise KeyError(f"no assignment for symbol {key}")
+            raise UnknownNameError(f"no assignment for symbol {key}")
         m = env[key]
         if (m.shape.p, m.shape.q) != (expr.p, expr.q):
             raise ArityError(
@@ -596,12 +600,13 @@ def evaluate(
     return _sum_env(fs, env, probe.shape.d, probe.ring)
 
 
-def d2d1_residual(
+def check_d2d1(
     identity: SingleTermIdentity,
     assignment: dict[str, LinearMap],
     f: LinearMap,
-) -> LinearMap:
-    """The identity's 2-differential evaluated on the 1-differentials of f.
+) -> bool:
+    """True iff the identity's 2-differential vanishes on the induced
+    1-differentials of f (it always does when the hypothesis gate passes).
 
     Gates on the hypothesis first: the assignment must satisfy the identity
     exactly (IdentityNotSatisfiedError otherwise).
@@ -618,14 +623,4 @@ def d2d1_residual(
     for name, (p, q) in identity.gens.items():
         env[f"phi[{name}]"] = _sum_env(one_differential(name, p, q), env, d, ring)
     diff = infiltrate(elaborate(identity)).differential
-    return _sum_env(diff, env, d, ring)
-
-
-def check_d2d1(
-    identity: SingleTermIdentity,
-    assignment: dict[str, LinearMap],
-    f: LinearMap,
-) -> bool:
-    """True iff the 2-differential vanishes on the induced 1-differentials
-    of f (it always does when the hypothesis gate passes)."""
-    return d2d1_residual(identity, assignment, f).is_zero()
+    return _sum_env(diff, env, d, ring).is_zero()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import LAURENT, LaurentA, _G_ONE
+from .scalars import A, A_INV, LAURENT, LaurentA, _G_ONE
 
 
 class PlanarityError(ValueError):
@@ -145,8 +145,6 @@ class PlanarMatching:
         return loops + self.loops
 
 
-_A = LaurentA(((1, _G_ONE),))
-_A_INV = LaurentA(((-1, _G_ONE),))
 _DELTA0 = LaurentA(((-2, -_G_ONE), (2, -_G_ONE)))
 _MINUS_A3 = LaurentA(((3, -_G_ONE),))
 
@@ -157,9 +155,9 @@ def bracket_state_sum(n: int, letters) -> LaurentA:
     acc: dict[PlanarMatching, LaurentA] = {PlanarMatching.identity(n): LAURENT.one()}
     for i, sign in letters:
         smoothings = (
-            ((_A, PlanarMatching.identity(n)), (_A_INV, PlanarMatching.cup_cap(n, i)))
+            ((A, PlanarMatching.identity(n)), (A_INV, PlanarMatching.cup_cap(n, i)))
             if sign > 0
-            else ((_A_INV, PlanarMatching.identity(n)), (_A, PlanarMatching.cup_cap(n, i)))
+            else ((A_INV, PlanarMatching.identity(n)), (A, PlanarMatching.cup_cap(n, i)))
         )
         nxt: dict[PlanarMatching, LaurentA] = {}
         for diag, coeff in acc.items():

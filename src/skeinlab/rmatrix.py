@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linmap import LinearMap, compose, tensor_all
-from .scalars import (
-    Dual,
-    LaurentA,
-    NotInvertibleError,
-    _G_ONE,
-    format_scalar,
-    promote,
-)
+from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar, promote
 from .switchback import SwitchbackPair, d2, delta0
 
 
@@ -47,10 +40,6 @@ def check_strands(n: int) -> None:
         raise RMatrixError(
             f"{n} strands is more than the limit of {MAX_STRANDS}"
         )
-
-
-_A = LaurentA(((1, _G_ONE),))
-_A_INV = LaurentA(((-1, _G_ONE),))
 
 
 @dataclass(frozen=True)
@@ -102,10 +91,6 @@ def ybe_residual(R: LinearMap) -> LinearMap:
     return compose(compose(left, right), left) - compose(compose(right, left), right)
 
 
-def verify_ybe(R: LinearMap) -> bool:
-    return ybe_residual(R).is_zero()
-
-
 def solve_deformed_coefficients(pair_t: SwitchbackPair, a0=None, b0=None):
     """First-order coefficients for a deformed pair: keep b = b0 and set
     a = a0 + t*alpha with alpha = -delta1*a0*b0 / (2*a0 + delta0*b0), where
@@ -117,9 +102,9 @@ def solve_deformed_coefficients(pair_t: SwitchbackPair, a0=None, b0=None):
         raise RMatrixError(f"expected a deformed pair over a dual ring, got {ring}")
     base = ring.base
     if a0 is None:
-        a0 = promote(_A, base)
+        a0 = promote(A, base)
     if b0 is None:
-        b0 = promote(_A_INV, base)
+        b0 = promote(A_INV, base)
     loop = delta0(pair_t)
     d0, d1 = loop.body, loop.slope
     body_residual = a0 * a0 + b0 * b0 + d0 * a0 * b0
@@ -186,10 +171,6 @@ def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
             if not (ij - compose(gens[j], gens[i])).is_zero():
                 return f"e{i + 1} and e{j + 1} do not commute"
     return None
-
-
-def verify_tl_relations(gens: list[LinearMap], delta) -> bool:
-    return tl_first_failure(gens, delta) is None
 
 
 def verify_weak_tl_condition(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> bool:

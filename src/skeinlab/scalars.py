@@ -45,13 +45,50 @@ class ScalarInvariantError(ScalarError):
 RationalLike = Union[int, Fraction]
 
 
+class _Scalar:
+    """Operators that every ring of the tower derives the same way.
+
+    A subclass supplies `_coerce` (the other operand in its own ring, None
+    for a type it does not know, RingMismatchError for another ring of the
+    tower), `+`, unary `-`, `*` and `inv`.  Subtraction, division (both
+    reflected forms included) and the canonical `str` follow from those.
+    """
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inv()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inv()
+
+    def __str__(self):
+        return format_scalar(self)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class GaussRat:
+class GaussRat(_Scalar):
     """Element a + b*i of Q(i), both parts exact Fractions in lowest terms."""
 
     re: Fraction
@@ -86,18 +123,6 @@ class GaussRat:
     def __neg__(self):
         return GaussRat(-self.re, -self.im)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -114,18 +139,6 @@ class GaussRat:
             raise NotInvertibleError("division by zero in Q(i)")
         return GaussRat(self.re / n, -self.im / n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __pow__(self, n: int):
         return _generic_pow(self, n, GaussRat(1))
 
@@ -141,9 +154,6 @@ class GaussRat:
 
     def __repr__(self):
         return f"GaussRat({self.re}, {self.im})"
-
-    def __str__(self):
-        return format_scalar(self)
 
 
 def _generic_pow(x, n: int, one):
@@ -172,7 +182,7 @@ I = GaussRat(0, 1)
 
 
 @dataclass(frozen=True)
-class LaurentA:
+class LaurentA(_Scalar):
     """Sparse Laurent polynomial: ascending (exponent, nonzero coeff) pairs."""
 
     terms: tuple[tuple[int, GaussRat], ...]
@@ -218,18 +228,6 @@ class LaurentA:
     def __neg__(self):
         return LaurentA(tuple((k, -c) for k, c in self.terms))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -253,17 +251,8 @@ class LaurentA:
         k, c = self.terms[0]
         return LaurentA(((-k, c.inv()),))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
     def __pow__(self, n: int):
         return _generic_pow(self, n, _L_ONE)
-
-    def __str__(self):
-        return format_scalar(self)
 
     def __repr__(self):
         return f"LaurentA({format_scalar(self)!r})"
@@ -272,6 +261,7 @@ class LaurentA:
 _L_ZERO = LaurentA()
 _L_ONE = LaurentA(((0, _G_ONE),))
 A = LaurentA(((1, _G_ONE),))
+A_INV = LaurentA(((-1, _G_ONE),))
 
 
 def _laurent_valuation(x: LaurentA) -> tuple[list[GaussRat], int]:
@@ -344,7 +334,7 @@ def _poly_divexact(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
 
 
 @dataclass(frozen=True)
-class RatFunA:
+class RatFunA(_Scalar):
     """Fraction num/den of Laurent polynomials, kept canonical.
 
     Canonical form: the common power of A is folded into the numerator, the
@@ -408,18 +398,6 @@ class RatFunA:
         object.__setattr__(out, "den", self.den)
         return out
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -435,23 +413,8 @@ class RatFunA:
             raise NotInvertibleError("division by zero in ratfun")
         return RatFunA(self.den, self.num)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __pow__(self, n: int):
         return _generic_pow(self, n, RatFunA(_L_ONE))
-
-    def __str__(self):
-        return format_scalar(self)
 
     def __repr__(self):
         return f"RatFunA({format_scalar(self)!r})"
@@ -463,7 +426,7 @@ class RatFunA:
 
 
 @dataclass(frozen=True)
-class Dual:
+class Dual(_Scalar):
     """body + t*slope with t^2 = 0, body and slope in the same base ring."""
 
     body: object
@@ -508,18 +471,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.body, -self.slope)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -536,24 +487,9 @@ class Dual:
         u = self.body.inv()
         return Dual(u, -(u * u * self.slope))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __pow__(self, n: int):
         base = ring_of(self.body)
         return _generic_pow(self, n, Dual(base.one(), base.zero()))
-
-    def __str__(self):
-        return format_scalar(self)
 
     def __repr__(self):
         return f"Dual({format_scalar(self)!r})"
@@ -684,20 +620,12 @@ def demote(x, target: Ring):
     return x
 
 
-def ring_add(x, y):
-    return x + y
-
-
-def ring_mul(x, y):
-    return x * y
-
-
-def ring_neg(x):
-    return -x
-
-
-def ring_inv(x):
-    return x.inv()
+def into_ring(x, target: Ring):
+    """x in the target ring: promoted when it lies below, else demoted."""
+    try:
+        return promote(x, target)
+    except RingMismatchError:
+        return demote(x, target)
 
 
 def specialize(x, value: GaussRat):
@@ -977,12 +905,4 @@ def parse_scalar(text: str, ring: Ring | None = None):
         val = Dual(promote(body, base), promote(slope, base))
     else:
         val = _parse_nodual(text)
-    if ring is None:
-        return val
-    cur = ring_of(val)
-    if cur == ring:
-        return val
-    try:
-        return promote(val, ring)
-    except RingMismatchError:
-        return demote(val, ring)
+    return val if ring is None else into_ring(val, ring)

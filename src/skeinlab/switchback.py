@@ -12,7 +12,7 @@ The deformation complex lives in degrees 1..4:
     C3 = Hom(V, V) + Hom(V, V)
     C4 = Hom(V2, K) + Hom(K, V2)
 
-with differentials D1, D2, D3 below.  D2 is exactly what infiltrating the
+with differentials D1, d2, D3 below.  d2 is exactly what infiltrating the
 two switchback identities produces, so its kernel consists of the
 first-order deformations (beta + t*phi1, gamma + t*phi2) that stay a
 switchback pair mod t^2.
@@ -41,12 +41,12 @@ from .linmap import (
     tensor,
 )
 from .scalars import (
+    A,
     I,
     LAURENT,
     LaurentA,
     Ring,
     RingMismatchError,
-    _G_ONE,
     dual,
     parse_scalar,
     promote,
@@ -174,9 +174,6 @@ def d2(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> tuple[LinearMa
     return xi1, xi2
 
 
-D2 = d2
-
-
 def D3(pair: SwitchbackPair, xi1: LinearMap, xi2: LinearMap) -> tuple[LinearMap, LinearMap]:
     b, g, one = pair.pairing, pair.copairing, pair.id1()
     r1 = compose(b, tensor(xi1, one)) - compose(b, tensor(one, xi2))
@@ -289,14 +286,9 @@ def cohomology_dims(pair: SwitchbackPair) -> CohomologyDims:
 
 
 def solve_2cocycles(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
-    """Basis of the 2-cocycle space (kernel of D2) as (phi1, phi2) pairs."""
+    """Basis of the 2-cocycle space (kernel of d2) as (phi1, phi2) pairs."""
     basis = kernel_basis(d2_matrix(pair), pair.ring)
     return [coords_to_c2(v, pair.d, pair.ring) for v in basis]
-
-
-def z1_check(pair: SwitchbackPair, eta: LinearMap) -> bool:
-    r1, r2 = D1(pair, eta)
-    return r1.is_zero() and r2.is_zero()
 
 
 def z3_solve(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
@@ -322,7 +314,7 @@ def deformation_obstruction(
     pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap
 ) -> tuple[LinearMap, LinearMap]:
     """t-slope of the deformed pair's switchback residuals.  Cross-checked
-    against D2(phi1, phi2); they agree identically."""
+    against d2(phi1, phi2); they agree identically."""
     r1, r2 = switchback_residuals(deform(pair, phi1, phi2))
     body1, xi1 = dual_parts(r1)
     body2, xi2 = dual_parts(r2)
@@ -350,7 +342,7 @@ def degree2_analysis(
     psi1, psi2 are the degree-2 residual slopes (the cocycle composed with
     itself across each zig-zag); they always form a 3-cocycle.  The
     extension, when the linear system is consistent, is a degree-2
-    correction (phi1', phi2') with D2(phi1', phi2') = (-psi1, -psi2), which
+    correction (phi1', phi2') with d2(phi1', phi2') = (-psi1, -psi2), which
     exhibits psi as a coboundary."""
     e1, e2 = d2(pair, phi1, phi2)
     if not (e1.is_zero() and e2.is_zero()):
@@ -370,10 +362,6 @@ def degree2_analysis(
 # Bracket-specific cocycle coordinates and config files
 # ---------------------------------------------------------------------------
 
-_REL_POS = LaurentA(((2, _G_ONE),))    # A^2
-_REL_NEG = LaurentA(((-2, _G_ONE),))   # A^-2
-
-
 def bracket_cocycle(ring: Ring, bxx, bxy, byx, byy) -> tuple[LinearMap, LinearMap]:
     """2-cocycle of the bracket pair from its four free pairing-slope
     coordinates; the copairing slope is forced:
@@ -381,7 +369,7 @@ def bracket_cocycle(ring: Ring, bxx, bxy, byx, byy) -> tuple[LinearMap, LinearMa
         copairing yy = -xx of the pairing slope, xx = -yy,
         yx = A^-2 * xy, xy = A^2 * yx.
     """
-    a2, am2 = promote(_REL_POS, ring), promote(_REL_NEG, ring)
+    a2, am2 = promote(A**2, ring), promote(A**-2, ring)
     phi1 = LinearMap.from_rows(2, 2, 0, ring, [[bxx, bxy, byx, byy]])
     gxx, gxy, gyx, gyy = -byy, a2 * byx, am2 * bxy, -bxx
     phi2 = LinearMap.from_rows(2, 0, 2, ring, [[gxx], [gxy], [gyx], [gyy]])

@@ -19,7 +19,6 @@ from skeinlab.braid import (
     skein_triple_check,
     solve_uv,
     turaev_first_failure,
-    verify_turaev,
 )
 from skeinlab.rmatrix import MAX_STRANDS, RMatrixError, solve_deformed_coefficients
 from skeinlab.scalars import LAURENT, RATFUN, dual, parse_scalar, promote
@@ -96,7 +95,7 @@ def test_solve_uv_bracket_values():
     td = _turaev()
     assert td.u == L("-A^3")
     assert td.v == LAURENT.one()
-    assert verify_turaev(td)
+    assert turaev_first_failure(td) is None
 
 
 def test_solve_uv_rejects_wrong_twist():
@@ -111,7 +110,6 @@ def test_turaev_first_failure_reports_broken_u():
     td = _turaev()
     broken = TuraevData(td.rmx, td.nu, td.u * L("A"), td.v)
     assert turaev_first_failure(broken) == "Tr_2(R (nu x nu)) != u*v*nu"
-    assert not verify_turaev(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from skeinlab import cli
 from skeinlab.cli import main
 
 
@@ -273,6 +274,43 @@ def test_too_many_strands_fail_up_front(capsys, argv):
     assert code == 2
     strands = 31 if "--braid" in argv else 30
     assert out == f"FAIL: {strands} strands is more than the limit of 10\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("check-d2d1", "assoc", "--model", "dualnumbers", "--trials", "0"),
+     "--trials must be at least 1, got 0"),
+    (("check-d2d1", "assoc", "--model", "dualnumbers", "--trials", "-3"),
+     "--trials must be at least 1, got -3"),
+    (("tl-check", "--strands", "1"), "--strands must be at least 2, got 1"),
+    (("tl-check", "--strands", "-4"), "--strands must be at least 2, got -4"),
+])
+def test_vacuous_checks_are_rejected(capsys, argv, reason):
+    # a check over no trials or no relation must not report success
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == f"FAIL: {reason}\n"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("check-d2d1", "assoc", "--identity", "nosuch", "--model", "dualnumbers"),
+     "no identity labelled 'nosuch'"),
+    (("check-d2d1", "assoc", "--model", "bracket", "--trials", "1"),
+     "no assignment for symbol mu"),
+])
+def test_unknown_names_are_errors(capsys, argv, reason):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == f"FAIL: {reason}\n"
+
+
+def test_a_stray_key_error_is_not_reported_as_bad_input(capsys, monkeypatch):
+    def broken(pair):
+        raise KeyError("a programming error")
+
+    monkeypatch.setattr(cli, "cohomology_dims", broken)
+    with pytest.raises(KeyError, match="a programming error"):
+        main(["cohomology"])
+    assert capsys.readouterr().out == ""
 
 
 def test_deform_rejects_a_pair_that_is_not_switchback(capsys, tmp_path):

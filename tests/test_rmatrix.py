@@ -13,9 +13,7 @@ from skeinlab.rmatrix import (
     solve_deformed_coefficients,
     tl_first_failure,
     tl_generators,
-    verify_tl_relations,
     verify_weak_tl_condition,
-    verify_ybe,
     ybe_residual,
 )
 from skeinlab.scalars import GAUSS, LAURENT, RATFUN, GaussRat, dual, parse_scalar
@@ -81,15 +79,14 @@ def test_build_r_rejects_noninvertible_coefficient():
 def test_bracket_r_satisfies_ybe():
     rmx = _bracket_R()
     assert ybe_residual(rmx.R).is_zero()
-    assert verify_ybe(rmx.R)
-    assert verify_ybe(rmx.Rinv)
+    assert ybe_residual(rmx.Rinv).is_zero()
 
 
 def test_perturbed_r_fails_ybe():
     rmx = _bracket_R()
     rows = [[rmx.R.entry(i, j) for j in range(4)] for i in range(4)]
     rows[0][0] = rows[0][0] + LAURENT.one()
-    assert not verify_ybe(LinearMap.from_rows(2, 2, 2, LAURENT, rows))
+    assert not ybe_residual(LinearMap.from_rows(2, 2, 2, LAURENT, rows)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ def test_tl_relations_undeformed(n):
     pair = make_bracket_pair()
     gens = tl_generators(pair, n)
     assert len(gens) == n - 1
-    assert verify_tl_relations(gens, delta0(pair))
+    assert tl_first_failure(gens, delta0(pair)) is None
 
 
 def test_tl_wrong_delta_reported():
@@ -110,7 +107,7 @@ def test_tl_wrong_delta_reported():
     gens = tl_generators(pair, 3)
     failure = tl_first_failure(gens, delta0(pair) + LAURENT.one())
     assert failure == "e1^2 != delta*e1"
-    assert not verify_tl_relations(gens, LAURENT.one())
+    assert tl_first_failure(gens, LAURENT.one()) is not None
 
 
 def test_tl_needs_two_strands():
@@ -204,9 +201,9 @@ def test_each_basis_cocycle_deforms_ybe_and_tl():
         a_t, b_t = solve_deformed_coefficients(pair_t)
         rmx = build_R(pair_t, a_t, b_t)
         assert rmx.pair.ring is dual(RATFUN)
-        assert verify_ybe(rmx.R)
+        assert ybe_residual(rmx.R).is_zero()
         gens = tl_generators(pair_t, 3)
-        assert verify_tl_relations(gens, delta0(pair_t))
+        assert tl_first_failure(gens, delta0(pair_t)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,7 @@ def test_weak_condition_is_strictly_weaker():
         assert verify_weak_tl_condition(pair, phi1, phi2)
         xi1, xi2 = d2(pair, phi1, phi2)
         pair_t = deform(pair, phi1, phi2)
-        tl_ok = verify_tl_relations(tl_generators(pair_t, 3), delta0(pair_t))
+        tl_ok = tl_first_failure(tl_generators(pair_t, 3), delta0(pair_t)) is None
         assert tl_ok
         if not (xi1.is_zero() and xi2.is_zero()):
             witnesses += 1
@@ -260,7 +257,7 @@ def test_weak_condition_matches_deformed_tl():
         coords = [RATFUN.from_int(rng.randint(-3, 3)) for _ in range(8)]
         phi1, phi2 = coords_to_c2(coords, 2, RATFUN)
         pair_t = deform(pair, phi1, phi2)
-        tl_ok = verify_tl_relations(tl_generators(pair_t, 3), delta0(pair_t))
+        tl_ok = tl_first_failure(tl_generators(pair_t, 3), delta0(pair_t)) is None
         assert verify_weak_tl_condition(pair, phi1, phi2) == tl_ok
 
 

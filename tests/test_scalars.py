@@ -43,6 +43,14 @@ ratfuns = st.builds(RatFunA, laurents, nonzero_laurents)
 duals = st.builds(Dual, ratfuns, ratfuns)
 
 
+def _invertible(x) -> bool:
+    try:
+        x.inv()
+    except NotInvertibleError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize(
     "elements",
     [gauss_rats, laurents, ratfuns, duals],
@@ -64,6 +72,13 @@ def test_ring_axioms(elements, data):
     one = ring_of(x).one()
     assert x + zero == x
     assert x * one == x
+    # the operators every ring derives from +, unary -, * and inv
+    assert x - y == x + (-y)
+    assert 1 - x == -(x - 1)
+    u = data.draw(elements.filter(_invertible))
+    assert x / u == x * u.inv()
+    assert 1 / u == u.inv()
+    assert str(x) == format_scalar(x)
 
 
 @settings(max_examples=60, deadline=None)
