@@ -11,14 +11,20 @@ and every ring supports +, -, *, /, ** on same-ring values, `is_zero()`,
 arithmetic operation raises RingMismatchError; movement up and down the
 tower is always explicit via `promote` / `demote`.
 
-All arithmetic is exact (stdlib Fraction underneath); there is no floating
-point anywhere in this module.
+All arithmetic is exact and runs on Python ints: a GaussRat is Gaussian-
+integer parts over one positive denominator, and every other ring is built
+from GaussRat coefficients.  Fractions appear only at the edges (the `re` /
+`im` views, text, and `GaussRat(re, im)`); there is no floating point
+anywhere in this module.  Values are immutable, and arithmetic builds its
+results in canonical form directly, so the normalising public constructors
+run only on values that come from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 
@@ -52,7 +58,22 @@ class _Scalar:
     for a type it does not know, RingMismatchError for another ring of the
     tower), `+`, unary `-`, `*` and `inv`.  Subtraction, division (both
     reflected forms included) and the canonical `str` follow from those.
+
+    Scalars are immutable: their fields live in `__slots__`, are written
+    once by the class's constructors, and assigning or deleting one raises
+    AttributeError.
     """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, s) for s in self.__slots__))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -82,24 +103,58 @@ class _Scalar:
         return format_scalar(self)
 
 
+def _restore(cls, values):
+    """Unpickling and copying: a scalar from its slot values, as stored."""
+    x = object.__new__(cls)
+    for name, v in zip(cls.__slots__, values):
+        object.__setattr__(x, name, v)
+    return x
+
+
+def _setters(cls):
+    """Raw writers of cls's slots, for constructors of canonical values."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+_new = object.__new__
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GaussRat(_Scalar):
-    """Element a + b*i of Q(i), both parts exact Fractions in lowest terms."""
+    """Element a + b*i of Q(i), held as Gaussian-integer parts over one
+    denominator: three ints (a, b, d) for (a + b*i)/d, with d > 0 and
+    gcd(a, b, d) = 1.  Zero is (0, 0, 1), and equal values have equal
+    parts.  Arithmetic runs on ints and takes a gcd only when the result's
+    denominator is not 1; `re` and `im` read the parts as Fractions."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def _coerce(self, other) -> "GaussRat | None":
         if isinstance(other, GaussRat):
@@ -113,47 +168,71 @@ class GaussRat(_Scalar):
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        if other.__class__ is not GaussRat:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        return _gauss(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if other.__class__ is not GaussRat:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _gauss(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise NotInvertibleError("division by zero in Q(i)")
-        return GaussRat(self.re / n, -self.im / n)
+        return _gauss(d * a, -d * b, n)
 
     def __pow__(self, n: int):
-        return _generic_pow(self, n, GaussRat(1))
+        return _generic_pow(self, n, _G_ONE)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussRat):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
+        if self._d == 1:
+            return hash((self._a, self._b))   # == hash of the parts as Fractions
         return hash((self.re, self.im))
 
     def __repr__(self):
         return f"GaussRat({self.re}, {self.im})"
+
+
+_set_a, _set_b, _set_d = _setters(GaussRat)
+
+
+def _gauss(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    x = _new(GaussRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 def _generic_pow(x, n: int, one):
@@ -181,18 +260,18 @@ I = GaussRat(0, 1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LaurentA(_Scalar):
     """Sparse Laurent polynomial: ascending (exponent, nonzero coeff) pairs."""
+
+    __slots__ = ("terms",)
 
     terms: tuple[tuple[int, GaussRat], ...]
 
     def __init__(self, terms: Iterable[tuple[int, GaussRat]] = ()):
         acc: dict[int, GaussRat] = {}
-        for k, c in dict(terms).items() if isinstance(terms, dict) else terms:
+        for k, c in terms.items() if isinstance(terms, dict) else terms:
             acc[k] = acc.get(k, _G_ZERO) + c
-        clean = tuple(sorted((k, c) for k, c in acc.items() if not c.is_zero()))
-        object.__setattr__(self, "terms", clean)
+        _set_terms(self, _sorted_terms(acc))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -210,7 +289,7 @@ class LaurentA(_Scalar):
         if isinstance(other, LaurentA):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentA(((0, GaussRat(other)),))
+            return _laurent_const(GaussRat(other))
         if isinstance(other, (GaussRat, RatFunA, Dual)):
             raise RingMismatchError(
                 f"cannot mix LaurentA with {ring_of(other).name}; promote explicitly"
@@ -218,27 +297,33 @@ class LaurentA(_Scalar):
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentA(self.terms + o.terms)
+        if other.__class__ is not LaurentA:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            prev = acc.get(k)
+            acc[k] = c if prev is None else prev + c
+        return _laurent(_sorted_terms(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentA(tuple((k, -c) for k, c in self.terms))
+        return _laurent(tuple((k, -c) for k, c in self.terms))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is not LaurentA:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         acc: dict[int, GaussRat] = {}
         for k1, c1 in self.terms:
-            for k2, c2 in o.terms:
+            for k2, c2 in other.terms:
                 k = k1 + k2
                 prev = acc.get(k)
                 acc[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return LaurentA(acc)
+        return _laurent(_sorted_terms(acc))
 
     __rmul__ = __mul__
 
@@ -249,19 +334,47 @@ class LaurentA(_Scalar):
                 "promote to ratfun for general division"
             )
         k, c = self.terms[0]
-        return LaurentA(((-k, c.inv()),))
+        return _laurent(((-k, c.inv()),))
 
     def __pow__(self, n: int):
         return _generic_pow(self, n, _L_ONE)
+
+    def __eq__(self, other):
+        if other.__class__ is not LaurentA:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def __repr__(self):
         return f"LaurentA({format_scalar(self)!r})"
 
 
-_L_ZERO = LaurentA()
-_L_ONE = LaurentA(((0, _G_ONE),))
-A = LaurentA(((1, _G_ONE),))
-A_INV = LaurentA(((-1, _G_ONE),))
+(_set_terms,) = _setters(LaurentA)
+
+
+def _laurent(terms: tuple[tuple[int, GaussRat], ...]) -> LaurentA:
+    """LaurentA from terms already ascending, with distinct exponents and
+    nonzero coefficients."""
+    x = _new(LaurentA)
+    _set_terms(x, terms)
+    return x
+
+
+def _sorted_terms(acc: dict[int, GaussRat]) -> tuple[tuple[int, GaussRat], ...]:
+    return tuple((k, acc[k]) for k in sorted(acc) if not acc[k].is_zero())
+
+
+def _laurent_const(c: GaussRat) -> LaurentA:
+    return _L_ZERO if c.is_zero() else _laurent(((0, c),))
+
+
+_L_ZERO = _laurent(())
+_ONE_TERMS = ((0, _G_ONE),)
+_L_ONE = _laurent(_ONE_TERMS)
+A = _laurent(((1, _G_ONE),))
+A_INV = _laurent(((-1, _G_ONE),))
 
 
 def _laurent_valuation(x: LaurentA) -> tuple[list[GaussRat], int]:
@@ -280,7 +393,7 @@ def _laurent_valuation(x: LaurentA) -> tuple[list[GaussRat], int]:
 
 
 def _poly_from_dense(coeffs: list[GaussRat], shift: int = 0) -> LaurentA:
-    return LaurentA(tuple((i + shift, c) for i, c in enumerate(coeffs)))
+    return _laurent(tuple((i + shift, c) for i, c in enumerate(coeffs) if not c.is_zero()))
 
 
 def _poly_trim(p: list[GaussRat]) -> list[GaussRat]:
@@ -333,7 +446,6 @@ def _poly_divexact(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RatFunA(_Scalar):
     """Fraction num/den of Laurent polynomials, kept canonical.
 
@@ -342,6 +454,8 @@ class RatFunA(_Scalar):
     numerator and denominator share no polynomial factor.  Structural
     equality on (num, den) is then true equality of rational functions.
     """
+
+    __slots__ = ("num", "den")
 
     num: LaurentA
     den: LaurentA
@@ -353,9 +467,7 @@ class RatFunA(_Scalar):
             raise NotInvertibleError("zero denominator in ratfun")
         if num.is_zero():
             num, den = _L_ZERO, _L_ONE
-        elif den == _L_ONE:
-            pass
-        else:
+        elif den.terms != _ONE_TERMS:
             p, vn = _laurent_valuation(num)
             q, vd = _laurent_valuation(den)
             g = _poly_gcd(p, q)
@@ -365,17 +477,17 @@ class RatFunA(_Scalar):
             c = q[0].inv()
             num = _poly_from_dense([x * c for x in p], vn - vd)
             den = _poly_from_dense([x * c for x in q])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def _coerce(self, other) -> "RatFunA | None":
         if isinstance(other, RatFunA):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFunA(LaurentA(((0, GaussRat(other)),)))
+            return _ratfun(_laurent_const(GaussRat(other)), _L_ONE)
         if isinstance(other, (GaussRat, LaurentA, Dual)):
             raise RingMismatchError(
                 f"cannot mix RatFunA with {ring_of(other).name}; promote explicitly"
@@ -383,28 +495,29 @@ class RatFunA(_Scalar):
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == _L_ONE and o.den == _L_ONE:
-            return RatFunA(self.num + o.num)
-        return RatFunA(self.num * o.den + o.num * self.den, self.den * o.den)
+        if other.__class__ is not RatFunA:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+            return _ratfun(self.num + other.num, _L_ONE)
+        return RatFunA(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunA.__new__(RatFunA)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _ratfun(-self.num, self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == _L_ONE and o.den == _L_ONE:
-            return RatFunA(self.num * o.num)
-        return RatFunA(self.num * o.num, self.den * o.den)
+        if other.__class__ is not RatFunA:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+            return _ratfun(self.num * other.num, _L_ONE)
+        return RatFunA(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -414,10 +527,32 @@ class RatFunA(_Scalar):
         return RatFunA(self.den, self.num)
 
     def __pow__(self, n: int):
-        return _generic_pow(self, n, RatFunA(_L_ONE))
+        return _generic_pow(self, n, _R_ONE)
+
+    def __eq__(self, other):
+        if other.__class__ is not RatFunA:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RatFunA({format_scalar(self)!r})"
+
+
+_set_num, _set_den = _setters(RatFunA)
+
+
+def _ratfun(num: LaurentA, den: LaurentA) -> RatFunA:
+    """RatFunA from a numerator and denominator already in canonical form."""
+    x = _new(RatFunA)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+_R_ONE = _ratfun(_L_ONE, _L_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -425,35 +560,36 @@ class RatFunA(_Scalar):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Dual(_Scalar):
     """body + t*slope with t^2 = 0, body and slope in the same base ring."""
 
-    body: object
-    slope: object
+    __slots__ = ("body", "slope")
 
-    def __post_init__(self):
-        if isinstance(self.body, Dual) or isinstance(self.slope, Dual):
+    def __init__(self, body, slope):
+        if isinstance(body, Dual) or isinstance(slope, Dual):
             raise RingMismatchError("nested dual numbers are not supported")
-        if ring_of(self.body) != ring_of(self.slope):
+        if ring_of(body) != ring_of(slope):
             raise RingMismatchError(
                 "dual body and slope live in different rings: "
-                f"{ring_of(self.body).name} vs {ring_of(self.slope).name}"
+                f"{ring_of(body).name} vs {ring_of(slope).name}"
             )
+        _set_body(self, body)
+        _set_slope(self, slope)
 
     def is_zero(self) -> bool:
         return self.body.is_zero() and self.slope.is_zero()
 
     def _coerce(self, other) -> "Dual | None":
         if isinstance(other, Dual):
-            if ring_of(other.body) != ring_of(self.body):
+            # a body is never Dual, so its class names its ring
+            if other.body.__class__ is not self.body.__class__:
                 raise RingMismatchError(
                     "dual numbers over different base rings; promote explicitly"
                 )
             return other
         if isinstance(other, (int, Fraction)):
             base = ring_of(self.body)
-            return Dual(base.from_int(0) + other, base.zero())
+            return _dual(base.from_int(0) + other, base.zero())
         if isinstance(other, (GaussRat, LaurentA, RatFunA)):
             raise RingMismatchError(
                 f"cannot mix Dual with {ring_of(other).name}; promote explicitly"
@@ -464,20 +600,20 @@ class Dual(_Scalar):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Dual(self.body + o.body, self.slope + o.slope)
+        return _dual(self.body + o.body, self.slope + o.slope)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.body, -self.slope)
+        return _dual(-self.body, -self.slope)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.slope.is_zero() and o.slope.is_zero():
-            return Dual(self.body * o.body, self.slope)
-        return Dual(
+            return _dual(self.body * o.body, self.slope)
+        return _dual(
             self.body * o.body, self.body * o.slope + self.slope * o.body
         )
 
@@ -485,14 +621,33 @@ class Dual(_Scalar):
 
     def inv(self) -> "Dual":
         u = self.body.inv()
-        return Dual(u, -(u * u * self.slope))
+        return _dual(u, -(u * u * self.slope))
 
     def __pow__(self, n: int):
         base = ring_of(self.body)
-        return _generic_pow(self, n, Dual(base.one(), base.zero()))
+        return _generic_pow(self, n, _dual(base.one(), base.zero()))
+
+    def __eq__(self, other):
+        if other.__class__ is not Dual:
+            return NotImplemented
+        return self.body == other.body and self.slope == other.slope
+
+    def __hash__(self):
+        return hash((self.body, self.slope))
 
     def __repr__(self):
         return f"Dual({format_scalar(self)!r})"
+
+
+_set_body, _set_slope = _setters(Dual)
+
+
+def _dual(body, slope) -> Dual:
+    """Dual from a body and slope already known to share a non-dual ring."""
+    x = _new(Dual)
+    _set_body(x, body)
+    _set_slope(x, slope)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +672,10 @@ class Ring:
         if self.name == "gauss":
             return GaussRat(n)
         if self.name == "laurent":
-            return LaurentA(((0, GaussRat(n)),))
+            return _laurent_const(GaussRat(n))
         if self.name == "ratfun":
-            return RatFunA(LaurentA(((0, GaussRat(n)),)))
-        return Dual(self.base.from_int(n), self.base.zero())
+            return _ratfun(_laurent_const(GaussRat(n)), _L_ONE)
+        return _dual(self.base.from_int(n), self.base.zero())
 
     @property
     def is_field(self) -> bool:
@@ -578,16 +733,16 @@ def promote(x, target: Ring):
     if target.name == "dual":
         body = x.body if cur.name == "dual" else x
         slope = x.slope if cur.name == "dual" else ring_of(x).zero()
-        return Dual(promote(body, target.base), promote(slope, target.base))
+        return _dual(promote(body, target.base), promote(slope, target.base))
     if cur.name == "dual":
         raise RingMismatchError(f"cannot promote {cur} into non-dual {target}")
     if _TOWER[cur.name] > _TOWER[target.name]:
         raise RingMismatchError(f"cannot promote {cur} down to {target}; use demote")
     if isinstance(x, GaussRat):
-        x = LaurentA(((0, x),))
+        x = _laurent_const(x)
     if target == LAURENT:
         return x
-    return RatFunA(x)
+    return _ratfun(x, _L_ONE)
 
 
 def demote(x, target: Ring):
