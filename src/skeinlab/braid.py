@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .linmap import (
     LinearMap,
+    apply_local,
     compose,
     partial_trace,
     partial_trace_last,
@@ -198,19 +199,12 @@ def turaev_first_failure(td: TuraevData) -> str | None:
 
 def r_of_word(td: TuraevData, w: BraidWord) -> LinearMap:
     """Product over letters of 1^(i-1) x R^(sign) x 1^(n-i-1), first letter
-    applied first (bottom of the diagram)."""
+    applied first (bottom of the diagram); each letter acts on its two
+    strands only."""
     check_strands(w.n)
-    d, ring, n = td.rmx.R.shape.d, td.rmx.R.ring, w.n
-    one = LinearMap.identity(d, 1, ring)
-    embedded: dict[tuple[int, int], LinearMap] = {}
-    acc = LinearMap.identity(d, n, ring)
+    acc = LinearMap.identity(td.rmx.R.shape.d, w.n, td.rmx.R.ring)
     for i, sign in w.letters:
-        key = (i, sign)
-        if key not in embedded:
-            crossing = td.rmx.R if sign > 0 else td.rmx.Rinv
-            factors = [one] * (i - 1) + [crossing] + [one] * (n - i - 1)
-            embedded[key] = tensor_all(factors, d, ring)
-        acc = compose(embedded[key], acc)
+        acc = apply_local(td.rmx.R if sign > 0 else td.rmx.Rinv, i - 1, acc)
     return acc
 
 

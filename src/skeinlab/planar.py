@@ -5,7 +5,8 @@ This module deliberately avoids the linear-map machinery: diagrams are
 perfect non-crossing matchings of 2n boundary points with an accumulated
 closed-loop count, multiplied by stacking.  The state sum resolves each
 positive crossing into A * (identity) + A^-1 * (cup-cap at that position),
-each negative crossing with the two coefficients swapped, closes the braid
+each negative crossing with the two coefficients swapped, stacks each
+cup-cap by a local update of the diagram's partner tuple, closes the braid
 by joining top k to bottom k, and weights a state with L closed loops by
 delta0^(L-1) where delta0 = -A^2 - A^-2.  The writhe-normalized bracket
 is the Jones polynomial in the A variable.  It serves as an oracle for
@@ -125,24 +126,29 @@ class PlanarMatching:
 
     def trace_closure_loops(self) -> int:
         """Loop count after joining top k to bottom k for every strand."""
-        n = self.n
         partner = {}
         for a, b in self.pairs:
             partner[a] = b
             partner[b] = a
-        loops = 0
-        seen = set()
-        for start in range(2 * n):
-            if start in seen:
-                continue
-            loops += 1
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
-                via = partner[cur]
-                seen.add(via)
-                cur = via + n if via < n else via - n
-        return loops + self.loops
+        return _closure_loops(partner, self.n) + self.loops
+
+
+def _closure_loops(partner, n: int) -> int:
+    """Closed loops of the trace closure of a diagram without free loops,
+    given the partner of each of its 2n boundary points."""
+    loops = 0
+    seen = set()
+    for start in range(2 * n):
+        if start in seen:
+            continue
+        loops += 1
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            via = partner[cur]
+            seen.add(via)
+            cur = via + n if via < n else via - n
+    return loops
 
 
 _DELTA0 = LaurentA(((-2, -_G_ONE), (2, -_G_ONE)))
@@ -151,25 +157,38 @@ _MINUS_A3 = LaurentA(((3, -_G_ONE),))
 
 def bracket_state_sum(n: int, letters) -> LaurentA:
     """Unnormalized Kauffman bracket of the trace closure of a braid word
-    given as (index, sign) letters on n strands."""
-    acc: dict[PlanarMatching, LaurentA] = {PlanarMatching.identity(n): LAURENT.one()}
+    given as (index, sign) letters on n strands.
+
+    A state is a diagram without its free loops, stored as the tuple of
+    partners of its 2n boundary points; loops closed while stacking are
+    folded into the state's coefficient."""
+    acc = {tuple(range(n, 2 * n)) + tuple(range(n)): LAURENT.one()}
     for i, sign in letters:
-        smoothings = (
-            ((A, PlanarMatching.identity(n)), (A_INV, PlanarMatching.cup_cap(n, i)))
-            if sign > 0
-            else ((A_INV, PlanarMatching.identity(n)), (A, PlanarMatching.cup_cap(n, i)))
-        )
-        nxt: dict[PlanarMatching, LaurentA] = {}
-        for diag, coeff in acc.items():
-            for weight, factor in smoothings:
-                prod = factor * diag
-                w = coeff * weight * _DELTA0**prod.loops
-                key = prod.strip_loops()
-                nxt[key] = nxt.get(key, LAURENT.zero()) + w
+        if not 1 <= i <= n - 1:
+            raise PlanarityError(f"cup-cap index {i} out of range for {n} strands")
+        w_id, w_e = (A, A_INV) if sign > 0 else (A_INV, A)
+        w_loop = w_e * _DELTA0
+        x, y = n + i - 1, n + i
+        nxt: dict[tuple[int, ...], LaurentA] = {}
+        for state, coeff in acc.items():
+            # e_i on top: a cap already at top points x, y closes one loop;
+            # otherwise their partners are joined and x, y become a cap
+            px, py = state[x], state[y]
+            if px == y:
+                e_state, e_weight = state, w_loop
+            else:
+                joined = list(state)
+                joined[px], joined[py], joined[x], joined[y] = py, px, y, x
+                e_state, e_weight = tuple(joined), w_e
+            # the identity smoothing leaves the state as it is
+            for key, weight in ((state, w_id), (e_state, e_weight)):
+                v = coeff * weight
+                prev = nxt.get(key)
+                nxt[key] = v if prev is None else prev + v
         acc = {k: v for k, v in nxt.items() if not v.is_zero()}
     total = LAURENT.zero()
-    for diag, coeff in acc.items():
-        total = total + coeff * _DELTA0 ** (diag.trace_closure_loops() - 1)
+    for state, coeff in acc.items():
+        total = total + coeff * _DELTA0 ** (_closure_loops(state, n) - 1)
     return total
 
 

@@ -143,10 +143,10 @@ def test_state_sum_equals_brute_force_enumeration():
     A_INV = _lp("A^-1")
     rng = random.Random(2)
     for _ in range(12):
-        n = rng.randint(2, 4)
+        n = rng.randint(2, 6)
         letters = [
             (rng.randint(1, n - 1), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 5))
+            for _ in range(rng.randint(0, 7))
         ]
         total = LaurentA()
         for choice in product((0, 1), repeat=len(letters)):
@@ -164,6 +164,14 @@ def test_state_sum_equals_brute_force_enumeration():
             closed = diagram.trace_closure_loops()  # includes free loops
             total = total + coeff * DELTA0 ** (closed - 1)
         assert total == bracket_state_sum(n, letters)
+
+
+@pytest.mark.parametrize("letter", [(3, 1), (0, -1)])
+def test_state_sum_rejects_out_of_range_letters(letter):
+    with pytest.raises(
+        PlanarityError, match=f"^cup-cap index {letter[0]} out of range for 3 strands$"
+    ):
+        bracket_state_sum(3, [letter])
 
 
 def test_oracle_is_markov_invariant():
