@@ -337,8 +337,8 @@ def cmd_verify_ybe(args, out: Out) -> int:
 def cmd_tl_check(args, out: Out) -> int:
     if args.strands < 2:
         raise CliError(f"--strands must be at least 2, got {args.strands}")
-    check_strands(args.strands)
     base = _load_pair(args)
+    check_strands(args.strands, base.d)
     if args.cocycle:
         phi1, phi2 = _load_cocycle(args, base)
         work = deform(base, phi1, phi2)

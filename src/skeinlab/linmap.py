@@ -216,44 +216,6 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(MapShape(f.shape.d, g.shape.p, f.shape.q), f.ring, out)
 
 
-def apply_local(f: LinearMap, slot: int, g: LinearMap) -> LinearMap:
-    """(1^slot ⊗ f ⊗ 1^rest) ∘ g for a square f of arity k acting on the
-    codomain slots slot .. slot+k-1 of g, without building the padded map.
-    Only the nonzeros of g and the columns of f are visited."""
-    d, k = f.shape.d, f.shape.p
-    if d != g.shape.d:
-        raise ShapeMismatchError(f"apply_local: d differs, {f.shape} vs {g.shape}")
-    if f.shape.q != k:
-        raise ShapeMismatchError(f"apply_local needs a square map, got {f.shape}")
-    if not 0 <= slot <= g.shape.q - k:
-        raise ShapeMismatchError(
-            f"apply_local: slots {slot}..{slot + k - 1} out of range for "
-            f"codomain arity {g.shape.q}"
-        )
-    if f.ring != g.ring:
-        raise RingMismatchError(f"apply_local: rings differ, {f.ring} vs {g.ring}")
-    # place value of the lowest acted-on digit, and of the block of k digits
-    low = d ** (g.shape.q - slot - k)
-    block = low * d**k
-    fcols: dict[int, list[tuple[int, Scalar]]] = {}
-    for r, frow in f._entries.items():
-        for c, v in frow.items():
-            fcols.setdefault(c, []).append((r, v))
-    acc: dict[int, dict[int, Scalar]] = {}
-    for r, grow in g._entries.items():
-        local = r % block // low
-        col = fcols.get(local)
-        if col is None:
-            continue
-        base = r - local * low
-        for fr, c in col:
-            out_row = acc.setdefault(base + fr * low, {})
-            for s, gv in grow.items():
-                prev = out_row.get(s)
-                out_row[s] = c * gv if prev is None else prev + c * gv
-    return LinearMap(g.shape, g.ring, _pruned(acc.items()))
-
-
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product; f's factors are the more significant (leftmost)."""
     if f.shape.d != g.shape.d:
@@ -361,25 +323,6 @@ def full_trace(f: LinearMap) -> Scalar:
     if f.shape.p != f.shape.q:
         raise ShapeMismatchError(f"trace needs square shape, got {f.shape}")
     return _sum((row[r] for r, row in f._entries.items() if r in row), f.ring)
-
-
-def trace_of_product(f: LinearMap, g: LinearMap) -> Scalar:
-    """Tr(f ∘ g) without materializing the product."""
-    if f.shape.p != g.shape.q or f.shape.q != g.shape.p:
-        raise ShapeMismatchError(f"trace of product: {f.shape} vs {g.shape}")
-    if f.ring != g.ring:
-        raise RingMismatchError(f"rings differ, {f.ring} vs {g.ring}")
-    grows = g._entries
-
-    def products():
-        for i, frow in f._entries.items():
-            for j, v in frow.items():
-                grow = grows.get(j)
-                w = None if grow is None else grow.get(i)
-                if w is not None:
-                    yield v * w
-
-    return _sum(products(), f.ring)
 
 
 # ---------------------------------------------------------------------------

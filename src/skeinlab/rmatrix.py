@@ -25,20 +25,32 @@ class RMatrixError(ValueError):
     pass
 
 
-# Largest strand count for which maps on V^(x n) are built.  Their size
-# grows as d^n x d^n.  For the bracket pair (d = 2) on a 2-core x86-64 host
-# under CPython 3.11, the Temperley-Lieb check takes 0.15 s at 8 strands
-# and 1.0 s at 10, and the ratfun invariant of the word s1 s2 ... s(n-1)
-# 0.02 s and 0.15 s (0.5 s for a random 11-letter word on 10 strands).
-MAX_STRANDS = 10
+# Largest dimension d^n of V^(x n) on which maps are built; maps on it are
+# d^n x d^n.  On a 2-core x86-64 host under CPython 3.11 the Temperley-Lieb
+# check of the bracket pair (d = 2) takes 0.07 s at 8 strands and 0.48 s at
+# 10, and of a d = 3 pair 0.04 s at 6 strands.  The ratfun invariant of
+# s1 s2 ... s(n-1) takes 0.003 s at 8 strands and 0.015 s at 10, and of a
+# 20-letter word on 10 strands 0.08-0.10 s (0.4-0.5 s deformed by a
+# cocycle).
+MAX_DIM = 2**10
 
 
-def check_strands(n: int) -> None:
-    """Raise RMatrixError, before anything is built, when n strands is more
-    than MAX_STRANDS."""
-    if n > MAX_STRANDS:
+def max_strands(d: int) -> int:
+    """The most strands n with d^n <= MAX_DIM.  A one-dimensional space
+    takes the two-dimensional limit, so that n stays bounded there too."""
+    d = max(d, 2)
+    n = 0
+    while d ** (n + 1) <= MAX_DIM:
+        n += 1
+    return n
+
+
+def check_strands(n: int, d: int) -> None:
+    """Raise RMatrixError, before anything is built, when n strands of a
+    d-dimensional space is more than max_strands(d)."""
+    if n > max_strands(d):
         raise RMatrixError(
-            f"{n} strands is more than the limit of {MAX_STRANDS}"
+            f"{n} strands is more than the limit of {max_strands(d)}"
         )
 
 
@@ -141,7 +153,7 @@ def tl_generators(pair: SwitchbackPair, n: int) -> list[LinearMap]:
     """e_i = 1^(i-1) x cupcap x 1^(n-i-1) for i = 1..n-1, on n strands."""
     if n < 2:
         raise RMatrixError(f"need at least 2 strands, got {n}")
-    check_strands(n)
+    check_strands(n, pair.d)
     cc = cupcap(pair)
     one = LinearMap.identity(pair.d, 1, pair.ring)
     gens = []

@@ -1,5 +1,7 @@
 """Braid words, the trace invariant, and the oracle comparison."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,13 +20,26 @@ from skeinlab.braid import (
     parse_braid,
     skein_triple_check,
     solve_uv,
+    t0_part,
     turaev_first_failure,
 )
-from skeinlab.rmatrix import MAX_STRANDS, RMatrixError, solve_deformed_coefficients
-from skeinlab.scalars import LAURENT, RATFUN, dual, parse_scalar, promote
-from skeinlab.switchback import bracket_cocycle, deform, make_bracket_pair
+from skeinlab.linmap import LinearMap, compose, full_trace, tensor, tensor_all
+from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
+from skeinlab.scalars import LAURENT, RATFUN, GaussRat, dual, parse_scalar, promote
+from skeinlab.switchback import (
+    D1,
+    SwitchbackPair,
+    bracket_cocycle,
+    deform,
+    make_bracket_pair,
+    parse_cocycle_config,
+    verify_switchback,
+)
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
+RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
+
+FIXTURES = Path(__file__).parent.parent / "src" / "skeinlab" / "fixtures"
 
 TREFOIL = "s1 s1 s1"
 MIRROR_TREFOIL = "s1^-1 s1^-1 s1^-1"
@@ -142,7 +157,7 @@ _RATFUN_TD = _turaev(RATFUN)
 
 @st.composite
 def _words(draw):
-    n = draw(st.integers(min_value=2, max_value=MAX_STRANDS))
+    n = draw(st.integers(min_value=2, max_value=max_strands(2)))
     letter = st.tuples(st.integers(min_value=1, max_value=n - 1), st.sampled_from((1, -1)))
     return BraidWord(n, tuple(draw(st.lists(letter, max_size=n + 1))))
 
@@ -155,8 +170,129 @@ def test_normalized_invariant_matches_oracle_on_random_words(w):
     assert normalized_invariant(_RATFUN_TD, w) == promote(jones_oracle(w), RATFUN)
 
 
+# ---------------------------------------------------------------------------
+# the packed kernel against a reference from linmap primitives
+# ---------------------------------------------------------------------------
+
+
+def _reference_invariant(td, w):
+    """u^(-writhe) v^(-n) Tr(twist^(x n) . R(w)), with every letter padded
+    by tensor_all and composed on the whole space: shares no code with the
+    packed kernel of braid.invariant."""
+    d, ring = td.pair.d, td.rmx.R.ring
+    one = LinearMap.identity(d, 1, ring)
+    acc = LinearMap.identity(d, w.n, ring)
+    for i, sign in w.letters:
+        f = td.rmx.R if sign > 0 else td.rmx.Rinv
+        acc = compose(tensor_all([one] * (i - 1) + [f] + [one] * (w.n - i - 1), d, ring), acc)
+    tr = full_trace(compose(tensor_all([td.nu] * w.n, d, ring), acc))
+    return td.u ** (-w.writhe) * td.v ** (-w.n) * tr
+
+
+def _deformed(pair, phi):
+    pair_t = deform(pair, *phi)
+    return make_turaev(pair_t, *solve_deformed_coefficients(pair_t))
+
+
+def _gauged_pair():
+    # pairing (g x g) and (g^-1 x g^-1) copairing for a g with fractional
+    # Gaussian entries: again a switchback pair, with non-integer R entries
+    pair = make_bracket_pair(RATFUN)
+    g = LinearMap.from_rows(2, 1, 1, RATFUN, [[RF("1/2"), RF("(1/3)i")], [RF("0"), RF("2")]])
+    ginv = LinearMap.from_rows(2, 1, 1, RATFUN, [[RF("2"), RF("-(1/3)i")], [RF("0"), RF("1/2")]])
+    gauged = SwitchbackPair(
+        2, RATFUN, compose(pair.pairing, tensor(g, g)), compose(tensor(ginv, ginv), pair.copairing)
+    )
+    assert verify_switchback(gauged)
+    return gauged
+
+
+def _kernel_cases():
+    pair = make_bracket_pair(RATFUN)
+    cases = {
+        "laurent": _turaev(LAURENT),
+        "gauss": make_turaev(
+            make_bracket_pair().specialize(GaussRat(3, 1) / 2),
+            GaussRat(3, 1) / 2, (GaussRat(3, 1) / 2).inv(),
+        ),
+        # --a/--b style: a = A f, b = A^-1 f solve the quadratic for any f
+        "ratfun-a-b": make_turaev(
+            pair, RF("( 2*A )/( 3 - i*A )"), RF("( 2*A^-1 )/( 3 - i*A )")
+        ),
+        "gauged": make_turaev(_gauged_pair(), RF("( A )/( 1 )"), RF("( A^-1 )/( 1 )")),
+    }
+    for c in ("xx", "xy", "yx", "yy"):
+        text = (FIXTURES / f"cocycle_{c}.cfg").read_text()
+        cases[f"dual-{c}"] = _deformed(pair, parse_cocycle_config(text, pair))
+    # a coboundary whose solved a_t carries a non-unit denominator, and
+    # whose twist has off-diagonal slope entries
+    eta = LinearMap.from_rows(
+        2, 1, 1, RATFUN, [[RF("A"), RF("1")], [RF("0"), RF("( -1/2 )/( 1 + A )")]]
+    )
+    cases["dual-coboundary"] = _deformed(pair, D1(pair, eta))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+# the reference normalises a ratfun gcd at every product, which over the
+# non-unit denominator of ratfun-a-b takes 16 s for s1^20
+_MAX_POWER = {"ratfun-a-b": 10}
+
+
+@st.composite
+def _kernel_examples(draw):
+    case = draw(st.sampled_from(sorted(KERNEL_CASES)))
+    if draw(st.booleans()):
+        # s1^k: up to 40 letters on two strands, so that the packed width B
+        # and the degrees reach far beyond those of a short random word
+        k = draw(st.integers(min_value=0, max_value=_MAX_POWER.get(case, 40)))
+        return case, BraidWord(2, ((1, draw(st.sampled_from((1, -1)))),) * k)
+    n = draw(st.integers(min_value=1, max_value=5))
+    if n == 1:
+        return case, BraidWord(1, ())
+    letter = st.tuples(st.integers(min_value=1, max_value=n - 1), st.sampled_from((1, -1)))
+    return case, BraidWord(n, tuple(draw(st.lists(letter, max_size=6))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_kernel_examples())
+def test_invariant_matches_the_padded_reference(case_and_word):
+    case, w = case_and_word
+    td = KERNEL_CASES[case]
+    assert invariant(td, w) == _reference_invariant(td, w)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_invariant_matches_the_reference_on_long_powers(case):
+    td = KERNEL_CASES[case]
+    for sign in (1, -1):
+        w = BraidWord(2, ((1, sign),) * _MAX_POWER.get(case, 40))
+        assert invariant(td, w) == _reference_invariant(td, w)
+
+
+@pytest.mark.parametrize("case", ["laurent", "gauss"])
+def test_invariant_matches_the_reference_on_a_long_ten_strand_word(case):
+    w = parse_braid(
+        "s4 s6^-1 s2 s8^-1 s9 s4^-1 s9^-1 s7 s4 s9^-1 s1 s3 s5 s5^-1 s7^-1 "
+        "s7^-1 s3^-1 s2 s3^-1 s4^-1 s7^-1 s7^-1 s6^-1 s4^-1 s1^-1 s3^-1 s9 s4^-1 s5 s2^-1"
+    )
+    assert (w.n, len(w.letters)) == (10, 30)
+    td = KERNEL_CASES[case]
+    assert invariant(td, w) == _reference_invariant(td, w)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from([c for c in sorted(KERNEL_CASES) if c.startswith("dual-")]), _words())
+def test_deformed_invariant_body_matches_oracle_on_random_words(case, w):
+    # the planar oracle shares no code with the packed kernel
+    value = normalized_invariant(KERNEL_CASES[case], w)
+    assert t0_part(value) == promote(jones_oracle(w), RATFUN)
+
+
 def test_invariant_rejects_too_many_strands():
-    with pytest.raises(RMatrixError, match=f"limit of {MAX_STRANDS}"):
+    with pytest.raises(RMatrixError, match="limit of 10"):
         invariant(_RATFUN_TD, parse_braid("s30"))
 
 

@@ -276,6 +276,29 @@ def test_too_many_strands_fail_up_front(capsys, argv):
     assert out == f"FAIL: {strands} strands is more than the limit of 10\n"
 
 
+def test_strand_limit_at_the_boundary_for_d2(capsys):
+    # 2^10 = MAX_DIM: ten strands are built, eleven are refused
+    code, out = run(capsys, "invariant", "--braid", "s9")
+    assert code == 0 and out.startswith("s9\t")
+    code, out = run(capsys, "invariant", "--braid", "s10")
+    assert code == 2
+    assert out == "FAIL: 11 strands is more than the limit of 10\n"
+
+
+def test_strand_limit_at_the_boundary_for_d3(capsys, tmp_path):
+    # 3^6 = 729 <= 2^10 < 3^7
+    pair = tmp_path / "three.pair"
+    pair.write_text(
+        "dimension = 3\nring = gauss\n"
+        "beta = 1, 0, 0, 0, 1, 0, 0, 0, 1\ngamma = 1; 0; 0; 0; 1; 0; 0; 0; 1\n"
+    )
+    code, out = run(capsys, "tl-check", "--pair", str(pair), "--strands", "6")
+    assert code == 0 and out.splitlines()[-1] == "tl n=6: OK"
+    code, out = run(capsys, "tl-check", "--pair", str(pair), "--strands", "7")
+    assert code == 2
+    assert out == "FAIL: 7 strands is more than the limit of 6\n"
+
+
 @pytest.mark.parametrize("argv, reason", [
     (("check-d2d1", "assoc", "--model", "dualnumbers", "--trials", "0"),
      "--trials must be at least 1, got 0"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from skeinlab.linmap import (
     LinearMap,
     ShapeMismatchError,
-    apply_local,
     compose,
     dual_from_parts,
     dual_parts,
@@ -27,7 +26,6 @@ from skeinlab.linmap import (
     swap,
     tensor,
     tensor_all,
-    trace_of_product,
 )
 from skeinlab.scalars import (
     GAUSS,
@@ -119,13 +117,6 @@ def test_partial_trace_of_product_map():
     assert partial_trace(fg, 0) == g.scale(full_trace(f))
     assert partial_trace_last(fg) == partial_trace(fg, 1)
     assert full_trace(fg) == full_trace(f) * full_trace(g)
-
-
-def test_trace_of_product_matches_full_trace():
-    rng = random.Random(6)
-    f = _rand_map(rng, 2, 2, 2)
-    g = _rand_map(rng, 2, 2, 2)
-    assert trace_of_product(f, g) == full_trace(compose(f, g))
 
 
 @settings(max_examples=30, deadline=None)
@@ -305,7 +296,7 @@ def test_sparse_ops_match_dense_reference(name, data):
     expected = _dense_sum(
         (a[i][j] * g[j][i] for i in range(len(a)) for j in range(len(g))), zero
     )
-    assert trace_of_product(fa, LinearMap.from_rows(2, q, k, ring, g)) == expected
+    assert full_trace(compose(fa, LinearMap.from_rows(2, q, k, ring, g))) == expected
 
 
 @pytest.mark.parametrize("name", sorted(POOLS))
@@ -320,37 +311,6 @@ def test_sparse_traces_match_dense_reference(name, data):
     f = LinearMap.from_rows(2, n, n, ring, a)
     _assert_matches(partial_trace(f, slot), _dense_partial_trace(a, 2, n, slot, zero))
     assert full_trace(f) == _dense_sum((a[i][i] for i in range(len(a))), zero)
-
-
-@pytest.mark.parametrize("name", sorted(POOLS))
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_apply_local_matches_the_padded_map(name, data):
-    ring, _ = VALUES[name]
-    k = data.draw(st.integers(min_value=1, max_value=2))
-    q = data.draw(st.integers(min_value=k, max_value=3))
-    p = data.draw(st.sampled_from([x for x in range(4) if x != q]))
-    f = LinearMap.from_rows(2, k, k, ring, _draw_rows(data, name, k, k))
-    g = LinearMap.from_rows(2, p, q, ring, _draw_rows(data, name, p, q))
-    one = LinearMap.identity(2, 1, ring)
-    for slot in range(q - k + 1):
-        padded = tensor_all([one] * slot + [f] + [one] * (q - slot - k), 2, ring)
-        local = apply_local(f, slot, g)
-        assert local == compose(padded, g)
-        assert all(not v.is_zero() for _, _, v in local.nonzeros())
-
-
-def test_apply_local_rejects_mismatches():
-    rng = random.Random(12)
-    f, g = _rand_map(rng, 2, 2, 2), _rand_map(rng, 2, 1, 3)
-    with pytest.raises(ShapeMismatchError, match="d differs"):
-        apply_local(_rand_map(rng, 3, 1, 1), 0, g)
-    with pytest.raises(ShapeMismatchError, match="square"):
-        apply_local(_rand_map(rng, 2, 1, 2), 0, g)
-    with pytest.raises(ShapeMismatchError, match="out of range"):
-        apply_local(f, 2, g)
-    with pytest.raises(RingMismatchError, match="rings differ"):
-        apply_local(map_promote(f, LAURENT), 0, g)
 
 
 def test_cancelled_entries_are_dropped():

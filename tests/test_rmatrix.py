@@ -6,10 +6,12 @@ import pytest
 
 from skeinlab.linmap import LinearMap, compose, kernel_basis
 from skeinlab.rmatrix import (
-    MAX_STRANDS,
+    MAX_DIM,
     RMatrixError,
     build_R,
+    check_strands,
     cupcap,
+    max_strands,
     solve_deformed_coefficients,
     tl_first_failure,
     tl_generators,
@@ -25,6 +27,7 @@ from skeinlab.switchback import (
     deform,
     delta0,
     make_bracket_pair,
+    pair_from_matrix,
     solve_2cocycles,
     verify_switchback,
 )
@@ -116,8 +119,26 @@ def test_tl_needs_two_strands():
 
 
 def test_tl_strand_limit_is_checked_before_building():
-    with pytest.raises(RMatrixError, match=f"limit of {MAX_STRANDS}"):
+    with pytest.raises(RMatrixError, match="limit of 10"):
         tl_generators(make_bracket_pair(), 30)
+
+
+@pytest.mark.parametrize("d, limit", [(1, 10), (2, 10), (3, 6), (4, 5), (32, 2), (33, 1)])
+def test_strand_limit_bounds_the_dimension(d, limit):
+    # the largest n with d^n <= MAX_DIM; d = 1 keeps the d = 2 limit
+    assert max_strands(d) == limit
+    if d > 1:
+        assert d**limit <= MAX_DIM < d ** (limit + 1)
+    check_strands(limit, d)
+    with pytest.raises(RMatrixError, match=f"^{limit + 1} strands is more than the limit of {limit}$"):
+        check_strands(limit + 1, d)
+
+
+def test_tl_strand_limit_follows_the_dimension():
+    pair = pair_from_matrix([[GaussRat(int(i == j)) for j in range(3)] for i in range(3)], GAUSS)
+    assert len(tl_generators(pair, 6)) == 5
+    with pytest.raises(RMatrixError, match="7 strands is more than the limit of 6"):
+        tl_generators(pair, 7)
 
 
 # ---------------------------------------------------------------------------
