@@ -11,7 +11,7 @@ live.
 
 from skeinlab.scalars import RATFUN, format_scalar
 from skeinlab.switchback import (
-    c2_to_coords,
+    cochain_coords,
     cohomology_dims,
     delta0,
     make_bracket_pair,
@@ -39,7 +39,7 @@ print()
 # (pairing slope xx,xy,yx,yy then copairing slope xx,xy,yx,yy)
 print("2-cocycle basis:")
 for k, (phi1, phi2) in enumerate(solve_2cocycles(pair), 1):
-    coords = ", ".join(format_scalar(c) for c in c2_to_coords(phi1, phi2))
+    coords = ", ".join(format_scalar(c) for c in cochain_coords(phi1, phi2))
     print(f"  {k}: [{coords}]")
 print()
 

@@ -17,8 +17,9 @@ from skeinlab.rmatrix import (
 )
 from skeinlab.scalars import RATFUN, format_scalar
 from skeinlab.switchback import (
+    C2,
     bracket_cocycle,
-    coords_to_c2,
+    cochain_from_coords,
     d2,
     deform,
     deformation_obstruction,
@@ -63,7 +64,7 @@ print()
 # a cochain that is not a cocycle: the switchback conditions fail at order
 # t, and the failure slope is exactly the 2-differential of the cochain
 coords = [one, zero, zero, zero, zero, zero, zero, zero]
-bad1, bad2 = coords_to_c2(coords, 2, RATFUN)
+bad1, bad2 = cochain_from_coords(coords, 2, RATFUN, C2)
 broken = deform(pair, bad1, bad2)
 print("non-cocycle deformation passes:", verify_switchback(broken))
 xi1, xi2 = deformation_obstruction(pair, bad1, bad2)

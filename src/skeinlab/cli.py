@@ -60,7 +60,7 @@ from .scalars import (
 from .switchback import (
     SwitchbackError,
     SwitchbackPair,
-    c2_to_coords,
+    cochain_coords,
     cohomology_dims,
     deform,
     deformation_obstruction,
@@ -266,7 +266,7 @@ def cmd_cohomology(args, out: Out) -> int:
 def cmd_solve_cocycles(args, out: Out) -> int:
     pair = _field_pair(_load_pair(args))
     for k, (phi1, phi2) in enumerate(solve_2cocycles(pair), 1):
-        coords = ", ".join(format_scalar(c) for c in c2_to_coords(phi1, phi2))
+        coords = ", ".join(format_scalar(c) for c in cochain_coords(phi1, phi2))
         out.emit(
             "cocycle",
             [("index", k), ("coords", coords)],

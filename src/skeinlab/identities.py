@@ -463,17 +463,24 @@ class ElaboratePlan:
     rhs_counts: dict[str, int]
 
 
-def _number_occurrences(expr: Expr, counters: dict[str, int]) -> Expr:
+def _map_syms(expr: Expr, fn) -> Expr:
+    """expr with every Sym leaf x replaced by fn(x), visited depth-first
+    and left to right."""
     if isinstance(expr, Sym):
-        counters[expr.name] = counters.get(expr.name, 0) + 1
-        return replace(expr, occ=counters[expr.name])
+        return fn(expr)
     if isinstance(expr, (Id, Perm)):
         return expr
-    if isinstance(expr, Tensor):
-        return Tensor(tuple(_number_occurrences(p, counters) for p in expr.parts))
-    if isinstance(expr, Compose):
-        return Compose(tuple(_number_occurrences(p, counters) for p in expr.parts))
+    if isinstance(expr, (Tensor, Compose)):
+        return type(expr)(tuple(_map_syms(p, fn) for p in expr.parts))
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _number_occurrences(expr: Expr, counters: dict[str, int]) -> Expr:
+    def number(x: Sym) -> Sym:
+        counters[x.name] = counters.get(x.name, 0) + 1
+        return replace(x, occ=counters[x.name])
+
+    return _map_syms(expr, number)
 
 
 def elaborate(identity: SingleTermIdentity) -> ElaboratePlan:
@@ -485,17 +492,12 @@ def elaborate(identity: SingleTermIdentity) -> ElaboratePlan:
 
 
 def _swap_occurrence(expr: Expr, name: str, occ: int) -> Expr:
-    if isinstance(expr, Sym):
-        if expr.name == name and expr.occ == occ:
-            return Sym(expr.name, expr.p, expr.q, role=COCHAIN)
-        return replace(expr, occ=None)
-    if isinstance(expr, (Id, Perm)):
-        return expr
-    if isinstance(expr, Tensor):
-        return Tensor(tuple(_swap_occurrence(p, name, occ) for p in expr.parts))
-    if isinstance(expr, Compose):
-        return Compose(tuple(_swap_occurrence(p, name, occ) for p in expr.parts))
-    raise TypeError(f"not an expression: {expr!r}")
+    def swap(x: Sym) -> Sym:
+        if x.name == name and x.occ == occ:
+            return Sym(x.name, x.p, x.q, role=COCHAIN)
+        return replace(x, occ=None)
+
+    return _map_syms(expr, swap)
 
 
 @dataclass(frozen=True)

@@ -402,30 +402,10 @@ def _poly_trim(p: list[GaussRat]) -> list[GaussRat]:
     return p
 
 
-def _poly_mod(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lead
-        off = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[off + i] = a[off + i] - q * bc
-        _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_divexact(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
-    """Quotient a / b, assuming b divides a exactly."""
+def _poly_divmod(
+    a: list[GaussRat], b: list[GaussRat]
+) -> tuple[list[GaussRat], list[GaussRat]]:
+    """Quotient and remainder of a by b, whose leading coefficient is nonzero."""
     a = list(a)
     out = [_G_ZERO] * (len(a) - len(b) + 1)
     db, lead = len(b) - 1, b[-1]
@@ -436,9 +416,17 @@ def _poly_divexact(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
         for i, bc in enumerate(b):
             a[off + i] = a[off + i] - q * bc
         _poly_trim(a)
+    return out, a
+
+
+def _poly_gcd(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
     if a:
-        raise ScalarInvariantError("inexact polynomial division")
-    return out
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +460,10 @@ class RatFunA(_Scalar):
             q, vd = _laurent_valuation(den)
             g = _poly_gcd(p, q)
             if len(g) > 1:
-                p = _poly_divexact(p, g)
-                q = _poly_divexact(q, g)
+                p, p_rem = _poly_divmod(p, g)
+                q, q_rem = _poly_divmod(q, g)
+                if p_rem or q_rem:
+                    raise ScalarInvariantError("inexact polynomial division")
             c = q[0].inv()
             num = _poly_from_dense([x * c for x in p], vn - vd)
             den = _poly_from_dense([x * c for x in q])

@@ -12,15 +12,20 @@ The deformation complex lives in degrees 1..4:
     C3 = Hom(V, V) + Hom(V, V)
     C4 = Hom(V2, K) + Hom(K, V2)
 
-with differentials D1, d2, D3 below.  d2 is exactly what infiltrating the
-two switchback identities produces, so its kernel consists of the
-first-order deformations (beta + t*phi1, gamma + t*phi2) that stay a
-switchback pair mod t^2.
+with differentials D1, d2, D3 below.  The zig-zag pair
+Z(b, g) = ((b x 1)(1 x g), (1 x b)(g x 1)) of the deformed pair
+(beta + t*phi1, gamma + t*phi2) expands as
 
-Coordinates are fixed for golden tests: Hom(V,V) is listed by input slot
-then output slot (xx, xy, yx, yy for d=2), degree-2 and degree-4 data as
-the pairing part then the copairing part, degree-3 as the first Hom(V,V)
-then the second.
+    Z(beta, gamma) + t*[Z(beta, phi2) + Z(phi1, gamma)] + t^2*Z(phi1, phi2).
+
+The t^0 part minus 1 is the switchback residual; the t^1 part is d2, so
+ker d2 holds the deformations that stay switchback pairs mod t^2; the t^2
+part is the degree-2 residual psi.  D1(eta) is D3(eta, eta).
+
+Coordinates, fixed for golden tests: a cochain lists each component map's
+entries column by column (input index, then output index), components in
+order: xx, xy, yx, yy for Hom(V,V) at d=2, and the pairing row, then the
+copairing column, for C2.  C1, C2 and C3 below give the component arities.
 """
 
 from __future__ import annotations
@@ -131,12 +136,19 @@ def pair_from_matrix(rows, ring: Ring) -> SwitchbackPair:
     return SwitchbackPair(d, ring, b, g)
 
 
+def _zigzags(b: LinearMap, g: LinearMap, one: LinearMap) -> tuple[LinearMap, LinearMap]:
+    """Z(b, g): both zig-zag composites of b: V2 -> K and g: K -> V2."""
+    return (
+        compose(tensor(b, one), tensor(one, g)),
+        compose(tensor(one, b), tensor(g, one)),
+    )
+
+
 def switchback_residuals(pair: SwitchbackPair) -> tuple[LinearMap, LinearMap]:
     """Both zig-zag composites minus the identity of V."""
-    b, g, one = pair.pairing, pair.copairing, pair.id1()
-    r1 = compose(tensor(b, one), tensor(one, g)) - one
-    r2 = compose(tensor(one, b), tensor(g, one)) - one
-    return r1, r2
+    one = pair.id1()
+    r1, r2 = _zigzags(pair.pairing, pair.copairing, one)
+    return r1 - one, r2 - one
 
 
 def verify_switchback(pair: SwitchbackPair) -> bool:
@@ -155,23 +167,17 @@ def delta0(pair: SwitchbackPair):
 
 
 def D1(pair: SwitchbackPair, eta: LinearMap) -> tuple[LinearMap, LinearMap]:
-    b, g, one = pair.pairing, pair.copairing, pair.id1()
-    r1 = compose(b, tensor(eta, one)) - compose(b, tensor(one, eta))
-    r2 = compose(tensor(eta, one), g) - compose(tensor(one, eta), g)
-    return r1, r2
+    return D3(pair, eta, eta)
 
 
 def d2(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> tuple[LinearMap, LinearMap]:
-    """The infiltrated 2-differential of the two switchback identities:
-    one component per identity, each a Hom(V, V) element."""
-    b, g, one = pair.pairing, pair.copairing, pair.id1()
-    xi1 = compose(tensor(b, one), tensor(one, phi2)) + compose(
-        tensor(phi1, one), tensor(one, g)
-    )
-    xi2 = compose(tensor(one, b), tensor(phi2, one)) + compose(
-        tensor(one, phi1), tensor(g, one)
-    )
-    return xi1, xi2
+    """The t-slope of the deformed pair's zig-zags, which is what
+    infiltrating the two switchback identities produces: one component per
+    identity, each a Hom(V, V) element."""
+    one = pair.id1()
+    x1, x2 = _zigzags(pair.pairing, phi2, one)
+    y1, y2 = _zigzags(phi1, pair.copairing, one)
+    return x1 + y1, x2 + y2
 
 
 def D3(pair: SwitchbackPair, xi1: LinearMap, xi2: LinearMap) -> tuple[LinearMap, LinearMap]:
@@ -182,81 +188,58 @@ def D3(pair: SwitchbackPair, xi1: LinearMap, xi2: LinearMap) -> tuple[LinearMap,
 
 
 # ---------------------------------------------------------------------------
-# Coordinates (fixed ordering, see module docstring)
+# Coordinates (one rule, see module docstring)
 # ---------------------------------------------------------------------------
 
-
-def c1_to_coords(m: LinearMap) -> list:
-    d = m.shape.d
-    return [m.entry(out, inp) for inp in range(d) for out in range(d)]
-
-
-def coords_to_c1(coords, d: int, ring: Ring) -> LinearMap:
-    rows = [[coords[inp * d + out] for inp in range(d)] for out in range(d)]
-    return LinearMap.from_rows(d, 1, 1, ring, rows)
+# (p, q) of each component map V^p -> V^q of a cochain
+C1 = ((1, 1),)
+C2 = ((2, 0), (0, 2))
+C3 = ((1, 1), (1, 1))
 
 
-def c2_to_coords(phi1: LinearMap, phi2: LinearMap) -> list:
-    n = phi1.shape.cols
-    return [phi1.entry(0, j) for j in range(n)] + [phi2.entry(i, 0) for i in range(n)]
+def cochain_coords(*maps: LinearMap) -> list:
+    """The entries of each map column by column, maps in order."""
+    out = []
+    for m in maps:
+        rows = range(m.shape.rows)
+        out += [m.entry(r, c) for c in range(m.shape.cols) for r in rows]
+    return out
 
 
-def coords_to_c2(coords, d: int, ring: Ring) -> tuple[LinearMap, LinearMap]:
-    n = d * d
-    phi1 = LinearMap.from_rows(d, 2, 0, ring, [list(coords[:n])])
-    phi2 = LinearMap.from_rows(d, 0, 2, ring, [[c] for c in coords[n:]])
-    return phi1, phi2
+def cochain_from_coords(coords, d: int, ring: Ring, arities) -> tuple[LinearMap, ...]:
+    """The inverse of cochain_coords for component maps of the given arities."""
+    maps, k = [], 0
+    for p, q in arities:
+        nr, nc = d**q, d**p
+        rows = [[coords[k + c * nr + r] for c in range(nc)] for r in range(nr)]
+        maps.append(LinearMap.from_rows(d, p, q, ring, rows))
+        k += nr * nc
+    return tuple(maps)
 
 
-def c3_to_coords(xi1: LinearMap, xi2: LinearMap) -> list:
-    return c1_to_coords(xi1) + c1_to_coords(xi2)
-
-
-def coords_to_c3(coords, d: int, ring: Ring) -> tuple[LinearMap, LinearMap]:
-    n = d * d
-    return coords_to_c1(coords[:n], d, ring), coords_to_c1(coords[n:], d, ring)
-
-
-def _matrix_of(pair, apply, to_coords, from_coords, dom_dim):
+def _matrix_of(pair, differential, domain):
     """Rows x cols matrix of a differential in the fixed coordinates."""
     z, o = pair.ring.zero(), pair.ring.one()
+    dom_dim = sum(pair.d ** (p + q) for p, q in domain)
     cols = []
     for k in range(dom_dim):
         coords = [z] * dom_dim
         coords[k] = o
-        image = apply(from_coords(coords, pair.d, pair.ring))
-        cols.append(to_coords(*image))
+        image = differential(pair, *cochain_from_coords(coords, pair.d, pair.ring, domain))
+        cols.append(cochain_coords(*image))
     return [[cols[k][r] for k in range(dom_dim)] for r in range(len(cols[0]))]
 
 
 def d1_matrix(pair: SwitchbackPair):
-    return _matrix_of(
-        pair,
-        lambda eta: D1(pair, eta),
-        c2_to_coords,
-        coords_to_c1,
-        pair.d**2,
-    )
+    return _matrix_of(pair, D1, C1)
 
 
 def d2_matrix(pair: SwitchbackPair):
-    return _matrix_of(
-        pair,
-        lambda c2: d2(pair, *c2),
-        c3_to_coords,
-        coords_to_c2,
-        2 * pair.d**2,
-    )
+    return _matrix_of(pair, d2, C2)
 
 
 def d3_matrix(pair: SwitchbackPair):
-    return _matrix_of(
-        pair,
-        lambda c3: D3(pair, *c3),
-        c2_to_coords,
-        coords_to_c3,
-        2 * pair.d**2,
-    )
+    return _matrix_of(pair, D3, C3)
 
 
 @dataclass(frozen=True)
@@ -288,13 +271,13 @@ def cohomology_dims(pair: SwitchbackPair) -> CohomologyDims:
 def solve_2cocycles(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
     """Basis of the 2-cocycle space (kernel of d2) as (phi1, phi2) pairs."""
     basis = kernel_basis(d2_matrix(pair), pair.ring)
-    return [coords_to_c2(v, pair.d, pair.ring) for v in basis]
+    return [cochain_from_coords(v, pair.d, pair.ring, C2) for v in basis]
 
 
 def z3_solve(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
     """Basis of the 3-cocycle space (kernel of D3) as (xi1, xi2) pairs."""
     basis = kernel_basis(d3_matrix(pair), pair.ring)
-    return [coords_to_c3(v, pair.d, pair.ring) for v in basis]
+    return [cochain_from_coords(v, pair.d, pair.ring, C3) for v in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +322,21 @@ def degree2_analysis(
 ) -> Degree2Report:
     """Second-order data of a first-order deformation.
 
-    psi1, psi2 are the degree-2 residual slopes (the cocycle composed with
-    itself across each zig-zag); they always form a 3-cocycle.  The
+    psi1, psi2 = Z(phi1, phi2) are the t^2 part of the deformed zig-zags
+    (the cocycle composed with itself across each zig-zag); they always
+    form a 3-cocycle.  The
     extension, when the linear system is consistent, is a degree-2
     correction (phi1', phi2') with d2(phi1', phi2') = (-psi1, -psi2), which
     exhibits psi as a coboundary."""
     e1, e2 = d2(pair, phi1, phi2)
     if not (e1.is_zero() and e2.is_zero()):
         raise NotACocycleError("degree-2 analysis needs a 2-cocycle")
-    one = pair.id1()
-    psi1 = compose(tensor(phi1, one), tensor(one, phi2))
-    psi2 = compose(tensor(one, phi1), tensor(phi2, one))
+    psi1, psi2 = _zigzags(phi1, phi2, pair.id1())
     r1, r2 = D3(pair, psi1, psi2)
     is_cocycle = r1.is_zero() and r2.is_zero()
-    target = [-c for c in c3_to_coords(psi1, psi2)]
+    target = [-c for c in cochain_coords(psi1, psi2)]
     sol = solve(d2_matrix(pair), target, pair.ring)
-    ext = None if sol is None else coords_to_c2(sol, pair.d, pair.ring)
+    ext = None if sol is None else cochain_from_coords(sol, pair.d, pair.ring, C2)
     return Degree2Report(psi1, psi2, is_cocycle, ext)
 
 

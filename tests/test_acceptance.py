@@ -51,12 +51,13 @@ from skeinlab.scalars import (
     promote,
 )
 from skeinlab.switchback import (
+    C2,
     D3,
     SwitchbackError,
     bracket_cocycle,
-    c2_to_coords,
+    cochain_coords,
+    cochain_from_coords,
     cohomology_dims,
-    coords_to_c2,
     d1_matrix,
     d2,
     d2_matrix,
@@ -232,7 +233,7 @@ def test_criterion_06_cocycle_relations(criterion):
         assert len(basis) == 4
         a2, am2 = RF("( A^2 )/( 1 )"), RF("( A^-2 )/( 1 )")
         for phi1, phi2 in basis:
-            bxx, bxy, byx, byy, gxx, gxy, gyx, gyy = c2_to_coords(phi1, phi2)
+            bxx, bxy, byx, byy, gxx, gxy, gyx, gyy = cochain_coords(phi1, phi2)
             assert gyy == -bxx
             assert gxx == -byy
             assert gyx == am2 * bxy
@@ -251,7 +252,7 @@ def test_criterion_07_deformation(criterion):
             assert verify_switchback(pair_t)
         coords = [RATFUN.zero()] * 8
         coords[3] = RATFUN.one()  # a bare pairing-slope coordinate: not a cocycle
-        phi1, phi2 = coords_to_c2(coords, 2, RATFUN)
+        phi1, phi2 = cochain_from_coords(coords, 2, RATFUN, C2)
         assert not verify_switchback(deform(pair, phi1, phi2))
         xi1, xi2 = deformation_obstruction(pair, phi1, phi2)
         e1, e2 = d2(pair, phi1, phi2)
@@ -288,7 +289,7 @@ def test_criterion_09_yang_baxter(criterion):
         a, a_inv = RF("( A )/( 1 )"), RF("( A^-1 )/( 1 )")
         for phi1, phi2 in solve_2cocycles(pair):
             t0 = time.perf_counter()
-            coords = c2_to_coords(phi1, phi2)
+            coords = cochain_coords(phi1, phi2)
             pair_t = deform(pair, phi1, phi2)
             a_t, b_t = solve_deformed_coefficients(pair_t)
             assert ybe_residual(build_R(pair_t, a_t, b_t).R).is_zero()

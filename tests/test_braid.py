@@ -19,7 +19,6 @@ from skeinlab.braid import (
     normalized_invariant,
     parse_braid,
     skein_triple_check,
-    solve_uv,
     t0_part,
     turaev_first_failure,
 )
@@ -106,19 +105,18 @@ def test_nu_is_the_diagonal_twist():
     assert nu.entry(0, 1).is_zero() and nu.entry(1, 0).is_zero()
 
 
-def test_solve_uv_bracket_values():
+def test_make_turaev_bracket_values():
     td = _turaev()
     assert td.u == L("-A^3")
     assert td.v == LAURENT.one()
     assert turaev_first_failure(td) is None
 
 
-def test_solve_uv_rejects_wrong_twist():
+def test_turaev_first_failure_rejects_wrong_twist():
     td = _turaev()
-    with pytest.raises(TuraevError, match="not a multiple"):
-        solve_uv(td.rmx, td.pair.id1())
-    with pytest.raises(TuraevError, match="delta0"):
-        solve_uv(td.rmx, td.nu.scale(L("A")))
+    for nu in (td.pair.id1(), td.nu.scale(L("A"))):
+        wrong = TuraevData(td.rmx, nu, td.u, td.v)
+        assert turaev_first_failure(wrong) == "Tr_2(R (nu x nu)) != u*v*nu"
 
 
 def test_turaev_first_failure_reports_broken_u():

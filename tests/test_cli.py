@@ -348,6 +348,19 @@ def test_deform_rejects_a_pair_that_is_not_switchback(capsys, tmp_path):
     assert out.endswith("FAIL: the undeformed pair fails the switchback conditions\n")
 
 
+def test_turaev_failure_names_the_first_failing_condition(capsys, tmp_path):
+    # not a switchback pair, but a and b pass the quadratic condition
+    pair = tmp_path / "twisted.pair"
+    pair.write_text(
+        "dimension = 2\nring = gauss\nbeta = -1, -1, -1, 1\ngamma = 0; 1; 1; 0\n"
+    )
+    code, out = run(
+        capsys, "invariant", "--pair", str(pair), "--a=1", "--b=1", "--braid", "s1"
+    )
+    assert code == 2
+    assert out == "FAIL: R does not commute with the doubled twist\n"
+
+
 def test_bad_specialize_is_an_error(capsys):
     code, out = run(capsys, "cohomology", "--specialize", "B=2")
     assert code == 2

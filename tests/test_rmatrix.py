@@ -20,8 +20,9 @@ from skeinlab.rmatrix import (
 )
 from skeinlab.scalars import GAUSS, LAURENT, RATFUN, GaussRat, dual, parse_scalar
 from skeinlab.switchback import (
+    C2,
     bracket_cocycle,
-    coords_to_c2,
+    cochain_from_coords,
     d2,
     d2_matrix,
     deform,
@@ -203,7 +204,7 @@ def test_degenerate_gauge_rejected():
     pair = make_bracket_pair().specialize(GaussRat(1))
     coords = [GAUSS.zero(), GAUSS.one(), GAUSS.zero(), GAUSS.zero(),
               GAUSS.zero(), GAUSS.zero(), GAUSS.one(), GAUSS.zero()]
-    phi1, phi2 = coords_to_c2(coords, 2, GAUSS)
+    phi1, phi2 = cochain_from_coords(coords, 2, GAUSS, C2)
     pair_t = deform(pair, phi1, phi2)
     assert verify_switchback(pair_t)
     with pytest.raises(RMatrixError, match=r"A\^4 = 1"):
@@ -248,7 +249,7 @@ def test_weak_condition_fails_on_generic_cochain():
     pair = make_bracket_pair(RATFUN)
     coords = [RATFUN.zero()] * 8
     coords[0] = RATFUN.one()
-    phi1, phi2 = coords_to_c2(coords, 2, RATFUN)
+    phi1, phi2 = cochain_from_coords(coords, 2, RATFUN, C2)
     assert not verify_weak_tl_condition(pair, phi1, phi2)
 
 
@@ -259,7 +260,7 @@ def test_weak_condition_is_strictly_weaker():
     assert len(ker) == 5
     witnesses = 0
     for v in ker:
-        phi1, phi2 = coords_to_c2(v, 2, RATFUN)
+        phi1, phi2 = cochain_from_coords(v, 2, RATFUN, C2)
         assert verify_weak_tl_condition(pair, phi1, phi2)
         xi1, xi2 = d2(pair, phi1, phi2)
         pair_t = deform(pair, phi1, phi2)
@@ -276,7 +277,7 @@ def test_weak_condition_matches_deformed_tl():
     rng = random.Random(12)
     for _ in range(6):
         coords = [RATFUN.from_int(rng.randint(-3, 3)) for _ in range(8)]
-        phi1, phi2 = coords_to_c2(coords, 2, RATFUN)
+        phi1, phi2 = cochain_from_coords(coords, 2, RATFUN, C2)
         pair_t = deform(pair, phi1, phi2)
         tl_ok = tl_first_failure(tl_generators(pair_t, 3), delta0(pair_t)) is None
         assert verify_weak_tl_condition(pair, phi1, phi2) == tl_ok

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from skeinlab import scalars
 from skeinlab.scalars import (
     GAUSS,
     LAURENT,
@@ -23,7 +24,7 @@ from skeinlab.scalars import (
     ScalarInvariantError,
     ScalarSyntaxError,
     _laurent_valuation,
-    _poly_divexact,
+    _poly_divmod,
     demote,
     dual,
     format_scalar,
@@ -229,12 +230,20 @@ def test_format_is_canonical_and_ascending():
 
 def test_polynomial_helper_invariants_raise():
     g = GaussRat
-    # x^2 + 1 is not divisible by x + 2
-    with pytest.raises(ScalarInvariantError, match="inexact"):
-        _poly_divexact([g(1), g(0), g(1)], [g(2), g(1)])
-    assert _poly_divexact([g(-1), g(0), g(1)], [g(1), g(1)]) == [g(-1), g(1)]
+    # x^2 + 1 = (x - 2)(x + 2) + 5 leaves a remainder, x^2 - 1 = (x - 1)(x + 1) none
+    assert _poly_divmod([g(1), g(0), g(1)], [g(2), g(1)]) == ([g(-2), g(1)], [g(5)])
+    assert _poly_divmod([g(-1), g(0), g(1)], [g(1), g(1)]) == ([g(-1), g(1)], [])
     with pytest.raises(ScalarInvariantError):
         _laurent_valuation(LaurentA())
+
+
+def test_ratfun_normalisation_raises_on_inexact_division(monkeypatch):
+    # a gcd that does not divide the numerator must not pass silently
+    monkeypatch.setattr(scalars, "_poly_gcd", lambda p, q: [GaussRat(2), GaussRat(1)])
+    num = parse_scalar("A^2 + 1", LAURENT)
+    den = parse_scalar("A + 2", LAURENT)
+    with pytest.raises(ScalarInvariantError, match="inexact polynomial division"):
+        RatFunA(num, den)
 
 
 # -- GaussRat against a (Fraction, Fraction) reference -----------------------

@@ -16,6 +16,9 @@ from skeinlab.scalars import (
     parse_scalar,
 )
 from skeinlab.switchback import (
+    C1,
+    C2,
+    C3,
     D1,
     D3,
     Degree2Report,
@@ -23,10 +26,9 @@ from skeinlab.switchback import (
     PairConfigError,
     SwitchbackError,
     bracket_cocycle,
-    c2_to_coords,
+    cochain_coords,
+    cochain_from_coords,
     cohomology_dims,
-    coords_to_c1,
-    coords_to_c2,
     d1_matrix,
     d2,
     d2_matrix,
@@ -97,6 +99,44 @@ def test_pair_promote_and_specialize():
 
 
 # ---------------------------------------------------------------------------
+# coordinates
+# ---------------------------------------------------------------------------
+
+
+def _distinct(n):
+    # nonzero and pairwise different, so every slot is visible
+    return [GAUSS.from_int(k + 1) for k in range(n)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("arities", [C1, C2, C3], ids=["C1", "C2", "C3"])
+def test_cochain_coords_round_trip(arities, d):
+    coords = _distinct(sum(d ** (p + q) for p, q in arities))
+    maps = cochain_from_coords(coords, d, GAUSS, arities)
+    assert [(m.shape.p, m.shape.q) for m in maps] == list(arities)
+    assert cochain_coords(*maps) == coords
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cochain_coords_order(d):
+    n = d * d
+    coords = _distinct(2 * n)
+    # C1: index inp*d + out holds entry(out, inp)
+    (eta,) = cochain_from_coords(coords[:n], d, GAUSS, C1)
+    for inp in range(d):
+        for out in range(d):
+            assert eta.entry(out, inp) == coords[inp * d + out]
+    # C2: the pairing row, then the copairing column
+    phi1, phi2 = cochain_from_coords(coords, d, GAUSS, C2)
+    assert [phi1.entry(0, j) for j in range(n)] == coords[:n]
+    assert [phi2.entry(i, 0) for i in range(n)] == coords[n:]
+    # C3: two C1 blocks
+    xi1, xi2 = cochain_from_coords(coords, d, GAUSS, C3)
+    assert (xi1,) == cochain_from_coords(coords[:n], d, GAUSS, C1)
+    assert (xi2,) == cochain_from_coords(coords[n:], d, GAUSS, C1)
+
+
+# ---------------------------------------------------------------------------
 # the complex
 # ---------------------------------------------------------------------------
 
@@ -144,7 +184,7 @@ def test_d2_after_d1_vanishes_on_maps(entries):
     assert xi1.is_zero() and xi2.is_zero()
     # and D1 output is (by the same token) killed by the coordinate matrix
     assert all(
-        sum((c * x for c, x in zip(row, c2_to_coords(phi1, phi2))), RATFUN.zero()).is_zero()
+        sum((c * x for c, x in zip(row, cochain_coords(phi1, phi2))), RATFUN.zero()).is_zero()
         for row in d2_matrix(pair)
     )
 
@@ -172,7 +212,7 @@ def test_z1_is_spanned_by_scaled_identity():
     one_coords = [RF("1"), RF("0"), RF("0"), RF("1")]
     scale = next(c for c in eta if not c.is_zero())
     assert [c * scale.inv() for c in eta] == one_coords
-    r1, r2 = D1(pair, coords_to_c1(eta, 2, RATFUN))
+    r1, r2 = D1(pair, *cochain_from_coords(eta, 2, RATFUN, C1))
     assert r1.is_zero() and r2.is_zero()
 
 
@@ -183,7 +223,7 @@ def test_z1_is_spanned_by_scaled_identity():
 
 def _relations_hold(pair, phi1, phi2):
     a2, am2 = RF("( A^2 )/( 1 )"), RF("( A^-2 )/( 1 )")
-    b = c2_to_coords(phi1, phi2)
+    b = cochain_coords(phi1, phi2)
     bxx, bxy, byx, byy, gxx, gxy, gyx, gyy = b
     return (
         gyy == -bxx
@@ -204,8 +244,8 @@ def test_z2_basis_relations():
     coeffs = [RATFUN.from_int(rng.randint(-5, 5)) for _ in basis]
     combo = [RATFUN.zero()] * 8
     for c, (p1, p2) in zip(coeffs, basis):
-        combo = [x + c * y for x, y in zip(combo, c2_to_coords(p1, p2))]
-    assert _relations_hold(pair, *coords_to_c2(combo, 2, RATFUN))
+        combo = [x + c * y for x, y in zip(combo, cochain_coords(p1, p2))]
+    assert _relations_hold(pair, *cochain_from_coords(combo, 2, RATFUN, C2))
 
 
 def test_z3_relations():
@@ -246,7 +286,7 @@ def test_non_cocycle_obstruction_equals_differential():
     pair = _bracket()
     coords = [RATFUN.zero()] * 8
     coords[4] = RATFUN.one()  # copairing slope alone violates the relations
-    phi1, phi2 = coords_to_c2(coords, 2, RATFUN)
+    phi1, phi2 = cochain_from_coords(coords, 2, RATFUN, C2)
     pt = deform(pair, phi1, phi2)
     assert not verify_switchback(pt)
     xi1, xi2 = deformation_obstruction(pair, phi1, phi2)
@@ -283,7 +323,7 @@ def test_degree2_analysis_rejects_non_cocycles():
     coords = [RATFUN.zero()] * 8
     coords[0] = RATFUN.one()
     with pytest.raises(NotACocycleError):
-        degree2_analysis(pair, *coords_to_c2(coords, 2, RATFUN))
+        degree2_analysis(pair, *cochain_from_coords(coords, 2, RATFUN, C2))
 
 
 # ---------------------------------------------------------------------------
