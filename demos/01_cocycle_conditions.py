@@ -19,7 +19,7 @@ for name in ("assoc.idl", "switchback.idl", "bialgebra.idl"):
     print(f"--- {name} ---")
     for ident in idf.identities:
         plan = elaborate(ident)
-        diff = infiltrate(plan).differential.canonical()
+        diff = infiltrate(plan).canonical()
         print(f"{ident.label}: {to_text(ident.lhs)} = {to_text(ident.rhs)}")
         for coeff, term in diff.terms:
             print(f"   {'+' if coeff > 0 else '-'} {to_text(term)}")

@@ -1,11 +1,11 @@
 """Closed-braid invariants from a twist-compatible R-matrix.
 
 A braid word on n strands acts on V^(x n) by stacking R (or its inverse)
-at the letter's position.  Together with a one-strand twist map and scalars
-u, v satisfying the three trace-compatibility conditions below, the
-writhe-corrected trace
+at the letter's position.  Together with a one-strand twist map and the
+scalar u = delta0*a + b, which satisfy the trace-compatibility conditions
+below, the writhe-corrected trace
 
-    T(w) = u^(-writhe) * v^(-n) * Tr(twist^(x n) . R(w))
+    T(w) = u^(-writhe) * Tr(twist^(x n) . R(w))
 
 depends only on the closure of w up to Markov moves.  Dividing by the
 one-strand unknot value gives a normalization that matches the
@@ -22,7 +22,6 @@ from .linmap import (
     LinearMap,
     compose,
     partial_trace,
-    partial_trace_last,
     swap,
     tensor,
     tensor_all,
@@ -38,6 +37,7 @@ from .scalars import (
     Ring,
     into_ring,
     promote,
+    specialize,
 )
 from .switchback import SwitchbackPair
 
@@ -121,12 +121,13 @@ def make_nu(pair: SwitchbackPair) -> LinearMap:
 class TuraevData:
     rmx: SkeinRMatrix
     nu: LinearMap
-    u: object
-    v: object
+    # delta0*a + b: closing one strand gives Tr_2(R (nu x nu)) = u*nu
+    u: object = field(init=False)
     # R, R^-1 and the twist scaled for the packed kernel, worked out once
     _kernel: "_Kernel" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "u", self.rmx.loop * self.rmx.a + self.rmx.b)
         object.__setattr__(self, "_kernel", _Kernel.of(self))
 
     @property
@@ -135,18 +136,17 @@ class TuraevData:
 
 
 def make_turaev(pair: SwitchbackPair, a, b) -> TuraevData:
-    """Turaev data of R = a*1 + b*cupcap, with u = delta0*a + b and v = 1.
+    """Turaev data of R = a*1 + b*cupcap, with u = delta0*a + b.
 
-    The trace conditions ask Tr_2(R(nu x nu)) = u*v*nu and
-    Tr_2(R^-1(nu x nu)) = u^-1*v*nu; for a twist that passes them the
-    traces are (delta0*a + b)*nu and (delta0*a^-1 + b^-1)*nu.  The quadratic
+    The trace conditions ask Tr_2(R(nu x nu)) = u*nu and
+    Tr_2(R^-1(nu x nu)) = u^-1*nu; for a twist that passes them the traces
+    are (delta0*a + b)*nu and (delta0*a^-1 + b^-1)*nu.  The quadratic
     condition that build_R checks gives (delta0*a + b)(delta0*a^-1 + b^-1) = 1,
-    which forces v^2 = 1 and, with v = 1, u^-1 = delta0*a^-1 + b^-1.  So
-    nothing is left to solve: turaev_first_failure checks both traces
-    against these values.
+    so a second normalising scalar v could only have v^2 = 1, and v = 1 is
+    taken.  Nothing is left to solve: turaev_first_failure checks both
+    traces against these values.
     """
-    rmx = build_R(pair, a, b)
-    td = TuraevData(rmx, make_nu(pair), rmx.loop * a + b, pair.ring.one())
+    td = TuraevData(build_R(pair, a, b), make_nu(pair))
     failure = turaev_first_failure(td)
     if failure is not None:
         raise TuraevError(failure)
@@ -161,12 +161,10 @@ def turaev_first_failure(td: TuraevData) -> str | None:
     r_nn = compose(R, nn)
     if not (r_nn - compose(nn, R)).is_zero():
         return "R does not commute with the doubled twist"
-    if not (partial_trace_last(r_nn) - nu.scale(td.u * td.v)).is_zero():
-        return "Tr_2(R (nu x nu)) != u*v*nu"
-    if not (
-        partial_trace_last(compose(Rinv, nn)) - nu.scale(td.u.inv() * td.v)
-    ).is_zero():
-        return "Tr_2(R^-1 (nu x nu)) != u^-1*v*nu"
+    if not (partial_trace(r_nn, 1) - nu.scale(td.u)).is_zero():
+        return "Tr_2(R (nu x nu)) != u*nu"
+    if not (partial_trace(compose(Rinv, nn), 1) - nu.scale(td.u.inv())).is_zero():
+        return "Tr_2(R^-1 (nu x nu)) != u^-1*nu"
     if not (compose(pair.pairing, nn) - pair.pairing).is_zero():
         return "pairing not invariant under the doubled twist"
     if not (compose(nn, pair.copairing) - pair.copairing).is_zero():
@@ -427,7 +425,7 @@ def _digits(x: int, bits: int) -> dict[int, int]:
 
 
 def invariant(td: TuraevData, w: BraidWord):
-    """u^(-writhe) * v^(-n) * Tr(twist^(x n) . R(w)); the trace of the
+    """u^(-writhe) * Tr(twist^(x n) . R(w)); the trace of the
     packed word is unpacked into the ring of td, and its scaling divided
     out, once."""
     lanes, bits, scale = r_of_word(td, w)
@@ -441,7 +439,7 @@ def invariant(td: TuraevData, w: BraidWord):
                          for k in re.keys() | im.keys()})
         parts.append(into_ring(poly, kern.base) * inv)
     tr = Dual(*parts) if kern.lanes == 4 else parts[0]
-    return td.u ** (-w.writhe) * td.v ** (-w.n) * tr
+    return td.u ** (-w.writhe) * tr
 
 
 def normalized_invariant(td: TuraevData, w: BraidWord):
@@ -479,7 +477,6 @@ def jones_oracle(w: BraidWord) -> LaurentA:
 class CompareEntry:
     word: str
     value: object          # normalized invariant (possibly dual)
-    oracle: object         # oracle value promoted into the working ring
     matches: bool          # body of value == oracle
 
 
@@ -505,19 +502,27 @@ def t0_part(x):
     return x.body if hasattr(x, "body") else x
 
 
-def compare_with_oracle(td: TuraevData, corpus) -> CompareReport:
+def _matches_oracle(value, w: BraidWord, base: Ring, at=None) -> bool:
+    """The t=0 part of value against the oracle of w: the oracle specialized
+    at A = at for a pair specialized there, else promoted into base."""
+    oracle = jones_oracle(w)
+    oracle = promote(oracle, base) if at is None else specialize(oracle, at)
+    return t0_part(value) == oracle
+
+
+def compare_with_oracle(td: TuraevData, corpus, at=None) -> CompareReport:
     """Per-word: the t=0 part of the normalized invariant must equal the
-    oracle.  Constants: with c = a/b and ell = b^-1 u, both ell^2 = c^4 and
-    delta0 = -(c + c^-1) must hold exactly.  Each corpus word with at least
-    one letter also yields one skein triple (its first letter made
-    positive / negative / removed) which must satisfy the skein relation."""
+    oracle (specialized at A = at when the pair was).  Constants: with
+    c = a/b and ell = b^-1 u, both ell^2 = c^4 and delta0 = -(c + c^-1)
+    must hold exactly.  Each corpus word with at least one letter also
+    yields one skein triple (its first letter made positive / negative /
+    removed) which must satisfy the skein relation."""
     ring = td.rmx.R.ring
     base = ring.base if ring.name == "dual" else ring
     entries = []
     for w in corpus:
         value = normalized_invariant(td, w)
-        oracle = promote(jones_oracle(w), base)
-        entries.append(CompareEntry(str(w), value, oracle, t0_part(value) == oracle))
+        entries.append(CompareEntry(str(w), value, _matches_oracle(value, w, base, at)))
     a, b = td.rmx.a, td.rmx.b
     c = a * b.inv()
     ell = b.inv() * td.u

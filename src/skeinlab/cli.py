@@ -19,12 +19,12 @@ from .braid import (
     BraidSyntaxError,
     BraidWord,
     TuraevError,
+    _matches_oracle,
     compare_with_oracle,
     jones_oracle,
     make_turaev,
     normalized_invariant,
     parse_braid,
-    t0_part,
 )
 from .identities import (
     DslError,
@@ -54,7 +54,6 @@ from .scalars import (
     format_scalar,
     into_ring,
     parse_scalar,
-    promote,
     ring_by_name,
 )
 from .switchback import (
@@ -123,10 +122,13 @@ def _resolve(name: str, suffix: str) -> Path:
     raise CliError(f"no such file or bundled fixture: {name}")
 
 
-def _parse_specialize(text: str):
-    key, _, value = text.partition("=")
+def _specialized_at(args):
+    """The value of A given by --specialize, or None."""
+    if not args.specialize:
+        return None
+    key, _, value = args.specialize.partition("=")
     if key.strip() != "A" or not value.strip():
-        raise CliError(f"expected --specialize A=<rational>, got {text!r}")
+        raise CliError(f"expected --specialize A=<rational>, got {args.specialize!r}")
     return parse_scalar(value.strip(), GAUSS)
 
 
@@ -135,8 +137,9 @@ def _load_pair(args) -> SwitchbackPair:
     pair = parse_pair_config(path.read_text(), str(path))
     if args.ring:
         pair = pair.promote(ring_by_name(args.ring))
-    if args.specialize:
-        pair = pair.specialize(_parse_specialize(args.specialize))
+    at = _specialized_at(args)
+    if at is not None:
+        pair = pair.specialize(at)
     return pair
 
 
@@ -208,7 +211,7 @@ def cmd_infiltrate(args, out: Out) -> int:
     idents = _load_identities(args)
     for ident in idents:
         plan = elaborate(ident)
-        diff = infiltrate(plan).differential.canonical()
+        diff = infiltrate(plan).canonical()
         out.emit(
             "plan",
             [("identity", ident.label), ("lhs", to_text(plan.lhs)), ("rhs", to_text(plan.rhs))],
@@ -363,12 +366,13 @@ def _invariant_line(out: Out, word: str, value):
 def cmd_invariant(args, out: Out) -> int:
     base = _field_pair(_load_pair(args))
     td = _turaev_data(args, base)
+    at = _specialized_at(args)
     for text in args.braid:
         w = parse_braid(text)
         value = normalized_invariant(td, w)
         _invariant_line(out, str(w), format_scalar(value))
         if args.compare_oracle:
-            ok = t0_part(value) == promote(jones_oracle(w), base.ring)
+            ok = _matches_oracle(value, w, base.ring, at)
             out.verdict(
                 ok, "oracle", [("word", str(w))],
                 f"oracle {w}: {'match' if ok else 'MISMATCH'}", key="match",
@@ -394,7 +398,7 @@ def cmd_compare(args, out: Out) -> int:
     else:
         corpus = [BraidWord(1, ()), BraidWord(2, ())]
         corpus += [parse_braid(t) for t in _CORPUS if t]
-    rep = compare_with_oracle(td, corpus)
+    rep = compare_with_oracle(td, corpus, _specialized_at(args))
     for e in rep.entries:
         out.verdict(
             e.matches, "compare", [("word", e.word), ("value", format_scalar(e.value))],

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .linmap import LinearMap, compose, permutation, tensor
+from .linmap import LinearMap, compose, swap, tensor
 from .scalars import Ring
 
 
@@ -80,8 +80,8 @@ class Id:
 
 
 @dataclass(frozen=True)
-class Perm:
-    perm: tuple[int, ...]
+class Swap:
+    """The adjacent transposition X of two strands."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class Compose:
 
 Expr = object
 
-X_SWAP = Perm((1, 0))
+X_SWAP = Swap()
 
 
 def signature(expr: Expr) -> tuple[int, int]:
@@ -107,8 +107,8 @@ def signature(expr: Expr) -> tuple[int, int]:
         return expr.p, expr.q
     if isinstance(expr, Id):
         return expr.n, expr.n
-    if isinstance(expr, Perm):
-        return len(expr.perm), len(expr.perm)
+    if isinstance(expr, Swap):
+        return 2, 2
     if isinstance(expr, Tensor):
         p = q = 0
         for part in expr.parts:
@@ -134,8 +134,8 @@ def to_text(expr: Expr) -> str:
         return base if expr.occ is None else f"{base}#{expr.occ}"
     if isinstance(expr, Id):
         return "id" if expr.n == 1 else " x ".join(["id"] * max(expr.n, 0)) or "id0"
-    if isinstance(expr, Perm):
-        return "X" if expr.perm == (1, 0) else f"perm{expr.perm}"
+    if isinstance(expr, Swap):
+        return "X"
     if isinstance(expr, Tensor):
         return " x ".join(
             f"({to_text(p)})" if isinstance(p, (Compose, Tensor)) else to_text(p)
@@ -153,10 +153,8 @@ def canonicalize(expr: Expr) -> Expr:
     """Normal form for structural comparison: nested Compose/Tensor are
     flattened, identity factors in a composition are dropped, and adjacent
     identity strands in a tensor are merged."""
-    if isinstance(expr, (Sym, Id)):
+    if isinstance(expr, (Sym, Id, Swap)):
         return expr if not isinstance(expr, Sym) or expr.occ is None else replace(expr, occ=None)
-    if isinstance(expr, Perm):
-        return Id(len(expr.perm)) if expr.perm == tuple(range(len(expr.perm))) else expr
     if isinstance(expr, Tensor):
         parts: list[Expr] = []
         for part in expr.parts:
@@ -456,7 +454,6 @@ class ElaboratePlan:
     composition's last-applied factor first, tensor factors left to right;
     counters run per generator and per side)."""
 
-    identity: SingleTermIdentity
     lhs: Expr
     rhs: Expr
     lhs_counts: dict[str, int]
@@ -468,7 +465,7 @@ def _map_syms(expr: Expr, fn) -> Expr:
     and left to right."""
     if isinstance(expr, Sym):
         return fn(expr)
-    if isinstance(expr, (Id, Perm)):
+    if isinstance(expr, (Id, Swap)):
         return expr
     if isinstance(expr, (Tensor, Compose)):
         return type(expr)(tuple(_map_syms(p, fn) for p in expr.parts))
@@ -488,33 +485,22 @@ def elaborate(identity: SingleTermIdentity) -> ElaboratePlan:
     rhs_counts: dict[str, int] = {}
     lhs = _number_occurrences(identity.lhs, lhs_counts)
     rhs = _number_occurrences(identity.rhs, rhs_counts)
-    return ElaboratePlan(identity, lhs, rhs, lhs_counts, rhs_counts)
+    return ElaboratePlan(lhs, rhs, lhs_counts, rhs_counts)
 
 
 def _swap_occurrence(expr: Expr, name: str, occ: int) -> Expr:
-    def swap(x: Sym) -> Sym:
+    def mark(x: Sym) -> Sym:
         if x.name == name and x.occ == occ:
             return Sym(x.name, x.p, x.q, role=COCHAIN)
         return replace(x, occ=None)
 
-    return _map_syms(expr, swap)
+    return _map_syms(expr, mark)
 
 
-@dataclass(frozen=True)
-class Infiltration:
-    plan: ElaboratePlan
-    lhs_sum: FormalSum
-    rhs_sum: FormalSum
-
-    @property
-    def differential(self) -> FormalSum:
-        """The identity's 2-differential: lhs terms minus rhs terms."""
-        return self.lhs_sum - self.rhs_sum
-
-
-def infiltrate(plan: ElaboratePlan) -> Infiltration:
-    """One formal term per generator occurrence and side, with that single
-    occurrence replaced by the generator's cochain symbol."""
+def infiltrate(plan: ElaboratePlan) -> FormalSum:
+    """The identity's 2-differential: one formal term per generator
+    occurrence and side, with that single occurrence replaced by the
+    generator's cochain symbol, lhs terms minus rhs terms."""
     sums = []
     for labeled, counts in ((plan.lhs, plan.lhs_counts), (plan.rhs, plan.rhs_counts)):
         terms = []
@@ -522,7 +508,7 @@ def infiltrate(plan: ElaboratePlan) -> Infiltration:
             for occ in range(1, counts[name] + 1):
                 terms.append((1, _swap_occurrence(labeled, name, occ)))
         sums.append(FormalSum(tuple(terms)))
-    return Infiltration(plan, sums[0], sums[1])
+    return sums[0] - sums[1]
 
 
 def one_differential(name: str, p: int, q: int) -> FormalSum:
@@ -562,8 +548,8 @@ def evaluate_expr(expr: Expr, env: dict[str, LinearMap], d: int, ring: Ring) -> 
         return m
     if isinstance(expr, Id):
         return LinearMap.identity(d, expr.n, ring)
-    if isinstance(expr, Perm):
-        return permutation(d, len(expr.perm), expr.perm, ring)
+    if isinstance(expr, Swap):
+        return swap(d, ring)
     if isinstance(expr, Tensor):
         out = LinearMap.identity(d, 0, ring)
         for part in expr.parts:
@@ -577,10 +563,10 @@ def evaluate_expr(expr: Expr, env: dict[str, LinearMap], d: int, ring: Ring) -> 
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _sum_env(fs: FormalSum, env: dict[str, LinearMap], d: int, ring: Ring) -> LinearMap:
-    if not fs.terms:
-        raise ValueError("cannot evaluate an empty formal sum without a shape")
-    p, q = signature(fs.terms[0][1])
+def _sum_env(
+    fs: FormalSum, env: dict[str, LinearMap], d: int, ring: Ring, p: int, q: int
+) -> LinearMap:
+    """fs evaluated as a map of arity p -> q; the empty sum is the zero map."""
     out = LinearMap.zero(d, p, q, ring)
     for coeff, expr in fs.terms:
         m = evaluate_expr(expr, env, d, ring)
@@ -598,8 +584,10 @@ def evaluate(
     env = dict(assignment)
     for name, m in (cochain or {}).items():
         env[f"phi[{name}]"] = m
+    if not fs.terms:
+        raise ValueError("cannot evaluate an empty formal sum without a shape")
     probe = next(iter(env.values()))
-    return _sum_env(fs, env, probe.shape.d, probe.ring)
+    return _sum_env(fs, env, probe.shape.d, probe.ring, *signature(fs.terms[0][1]))
 
 
 def check_d2d1(
@@ -623,6 +611,6 @@ def check_d2d1(
     env = dict(assignment)
     env["f"] = f
     for name, (p, q) in identity.gens.items():
-        env[f"phi[{name}]"] = _sum_env(one_differential(name, p, q), env, d, ring)
-    diff = infiltrate(elaborate(identity)).differential
-    return _sum_env(diff, env, d, ring).is_zero()
+        env[f"phi[{name}]"] = _sum_env(one_differential(name, p, q), env, d, ring, p, q)
+    diff = infiltrate(elaborate(identity))
+    return _sum_env(diff, env, d, ring, *signature(identity.lhs)).is_zero()

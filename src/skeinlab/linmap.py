@@ -248,43 +248,11 @@ def tensor_all(maps: list[LinearMap], d: int, ring: Ring) -> LinearMap:
     return out
 
 
-def _digits(idx: int, d: int, n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for k in range(n - 1, -1, -1):
-        out[k] = idx % d
-        idx //= d
-    return tuple(out)
-
-
-def _index(digits, d: int) -> int:
-    idx = 0
-    for v in digits:
-        idx = idx * d + v
-    return idx
-
-
-def permutation(d: int, n: int, perm: tuple[int, ...], ring: Ring) -> LinearMap:
-    """Map sending e_{i_0}⊗...⊗e_{i_{n-1}} to the vector whose factor at
-    slot perm[k] is e_{i_k}.  perm must be a bijection of range(n); the
-    assignment perm -> map is a group homomorphism for left-to-right
-    composition of permutations.
-    """
-    if sorted(perm) != list(range(n)):
-        raise ShapeMismatchError(f"not a permutation of range({n}): {perm}")
-    o = ring.one()
-    out = {}
-    for col in range(d**n):
-        src = _digits(col, d, n)
-        dst = [0] * n
-        for k in range(n):
-            dst[perm[k]] = src[k]
-        out[_index(dst, d)] = {col: o}
-    return LinearMap(MapShape(d, n, n), ring, out)
-
-
 def swap(d: int, ring: Ring) -> LinearMap:
-    """The adjacent transposition on V ⊗ V."""
-    return permutation(d, 2, (1, 0), ring)
+    """The adjacent transposition e_i⊗e_j -> e_j⊗e_i on V ⊗ V."""
+    o = ring.one()
+    out = {j * d + i: {i * d + j: o} for i in range(d) for j in range(d)}
+    return LinearMap(MapShape(d, 2, 2), ring, out)
 
 
 def partial_trace(f: LinearMap, slot: int) -> LinearMap:
@@ -311,12 +279,6 @@ def partial_trace(f: LinearMap, slot: int) -> LinearMap:
             prev = out_row.get(k)
             out_row[k] = v if prev is None else prev + v
     return LinearMap(MapShape(d, p - 1, p - 1), f.ring, _pruned(acc.items()))
-
-
-def partial_trace_last(f: LinearMap) -> LinearMap:
-    """Trace over the last tensor factor; equals closing the last strand
-    with the coevaluation below and the evaluation above."""
-    return partial_trace(f, f.shape.p - 1)
 
 
 def full_trace(f: LinearMap) -> Scalar:

@@ -59,8 +59,6 @@ class SkeinRMatrix:
     pair: SwitchbackPair
     a: object
     b: object
-    a_inv: object
-    b_inv: object
     loop: object          # delta0 of the pair
     R: LinearMap
     Rinv: LinearMap
@@ -91,7 +89,7 @@ def build_R(pair: SwitchbackPair, a, b) -> SkeinRMatrix:
     Rinv = two.scale(a_inv) + cc.scale(b_inv)
     if not (compose(R, Rinv) - two).is_zero():
         raise RMatrixError("R times the assembled R^-1 is not the identity")
-    return SkeinRMatrix(pair, a, b, a_inv, b_inv, loop, R, Rinv)
+    return SkeinRMatrix(pair, a, b, loop, R, Rinv)
 
 
 def ybe_residual(R: LinearMap) -> LinearMap:

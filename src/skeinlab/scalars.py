@@ -54,10 +54,10 @@ RationalLike = Union[int, Fraction]
 class _Scalar:
     """Operators that every ring of the tower derives the same way.
 
-    A subclass supplies `_coerce` (the other operand in its own ring, None
-    for a type it does not know, RingMismatchError for another ring of the
-    tower), `+`, unary `-`, `*` and `inv`.  Subtraction, division (both
-    reflected forms included) and the canonical `str` follow from those.
+    A subclass supplies `_const` (an int or Fraction in its own ring), `+`,
+    unary `-`, `*` and `inv`.  Coercion of the other operand, subtraction,
+    division (both reflected forms included), the canonical `str` and the
+    `repr` follow from those.
 
     Scalars are immutable: their fields live in `__slots__`, are written
     once by the class's constructors, and assigning or deleting one raises
@@ -74,6 +74,21 @@ class _Scalar:
 
     def __reduce__(self):
         return _restore, (type(self), tuple(getattr(self, s) for s in self.__slots__))
+
+    def _coerce(self, other):
+        """other in this ring: itself when of the same class, an int or
+        Fraction as a constant, None for a type outside the tower;
+        RingMismatchError for another ring of the tower."""
+        if other.__class__ is self.__class__:
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._const(other)
+        if isinstance(other, _Scalar):
+            raise RingMismatchError(
+                f"cannot mix {type(self).__name__} with {ring_of(other).name}; "
+                "promote explicitly"
+            )
+        return None
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -101,6 +116,9 @@ class _Scalar:
 
     def __str__(self):
         return format_scalar(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_scalar(self)!r})"
 
 
 def _restore(cls, values):
@@ -156,16 +174,8 @@ class GaussRat(_Scalar):
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    def _coerce(self, other) -> "GaussRat | None":
-        if isinstance(other, GaussRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(other)
-        if isinstance(other, (LaurentA, RatFunA, Dual)):
-            raise RingMismatchError(
-                f"cannot mix GaussRat with {ring_of(other).name}; promote explicitly"
-            )
-        return None
+    def _const(self, x: RationalLike) -> "GaussRat":
+        return GaussRat(x)
 
     def __add__(self, other):
         if other.__class__ is not GaussRat:
@@ -285,16 +295,8 @@ class LaurentA(_Scalar):
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def _coerce(self, other) -> "LaurentA | None":
-        if isinstance(other, LaurentA):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _laurent_const(GaussRat(other))
-        if isinstance(other, (GaussRat, RatFunA, Dual)):
-            raise RingMismatchError(
-                f"cannot mix LaurentA with {ring_of(other).name}; promote explicitly"
-            )
-        return None
+    def _const(self, x: RationalLike) -> "LaurentA":
+        return _laurent_const(GaussRat(x))
 
     def __add__(self, other):
         if other.__class__ is not LaurentA:
@@ -346,9 +348,6 @@ class LaurentA(_Scalar):
 
     def __hash__(self):
         return hash((self.terms,))
-
-    def __repr__(self):
-        return f"LaurentA({format_scalar(self)!r})"
 
 
 (_set_terms,) = _setters(LaurentA)
@@ -473,16 +472,8 @@ class RatFunA(_Scalar):
     def is_zero(self) -> bool:
         return not self.num.terms
 
-    def _coerce(self, other) -> "RatFunA | None":
-        if isinstance(other, RatFunA):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _ratfun(_laurent_const(GaussRat(other)), _L_ONE)
-        if isinstance(other, (GaussRat, LaurentA, Dual)):
-            raise RingMismatchError(
-                f"cannot mix RatFunA with {ring_of(other).name}; promote explicitly"
-            )
-        return None
+    def _const(self, x: RationalLike) -> "RatFunA":
+        return _ratfun(_laurent_const(GaussRat(x)), _L_ONE)
 
     def __add__(self, other):
         if other.__class__ is not RatFunA:
@@ -527,9 +518,6 @@ class RatFunA(_Scalar):
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __repr__(self):
-        return f"RatFunA({format_scalar(self)!r})"
-
 
 _set_num, _set_den = _setters(RatFunA)
 
@@ -570,21 +558,17 @@ class Dual(_Scalar):
         return self.body.is_zero() and self.slope.is_zero()
 
     def _coerce(self, other) -> "Dual | None":
-        if isinstance(other, Dual):
+        if other.__class__ is Dual:
             # a body is never Dual, so its class names its ring
             if other.body.__class__ is not self.body.__class__:
                 raise RingMismatchError(
                     "dual numbers over different base rings; promote explicitly"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            base = ring_of(self.body)
-            return _dual(base.from_int(0) + other, base.zero())
-        if isinstance(other, (GaussRat, LaurentA, RatFunA)):
-            raise RingMismatchError(
-                f"cannot mix Dual with {ring_of(other).name}; promote explicitly"
-            )
-        return None
+        return super()._coerce(other)
+
+    def _const(self, x: RationalLike) -> "Dual":
+        return _dual(self.body._const(x), self.body._const(0))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -624,9 +608,6 @@ class Dual(_Scalar):
 
     def __hash__(self):
         return hash((self.body, self.slope))
-
-    def __repr__(self):
-        return f"Dual({format_scalar(self)!r})"
 
 
 _set_body, _set_slope = _setters(Dual)
@@ -908,17 +889,21 @@ class _ScalarParser:
         self.i += 1
         return t
 
+    def _sign(self) -> int:
+        return -1 if self.take(self.peek().kind).kind == "-" else 1
+
     def _int(self) -> int:
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.take(self.peek().kind).kind == "-" else 1
+        sign = self._sign() if self.peek().kind in "+-" else 1
         return sign * int(self.take("int").text)
 
     def _rational(self) -> Fraction:
         num = int(self.take("int").text)
         if self.peek().kind == "/" and self.peek(1).kind == "int":
             self.take("/")
-            return Fraction(num, int(self.take("int").text))
+            den = self.take("int")
+            if not int(den.text):
+                raise ScalarSyntaxError(f"zero denominator at column {den.pos}")
+            return Fraction(num, int(den.text))
         return Fraction(num)
 
     def term(self) -> tuple[int, GaussRat]:
@@ -958,76 +943,74 @@ class _ScalarParser:
             )
         return k, (g if g is not None else _G_ONE)
 
-    def sum(self, stop: tuple[str, ...]) -> LaurentA:
+    def _dual_marker(self) -> bool:
+        """Whether the dual marker t is next, after at most a sign."""
+        return self.peek().kind == "t" or (
+            self.peek().kind in "+-" and self.peek(1).kind == "t"
+        )
+
+    def sum(self) -> LaurentA:
+        """Signed terms, up to the first token that does not continue the
+        sum; a sign before the dual marker t ends the sum too."""
         acc: dict[int, GaussRat] = {}
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.take(self.peek().kind).kind == "-" else 1
+        sign = self._sign() if self.peek().kind in "+-" else 1
         while True:
             k, g = self.term()
             g = g if sign > 0 else -g
             acc[k] = acc.get(k, _G_ZERO) + g
-            t = self.peek()
-            if t.kind in stop or t.kind == "end":
+            if self.peek().kind not in "+-" or self._dual_marker():
                 return LaurentA(acc)
-            if t.kind not in "+-":
-                raise ScalarSyntaxError(
-                    f"expected '+' or '-' at column {t.pos}, found {t.text!r}"
-                )
-            sign = -1 if self.take(t.kind).kind == "-" else 1
+            sign = self._sign()
 
-
-def _parse_nodual(text: str):
-    """Parse a sum or ( sum )/( sum ); returns GaussRat, LaurentA or RatFunA."""
-    stripped = text.strip()
-    if stripped.startswith("("):
-        depth, j = 0, 0
-        for j, ch in enumerate(stripped):
-            depth += (ch == "(") - (ch == ")")
+    def _ratfun_ahead(self) -> bool:
+        """Whether the group opened here is followed by '/', so that it is
+        the numerator of ( num )/( den ) rather than a ( r )i term."""
+        if self.peek().kind != "(":
+            return False
+        depth = 0
+        for j in range(self.i, len(self.toks)):
+            depth += (self.toks[j].kind == "(") - (self.toks[j].kind == ")")
             if depth == 0:
-                break
-        rest = stripped[j + 1 :].lstrip()
-        if rest.startswith("/"):
-            after = rest[1:].lstrip()
-            if not (after.startswith("(") and after.endswith(")")):
-                raise ScalarSyntaxError("ratfun denominator must be parenthesized")
-            num = _ScalarParser(stripped[1:j])
-            nval = num.sum(stop=())
-            num.take("end")
-            den = _ScalarParser(after[1:-1])
-            dval = den.sum(stop=())
-            den.take("end")
-            return RatFunA(nval, dval)
-    p = _ScalarParser(stripped)
-    val = p.sum(stop=())
-    p.take("end")
-    if all(k == 0 for k, _ in val.terms) and "A" not in stripped:
-        return val.coeff(0)
-    return val
+                return self.toks[j + 1].kind == "/"
+        return False
 
+    def nodual(self):
+        """A sum or ( sum )/( sum ): GaussRat, LaurentA or RatFunA."""
+        if self._ratfun_ahead():
+            self.take("(")
+            num = self.sum()
+            self.take(")")
+            self.take("/")
+            self.take("(")
+            den = self.sum()
+            self.take(")")
+            return RatFunA(num, den)
+        start = self.i
+        val = self.sum()
+        if all(k == 0 for k, _ in val.terms) and all(
+            t.kind != "A" for t in self.toks[start:self.i]
+        ):
+            return val.coeff(0)
+        return val
 
-def _split_dual(text: str) -> tuple[str, str, int] | None:
-    """Split 'body + t*( slope )' at top parenthesis level, if present.
-
-    Returns (body text, slope text without its parentheses, slope sign).
-    """
-    depth = 0
-    for idx, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "t" and depth == 0:
-            rest = text[idx + 1 :].lstrip()
-            if not rest.startswith("*"):
-                raise ScalarSyntaxError("expected '*(' after dual marker t")
-            inner = rest[1:].lstrip()
-            if not (inner.startswith("(") and inner.endswith(")")):
-                raise ScalarSyntaxError("dual slope must be parenthesized")
-            body = text[:idx].rstrip()
-            sign = 1
-            if body.endswith("+") or body.endswith("-"):
-                sign = -1 if body.endswith("-") else 1
-                body = body[:-1].rstrip()
-            return (body if body else "0", inner[1:-1], sign)
-    return None
+    def scalar(self):
+        """body [+|-] t*( slope ), either part optional, up to the end."""
+        val = _G_ZERO if self._dual_marker() else self.nodual()
+        if self._dual_marker():
+            sign = self._sign() if self.peek().kind in "+-" else 1
+            self.take("t")
+            self.take("*")
+            self.take("(")
+            slope = self.nodual()
+            self.take(")")
+            if sign < 0:
+                slope = -slope
+            base = ring_of(val)
+            if _TOWER[ring_of(slope).name] > _TOWER[base.name]:
+                base = ring_of(slope)
+            val = Dual(promote(val, base), promote(slope, base))
+        self.take("end")
+        return val
 
 
 def parse_scalar(text: str, ring: Ring | None = None):
@@ -1035,19 +1018,8 @@ def parse_scalar(text: str, ring: Ring | None = None):
 
     Without `ring` the smallest fitting ring is inferred (a bare sum with no
     A is GaussRat, with A LaurentA; the ( num )/( den ) form is RatFunA; a
-    t*( ... ) part makes it Dual over the join of the part rings).
+    t*( ... ) part makes it Dual over the join of the part rings).  Errors
+    give the column in the whole text.
     """
-    split = _split_dual(text)
-    if split is not None:
-        body_text, slope_text, sign = split
-        body = _parse_nodual(body_text)
-        slope = _parse_nodual(slope_text)
-        if sign < 0:
-            slope = -slope
-        base = ring_of(body)
-        if _TOWER[ring_of(slope).name] > _TOWER[base.name]:
-            base = ring_of(slope)
-        val = Dual(promote(body, base), promote(slope, base))
-    else:
-        val = _parse_nodual(text)
+    val = _ScalarParser(text).scalar()
     return val if ring is None else into_ring(val, ring)

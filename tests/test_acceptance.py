@@ -83,7 +83,7 @@ def _fixture_identities(name):
 
 
 def _generated(idf, label):
-    return infiltrate(elaborate(idf.identity(label))).differential.canonical()
+    return infiltrate(elaborate(idf.identity(label))).canonical()
 
 
 def _phi(name, p, q):

@@ -1,5 +1,6 @@
 """Braid words, the trace invariant, and the oracle comparison."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from skeinlab.braid import (
 )
 from skeinlab.linmap import LinearMap, compose, full_trace, tensor, tensor_all
 from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
-from skeinlab.scalars import LAURENT, RATFUN, GaussRat, dual, parse_scalar, promote
+from skeinlab.scalars import A, LAURENT, RATFUN, GaussRat, dual, parse_scalar, promote
 from skeinlab.switchback import (
     D1,
     SwitchbackPair,
@@ -108,21 +109,22 @@ def test_nu_is_the_diagonal_twist():
 def test_make_turaev_bracket_values():
     td = _turaev()
     assert td.u == L("-A^3")
-    assert td.v == LAURENT.one()
     assert turaev_first_failure(td) is None
 
 
 def test_turaev_first_failure_rejects_wrong_twist():
     td = _turaev()
     for nu in (td.pair.id1(), td.nu.scale(L("A"))):
-        wrong = TuraevData(td.rmx, nu, td.u, td.v)
-        assert turaev_first_failure(wrong) == "Tr_2(R (nu x nu)) != u*v*nu"
+        wrong = TuraevData(td.rmx, nu)
+        assert turaev_first_failure(wrong) == "Tr_2(R (nu x nu)) != u*nu"
 
 
 def test_turaev_first_failure_reports_broken_u():
     td = _turaev()
-    broken = TuraevData(td.rmx, td.nu, td.u * L("A"), td.v)
-    assert turaev_first_failure(broken) == "Tr_2(R (nu x nu)) != u*v*nu"
+    # u is derived from the loop value, so a wrong loop value gives a wrong u
+    broken = TuraevData(replace(td.rmx, loop=td.rmx.loop * A), td.nu)
+    assert broken.u != td.u
+    assert turaev_first_failure(broken) == "Tr_2(R (nu x nu)) != u*nu"
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def test_normalized_invariant_matches_oracle_on_random_words(w):
 
 
 def _reference_invariant(td, w):
-    """u^(-writhe) v^(-n) Tr(twist^(x n) . R(w)), with every letter padded
+    """u^(-writhe) Tr(twist^(x n) . R(w)), with every letter padded
     by tensor_all and composed on the whole space: shares no code with the
     packed kernel of braid.invariant."""
     d, ring = td.pair.d, td.rmx.R.ring
@@ -184,7 +186,7 @@ def _reference_invariant(td, w):
         f = td.rmx.R if sign > 0 else td.rmx.Rinv
         acc = compose(tensor_all([one] * (i - 1) + [f] + [one] * (w.n - i - 1), d, ring), acc)
     tr = full_trace(compose(tensor_all([td.nu] * w.n, d, ring), acc))
-    return td.u ** (-w.writhe) * td.v ** (-w.n) * tr
+    return td.u ** (-w.writhe) * tr
 
 
 def _deformed(pair, phi):

@@ -135,6 +135,21 @@ def test_check_d2d1_both_models(capsys):
     )
 
 
+@pytest.mark.parametrize("text, label", [
+    # no generator occurrence: the 2-differential is the empty sum
+    ("gen mu: 2 -> 1;\nidentity swap2: X*X = id x id;\n", "swap2"),
+    # a 0 -> 0 generator induces the empty 1-differential
+    ("gen mu: 2 -> 1;\ngen c: 0 -> 0;\n"
+     "identity assoc: mu*(mu x id) = mu*(id x mu);\n", "assoc"),
+])
+def test_check_d2d1_evaluates_empty_sums_as_zero(capsys, tmp_path, text, label):
+    idl = tmp_path / "empty.idl"
+    idl.write_text(text)
+    code, out = run(capsys, "check-d2d1", str(idl), "--model", "dualnumbers")
+    assert code == 0
+    assert out == f"check-d2d1 {label}: OK (5 random f)\n"
+
+
 # ---------------------------------------------------------------------------
 # cohomology and cocycles
 # ---------------------------------------------------------------------------
@@ -243,6 +258,17 @@ def test_compare_default_corpus(capsys):
 
 def test_compare_deformed(capsys):
     code, out = run(capsys, "compare", "--cocycle", "yy")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks: OK"
+
+
+def test_specialized_pair_checks_the_specialized_oracle(capsys):
+    # the oracle is specialized at the same A as the pair: V(2) = 4111/65536
+    coeffs = ("--specialize", "A=2", "--a", "2", "--b", "1/2")
+    code, out = run(capsys, "invariant", *coeffs, "--braid", "s1 s1 s1", "--compare-oracle")
+    assert code == 0
+    assert out == "s1 s1 s1\t4111/65536\noracle s1 s1 s1: match\n"
+    code, out = run(capsys, "compare", *coeffs)
     assert code == 0
     assert out.splitlines()[-1] == "all checks: OK"
 

@@ -34,12 +34,14 @@ _BOTH_MODES = [
     ["check-d2d1", "assoc", "--model", "dualnumbers", "--trials", "3"],
     ["check-d2d1", "switchback", "--model", "bracket", "--trials", "3"],
     ["verify-switchback"],
+    ["verify-switchback", "--ring", "ratfun"],
     ["cohomology"],
     ["cohomology", "--specialize", "A=2"],
     ["cohomology", "--specialize", "A=3"],
     ["solve-cocycles"],
     ["solve-cocycles", "--specialize", "A=2"],
     *(["deform", "--cocycle", c] for c in COCYCLES),
+    ["deform", "--cocycle", "xy", "--ring", "ratfun"],
     ["verify-ybe"],
     *(["verify-ybe", "--cocycle", c, "--deformed"] for c in COCYCLES),
     ["tl-check", "--strands", "3"],
@@ -49,6 +51,9 @@ _BOTH_MODES = [
     ["jones-oracle", "--braid", "s1 s1 s1", "--braid", "s1 s2^-1 s1 s2^-1"],
     ["compare"],
     *(["compare", "--cocycle", c] for c in COCYCLES),
+    ["invariant", "--specialize", "A=2", "--a", "2", "--b", "1/2",
+     "--braid", "s1 s1 s1", "--compare-oracle"],
+    ["compare", "--specialize", "A=2", "--a", "2", "--b", "1/2"],
     # exit 1: a verification fails
     ["verify-switchback", "--pair", "@broken.pair"],
     ["deform", "--cocycle", "@bad.cfg"],

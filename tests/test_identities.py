@@ -21,13 +21,14 @@ from skeinlab.identities import (
     check_d2d1,
     elaborate,
     evaluate,
+    evaluate_expr,
     infiltrate,
     one_differential,
     parse_identity,
     parse_identity_file,
     to_text,
 )
-from skeinlab.linmap import LinearMap
+from skeinlab.linmap import LinearMap, swap
 from skeinlab.scalars import GAUSS
 from skeinlab.switchback import make_bracket_pair
 
@@ -39,7 +40,7 @@ def _fixture(name: str):
 
 
 def _differential(idf, label: str) -> FormalSum:
-    return infiltrate(elaborate(idf.identity(label))).differential.canonical()
+    return infiltrate(elaborate(idf.identity(label))).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,24 @@ def test_formal_sum_algebra():
     assert -(-d1) == d1
 
 
+def test_formal_sum_equality_up_to_nesting_and_identities():
+    f, g, h = Sym("f", 1, 1), Sym("g", 1, 1), Sym("h", 1, 1)
+    one = lambda e: FormalSum(((1, e),))  # noqa: E731
+    assert one(Compose((Compose((f, g)), h))) == one(Compose((f, Compose((g, h)))))
+    assert one(Compose((Id(1), f))) == one(f)
+    assert one(Tensor((Tensor((f, Id(1))), Id(1)))) == one(Tensor((f, Id(2))))
+    assert one(Compose((f, g))) != one(Compose((g, f)))
+
+
+def test_swap_evaluates_to_the_transposition():
+    x = evaluate_expr(X_SWAP, {}, 3, GAUSS)
+    assert x == swap(3, GAUSS)
+    xx = evaluate_expr(Compose((X_SWAP, X_SWAP)), {}, 3, GAUSS)
+    assert xx == LinearMap.identity(3, 2, GAUSS)
+    assert canonicalize(Compose((X_SWAP, Id(2)))) == X_SWAP
+    assert to_text(Tensor((Id(1), X_SWAP))) == "id x X"
+
+
 def test_one_differential_signs():
     f = Sym("f", 1, 1, role="marked")
     mu, one = Sym("mu", 2, 1), Id(1)
@@ -289,9 +308,9 @@ def test_evaluate_infiltration_matches_identity_difference():
     pair = make_bracket_pair()
     idf = _fixture("switchback.idl")
     for label in ("s1", "s2"):
-        inf = infiltrate(elaborate(idf.identity(label)))
+        diff = infiltrate(elaborate(idf.identity(label)))
         value = evaluate(
-            inf.differential,
+            diff,
             {"beta": pair.pairing, "gamma": pair.copairing},
             cochain={"beta": pair.pairing, "gamma": pair.copairing},
         )
@@ -301,14 +320,14 @@ def test_evaluate_infiltration_matches_identity_difference():
 
 def test_evaluate_missing_binding():
     idf = _fixture("assoc.idl")
-    inf = infiltrate(elaborate(idf.identity("assoc")))
+    diff = infiltrate(elaborate(idf.identity("assoc")))
     with pytest.raises(UnknownNameError):
-        evaluate(inf.differential, {"mu": _dualnumbers_mu()})
+        evaluate(diff, {"mu": _dualnumbers_mu()})
 
 
 def test_evaluate_arity_mismatch():
     idf = _fixture("assoc.idl")
-    inf = infiltrate(elaborate(idf.identity("assoc")))
+    diff = infiltrate(elaborate(idf.identity("assoc")))
     wrong = _random_f(random.Random(3))  # 1 -> 1, but mu is declared 2 -> 1
     with pytest.raises(ArityError):
-        evaluate(inf.differential, {"mu": wrong}, cochain={"mu": wrong})
+        evaluate(diff, {"mu": wrong}, cochain={"mu": wrong})

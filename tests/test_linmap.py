@@ -18,8 +18,6 @@ from skeinlab.linmap import (
     map_promote,
     map_specialize,
     partial_trace,
-    partial_trace_last,
-    permutation,
     rank,
     rref,
     solve,
@@ -85,26 +83,17 @@ def test_tensor_associativity_and_tensor_all():
     assert tensor_all([], 2, GAUSS) == LinearMap.identity(2, 0, GAUSS)
 
 
-def test_permutation_homomorphism():
-    rng = random.Random(4)
-    d, n = 2, 3
-    perms = [(1, 0, 2), (2, 0, 1), (0, 2, 1)]
-    for p in perms:
-        for q in perms:
-            pq = tuple(p[q[k]] for k in range(n))
-            assert compose(
-                permutation(d, n, p, GAUSS), permutation(d, n, q, GAUSS)
-            ) == permutation(d, n, pq, GAUSS)
-
-
 def test_permutation_moves_factors():
-    # X(v (x) w) = w (x) v on basis columns
-    x = swap(2, GAUSS)
-    # column 1 is e0 (x) e1; its image must be e1 (x) e0 = column 2
-    image = [x.entry(i, 1) for i in range(4)]
-    expected = [GAUSS.zero()] * 4
-    expected[1 * 2 + 0] = GAUSS.one()  # e1 (x) e0
-    assert image == expected
+    # X(e_i (x) e_j) = e_j (x) e_i: column i*d + j holds a single one, in row j*d + i
+    for d in (2, 3):
+        x = swap(d, GAUSS)
+        for i in range(d):
+            for j in range(d):
+                image = [x.entry(r, i * d + j) for r in range(d * d)]
+                expected = [GAUSS.zero()] * (d * d)
+                expected[j * d + i] = GAUSS.one()
+                assert image == expected
+        assert compose(x, x) == LinearMap.identity(d, 2, GAUSS)
 
 
 def test_partial_trace_of_product_map():
@@ -115,7 +104,6 @@ def test_partial_trace_of_product_map():
     # tracing out one factor leaves the other scaled by the traced factor's trace
     assert partial_trace(fg, 1) == f.scale(full_trace(g))
     assert partial_trace(fg, 0) == g.scale(full_trace(f))
-    assert partial_trace_last(fg) == partial_trace(fg, 1)
     assert full_trace(fg) == full_trace(f) * full_trace(g)
 
 

@@ -147,6 +147,18 @@ def test_parse_grammar_cases():
         parse_scalar("A +", LAURENT)
     with pytest.raises(ScalarSyntaxError):
         parse_scalar("B", LAURENT)
+    assert parse_scalar("2 - t*( A )") == Dual(
+        promote(GaussRat(2), LAURENT), -parse_scalar("A", LAURENT)
+    )
+    # columns count from the start of the whole text
+    for text, column in [
+        ("( A + % )/( 1 )", 6),
+        ("1 + t*( A % )", 10),
+        ("( 1 + A )/( 1 ^ )", 14),
+        ("1/0", 2),
+    ]:
+        with pytest.raises(ScalarSyntaxError, match=f"at column {column}$"):
+            parse_scalar(text)
 
 
 @settings(max_examples=40, deadline=None)
