@@ -34,7 +34,7 @@ from .identities import (
     parse_identity_file,
     to_text,
 )
-from .linmap import LinearMap, ShapeMismatchError
+from .linmap import LinearMap, ShapeMismatchError, map_specialize
 from .planar import PlanarityError
 from .rmatrix import (
     RMatrixError,
@@ -55,6 +55,7 @@ from .scalars import (
     into_ring,
     parse_scalar,
     ring_by_name,
+    specialize,
 )
 from .switchback import (
     SwitchbackError,
@@ -132,15 +133,19 @@ def _specialized_at(args):
     return parse_scalar(value.strip(), GAUSS)
 
 
-def _load_pair(args) -> SwitchbackPair:
+def _generic_pair(args) -> SwitchbackPair:
+    """The pair as its file gives it (promoted by --ring), before --specialize."""
     path = _resolve(args.pair, ".pair")
     pair = parse_pair_config(path.read_text(), str(path))
     if args.ring:
         pair = pair.promote(ring_by_name(args.ring))
-    at = _specialized_at(args)
-    if at is not None:
-        pair = pair.specialize(at)
     return pair
+
+
+def _load_pair(args) -> SwitchbackPair:
+    pair = _generic_pair(args)
+    at = _specialized_at(args)
+    return pair if at is None else pair.specialize(at)
 
 
 def _field_pair(pair: SwitchbackPair) -> SwitchbackPair:
@@ -154,7 +159,13 @@ def _load_cocycle(args, pair: SwitchbackPair):
         path = _resolve(args.cocycle, ".cfg")
     except CliError:
         path = _resolve(f"cocycle_{args.cocycle}", ".cfg")
-    return parse_cocycle_config(path.read_text(), pair, str(path))
+    at = _specialized_at(args)
+    if at is None:
+        return parse_cocycle_config(path.read_text(), pair, str(path))
+    # cocycle entries may involve A: read them over the pair as written,
+    # then substitute the same A as the pair
+    phi1, phi2 = parse_cocycle_config(path.read_text(), _generic_pair(args), str(path))
+    return map_specialize(phi1, at), map_specialize(phi2, at)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +319,11 @@ def _turaev_data(args, base: SwitchbackPair):
         raise CliError("--deformed needs --cocycle")
     a0 = parse_scalar(args.a, base.ring) if args.a else None
     b0 = parse_scalar(args.b, base.ring) if args.b else None
+    at = _specialized_at(args)
+    if at is not None:
+        # the default gauge a = A, b = A^-1 at the same A as the pair
+        a0 = specialize(A, at) if a0 is None else a0
+        b0 = specialize(A_INV, at) if b0 is None else b0
     if args.cocycle:
         phi1, phi2 = _load_cocycle(args, base)
         work = deform(base, phi1, phi2)

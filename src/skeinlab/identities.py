@@ -54,6 +54,10 @@ class UnknownNameError(DslError):
     """A label or symbol that the identity file or assignment does not bind."""
 
 
+class EmptySumError(DslError):
+    """An empty formal sum has no arity to evaluate at."""
+
+
 # ---------------------------------------------------------------------------
 # Expression AST
 # ---------------------------------------------------------------------------
@@ -585,7 +589,7 @@ def evaluate(
     for name, m in (cochain or {}).items():
         env[f"phi[{name}]"] = m
     if not fs.terms:
-        raise ValueError("cannot evaluate an empty formal sum without a shape")
+        raise EmptySumError("cannot evaluate an empty formal sum without a shape")
     probe = next(iter(env.values()))
     return _sum_env(fs, env, probe.shape.d, probe.ring, *signature(fs.terms[0][1]))
 

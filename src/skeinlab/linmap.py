@@ -109,6 +109,14 @@ class LinearMap:
         o = ring.one()
         return LinearMap(MapShape(d, n, n), ring, {i: {i: o} for i in range(d**n)})
 
+    @staticmethod
+    def unit(d: int, p: int, q: int, ring: Ring, row: int, col: int) -> "LinearMap":
+        """The matrix unit: one at (row, col), zero elsewhere."""
+        shape = MapShape(d, p, q)
+        if not (0 <= row < shape.rows and 0 <= col < shape.cols):
+            raise ShapeMismatchError(f"unit ({row}, {col}) lies outside {shape}")
+        return LinearMap(shape, ring, {row: {col: ring.one()}})
+
     # -- reading ------------------------------------------------------------
 
     @cached_property
@@ -239,6 +247,33 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
         MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q),
         f.ring, out,
     )
+
+
+def reshape(f: LinearMap, p: int, q: int) -> LinearMap:
+    """The same coefficients regrouped as V^p -> V^q: the flat index
+    row * d^p_f + col of each entry is kept.  Bends a pairing V^2 -> K or a
+    copairing K -> V^2 into its d x d matrix, and back."""
+    if p + q != f.shape.p + f.shape.q or p < 0 or q < 0:
+        raise ShapeMismatchError(
+            f"reshape: {f.shape} has {f.shape.p + f.shape.q} slots, not {p}+{q}"
+        )
+    shape = MapShape(f.shape.d, p, q)
+    old, new = f.shape.cols, shape.cols
+    out: dict[int, dict[int, Scalar]] = {}
+    for r, row in f._entries.items():
+        for c, v in row.items():
+            k = r * old + c
+            out.setdefault(k // new, {})[k % new] = v
+    return LinearMap(shape, f.ring, out)
+
+
+def transpose(f: LinearMap) -> LinearMap:
+    """The transpose matrix, as a map V^q -> V^p."""
+    out: dict[int, dict[int, Scalar]] = {}
+    for r, row in f._entries.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
+    return LinearMap(MapShape(f.shape.d, f.shape.q, f.shape.p), f.ring, out)
 
 
 def tensor_all(maps: list[LinearMap], d: int, ring: Ring) -> LinearMap:

@@ -5,6 +5,12 @@ together with a copairing K -> V x V such that both zig-zag composites
 equal the identity of V; equivalently the pairing matrix is invertible
 and the copairing matrix is its inverse.
 
+Everything below is computed on d x d matrices.  Bending a pairing b into
+B[i][j] = b(e_i x e_j), and a copairing g into G[j][k] = its coefficient on
+e_j x e_k (`linmap.reshape(., 1, 1)`), turns each diagram into a product:
+
+    (b x 1)(1 x g) = (B G)^T,    (1 x b)(g x 1) = G B.
+
 The deformation complex lives in degrees 1..4:
 
     C1 = Hom(V, V)
@@ -12,15 +18,21 @@ The deformation complex lives in degrees 1..4:
     C3 = Hom(V, V) + Hom(V, V)
     C4 = Hom(V2, K) + Hom(K, V2)
 
-with differentials D1, d2, D3 below.  The zig-zag pair
-Z(b, g) = ((b x 1)(1 x g), (1 x b)(g x 1)) of the deformed pair
-(beta + t*phi1, gamma + t*phi2) expands as
+The zig-zag pair Z(b, g) of the deformed pair (beta + t*phi1,
+gamma + t*phi2) expands as
 
     Z(beta, gamma) + t*[Z(beta, phi2) + Z(phi1, gamma)] + t^2*Z(phi1, phi2).
 
 The t^0 part minus 1 is the switchback residual; the t^1 part is d2, so
 ker d2 holds the deformations that stay switchback pairs mod t^2; the t^2
-part is the degree-2 residual psi.  D1(eta) is D3(eta, eta).
+part is the degree-2 residual psi.  With bent matrices:
+
+    d2(phi1, phi2) = ((B Phi2 + Phi1 G)^T, Phi2 B + G Phi1)
+    D3(xi1, xi2)   = (xi1^T B - B xi2, xi2 G - G xi1^T),
+
+with D3's two components bent back into Hom(V2, K) and Hom(K, V2); as
+diagrams they read b(xi1 x 1) - b(1 x xi2) and (xi2 x 1)g - (1 x xi1)g.
+D1(eta) is D3(eta, eta).
 
 Coordinates, fixed for golden tests: a cochain lists each component map's
 entries column by column (input index, then output index), components in
@@ -42,8 +54,9 @@ from .linmap import (
     map_promote,
     map_specialize,
     rank,
+    reshape,
     solve,
-    tensor,
+    transpose,
 )
 from .scalars import (
     A,
@@ -136,18 +149,17 @@ def pair_from_matrix(rows, ring: Ring) -> SwitchbackPair:
     return SwitchbackPair(d, ring, b, g)
 
 
-def _zigzags(b: LinearMap, g: LinearMap, one: LinearMap) -> tuple[LinearMap, LinearMap]:
-    """Z(b, g): both zig-zag composites of b: V2 -> K and g: K -> V2."""
-    return (
-        compose(tensor(b, one), tensor(one, g)),
-        compose(tensor(one, b), tensor(g, one)),
-    )
+def _zigzags(b: LinearMap, g: LinearMap) -> tuple[LinearMap, LinearMap]:
+    """Z(b, g): both zig-zag composites of b: V2 -> K and g: K -> V2,
+    (b x 1)(1 x g) = (B G)^T and (1 x b)(g x 1) = G B."""
+    bb, gg = reshape(b, 1, 1), reshape(g, 1, 1)
+    return transpose(compose(bb, gg)), compose(gg, bb)
 
 
 def switchback_residuals(pair: SwitchbackPair) -> tuple[LinearMap, LinearMap]:
     """Both zig-zag composites minus the identity of V."""
     one = pair.id1()
-    r1, r2 = _zigzags(pair.pairing, pair.copairing, one)
+    r1, r2 = _zigzags(pair.pairing, pair.copairing)
     return r1 - one, r2 - one
 
 
@@ -174,17 +186,17 @@ def d2(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> tuple[LinearMa
     """The t-slope of the deformed pair's zig-zags, which is what
     infiltrating the two switchback identities produces: one component per
     identity, each a Hom(V, V) element."""
-    one = pair.id1()
-    x1, x2 = _zigzags(pair.pairing, phi2, one)
-    y1, y2 = _zigzags(phi1, pair.copairing, one)
+    x1, x2 = _zigzags(pair.pairing, phi2)
+    y1, y2 = _zigzags(phi1, pair.copairing)
     return x1 + y1, x2 + y2
 
 
 def D3(pair: SwitchbackPair, xi1: LinearMap, xi2: LinearMap) -> tuple[LinearMap, LinearMap]:
-    b, g, one = pair.pairing, pair.copairing, pair.id1()
-    r1 = compose(b, tensor(xi1, one)) - compose(b, tensor(one, xi2))
-    r2 = compose(tensor(xi2, one), g) - compose(tensor(one, xi1), g)
-    return r1, r2
+    bb, gg = reshape(pair.pairing, 1, 1), reshape(pair.copairing, 1, 1)
+    xt = transpose(xi1)
+    r1 = compose(xt, bb) - compose(bb, xi2)
+    r2 = compose(xi2, gg) - compose(gg, xt)
+    return reshape(r1, 2, 0), reshape(r2, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +229,27 @@ def cochain_from_coords(coords, d: int, ring: Ring, arities) -> tuple[LinearMap,
     return tuple(maps)
 
 
+def _basis_cochain(k: int, d: int, ring: Ring, arities) -> tuple[LinearMap, ...]:
+    """The cochain whose coordinates are the k-th unit vector."""
+    maps = []
+    for p, q in arities:
+        size = d ** (p + q)
+        if 0 <= k < size:
+            rows = d**q
+            maps.append(LinearMap.unit(d, p, q, ring, k % rows, k // rows))
+        else:
+            maps.append(LinearMap.zero(d, p, q, ring))
+        k -= size
+    return tuple(maps)
+
+
 def _matrix_of(pair, differential, domain):
     """Rows x cols matrix of a differential in the fixed coordinates."""
-    z, o = pair.ring.zero(), pair.ring.one()
     dom_dim = sum(pair.d ** (p + q) for p, q in domain)
-    cols = []
-    for k in range(dom_dim):
-        coords = [z] * dom_dim
-        coords[k] = o
-        image = differential(pair, *cochain_from_coords(coords, pair.d, pair.ring, domain))
-        cols.append(cochain_coords(*image))
+    cols = [
+        cochain_coords(*differential(pair, *_basis_cochain(k, pair.d, pair.ring, domain)))
+        for k in range(dom_dim)
+    ]
     return [[cols[k][r] for k in range(dom_dim)] for r in range(len(cols[0]))]
 
 
@@ -331,7 +354,7 @@ def degree2_analysis(
     e1, e2 = d2(pair, phi1, phi2)
     if not (e1.is_zero() and e2.is_zero()):
         raise NotACocycleError("degree-2 analysis needs a 2-cocycle")
-    psi1, psi2 = _zigzags(phi1, phi2, pair.id1())
+    psi1, psi2 = _zigzags(phi1, phi2)
     r1, r2 = D3(pair, psi1, psi2)
     is_cocycle = r1.is_zero() and r2.is_zero()
     target = [-c for c in cochain_coords(psi1, psi2)]

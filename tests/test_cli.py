@@ -273,6 +273,31 @@ def test_specialized_pair_checks_the_specialized_oracle(capsys):
     assert out.splitlines()[-1] == "all checks: OK"
 
 
+def test_specialized_pair_defaults_to_the_specialized_gauge(capsys):
+    # without --a/--b the gauge a = A, b = A^-1 is taken at the same A
+    word = ("--braid", "s1 s1 s1", "--compare-oracle")
+    code, out = run(capsys, "invariant", "--specialize", "A=2", *word)
+    assert code == 0
+    assert out == run(capsys, "invariant", "--specialize", "A=2", "--a", "2", "--b", "1/2", *word)[1]
+
+
+def test_bundled_cocycle_loads_on_a_specialized_pair(capsys):
+    code, out = run(capsys, "deform", "--specialize", "A=2", "--cocycle", "xy")
+    assert code == 0
+    assert out.splitlines()[-1] == "deformed switchback: OK"
+    code, out = run(
+        capsys, "invariant", "--specialize", "A=2", "--a", "2", "--b", "1/2",
+        "--cocycle", "xy", "--braid", "s1 s1 s1", "--compare-oracle",
+    )
+    assert code == 0
+    # the generic deformed value -A^-16 + A^-12 + A^-4 + t*(-8i A^-17 + 6i A^-13
+    # + 2i A^-5) at A = 2
+    assert out == (
+        "s1 s1 s1\t4111/65536 + t*( 1035/16384i )\n"
+        "oracle s1 s1 s1: match\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # failure modes and determinism
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from skeinlab.identities import (
     ArityError,
     Compose,
     DslSyntaxError,
+    EmptySumError,
     FormalSum,
     Id,
     IdentityNotSatisfiedError,
@@ -331,3 +332,15 @@ def test_evaluate_arity_mismatch():
     wrong = _random_f(random.Random(3))  # 1 -> 1, but mu is declared 2 -> 1
     with pytest.raises(ArityError):
         evaluate(diff, {"mu": wrong}, cochain={"mu": wrong})
+
+
+def test_evaluate_empty_sum_is_a_typed_error():
+    # X*X = id x id has no generator occurrence, so its 2-differential is
+    # the empty sum, which carries no arity to evaluate at
+    ident = parse_identity_file(
+        "gen mu: 2 -> 1;\nidentity swap2: X*X = id x id;\n"
+    ).identity("swap2")
+    diff = infiltrate(elaborate(ident))
+    assert diff.terms == ()
+    with pytest.raises(EmptySumError, match="^cannot evaluate an empty formal sum without a shape$"):
+        evaluate(diff, {"mu": _dualnumbers_mu()})

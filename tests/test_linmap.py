@@ -19,11 +19,13 @@ from skeinlab.linmap import (
     map_specialize,
     partial_trace,
     rank,
+    reshape,
     rref,
     solve,
     swap,
     tensor,
     tensor_all,
+    transpose,
 )
 from skeinlab.scalars import (
     GAUSS,
@@ -94,6 +96,61 @@ def test_permutation_moves_factors():
                 expected[j * d + i] = GAUSS.one()
                 assert image == expected
         assert compose(x, x) == LinearMap.identity(d, 2, GAUSS)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reshape_keeps_the_flat_index(d):
+    f = _rand_map(random.Random(d), d, 2, 0)
+    m = reshape(f, 1, 1)
+    assert (m.shape.p, m.shape.q) == (1, 1)
+    for i in range(d):
+        for j in range(d):
+            assert m.entry(i, j) == f.entry(0, i * d + j)
+    assert reshape(m, 2, 0) == f
+    assert reshape(reshape(f, 0, 2), 2, 0) == f
+    assert reshape(f, 2, 0) == f
+    g = _rand_map(random.Random(d + 10), d, 2, 1)
+    for p in range(4):
+        assert reshape(reshape(g, p, 3 - p), 2, 1) == g
+
+
+def test_transpose_swaps_rows_and_columns():
+    f = _rand_map(random.Random(12), 2, 1, 2)
+    t = transpose(f)
+    assert (t.shape.p, t.shape.q) == (2, 1)
+    assert all(t.entry(c, r) == f.entry(r, c) for r in range(4) for c in range(2))
+    assert transpose(t) == f
+    g = _rand_map(random.Random(13), 2, 2, 1)
+    # (f g)^T = g^T f^T
+    assert transpose(compose(f, g)) == compose(transpose(g), transpose(f))
+
+
+def test_reshape_size_mismatch_is_an_error():
+    f = _rand_map(random.Random(14), 2, 2, 0)
+    with pytest.raises(ShapeMismatchError):
+        reshape(f, 1, 2)
+    with pytest.raises(ShapeMismatchError):
+        reshape(f, 3, -1)
+
+
+def test_reshape_and_transpose_keep_dual_entries():
+    ring = dual(RATFUN)
+    vals = [parse_scalar(x, ring) for x in ("0 + t*( 1 )", "A + t*( -A )", "0", "-1 + t*( 0 )")]
+    f = LinearMap.from_rows(2, 2, 0, ring, [vals])
+    m = reshape(f, 1, 1)
+    assert m.ring is ring
+    assert m.rows == ((vals[0], vals[1]), (vals[2], vals[3]))
+    assert transpose(m).rows == ((vals[0], vals[2]), (vals[1], vals[3]))
+    assert reshape(transpose(transpose(m)), 2, 0) == f
+    assert all(not v.is_zero() for _, _, v in transpose(m).nonzeros())
+
+
+def test_unit_is_one_hot():
+    u = LinearMap.unit(2, 0, 2, GAUSS, 3, 0)
+    assert [(r, c) for r, c, _ in u.nonzeros()] == [(3, 0)]
+    assert u.entry(3, 0) == GAUSS.one()
+    with pytest.raises(ShapeMismatchError):
+        LinearMap.unit(2, 0, 2, GAUSS, 0, 1)
 
 
 def test_partial_trace_of_product_map():

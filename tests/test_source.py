@@ -17,3 +17,19 @@ def test_program_has_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+
+def test_switchback_does_not_pad_to_three_tensor_factors():
+    # the complex is computed on bent d x d matrices; reaching tensor or
+    # tensor_all would let a zig-zag or differential pad to V^3 again
+    tree = ast.parse((SRC / "switchback.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+            names |= {alias.asname for alias in node.names if alias.asname}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "compose" in names, "switchback.py no longer imports compose"
+    assert names & {"tensor", "tensor_all"} == set()
