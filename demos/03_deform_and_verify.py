@@ -33,7 +33,7 @@ pair = make_bracket_pair(RATFUN)
 
 # a cocycle with both off-diagonal pairing slopes turned on
 one, zero = RATFUN.one(), RATFUN.zero()
-phi1, phi2 = bracket_cocycle(RATFUN, zero, one, one, zero)
+phi1, phi2 = bracket_cocycle(pair, zero, one, one, zero)
 pair_t = deform(pair, phi1, phi2)
 print("deformed pairing:", ", ".join(format_scalar(e) for e in pair_t.pairing.rows[0]))
 print("switchback still holds:", verify_switchback(pair_t))

@@ -43,7 +43,7 @@ print()
 # now the same trace through a deformed pair; bodies must match the oracle
 # and the trefoil picks up a visible t-slope
 zero, one = RATFUN.zero(), RATFUN.one()
-pair_t = deform(pair, *bracket_cocycle(RATFUN, zero, one, zero, zero))
+pair_t = deform(pair, *bracket_cocycle(pair, zero, one, zero, zero))
 a_t, b_t = solve_deformed_coefficients(pair_t)
 td_t = make_turaev(pair_t, a_t, b_t)
 

@@ -37,7 +37,6 @@ from .scalars import (
     Ring,
     into_ring,
     promote,
-    specialize,
 )
 from .switchback import SwitchbackPair
 
@@ -502,27 +501,24 @@ def t0_part(x):
     return x.body if hasattr(x, "body") else x
 
 
-def _matches_oracle(value, w: BraidWord, base: Ring, at=None) -> bool:
-    """The t=0 part of value against the oracle of w: the oracle specialized
-    at A = at for a pair specialized there, else promoted into base."""
-    oracle = jones_oracle(w)
-    oracle = promote(oracle, base) if at is None else specialize(oracle, at)
-    return t0_part(value) == oracle
+def matches_oracle(td: TuraevData, value, w: BraidWord) -> bool:
+    """The t=0 part of value, the normalized invariant of w under td,
+    against the oracle of w taken into td's pair by pair.scalar (so at the
+    pair's A when it was specialized)."""
+    return t0_part(value) == t0_part(td.pair.scalar(jones_oracle(w)))
 
 
-def compare_with_oracle(td: TuraevData, corpus, at=None) -> CompareReport:
+def compare_with_oracle(td: TuraevData, corpus) -> CompareReport:
     """Per-word: the t=0 part of the normalized invariant must equal the
-    oracle (specialized at A = at when the pair was).  Constants: with
-    c = a/b and ell = b^-1 u, both ell^2 = c^4 and delta0 = -(c + c^-1)
-    must hold exactly.  Each corpus word with at least one letter also
-    yields one skein triple (its first letter made positive / negative /
-    removed) which must satisfy the skein relation."""
-    ring = td.rmx.R.ring
-    base = ring.base if ring.name == "dual" else ring
+    oracle (matches_oracle).  Constants: with c = a/b and ell = b^-1 u,
+    both ell^2 = c^4 and delta0 = -(c + c^-1) must hold exactly.  Each
+    corpus word with at least one letter also yields one skein triple (its
+    first letter made positive / negative / removed) which must satisfy the
+    skein relation."""
     entries = []
     for w in corpus:
         value = normalized_invariant(td, w)
-        entries.append(CompareEntry(str(w), value, _matches_oracle(value, w, base, at)))
+        entries.append(CompareEntry(str(w), value, matches_oracle(td, value, w)))
     a, b = td.rmx.a, td.rmx.b
     c = a * b.inv()
     ell = b.inv() * td.u

@@ -19,10 +19,10 @@ from .braid import (
     BraidSyntaxError,
     BraidWord,
     TuraevError,
-    _matches_oracle,
     compare_with_oracle,
     jones_oracle,
     make_turaev,
+    matches_oracle,
     normalized_invariant,
     parse_braid,
 )
@@ -34,7 +34,7 @@ from .identities import (
     parse_identity_file,
     to_text,
 )
-from .linmap import LinearMap, ShapeMismatchError, map_specialize
+from .linmap import LinearMap, ShapeMismatchError
 from .planar import PlanarityError
 from .rmatrix import (
     RMatrixError,
@@ -45,17 +45,13 @@ from .rmatrix import (
     ybe_residual,
 )
 from .scalars import (
-    A,
-    A_INV,
     GAUSS,
     LAURENT,
     RATFUN,
     ScalarError,
     format_scalar,
-    into_ring,
     parse_scalar,
     ring_by_name,
-    specialize,
 )
 from .switchback import (
     SwitchbackError,
@@ -133,17 +129,13 @@ def _specialized_at(args):
     return parse_scalar(value.strip(), GAUSS)
 
 
-def _generic_pair(args) -> SwitchbackPair:
-    """The pair as its file gives it (promoted by --ring), before --specialize."""
+def _load_pair(args) -> SwitchbackPair:
+    """The pair file, promoted by --ring and then specialized by
+    --specialize; cocycles and coefficients follow it via pair.scalar."""
     path = _resolve(args.pair, ".pair")
     pair = parse_pair_config(path.read_text(), str(path))
     if args.ring:
         pair = pair.promote(ring_by_name(args.ring))
-    return pair
-
-
-def _load_pair(args) -> SwitchbackPair:
-    pair = _generic_pair(args)
     at = _specialized_at(args)
     return pair if at is None else pair.specialize(at)
 
@@ -159,13 +151,7 @@ def _load_cocycle(args, pair: SwitchbackPair):
         path = _resolve(args.cocycle, ".cfg")
     except CliError:
         path = _resolve(f"cocycle_{args.cocycle}", ".cfg")
-    at = _specialized_at(args)
-    if at is None:
-        return parse_cocycle_config(path.read_text(), pair, str(path))
-    # cocycle entries may involve A: read them over the pair as written,
-    # then substitute the same A as the pair
-    phi1, phi2 = parse_cocycle_config(path.read_text(), _generic_pair(args), str(path))
-    return map_specialize(phi1, at), map_specialize(phi2, at)
+    return parse_cocycle_config(path.read_text(), pair, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +275,17 @@ def cmd_solve_cocycles(args, out: Out) -> int:
     return 0
 
 
+def _matrix_text(m: LinearMap) -> str:
+    """m as a matrix literal of the config files: rows split by `;`,
+    entries by `,`."""
+    return "; ".join(", ".join(format_scalar(e) for e in row) for row in m.rows)
+
+
 def cmd_deform(args, out: Out) -> int:
     pair = _load_pair(args)
     phi1, phi2 = _load_cocycle(args, pair)
     pt = deform(pair, phi1, phi2)
-    beta_t = ", ".join(format_scalar(e) for e in pt.pairing.rows[0])
-    gamma_t = "; ".join(format_scalar(r[0]) for r in pt.copairing.rows)
+    beta_t, gamma_t = _matrix_text(pt.pairing), _matrix_text(pt.copairing)
     out.emit("deformed", [("beta", beta_t)], f"beta_t = {beta_t}")
     out.emit("deformed", [("gamma", gamma_t)], f"gamma_t = {gamma_t}")
     r1, r2 = switchback_residuals(pt)
@@ -304,9 +295,7 @@ def cmd_deform(args, out: Out) -> int:
         f"deformed switchback: {'OK' if ok else 'FAIL'}",
     )
     if not ok:
-        xi1, xi2 = deformation_obstruction(pair, phi1, phi2)
-        ob1 = ", ".join(format_scalar(e) for e in xi1.rows[0])
-        ob2 = "; ".join(format_scalar(r[0]) for r in xi2.rows)
+        ob1, ob2 = map(_matrix_text, deformation_obstruction(pair, phi1, phi2))
         out.emit("obstruction", [("xi1", ob1)], f"obstruction xi1 = {ob1}")
         out.emit("obstruction", [("xi2", ob2)], f"obstruction xi2 = {ob2}")
     return out.exit_code("deformation does not satisfy the switchback conditions")
@@ -317,21 +306,12 @@ def _turaev_data(args, base: SwitchbackPair):
     the first-order deformation with solved dual coefficients."""
     if args.deformed and not args.cocycle:
         raise CliError("--deformed needs --cocycle")
-    a0 = parse_scalar(args.a, base.ring) if args.a else None
-    b0 = parse_scalar(args.b, base.ring) if args.b else None
-    at = _specialized_at(args)
-    if at is not None:
-        # the default gauge a = A, b = A^-1 at the same A as the pair
-        a0 = specialize(A, at) if a0 is None else a0
-        b0 = specialize(A_INV, at) if b0 is None else b0
+    a, b = (base.scalar(parse_scalar(text)) for text in (args.a, args.b))
     if args.cocycle:
-        phi1, phi2 = _load_cocycle(args, base)
-        work = deform(base, phi1, phi2)
-        a, b = solve_deformed_coefficients(work, a0, b0)
+        work = deform(base, *_load_cocycle(args, base))
+        a, b = solve_deformed_coefficients(work, a, b)
     else:
         work = base
-        a = a0 if a0 is not None else into_ring(A, base.ring)
-        b = b0 if b0 is not None else into_ring(A_INV, base.ring)
     return make_turaev(work, a, b)
 
 
@@ -382,13 +362,12 @@ def _invariant_line(out: Out, word: str, value):
 def cmd_invariant(args, out: Out) -> int:
     base = _field_pair(_load_pair(args))
     td = _turaev_data(args, base)
-    at = _specialized_at(args)
     for text in args.braid:
         w = parse_braid(text)
         value = normalized_invariant(td, w)
         _invariant_line(out, str(w), format_scalar(value))
         if args.compare_oracle:
-            ok = _matches_oracle(value, w, base.ring, at)
+            ok = matches_oracle(td, value, w)
             out.verdict(
                 ok, "oracle", [("word", str(w))],
                 f"oracle {w}: {'match' if ok else 'MISMATCH'}", key="match",
@@ -414,7 +393,7 @@ def cmd_compare(args, out: Out) -> int:
     else:
         corpus = [BraidWord(1, ()), BraidWord(2, ())]
         corpus += [parse_braid(t) for t in _CORPUS if t]
-    rep = compare_with_oracle(td, corpus, _specialized_at(args))
+    rep = compare_with_oracle(td, corpus)
     for e in rep.entries:
         out.verdict(
             e.matches, "compare", [("word", e.word), ("value", format_scalar(e.value))],
@@ -507,8 +486,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="deform by this cocycle config first")
         sp.add_argument("--deformed", action="store_true",
                         help="explicit marker that --cocycle deforms the pair")
-        sp.add_argument("--a", help="R-matrix coefficient a (default A)")
-        sp.add_argument("--b", help="R-matrix coefficient b (default A^-1)")
+        sp.add_argument("--a", default="A", help="R-matrix coefficient a (default A)")
+        sp.add_argument("--b", default="A^-1",
+                        help="R-matrix coefficient b (default A^-1)")
 
     sp = add("verify-ybe", cmd_verify_ybe,
              help="check the Yang-Baxter equation for the pair's R-matrix")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import A, A_INV, LAURENT, LaurentA, _G_ONE
+from .scalars import A, A_INV, LAURENT, LaurentA
 
 
 class PlanarityError(ValueError):
@@ -151,8 +151,8 @@ def _closure_loops(partner, n: int) -> int:
     return loops
 
 
-_DELTA0 = LaurentA(((-2, -_G_ONE), (2, -_G_ONE)))
-_MINUS_A3 = LaurentA(((3, -_G_ONE),))
+_DELTA0 = -A**2 - A**-2
+_MINUS_A3 = -A**3
 
 
 def bracket_state_sum(n: int, letters) -> LaurentA:

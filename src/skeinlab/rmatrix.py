@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linmap import LinearMap, compose, tensor_all
-from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar, promote
+from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar
 from .switchback import SwitchbackPair, d2, delta0
 
 
@@ -105,16 +105,17 @@ def solve_deformed_coefficients(pair_t: SwitchbackPair, a0=None, b0=None):
     """First-order coefficients for a deformed pair: keep b = b0 and set
     a = a0 + t*alpha with alpha = -delta1*a0*b0 / (2*a0 + delta0*b0), where
     delta0 + t*delta1 is the deformed loop value.  Defaults a0 = A,
-    b0 = A^-1 (the bracket gauge).  The result is re-checked against the
-    quadratic condition over the dual ring."""
+    b0 = A^-1 (the bracket gauge), taken at the pair's A by pair_t.scalar.
+    The result is re-checked against the quadratic condition over the dual
+    ring."""
     ring = pair_t.ring
     if ring.name != "dual":
         raise RMatrixError(f"expected a deformed pair over a dual ring, got {ring}")
     base = ring.base
     if a0 is None:
-        a0 = promote(A, base)
+        a0 = pair_t.scalar(A).body
     if b0 is None:
-        b0 = promote(A_INV, base)
+        b0 = pair_t.scalar(A_INV).body
     loop = delta0(pair_t)
     d0, d1 = loop.body, loop.slope
     body_residual = a0 * a0 + b0 * b0 + d0 * a0 * b0

@@ -66,9 +66,10 @@ from .scalars import (
     Ring,
     RingMismatchError,
     dual,
+    into_ring,
     parse_scalar,
-    promote,
     ring_by_name,
+    specialize,
 )
 
 
@@ -90,6 +91,7 @@ class SwitchbackPair:
     ring: Ring
     pairing: LinearMap    # V^2 -> K
     copairing: LinearMap  # K -> V^2
+    at: object = None     # the value of A the pair was specialized at
 
     def __post_init__(self):
         for m, p, q, what in (
@@ -113,11 +115,18 @@ class SwitchbackPair:
             self.d, target,
             map_promote(self.pairing, target),
             map_promote(self.copairing, target),
+            self.at,
         )
 
     def specialize(self, value) -> "SwitchbackPair":
         b = map_specialize(self.pairing, value)
-        return SwitchbackPair(self.d, b.ring, b, map_specialize(self.copairing, value))
+        g = map_specialize(self.copairing, value)
+        return SwitchbackPair(self.d, b.ring, b, g, value)
+
+    def scalar(self, x):
+        """x, written in the generic A, as a value of the pair's ring: taken
+        at the pair's A when it was specialized."""
+        return into_ring(x if self.at is None else specialize(x, self.at), self.ring)
 
 
 def make_bracket_pair(ring: Ring = LAURENT) -> SwitchbackPair:
@@ -313,7 +322,7 @@ def deform(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> Switchback
     verify_switchback exactly when (phi1, phi2) is a 2-cocycle."""
     b = dual_from_parts(pair.pairing, phi1)
     g = dual_from_parts(pair.copairing, phi2)
-    return SwitchbackPair(pair.d, dual(pair.ring), b, g)
+    return SwitchbackPair(pair.d, dual(pair.ring), b, g, pair.at)
 
 
 def deformation_obstruction(
@@ -367,14 +376,17 @@ def degree2_analysis(
 # Bracket-specific cocycle coordinates and config files
 # ---------------------------------------------------------------------------
 
-def bracket_cocycle(ring: Ring, bxx, bxy, byx, byy) -> tuple[LinearMap, LinearMap]:
+def bracket_cocycle(pair: SwitchbackPair, bxx, bxy, byx, byy) -> tuple[LinearMap, LinearMap]:
     """2-cocycle of the bracket pair from its four free pairing-slope
-    coordinates; the copairing slope is forced:
+    coordinates, given in the pair's ring; the copairing slope is forced:
 
         copairing yy = -xx of the pairing slope, xx = -yy,
         yx = A^-2 * xy, xy = A^2 * yx.
     """
-    a2, am2 = promote(A**2, ring), promote(A**-2, ring)
+    if pair.d != 2:
+        raise SwitchbackError(f"bracket cocycle coordinates need d = 2, got d = {pair.d}")
+    ring = pair.ring
+    a2, am2 = pair.scalar(A**2), pair.scalar(A**-2)
     phi1 = LinearMap.from_rows(2, 2, 0, ring, [[bxx, bxy, byx, byy]])
     gxx, gxy, gyx, gyy = -byy, a2 * byx, am2 * bxy, -bxx
     phi2 = LinearMap.from_rows(2, 0, 2, ring, [[gxx], [gxy], [gyx], [gyy]])
@@ -402,10 +414,12 @@ def _parse_kv(text: str, path: str = "<config>") -> dict[str, str]:
     return out
 
 
-def _parse_matrix(text: str, ring: Ring, what: str) -> list[list]:
+def _parse_matrix(text: str, into, what: str) -> list[list]:
+    """Rows separated by `;`, entries by `,`; each entry is read in the
+    generic A and brought into place by `into`."""
     rows = []
     for chunk in text.split(";"):
-        rows.append([parse_scalar(e.strip(), ring) for e in chunk.split(",")])
+        rows.append([into(parse_scalar(e.strip())) for e in chunk.split(",")])
     if any(len(r) != len(rows[0]) for r in rows):
         raise PairConfigError(f"{what}: ragged matrix literal")
     return rows
@@ -423,9 +437,12 @@ def parse_pair_config(text: str, path: str = "<config>") -> SwitchbackPair:
         d = int(kv["dimension"])
     except ValueError:
         raise PairConfigError(f"{path}: dimension must be an integer") from None
+    if d < 1:
+        raise PairConfigError(f"{path}: dimension must be at least 1, got {d}")
     ring = ring_by_name(kv["ring"])
-    brows = _parse_matrix(kv["beta"], ring, "beta")
-    grows = _parse_matrix(kv["gamma"], ring, "gamma")
+    brows, grows = (
+        _parse_matrix(kv[k], lambda x: into_ring(x, ring), k) for k in ("beta", "gamma")
+    )
     if len(brows) != 1 or len(brows[0]) != d * d:
         raise PairConfigError(f"{path}: beta must be 1 x {d * d}")
     if len(grows) != d * d or len(grows[0]) != 1:
@@ -439,22 +456,21 @@ def parse_cocycle_config(
     text: str, pair: SwitchbackPair, path: str = "<config>"
 ) -> tuple[LinearMap, LinearMap]:
     """Either the four bracket coordinates beta1_xx .. beta1_yy (copairing
-    slope derived) or explicit phi1 / phi2 matrix literals."""
+    slope derived) or explicit phi1 / phi2 matrix literals.  Entries are
+    written in the generic A and taken into the pair's ring by pair.scalar."""
     kv = _parse_kv(text, path)
     named = [f"beta1_{s}" for s in ("xx", "xy", "yx", "yy")]
     if any(k in kv for k in named):
         missing = [k for k in named if k not in kv]
         if missing:
             raise PairConfigError(f"{path}: missing keys {missing}")
-        coords = [parse_scalar(kv[k], pair.ring) for k in named]
-        return bracket_cocycle(pair.ring, *coords)
+        return bracket_cocycle(pair, *(pair.scalar(parse_scalar(kv[k])) for k in named))
     if "phi1" not in kv or "phi2" not in kv:
         raise PairConfigError(
             f"{path}: need either beta1_xx..beta1_yy or phi1 and phi2"
         )
     n = pair.d**2
-    p1 = _parse_matrix(kv["phi1"], pair.ring, "phi1")
-    p2 = _parse_matrix(kv["phi2"], pair.ring, "phi2")
+    p1, p2 = (_parse_matrix(kv[k], pair.scalar, k) for k in ("phi1", "phi2"))
     if len(p1) != 1 or len(p1[0]) != n:
         raise PairConfigError(f"{path}: phi1 must be 1 x {n}")
     if len(p2) != n or len(p2[0]) != 1:

@@ -321,7 +321,7 @@ def _deformed_turaev(slot="xy"):
     pair = make_bracket_pair(RATFUN)
     coords = [RATFUN.one() if s == slot else RATFUN.zero()
               for s in ("xx", "xy", "yx", "yy")]
-    pair_t = deform(pair, *bracket_cocycle(RATFUN, *coords))
+    pair_t = deform(pair, *bracket_cocycle(pair, *coords))
     a_t, b_t = solve_deformed_coefficients(pair_t)
     return make_turaev(pair_t, a_t, b_t)
 

@@ -23,9 +23,18 @@ from skeinlab.braid import (
     t0_part,
     turaev_first_failure,
 )
-from skeinlab.linmap import LinearMap, compose, full_trace, tensor, tensor_all
+from skeinlab.linmap import LinearMap, compose, full_trace, map_specialize, tensor, tensor_all
 from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
-from skeinlab.scalars import A, LAURENT, RATFUN, GaussRat, dual, parse_scalar, promote
+from skeinlab.scalars import (
+    A,
+    LAURENT,
+    RATFUN,
+    GaussRat,
+    dual,
+    parse_scalar,
+    promote,
+    specialize,
+)
 from skeinlab.switchback import (
     D1,
     SwitchbackPair,
@@ -371,7 +380,7 @@ def test_compare_with_oracle_undeformed():
 def test_compare_with_oracle_deformed():
     pair = make_bracket_pair(RATFUN)
     coords = [RATFUN.from_int(k) for k in (0, 1, 0, 0)]
-    pair_t = deform(pair, *bracket_cocycle(RATFUN, *coords))
+    pair_t = deform(pair, *bracket_cocycle(pair, *coords))
     a_t, b_t = solve_deformed_coefficients(pair_t)
     td = make_turaev(pair_t, a_t, b_t)
     assert td.rmx.R.ring is dual(RATFUN)
@@ -383,3 +392,24 @@ def test_compare_with_oracle_deformed():
     # the t-slope is a genuine correction, not zero
     assert not trefoil_value.slope.is_zero()
     assert trefoil_value.body == promote(jones_oracle(parse_braid(TREFOIL)), RATFUN)
+
+
+@pytest.mark.parametrize("cocycle", [None, "xy"])
+def test_compare_with_oracle_on_a_specialized_pair(cocycle):
+    # the oracle is taken at the pair's A; each value is the generic one at A = 2
+    at = GaussRat(2)
+    pair = make_bracket_pair(RATFUN)
+    a, b = RF("A"), RF("A^-1")
+    special = pair.specialize(at)
+    if cocycle is not None:
+        phi = parse_cocycle_config((FIXTURES / f"cocycle_{cocycle}.cfg").read_text(), pair)
+        pair = deform(pair, *phi)
+        special = deform(special, *(map_specialize(f, at) for f in phi))
+        a, b = solve_deformed_coefficients(pair)
+    generic = make_turaev(pair, a, b)
+    td = make_turaev(special, specialize(a, at), specialize(b, at))
+    corpus = [parse_braid(t, n=n) for t, n in CORPUS]
+    report = compare_with_oracle(td, corpus)
+    assert report.all_ok
+    for e, w in zip(report.entries, corpus):
+        assert e.value == specialize(normalized_invariant(generic, w), at)

@@ -210,6 +210,18 @@ def test_deform_non_cocycle_reports_obstruction(capsys, tmp_path):
     assert lines[-1] == "FAIL: deformation does not satisfy the switchback conditions"
 
 
+def test_deform_prints_the_whole_obstruction(capsys, tmp_path):
+    # phi1 = e_xx, phi2 = 0: xi1 = (Phi1 G)^T and xi2 = G Phi1 with
+    # G = [[0, iA], [-iA^-1, 0]], both whole 2 x 2 maps
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("phi1 = 1, 0, 0, 0\nphi2 = 0; 0; 0; 0\n")
+    code, out = run(capsys, "deform", "--cocycle", str(cfg))
+    assert code == 1
+    lines = out.splitlines()
+    assert "obstruction xi1 = 0, 0; i*A, 0" in lines
+    assert "obstruction xi2 = 0, 0; -i*A^-1, 0" in lines
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -279,6 +291,14 @@ def test_specialized_pair_defaults_to_the_specialized_gauge(capsys):
     code, out = run(capsys, "invariant", "--specialize", "A=2", *word)
     assert code == 0
     assert out == run(capsys, "invariant", "--specialize", "A=2", "--a", "2", "--b", "1/2", *word)[1]
+
+
+def test_specialized_coefficients_may_be_written_in_A(capsys):
+    # --a/--b are read in the generic A and taken at the pair's A
+    argv = ("invariant", "--specialize", "A=2", "--braid", "s1")
+    code, out = run(capsys, *argv, "--a", "A")
+    assert code == 0
+    assert out == run(capsys, *argv, "--a", "2")[1]
 
 
 def test_bundled_cocycle_loads_on_a_specialized_pair(capsys):
@@ -410,6 +430,15 @@ def test_turaev_failure_names_the_first_failing_condition(capsys, tmp_path):
     )
     assert code == 2
     assert out == "FAIL: R does not commute with the doubled twist\n"
+
+
+def test_nonpositive_dimension_is_an_error(capsys, tmp_path):
+    pair = tmp_path / "minus.pair"
+    pair.write_text("dimension = -1\nring = gauss\nbeta = 1\ngamma = 1\n")
+    for argv in (("tl-check", "--strands", "3"), ("verify-switchback",), ("cohomology",)):
+        code, out = run(capsys, *argv, "--pair", str(pair))
+        assert code == 2
+        assert out == f"FAIL: {pair}: dimension must be at least 1, got -1\n"
 
 
 def test_bad_specialize_is_an_error(capsys):

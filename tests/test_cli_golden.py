@@ -54,6 +54,11 @@ _BOTH_MODES = [
     ["invariant", "--specialize", "A=2", "--a", "2", "--b", "1/2",
      "--braid", "s1 s1 s1", "--compare-oracle"],
     ["compare", "--specialize", "A=2", "--a", "2", "--b", "1/2"],
+    ["deform", "--specialize", "A=2", "--cocycle", "xy"],
+    ["invariant", "--specialize", "A=2", "--braid", "s1 s1 s1", "--compare-oracle"],
+    ["compare", "--specialize", "A=2", "--cocycle", "xy"],
+    ["verify-ybe", "--specialize", "A=2", "--cocycle", "xy"],
+    ["tl-check", "--specialize", "A=2", "--strands", "3", "--cocycle", "xy"],
     # exit 1: a verification fails
     ["verify-switchback", "--pair", "@broken.pair"],
     ["deform", "--cocycle", "@bad.cfg"],

@@ -1,10 +1,11 @@
 """Skein-form R-matrices, Yang-Baxter, and Temperley-Lieb checks."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from skeinlab.linmap import LinearMap, compose, kernel_basis
+from skeinlab.linmap import LinearMap, compose, kernel_basis, map_specialize
 from skeinlab.rmatrix import (
     MAX_DIM,
     RMatrixError,
@@ -18,7 +19,7 @@ from skeinlab.rmatrix import (
     verify_weak_tl_condition,
     ybe_residual,
 )
-from skeinlab.scalars import GAUSS, LAURENT, RATFUN, GaussRat, dual, parse_scalar
+from skeinlab.scalars import GAUSS, LAURENT, RATFUN, GaussRat, dual, parse_scalar, specialize
 from skeinlab.switchback import (
     C2,
     bracket_cocycle,
@@ -29,11 +30,14 @@ from skeinlab.switchback import (
     delta0,
     make_bracket_pair,
     pair_from_matrix,
+    parse_cocycle_config,
     solve_2cocycles,
     verify_switchback,
 )
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
+
+FIXTURES = Path(__file__).parent.parent / "src" / "skeinlab" / "fixtures"
 
 
 def _bracket_R():
@@ -160,7 +164,7 @@ def test_deformed_coefficients_per_basis_slot(slot):
     coords = [
         RATFUN.one() if s == slot else RATFUN.zero() for s in ("xx", "xy", "yx", "yy")
     ]
-    phi1, phi2 = bracket_cocycle(RATFUN, *coords)
+    phi1, phi2 = bracket_cocycle(pair, *coords)
     pair_t = deform(pair, phi1, phi2)
     a_t, b_t = solve_deformed_coefficients(pair_t)
     assert a_t.slope == parse_scalar(BASIS_SLOPES[slot], RATFUN)
@@ -178,7 +182,7 @@ def test_deformed_loop_slope_formula():
     factor = parse_scalar("( i*A^2 - i*A^-2 )/( 1 )", RATFUN)
     for _ in range(5):
         coords = [RATFUN.from_int(rng.randint(-9, 9)) for _ in range(4)]
-        phi1, phi2 = bracket_cocycle(RATFUN, *coords)
+        phi1, phi2 = bracket_cocycle(pair, *coords)
         loop_t = delta0(deform(pair, phi1, phi2))
         a, a_inv = parse_scalar("( A )/( 1 )", RATFUN), parse_scalar("( A^-1 )/( 1 )", RATFUN)
         expected = factor * (a_inv * coords[1] + a * coords[2])
@@ -193,10 +197,21 @@ def test_deformed_coefficients_need_dual_ring():
 
 def test_deformed_coefficients_reject_bad_base_point():
     pair = make_bracket_pair(RATFUN)
-    phi1, phi2 = bracket_cocycle(RATFUN, *[RATFUN.from_int(k) for k in (0, 1, 0, 0)])
+    phi1, phi2 = bracket_cocycle(pair, *[RATFUN.from_int(k) for k in (0, 1, 0, 0)])
     pair_t = deform(pair, phi1, phi2)
     with pytest.raises(RMatrixError, match="quadratic"):
         solve_deformed_coefficients(pair_t, RATFUN.one(), RATFUN.one())
+
+
+@pytest.mark.parametrize("name", ["xx", "xy", "yx", "yy"])
+def test_default_gauge_follows_a_specialized_pair(name):
+    # the default a0 = A, b0 = A^-1 is taken at the pair's A
+    at = GaussRat(2)
+    pair = make_bracket_pair(RATFUN)
+    phi = parse_cocycle_config((FIXTURES / f"cocycle_{name}.cfg").read_text(), pair)
+    a_t, b_t = solve_deformed_coefficients(deform(pair, *phi))
+    special = deform(pair.specialize(at), *(map_specialize(f, at) for f in phi))
+    assert solve_deformed_coefficients(special) == (specialize(a_t, at), specialize(b_t, at))
 
 
 def test_degenerate_gauge_rejected():

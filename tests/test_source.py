@@ -19,6 +19,34 @@ def test_program_has_no_assert_statements():
     assert found == []
 
 
+def _imports(path):
+    """(module, name) for each name a module imports from a sibling."""
+    return [
+        (node.module or "", alias.name)
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = [
+        f"{path.name}: {module}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for module, name in _imports(path)
+        if name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_specialization_lives_with_the_pair():
+    # braid and cli take a pair's value of A from the pair (pair.scalar),
+    # never by substituting it themselves
+    for name in ("cli.py", "braid.py"):
+        names = {n for _, n in _imports(SRC / name)}
+        assert names, f"{name} imports nothing from skeinlab"
+        assert names & {"specialize", "map_specialize"} == set(), name
+
 
 def test_switchback_does_not_pad_to_three_tensor_factors():
     # the complex is computed on bent d x d matrices; reaching tensor or

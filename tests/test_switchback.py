@@ -1,12 +1,13 @@
 """Switchback pairs, their cochain complex, cohomology, and deformations."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinlab.linmap import LinearMap, compose, kernel_basis, tensor
+from skeinlab.linmap import LinearMap, compose, kernel_basis, map_specialize, tensor
 from skeinlab.scalars import (
     GAUSS,
     LAURENT,
@@ -51,6 +52,8 @@ from skeinlab.switchback import (
 )
 
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
+
+FIXTURES = Path(__file__).parent.parent / "src" / "skeinlab" / "fixtures"
 
 
 def _bracket():
@@ -263,11 +266,17 @@ def test_z3_relations():
         assert xi2.entry(0, 1) == -a2 * xi1.entry(0, 1)
 
 
+def test_bracket_cocycle_needs_a_two_dimensional_pair():
+    pair = _random_pair(random.Random(3), d=3)
+    with pytest.raises(SwitchbackError, match="need d = 2, got d = 3"):
+        bracket_cocycle(pair, *[RATFUN.one()] * 4)
+
+
 def test_bracket_cocycle_constructor_lands_in_kernel():
     pair = _bracket()
     rng = random.Random(8)
     coords = [RATFUN.from_int(rng.randint(-9, 9)) for _ in range(4)]
-    phi1, phi2 = bracket_cocycle(RATFUN, *coords)
+    phi1, phi2 = bracket_cocycle(pair, *coords)
     xi1, xi2 = d2(pair, phi1, phi2)
     assert xi1.is_zero() and xi2.is_zero()
 
@@ -468,6 +477,9 @@ def test_pair_config_roundtrip():
         ("dimension = 2\nring = laurent\nbeta = 0, i*A, -i*A^-1, 0\ngamma = 0; 1, 2\n",
          "ragged"),
         ("no equals sign here\n", "key = value"),
+        # d = -1 with 1 x 1 literals would pass the d^2 = 1 size checks
+        ("dimension = -1\nring = gauss\nbeta = 1\ngamma = 1\n", "at least 1, got -1"),
+        ("dimension = 0\nring = gauss\nbeta = 1\ngamma = 1\n", "at least 1, got 0"),
     ],
 )
 def test_pair_config_errors(text, message):
@@ -491,3 +503,26 @@ def test_cocycle_config_both_forms():
         parse_cocycle_config("beta1_xx = 1\n", pair)
     with pytest.raises(PairConfigError):
         parse_cocycle_config("phi1 = 1, 0, 0, 0\n", pair)
+
+
+# ---------------------------------------------------------------------------
+# a specialized pair: cocycles follow its value of A
+# ---------------------------------------------------------------------------
+
+AT = GaussRat(2)
+
+
+@pytest.mark.parametrize("name", ["xx", "xy", "yx", "yy"])
+def test_bundled_cocycle_on_a_specialized_pair_is_the_specialized_cocycle(name):
+    text = (FIXTURES / f"cocycle_{name}.cfg").read_text()
+    generic = parse_cocycle_config(text, _bracket())
+    special = parse_cocycle_config(text, _bracket().specialize(AT))
+    assert special == tuple(map_specialize(f, AT) for f in generic)
+
+
+def test_explicit_cocycle_literals_are_specialized_with_the_pair():
+    text = "phi1 = 0, A, 0, 0\nphi2 = 0; 0; A^-2; 0\n"
+    generic = parse_cocycle_config(text, _bracket())
+    special = parse_cocycle_config(text, _bracket().specialize(AT))
+    assert special == tuple(map_specialize(f, AT) for f in generic)
+    assert special[1].entry(2, 0) == GaussRat(1, 0) / 4
