@@ -178,21 +178,6 @@ def _random_f(d: int, ring, rng: random.Random) -> LinearMap:
     return LinearMap.from_rows(d, 1, 1, ring, rows)
 
 
-def _run_d2d1(idents, model: str, trials: int, seed: int, out: Out) -> int:
-    assignment, d, ring = _model_assignment(model)
-    rng = random.Random(seed)
-    for ident in idents:
-        ok = all(
-            check_d2d1(ident, assignment, _random_f(d, ring, rng))
-            for _ in range(trials)
-        )
-        out.verdict(
-            ok, "check-d2d1", [("identity", ident.label)],
-            f"check-d2d1 {ident.label}: {'OK' if ok else 'FAIL'} ({trials} random f)",
-        )
-    return out.exit_code("d2d1 residual nonzero")
-
-
 def _load_identities(args):
     path = _resolve(args.file, ".idl")
     idf = parse_identity_file(path.read_text())
@@ -205,8 +190,7 @@ def _load_identities(args):
 
 
 def cmd_infiltrate(args, out: Out) -> int:
-    idents = _load_identities(args)
-    for ident in idents:
+    for ident in _load_identities(args):
         plan = elaborate(ident)
         diff = infiltrate(plan).canonical()
         out.emit(
@@ -225,17 +209,25 @@ def cmd_infiltrate(args, out: Out) -> int:
             [("identity", ident.label), ("sum", diff.to_text())],
             "\n".join(["  differential:", *(terms or ["    0"])]),
         )
-    if args.check_d2d1:
-        if not args.model:
-            raise CliError("--check-d2d1 needs --model")
-        return _run_d2d1(idents, args.model, trials=3, seed=0, out=out)
     return 0
 
 
 def cmd_check_d2d1(args, out: Out) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
-    return _run_d2d1(_load_identities(args), args.model, args.trials, args.seed, out)
+    idents = _load_identities(args)
+    assignment, d, ring = _model_assignment(args.model)
+    rng = random.Random(args.seed)
+    for ident in idents:
+        ok = all(
+            check_d2d1(ident, assignment, _random_f(d, ring, rng))
+            for _ in range(args.trials)
+        )
+        out.verdict(
+            ok, "check-d2d1", [("identity", ident.label)],
+            f"check-d2d1 {ident.label}: {'OK' if ok else 'FAIL'} ({args.trials} random f)",
+        )
+    return out.exit_code("d2d1 residual nonzero")
 
 
 def cmd_verify_switchback(args, out: Out) -> int:
@@ -304,8 +296,6 @@ def cmd_deform(args, out: Out) -> int:
 def _turaev_data(args, base: SwitchbackPair):
     """Build Turaev data for the undeformed pair or, with --cocycle, for
     the first-order deformation with solved dual coefficients."""
-    if args.deformed and not args.cocycle:
-        raise CliError("--deformed needs --cocycle")
     a, b = (base.scalar(parse_scalar(text)) for text in (args.a, args.b))
     if args.cocycle:
         work = deform(base, *_load_cocycle(args, base))
@@ -422,13 +412,22 @@ def cmd_compare(args, out: Out) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    # options shared by several subcommands live on parent parsers, which
+    # argparse copies into each subcommand without building them again
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", choices=["gauss", "laurent", "ratfun"],
-                        help="promote loaded data into this ring")
-    common.add_argument("--specialize", metavar="A=<rational>",
-                        help="substitute a rational value for A")
     common.add_argument("--output", choices=["text", "records"], default="text",
                         help="report style (records = tab-separated key=value)")
+    paired = argparse.ArgumentParser(add_help=False, parents=[common])
+    paired.add_argument("--pair", default="bracket",
+                        help="pair config path or bundled name (default bracket)")
+    paired.add_argument("--ring", choices=["gauss", "laurent", "ratfun"],
+                        help="promote the pair into this ring")
+    paired.add_argument("--specialize", metavar="A=<rational>",
+                        help="substitute a rational value for A")
+    turaev = argparse.ArgumentParser(add_help=False, parents=[paired])
+    turaev.add_argument("--cocycle", help="deform by this cocycle config first")
+    turaev.add_argument("--a", default="A", help="R-matrix coefficient a (default A)")
+    turaev.add_argument("--b", default="A^-1", help="R-matrix coefficient b (default A^-1)")
 
     p = argparse.ArgumentParser(
         prog="skeinlab",
@@ -437,20 +436,17 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
+    def add(name, fn, parent, **kw):
+        sp = sub.add_parser(name, parents=[parent], **kw)
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = add("infiltrate", cmd_infiltrate,
+    sp = add("infiltrate", cmd_infiltrate, common,
              help="print elaborate plans and 2-differentials of a DSL file")
     sp.add_argument("file", help="identity DSL file or bundled name")
     sp.add_argument("--identity", help="restrict to one identity label")
-    sp.add_argument("--check-d2d1", action="store_true", dest="check_d2d1",
-                    help="also run the d2d1 vanishing check (needs --model)")
-    sp.add_argument("--model", help="assignment model: bracket | dualnumbers")
 
-    sp = add("check-d2d1", cmd_check_d2d1,
+    sp = add("check-d2d1", cmd_check_d2d1, common,
              help="verify the 2-differential kills 1-differentials on a model")
     sp.add_argument("file", help="identity DSL file or bundled name")
     sp.add_argument("--identity", help="restrict to one identity label")
@@ -458,64 +454,40 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=5, help="random f count")
     sp.add_argument("--seed", type=int, default=0)
 
-    def pair_opt(sp):
-        sp.add_argument("--pair", default="bracket",
-                        help="pair config path or bundled name (default bracket)")
+    add("verify-switchback", cmd_verify_switchback, paired,
+        help="check both zig-zag conditions of a pair")
+    add("cohomology", cmd_cohomology, paired,
+        help="kernel/image/cohomology dimensions of the pair's complex")
+    add("solve-cocycles", cmd_solve_cocycles, paired,
+        help="print a basis of the 2-cocycle space")
 
-    sp = add("verify-switchback", cmd_verify_switchback,
-             help="check both zig-zag conditions of a pair")
-    pair_opt(sp)
-
-    sp = add("cohomology", cmd_cohomology,
-             help="kernel/image/cohomology dimensions of the pair's complex")
-    pair_opt(sp)
-
-    sp = add("solve-cocycles", cmd_solve_cocycles,
-             help="print a basis of the 2-cocycle space")
-    pair_opt(sp)
-
-    sp = add("deform", cmd_deform,
+    sp = add("deform", cmd_deform, paired,
              help="deform a pair by a cochain and verify the result")
-    pair_opt(sp)
     sp.add_argument("--cocycle", required=True,
                     help="cocycle config path or bundled name")
 
-    def turaev_opts(sp, need_cocycle=False):
-        pair_opt(sp)
-        sp.add_argument("--cocycle", required=need_cocycle,
-                        help="deform by this cocycle config first")
-        sp.add_argument("--deformed", action="store_true",
-                        help="explicit marker that --cocycle deforms the pair")
-        sp.add_argument("--a", default="A", help="R-matrix coefficient a (default A)")
-        sp.add_argument("--b", default="A^-1",
-                        help="R-matrix coefficient b (default A^-1)")
+    add("verify-ybe", cmd_verify_ybe, turaev,
+        help="check the Yang-Baxter equation for the pair's R-matrix")
 
-    sp = add("verify-ybe", cmd_verify_ybe,
-             help="check the Yang-Baxter equation for the pair's R-matrix")
-    turaev_opts(sp)
-
-    sp = add("tl-check", cmd_tl_check,
+    sp = add("tl-check", cmd_tl_check, paired,
              help="check the Temperley-Lieb relations of the cup-cap maps")
-    pair_opt(sp)
     sp.add_argument("--cocycle", help="deform by this cocycle config first")
     sp.add_argument("--strands", type=int, default=5,
                     help="largest strand count to check (default 5)")
 
-    sp = add("invariant", cmd_invariant,
+    sp = add("invariant", cmd_invariant, turaev,
              help="closed-braid invariant values (normalized to unknot = 1)")
-    turaev_opts(sp)
     sp.add_argument("--braid", action="append", required=True,
                     help="braid word, e.g. \"s1 s2^-1 s1\"; repeatable")
     sp.add_argument("--compare-oracle", action="store_true", dest="compare_oracle",
                     help="also check the t=0 value against the planar oracle")
 
-    sp = add("jones-oracle", cmd_jones_oracle,
+    sp = add("jones-oracle", cmd_jones_oracle, common,
              help="combinatorial state-sum value of a braid closure")
     sp.add_argument("--braid", action="append", required=True)
 
-    sp = add("compare", cmd_compare,
+    sp = add("compare", cmd_compare, turaev,
              help="full invariant-versus-oracle report with skein checks")
-    turaev_opts(sp)
     sp.add_argument("--braid", action="append",
                     help="braid words (default: a small standard corpus)")
 

@@ -28,9 +28,12 @@ and check_d2d1 confirms, for concrete data satisfying the identity, that the
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .linmap import LinearMap, compose, swap, tensor
+from .rmatrix import check_strands
 from .scalars import Ring
 
 
@@ -129,6 +132,11 @@ def signature(expr: Expr) -> tuple[int, int]:
                 )
         return sigs[-1][0], sigs[0][1]
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _width(expr: Expr) -> int:
+    """The most strands any part of expr spans, inside or at its ends."""
+    return max(*signature(expr), *map(_width, getattr(expr, "parts", ())))
 
 
 def to_text(expr: Expr) -> str:
@@ -283,61 +291,25 @@ class IdentityFile:
 _RESERVED = {"gen", "identity", "id", "X", "x", "t", "phi"}
 
 
-class _DslTok:
-    __slots__ = ("kind", "text", "line", "col")
+_DslTok = namedtuple("_DslTok", "kind text line col")
 
-    def __init__(self, kind, text, line, col):
-        self.kind, self.text, self.line, self.col = kind, text, line, col
+# names are \w runs that start with a letter or '_'; an integer is a run of
+# decimal digits, exactly what int() accepts
+_DSL_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>\w+)|(?P<op>->|[:;=*()])|\S")
 
 
 def _dsl_tokens(text: str) -> list[_DslTok]:
+    """Tokens with 1-based line and column.  A `#` comment runs to the end
+    of its line; end of input is placed after the last line's code."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_DslTok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_DslTok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            toks.append(_DslTok("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ":;=*()":
-            toks.append(_DslTok(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"line {line}, column {col}: unexpected {ch!r}")
-    toks.append(_DslTok("end", "", line, col))
-    return toks
+    for line, row in enumerate(text.split("\n"), 1):
+        code = row.partition("#")[0]
+        for m in _DSL_TOKEN.finditer(code):
+            kind, tok, col = m.lastgroup, m[0], m.start() + 1
+            if kind is None or kind == "name" and not (tok[0].isalpha() or tok[0] == "_"):
+                raise DslSyntaxError(f"line {line}, column {col}: unexpected {tok[0]!r}")
+            toks.append(_DslTok(tok if kind == "op" else kind, tok, line, col))
+    return toks + [_DslTok("end", "", line, len(code) + 1)]
 
 
 class _DslParser:
@@ -602,10 +574,13 @@ def check_d2d1(
     """True iff the identity's 2-differential vanishes on the induced
     1-differentials of f (it always does when the hypothesis gate passes).
 
-    Gates on the hypothesis first: the assignment must satisfy the identity
-    exactly (IdentityNotSatisfiedError otherwise).
+    Refuses first, by rmatrix.check_strands, an identity whose widest part
+    spans too many strands to build; then gates on the hypothesis: the
+    assignment must satisfy the identity exactly (IdentityNotSatisfiedError
+    otherwise).
     """
     d, ring = f.shape.d, f.ring
+    check_strands(max(_width(identity.lhs), _width(identity.rhs)), d)
     lhs = evaluate_expr(identity.lhs, assignment, d, ring)
     rhs = evaluate_expr(identity.rhs, assignment, d, ring)
     if not (lhs - rhs).is_zero():

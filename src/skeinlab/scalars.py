@@ -22,6 +22,8 @@ run only on values that come from outside.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -747,7 +749,11 @@ def demote(x, target: Ring):
 
 
 def into_ring(x, target: Ring):
-    """x in the target ring: promoted when it lies below, else demoted."""
+    """x in the target ring: promoted when it lies below, else demoted; into
+    a dual ring, its body and slope each go into the base this way."""
+    if target.name == "dual" and ring_of(x) != target:
+        body, slope = (x.body, x.slope) if isinstance(x, Dual) else (x, ring_of(x).zero())
+        return _dual(into_ring(body, target.base), into_ring(slope, target.base))
     try:
         return promote(x, target)
     except RingMismatchError:
@@ -838,38 +844,20 @@ def format_scalar(x) -> str:
     raise RingMismatchError(f"not a scalar of the tower: {x!r}")
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "pos")
+_Tok = namedtuple("_Tok", "kind text pos")
 
-    def __init__(self, kind, text, pos):
-        self.kind, self.text, self.pos = kind, text, pos
+# an integer is a run of decimal digits, exactly what int() accepts; any
+# other character that is not whitespace is unexpected
+_SCALAR_TOKEN = re.compile(r"(?P<int>\d+)|(?P<op>[iAt+\-*/^()])|\S")
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    toks, i, n = [], 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], i))
-            i = j
-            continue
-        if ch in "iAt":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        raise ScalarSyntaxError(f"unexpected character {ch!r} at column {i}")
-    toks.append(_Tok("end", "", n))
-    return toks
+    toks = []
+    for m in _SCALAR_TOKEN.finditer(text):
+        if m.lastgroup is None:
+            raise ScalarSyntaxError(f"unexpected character {m[0]!r} at column {m.start()}")
+        toks.append(_Tok("int" if m.lastgroup == "int" else m[0], m[0], m.start()))
+    return toks + [_Tok("end", "", len(text))]
 
 
 class _ScalarParser:

@@ -60,12 +60,14 @@ from .linmap import (
 )
 from .scalars import (
     A,
+    GAUSS,
     I,
     LAURENT,
     LaurentA,
     Ring,
     RingMismatchError,
     dual,
+    format_scalar,
     into_ring,
     parse_scalar,
     ring_by_name,
@@ -119,6 +121,13 @@ class SwitchbackPair:
         )
 
     def specialize(self, value) -> "SwitchbackPair":
+        """The pair at A = value; its entries must still be written in A."""
+        if self.at is not None:
+            raise SwitchbackError(
+                f"the pair is already specialized at A = {format_scalar(self.at)}"
+            )
+        if GAUSS in (self.ring, self.ring.base):
+            raise SwitchbackError(f"a pair over {self.ring} has no A to specialize")
         b = map_specialize(self.pairing, value)
         g = map_specialize(self.copairing, value)
         return SwitchbackPair(self.d, b.ring, b, g, value)

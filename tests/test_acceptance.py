@@ -429,7 +429,7 @@ def test_criterion_13_ten_strand_words_against_the_oracle(criterion):
             for td in tds:
                 assert t0_part(normalized_invariant(td, w)) == oracle
 
-    # 2.3-2.6 s on a 2-core x86-64 host under CPython 3.11: the budget
-    # leaves more than ten times that
+    # 5.4-7.2 s on a 2-core x86-64 host under CPython 3.11: the budget
+    # leaves about four times that
     criterion(13, "ten-strand words of 20 letters against the oracle, ratfun and deformed",
               body, budget=30.0)

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: golden output, record mode, exit codes."""
 
+import argparse
+
 import pytest
 
 from skeinlab import cli
@@ -51,7 +53,7 @@ def test_verify_ybe(capsys):
 
 
 def test_verify_ybe_deformed(capsys):
-    code, out = run(capsys, "verify-ybe", "--cocycle", "xy", "--deformed")
+    code, out = run(capsys, "verify-ybe", "--cocycle", "xy")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("a = ")
@@ -447,6 +449,38 @@ def test_bad_specialize_is_an_error(capsys):
     assert "expected --specialize A=<rational>" in out
 
 
+def test_specializing_a_pair_written_at_some_A_is_an_error(capsys, tmp_path):
+    # the bracket pair at A = 2 is over gauss; its entries no longer involve A
+    pair = tmp_path / "at2.pair"
+    pair.write_text(
+        "dimension = 2\nring = gauss\nbeta = 0, 2i, -1/2i, 0\ngamma = 0; 2i; -1/2i; 0\n"
+    )
+    code, out = run(capsys, "verify-ybe", "--pair", str(pair), "--specialize", "A=3/2",
+                    "--cocycle", "xy", "--a", "2", "--b", "1/2")
+    assert code == 2
+    assert out == "FAIL: a pair over gauss has no A to specialize\n"
+
+
+def test_a_digit_that_int_does_not_read_is_bad_input(capsys, tmp_path):
+    code, out = run(capsys, "invariant", "--braid", "s1", "--a", "A^²")
+    assert code == 2
+    assert out == "FAIL: unexpected character '²' at column 2\n"
+    idl = tmp_path / "sup.idl"
+    idl.write_text("gen mu: ² -> 1;\n")
+    code, out = run(capsys, "infiltrate", str(idl), "--output", "records")
+    assert code == 2
+    assert out == "fail\treason=line 1, column 9: unexpected '²'\n"
+
+
+def test_check_d2d1_refuses_too_many_strands_at_once(capsys, tmp_path):
+    ids = " x ".join(["id"] * 12)
+    idl = tmp_path / "wide.idl"
+    idl.write_text(f"identity wide: {ids} = {ids};\n")
+    code, out = run(capsys, "check-d2d1", str(idl), "--model", "bracket")
+    assert code == 2
+    assert out == "FAIL: 12 strands is more than the limit of 10\n"
+
+
 def test_records_failure_mode(capsys):
     code, out = run(
         capsys, "verify-switchback", "--pair", "nope", "--output", "records"
@@ -462,3 +496,65 @@ def test_output_is_deterministic(capsys):
     _, first = run(capsys, "solve-cocycles")
     _, second = run(capsys, "solve-cocycles")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the accepted options
+# ---------------------------------------------------------------------------
+
+_PAIR = "--pair --ring --specialize"
+_TURAEV = f"{_PAIR} --cocycle --a --b"
+
+# every option string (and positional) each subcommand accepts, besides -h;
+# adding or removing one is a deliberate change of this table
+OPTIONS = {
+    "infiltrate": "file --identity",
+    "check-d2d1": "file --identity --model --trials --seed",
+    "verify-switchback": _PAIR,
+    "cohomology": _PAIR,
+    "solve-cocycles": _PAIR,
+    "deform": f"{_PAIR} --cocycle",
+    "verify-ybe": _TURAEV,
+    "tl-check": f"{_PAIR} --cocycle --strands",
+    "invariant": f"{_TURAEV} --braid --compare-oracle",
+    "jones-oracle": "--braid",
+    "compare": f"{_TURAEV} --braid",
+}
+
+
+def _subparsers():
+    action = next(
+        a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _accepted(sp):
+    return sorted(
+        s for a in sp._actions if not isinstance(a, argparse._HelpAction)
+        for s in (a.option_strings or [a.dest])
+    )
+
+
+def test_the_option_table_names_every_subcommand():
+    assert sorted(_subparsers()) == sorted(OPTIONS)
+    assert sum(len(_accepted(sp)) for sp in _subparsers().values()) == 58
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_accepts_exactly_its_options(command):
+    assert _accepted(_subparsers()[command]) == sorted(f"{OPTIONS[command]} --output".split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("infiltrate", "assoc", "--ring", "ratfun"),
+    ("check-d2d1", "assoc", "--model", "dualnumbers", "--specialize", "A=2"),
+    ("jones-oracle", "--braid", "s1", "--ring", "ratfun"),
+    ("verify-ybe", "--cocycle", "xy", "--deformed"),
+    ("infiltrate", "switchback", "--check-d2d1", "--model", "bracket"),
+])
+def test_options_that_would_do_nothing_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from skeinlab import identities
 from skeinlab.identities import (
     COCHAIN,
     ArityError,
@@ -30,6 +31,7 @@ from skeinlab.identities import (
     to_text,
 )
 from skeinlab.linmap import LinearMap, swap
+from skeinlab.rmatrix import RMatrixError
 from skeinlab.scalars import GAUSS
 from skeinlab.switchback import make_bracket_pair
 
@@ -67,6 +69,28 @@ def test_parse_error_positions():
     with pytest.raises(DslSyntaxError) as e:
         parse_identity("gen mu: 2 -> 1;\nidentity a: mu = ;")
     assert "line 2" in str(e.value)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("gen mu: ² -> 1;", "line 1, column 9"),
+    ("gen mu: 2 -> 1²;", "line 1, column 15"),
+    ("gen mu: 2 -> 1;\n# a comment\n  identity ²a: mu = mu;", "line 3, column 12"),
+])
+def test_a_digit_that_int_does_not_read_is_a_syntax_error(text, position):
+    # '²' is a digit to str.isdigit but not a decimal digit, so int() refuses it
+    with pytest.raises(DslSyntaxError, match=f"^{position}: unexpected '²'$"):
+        parse_identity_file(text)
+
+
+def test_end_of_input_is_where_a_trailing_comment_starts():
+    with pytest.raises(DslSyntaxError, match="^line 2, column 17: expected ';', found 'end of input'$"):
+        parse_identity_file("gen mu: 2 -> 1;\ngen nu: 1 -> 1  # no semicolon")
+
+
+def test_names_may_contain_digits_and_underscores():
+    idf = parse_identity_file("gen _m2²: 2 -> 1; identity a_1: _m2² = _m2²;")
+    assert idf.gens == {"_m2²": (2, 1)}
+    assert [i.label for i in idf.identities] == ["a_1"]
 
 
 def test_reserved_names_rejected():
@@ -300,6 +324,18 @@ def test_d2d1_gates_on_the_hypothesis():
     )
     with pytest.raises(IdentityNotSatisfiedError):
         check_d2d1(ident, {"mu": bad}, _random_f(random.Random(2)))
+
+
+def test_check_d2d1_refuses_too_many_strands_before_building(monkeypatch):
+    def build(*args):
+        pytest.fail("a map was built")
+
+    monkeypatch.setattr(identities, "evaluate_expr", build)
+    pair = make_bracket_pair()
+    ids = " x ".join(["id"] * 11)
+    ident = parse_identity(f"identity wide: {ids} = {ids};")
+    with pytest.raises(RMatrixError, match="^11 strands is more than the limit of 10$"):
+        check_d2d1(ident, {"beta": pair.pairing}, _random_f(random.Random(3), pair.ring))
 
 
 def test_evaluate_infiltration_matches_identity_difference():

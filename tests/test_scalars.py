@@ -28,6 +28,7 @@ from skeinlab.scalars import (
     demote,
     dual,
     format_scalar,
+    into_ring,
     parse_scalar,
     promote,
     ring_of,
@@ -161,6 +162,13 @@ def test_parse_grammar_cases():
             parse_scalar(text)
 
 
+@pytest.mark.parametrize("text, column", [("A^²", 2), ("²", 0), ("1²", 1), ("( 3²/2 )i", 3)])
+def test_a_digit_that_int_does_not_read_is_a_syntax_error(text, column):
+    # '²' is a digit to str.isdigit but not a decimal digit, so int() refuses it
+    with pytest.raises(ScalarSyntaxError, match=f"unexpected character '²' at column {column}$"):
+        parse_scalar(text)
+
+
 @settings(max_examples=40, deadline=None)
 @given(laurents)
 def test_promote_demote_inverse(x):
@@ -169,6 +177,15 @@ def test_promote_demote_inverse(x):
     assert demote(up, LAURENT) == x
     up2 = promote(x, dual(LAURENT))
     assert up2.slope.is_zero() and up2.body == x
+
+
+def test_into_a_dual_ring_names_the_part_that_does_not_fit():
+    # promote fails on A, but the cause is that A has no value in gauss
+    with pytest.raises(RingMismatchError, match="^A involves A; not a Gaussian rational$"):
+        into_ring(parse_scalar("A"), dual(GAUSS))
+    x = Dual(parse_scalar("( 2 )/( 1 )"), parse_scalar("( i )/( 1 )"))
+    assert into_ring(x, dual(GAUSS)) == Dual(GaussRat(2), GaussRat(0, 1))
+    assert into_ring(GaussRat(3), dual(RATFUN)) == promote(GaussRat(3), dual(RATFUN))
 
 
 def test_promote_rejects_downward():

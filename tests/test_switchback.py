@@ -104,6 +104,21 @@ def test_pair_promote_and_specialize():
     assert low.ring is GAUSS and verify_switchback(low)
 
 
+def test_specialize_refuses_a_pair_with_no_A():
+    low = make_bracket_pair().specialize(GaussRat(2))
+    with pytest.raises(SwitchbackError, match="^the pair is already specialized at A = 2$"):
+        low.specialize(GaussRat(3, 1) / 2)
+    with pytest.raises(SwitchbackError, match="^the pair is already specialized at A = 2$"):
+        low.promote(RATFUN).specialize(GaussRat(3))
+    # a pair file over gauss: its entries were written for some other A
+    written = parse_pair_config(
+        "dimension = 2\nring = gauss\nbeta = 0, 2i, -1/2i, 0\ngamma = 0; 2i; -1/2i; 0\n"
+    )
+    for pair in (written, written.promote(dual(GAUSS))):
+        with pytest.raises(SwitchbackError, match=f"^a pair over {pair.ring} has no A to specialize$"):
+            pair.specialize(GaussRat(3))
+
+
 # ---------------------------------------------------------------------------
 # coordinates
 # ---------------------------------------------------------------------------
