@@ -4,9 +4,10 @@ Closed-braid invariants against an independent oracle
 
 The braid-trace invariant is computed from the R-matrix and the twist map;
 the oracle is a brute-force Kauffman state sum over planar diagrams that
-never touches the linear-algebra code.  They must agree on the nose, and
-the deformed invariant must agree at t = 0 while carrying a genuine
-first-order correction.
+never touches the linear-algebra code.  They must agree on the nose.  The
+deformed invariant, which carries a genuine first-order correction, must
+equal the same state sum taken at the deformed R-matrix's weights, slope
+included.
 """
 
 from skeinlab.braid import (
@@ -40,8 +41,8 @@ for name, w in words.items():
     assert value == parse_scalar(f"( {format_scalar(oracle)} )/( 1 )", RATFUN)
 print()
 
-# now the same trace through a deformed pair; bodies must match the oracle
-# and the trefoil picks up a visible t-slope
+# now the same trace through a deformed pair; whole values must match the
+# oracle at the deformed weights, and the trefoil picks up a visible t-slope
 zero, one = RATFUN.zero(), RATFUN.one()
 pair_t = deform(pair, *bracket_cocycle(pair, zero, one, zero, zero))
 a_t, b_t = solve_deformed_coefficients(pair_t)

@@ -8,8 +8,9 @@ below, the writhe-corrected trace
     T(w) = u^(-writhe) * Tr(twist^(x n) . R(w))
 
 depends only on the closure of w up to Markov moves.  Dividing by the
-one-strand unknot value gives a normalization that matches the
-combinatorial Kauffman-bracket oracle at t = 0.
+one-strand unknot value gives a normalization that equals the
+combinatorial Kauffman-bracket oracle evaluated at the weights a, b and
+delta0 of R, deformed or not.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linmap import (
     tensor,
     tensor_all,
 )
-from .planar import jones_polynomial
+from .planar import bracket_state_sum, jones_polynomial
 from .rmatrix import SkeinRMatrix, build_R, check_strands
 from .scalars import (
     LAURENT,
@@ -476,7 +477,7 @@ def jones_oracle(w: BraidWord) -> LaurentA:
 class CompareEntry:
     word: str
     value: object          # normalized invariant (possibly dual)
-    matches: bool          # body of value == oracle
+    matches: bool          # value == oracle at the weights of R
 
 
 @dataclass(frozen=True)
@@ -502,15 +503,18 @@ def t0_part(x):
 
 
 def matches_oracle(td: TuraevData, value, w: BraidWord) -> bool:
-    """The t=0 part of value, the normalized invariant of w under td,
-    against the oracle of w taken into td's pair by pair.scalar (so at the
-    pair's A when it was specialized)."""
-    return t0_part(value) == t0_part(td.pair.scalar(jones_oracle(w)))
+    """value, the normalized invariant of w under td, against the state
+    sum of w with the weights a, b and delta0 of td's R-matrix, normalized
+    by u^(-writhe).  Only the weights come from td, so a deformed value is
+    checked whole, slope included, and a specialized one at the pair's A."""
+    rmx = td.rmx
+    bracket = bracket_state_sum(w.n, w.letters, rmx.a, rmx.b, rmx.loop)
+    return value == td.u ** (-w.writhe) * bracket
 
 
 def compare_with_oracle(td: TuraevData, corpus) -> CompareReport:
-    """Per-word: the t=0 part of the normalized invariant must equal the
-    oracle (matches_oracle).  Constants: with c = a/b and ell = b^-1 u,
+    """Per-word: the normalized invariant must equal the oracle at the
+    weights of R (matches_oracle).  Constants: with c = a/b and ell = b^-1 u,
     both ell^2 = c^4 and delta0 = -(c + c^-1) must hold exactly.  Each
     corpus word with at least one letter also yields one skein triple (its
     first letter made positive / negative / removed) which must satisfy the

@@ -11,6 +11,7 @@ end with a `fail` record naming the reason.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -362,7 +363,7 @@ def cmd_invariant(args, out: Out) -> int:
                 ok, "oracle", [("word", str(w))],
                 f"oracle {w}: {'match' if ok else 'MISMATCH'}", key="match",
             )
-    return out.exit_code("invariant disagrees with the oracle at t=0")
+    return out.exit_code("invariant disagrees with the oracle")
 
 
 def cmd_jones_oracle(args, out: Out) -> int:
@@ -411,8 +412,10 @@ def cmd_compare(args, out: Out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # options shared by several subcommands live on parent parsers, which
+    # built once per process: parse_args keeps no state between calls.
+    # Options shared by several subcommands live on parent parsers, which
     # argparse copies into each subcommand without building them again
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=["text", "records"], default="text",
@@ -480,7 +483,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--braid", action="append", required=True,
                     help="braid word, e.g. \"s1 s2^-1 s1\"; repeatable")
     sp.add_argument("--compare-oracle", action="store_true", dest="compare_oracle",
-                    help="also check the t=0 value against the planar oracle")
+                    help="also check the value against the planar oracle")
 
     sp = add("jones-oracle", cmd_jones_oracle, common,
              help="combinatorial state-sum value of a braid closure")

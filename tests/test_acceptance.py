@@ -429,7 +429,9 @@ def test_criterion_13_ten_strand_words_against_the_oracle(criterion):
             for td in tds:
                 assert t0_part(normalized_invariant(td, w)) == oracle
 
-    # 5.4-7.2 s on a 2-core x86-64 host under CPython 3.11: the budget
-    # leaves about four times that
+    # 2.43-2.58 s with a state sum on Laurent polynomials and 1.77-1.80 s
+    # with the integer-count one, on a 2-core x86-64 host under CPython
+    # 3.11; slow spells of that host have taken up to 7.2 s with the
+    # former, and the budget leaves about four times that
     criterion(13, "ten-strand words of 20 letters against the oracle, ratfun and deformed",
               body, budget=30.0)

@@ -17,6 +17,7 @@ from skeinlab.braid import (
     jones_oracle,
     make_nu,
     make_turaev,
+    matches_oracle,
     normalized_invariant,
     parse_braid,
     skein_triple_check,
@@ -24,6 +25,7 @@ from skeinlab.braid import (
     turaev_first_failure,
 )
 from skeinlab.linmap import LinearMap, compose, full_trace, map_specialize, tensor, tensor_all
+from skeinlab.planar import bracket_state_sum
 from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
 from skeinlab.scalars import (
     A,
@@ -297,6 +299,43 @@ def test_invariant_matches_the_reference_on_a_long_ten_strand_word(case):
 def test_deformed_invariant_body_matches_oracle_on_random_words(case, w):
     # the planar oracle shares no code with the packed kernel
     value = normalized_invariant(KERNEL_CASES[case], w)
+    assert t0_part(value) == promote(jones_oracle(w), RATFUN)
+
+
+_BRACKET_PAIR = make_bracket_pair(RATFUN)
+_BUNDLED = {
+    c: parse_cocycle_config((FIXTURES / f"cocycle_{c}.cfg").read_text(), _BRACKET_PAIR)
+    for c in ("xx", "xy", "yx", "yy")
+}
+_SMALL = [RF(t) for t in ("1", "-1", "2", "-1/2", "i", "A", "-A^-1", "3*A^2", "( 1 )/( 1 + A )")]
+
+
+@st.composite
+def _deformations(draw):
+    """A random scale of a bundled cocycle, or the coboundary D1(f) of a
+    random f: V -> V; either deforms the bracket pair."""
+    if draw(st.booleans()):
+        phi = _BUNDLED[draw(st.sampled_from(sorted(_BUNDLED)))]
+        s = draw(st.sampled_from(_SMALL))
+        return tuple(f.scale(s) for f in phi)
+    rows = [[draw(st.sampled_from([RF("0"), *_SMALL])) for _ in range(2)] for _ in range(2)]
+    return D1(_BRACKET_PAIR, LinearMap.from_rows(2, 1, 1, RATFUN, rows))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_deformations(), _words())
+def test_deformed_invariant_is_the_bracket_at_the_deformed_weights(phi, w):
+    # the whole value, slope included, against the state sum at the
+    # deformed a_t, b_t and delta_t; it depends on them only through
+    # c_t = a_t/b_t and delta_t
+    td = _deformed(_BRACKET_PAIR, phi)
+    value = normalized_invariant(td, w)
+    assert matches_oracle(td, value, w)
+    a, b, delta = td.rmx.a, td.rmx.b, td.rmx.loop
+    c = a * b.inv()
+    assert value == (delta * c + 1) ** (-w.writhe) * bracket_state_sum(
+        w.n, w.letters, c, c**0, delta
+    )
     assert t0_part(value) == promote(jones_oracle(w), RATFUN)
 
 

@@ -261,6 +261,27 @@ def test_jones_oracle(capsys):
     assert out == "invariant\tword=s1 s1 s1\tvalue=-A^-16 + A^-12 + A^-4\n"
 
 
+def test_consecutive_calls_share_the_parser_but_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    code, out = run(capsys, "jones-oracle", "--braid", "s1 s1 s1", "--braid", "s1",
+                    "--output", "records")
+    assert code == 0
+    assert out == (
+        "invariant\tword=s1 s1 s1\tvalue=-A^-16 + A^-12 + A^-4\n"
+        "invariant\tword=s1\tvalue=1\n"
+    )
+    # no call's words, output mode or flags carry over to the next
+    code, out = run(capsys, "jones-oracle", "--braid", "s1^-1 s1^-1 s1^-1")
+    assert code == 0
+    assert out == "s1^-1 s1^-1 s1^-1\tA^4 + A^12 - A^16\n"
+    code, out = run(capsys, "invariant", "--braid", "s1 s1 s1", "--compare-oracle")
+    assert code == 0
+    assert out == "s1 s1 s1\t( -A^-16 + A^-12 + A^-4 )/( 1 )\noracle s1 s1 s1: match\n"
+    code, out = run(capsys, "invariant", "--braid", "s1 s1 s1", "--output", "records")
+    assert code == 0
+    assert out == "invariant\tword=s1 s1 s1\tvalue=( -A^-16 + A^-12 + A^-4 )/( 1 )\n"
+
+
 def test_compare_default_corpus(capsys):
     code, out = run(capsys, "compare")
     assert code == 0

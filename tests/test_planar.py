@@ -137,33 +137,53 @@ def test_jones_at_unit_evaluations():
         assert specialize(v, GaussRat(-1)) == GaussRat(1)
 
 
+def _brute_force_sum(n, letters, a, b, delta):
+    """Expand every smoothing choice by diagram products and fold in the
+    loop values: a positive letter is a * id + b * e_i, a negative one
+    a^-1 * id + b^-1 * e_i."""
+    total = a * 0
+    for choice in product((0, 1), repeat=len(letters)):
+        coeff = a**0
+        diagram = ID(n)
+        for (i, sign), use_e in zip(letters, choice):
+            weight = b if use_e else a
+            coeff = coeff * (weight if sign > 0 else weight.inv())
+            diagram = (E(n, i) if use_e else ID(n)) * diagram
+        closed = diagram.trace_closure_loops()  # includes free loops
+        total = total + coeff * delta ** (closed - 1)
+    return total
+
+
+def _random_letters(rng, n, most):
+    return [
+        (rng.randint(1, n - 1), rng.choice((1, -1)))
+        for _ in range(rng.randint(0, most))
+    ]
+
+
 def test_state_sum_equals_brute_force_enumeration():
-    # independently expand every smoothing choice and fold loop values
-    A = _lp("A")
-    A_INV = _lp("A^-1")
     rng = random.Random(2)
     for _ in range(12):
         n = rng.randint(2, 6)
-        letters = [
-            (rng.randint(1, n - 1), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 7))
-        ]
-        total = LaurentA()
-        for choice in product((0, 1), repeat=len(letters)):
-            coeff = _lp("1")
-            diagram = ID(n)
-            for (i, sign), pick in zip(letters, choice):
-                # positive crossing: A * id + A^-1 * e_i; negative swaps them
-                use_e = pick == 1
-                if sign > 0:
-                    coeff = coeff * (A_INV if use_e else A)
-                else:
-                    coeff = coeff * (A if use_e else A_INV)
-                step = E(n, i) if use_e else ID(n)
-                diagram = step * diagram
-            closed = diagram.trace_closure_loops()  # includes free loops
-            total = total + coeff * DELTA0 ** (closed - 1)
-        assert total == bracket_state_sum(n, letters)
+        letters = _random_letters(rng, n, 7)
+        expected = _brute_force_sum(n, letters, _lp("A"), _lp("A^-1"), DELTA0)
+        assert expected == bracket_state_sum(n, letters)
+
+
+# a * b != 1: swapping a and b for a negative letter, instead of inverting
+# them, agrees with the bracket's own weights but not with these
+@pytest.mark.parametrize("a, b, delta", [
+    (GaussRat(2), GaussRat(3), GaussRat(5)),
+    (GaussRat(0, 1), GaussRat(2), GaussRat(-1)),
+])
+def test_state_sum_with_weights_equals_brute_force_enumeration(a, b, delta):
+    rng = random.Random(4)
+    words = [(n, _random_letters(rng, n, 10)) for n in (rng.randint(2, 6) for _ in range(8))]
+    # one (i, L) digit of s1^10 collects C(10, 5) = 252 of its 1024 states
+    words += [(2, [(1, 1)] * 10), (3, [(1, -1), (2, 1)] * 5)]
+    for n, letters in words:
+        expected = _brute_force_sum(n, letters, a, b, delta)
+        assert bracket_state_sum(n, letters, a, b, delta) == expected
 
 
 @pytest.mark.parametrize("letter", [(3, 1), (0, -1)])
