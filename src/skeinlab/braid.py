@@ -22,6 +22,7 @@ from math import lcm
 from .linmap import (
     LinearMap,
     compose,
+    equal,
     partial_trace,
     swap,
     tensor,
@@ -159,22 +160,22 @@ def turaev_first_failure(td: TuraevData) -> str | None:
     pair = td.pair
     nn = tensor(nu, nu)
     r_nn = compose(R, nn)
-    if not (r_nn - compose(nn, R)).is_zero():
+    if not equal(r_nn, compose(nn, R)):
         return "R does not commute with the doubled twist"
-    if not (partial_trace(r_nn, 1) - nu.scale(td.u)).is_zero():
+    if not equal(partial_trace(r_nn, 1), nu.scale(td.u)):
         return "Tr_2(R (nu x nu)) != u*nu"
-    if not (partial_trace(compose(Rinv, nn), 1) - nu.scale(td.u.inv())).is_zero():
+    if not equal(partial_trace(compose(Rinv, nn), 1), nu.scale(td.u.inv())):
         return "Tr_2(R^-1 (nu x nu)) != u^-1*nu"
-    if not (compose(pair.pairing, nn) - pair.pairing).is_zero():
+    if not equal(compose(pair.pairing, nn), pair.pairing):
         return "pairing not invariant under the doubled twist"
-    if not (compose(nn, pair.copairing) - pair.copairing).is_zero():
+    if not equal(compose(nn, pair.copairing), pair.copairing):
         return "copairing not invariant under the doubled twist"
     one = pair.id1()
     curl = compose(
         tensor(pair.copairing, one),
         compose(tensor(pair.pairing, one), tensor_all([one, nu, one], pair.d, pair.ring)),
     )
-    if not (partial_trace(curl, 1) - LinearMap.identity(pair.d, 2, pair.ring)).is_zero():
+    if not equal(partial_trace(curl, 1), LinearMap.identity(pair.d, 2, pair.ring)):
         return "twist does not cancel the cusp-pair curl"
     return None
 
@@ -495,11 +496,6 @@ class CompareReport:
             and all(e.matches for e in self.entries)
             and all(ok for _, ok in self.skein_ok)
         )
-
-
-def t0_part(x):
-    """The t = 0 part of a value: the body of a dual number, else x."""
-    return x.body if hasattr(x, "body") else x
 
 
 def matches_oracle(td: TuraevData, value, w: BraidWord) -> bool:

@@ -32,7 +32,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from .linmap import LinearMap, compose, swap, tensor
+from .linmap import LinearMap, compose, equal, swap, tensor
 from .rmatrix import check_strands
 from .scalars import Ring
 
@@ -583,7 +583,7 @@ def check_d2d1(
     check_strands(max(_width(identity.lhs), _width(identity.rhs)), d)
     lhs = evaluate_expr(identity.lhs, assignment, d, ring)
     rhs = evaluate_expr(identity.rhs, assignment, d, ring)
-    if not (lhs - rhs).is_zero():
+    if not equal(lhs, rhs):
         raise IdentityNotSatisfiedError(
             f"assignment does not satisfy identity {identity.label!r}"
         )

@@ -14,6 +14,11 @@ are dropped (over the dual numbers this includes products such as t*t), and
 `is_zero` is O(1).  Read entries with `entry` or `nonzeros`; `rows` is a
 dense read-only view, built on first read, for printing.
 
+`equal(f, g)` compares the stored entries directly, and that is exact:
+storage never holds a zero, and each ring of the scalar tower keeps its
+values canonical (equal values have equal structure), so two maps are
+equal exactly when their sparse entries are, and f - g is then zero.
+
 Arity 0 is the ground ring: a map V^{⊗2} -> K is a 1 x d^2 matrix, a map
 K -> V^{⊗2} is d^2 x 1.
 
@@ -163,13 +168,17 @@ class LinearMap:
                 f"{what}: rings differ, {self.ring} vs {other.ring}"
             )
 
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        self._check_same(other, "add")
+    def _merged(self, other: "LinearMap", what: str, negate: bool) -> "LinearMap":
+        """self + other, or self - other when negate, in one pass."""
+        self._check_same(other, what)
         out = {r: dict(row) for r, row in self._entries.items()}
         for r, orow in other._entries.items():
             row = out.setdefault(r, {})
             for c, v in orow.items():
-                s = row[c] + v if c in row else v
+                if c not in row:
+                    row[c] = -v if negate else v
+                    continue
+                s = row[c] - v if negate else row[c] + v
                 if s.is_zero():
                     del row[c]
                 else:
@@ -178,9 +187,11 @@ class LinearMap:
                 del out[r]
         return LinearMap(self.shape, self.ring, out)
 
+    def __add__(self, other: "LinearMap") -> "LinearMap":
+        return self._merged(other, "add", False)
+
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        self._check_same(other, "subtract")
-        return self + (-other)
+        return self._merged(other, "subtract", True)
 
     def __neg__(self) -> "LinearMap":
         return LinearMap(self.shape, self.ring, {
@@ -195,6 +206,14 @@ class LinearMap:
         return LinearMap(self.shape, self.ring, _pruned(
             (r, {c: s * v for c, v in row.items()}) for r, row in self._entries.items()
         ))
+
+
+def equal(f: LinearMap, g: LinearMap) -> bool:
+    """f == g, entry for entry.  Raises ShapeMismatchError or
+    RingMismatchError where f - g would; exact, because storage is
+    canonical (see the module docstring)."""
+    f._check_same(g, "compare")
+    return f._entries == g._entries
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linmap import LinearMap, compose, tensor_all
+from .linmap import LinearMap, compose, equal, tensor_all
 from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar
 from .switchback import SwitchbackPair, d2, delta0
 
@@ -26,12 +26,13 @@ class RMatrixError(ValueError):
 
 
 # Largest dimension d^n of V^(x n) on which maps are built; maps on it are
-# d^n x d^n.  On a 2-core x86-64 host under CPython 3.11 the Temperley-Lieb
-# check of the bracket pair (d = 2) takes 0.07 s at 8 strands and 0.48 s at
-# 10, and of a d = 3 pair 0.04 s at 6 strands.  The ratfun invariant of
-# s1 s2 ... s(n-1) takes 0.003 s at 8 strands and 0.015 s at 10, and of a
-# 20-letter word on 10 strands 0.08-0.10 s (0.4-0.5 s deformed by a
-# cocycle).
+# d^n x d^n.  On a 2-core x86-64 host (Intel Xeon) under CPython 3.11, whose
+# speed swings by up to 2x, the Temperley-Lieb check of the Laurent bracket
+# pair (d = 2) takes 0.09 s at 8 strands and 0.50-0.59 s at 10, and of the
+# d = 3 identity pair 0.08 s at 6 strands.  The ratfun invariant of
+# s1 s2 ... s(n-1) takes 0.004-0.008 s at 8 strands and 0.025-0.044 s at
+# 10, and of a 20-letter word on 10 strands 0.09-0.16 s (0.5-0.7 s
+# deformed by a cocycle).
 MAX_DIM = 2**10
 
 
@@ -87,7 +88,7 @@ def build_R(pair: SwitchbackPair, a, b) -> SkeinRMatrix:
     cc = cupcap(pair)
     R = two.scale(a) + cc.scale(b)
     Rinv = two.scale(a_inv) + cc.scale(b_inv)
-    if not (compose(R, Rinv) - two).is_zero():
+    if not equal(compose(R, Rinv), two):
         raise RMatrixError("R times the assembled R^-1 is not the identity")
     return SkeinRMatrix(pair, a, b, loop, R, Rinv)
 
@@ -167,19 +168,18 @@ def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
     description of the first failure (1-based generator indices)."""
     m = len(gens)
     for i in range(m):
-        if not (compose(gens[i], gens[i]) - gens[i].scale(delta)).is_zero():
+        if not equal(compose(gens[i], gens[i]), gens[i].scale(delta)):
             return f"e{i + 1}^2 != delta*e{i + 1}"
     for i in range(m - 1):
         lhs = compose(compose(gens[i], gens[i + 1]), gens[i])
-        if not (lhs - gens[i]).is_zero():
+        if not equal(lhs, gens[i]):
             return f"e{i + 1}*e{i + 2}*e{i + 1} != e{i + 1}"
         lhs = compose(compose(gens[i + 1], gens[i]), gens[i + 1])
-        if not (lhs - gens[i + 1]).is_zero():
+        if not equal(lhs, gens[i + 1]):
             return f"e{i + 2}*e{i + 1}*e{i + 2} != e{i + 2}"
     for i in range(m):
         for j in range(i + 2, m):
-            ij = compose(gens[i], gens[j])
-            if not (ij - compose(gens[j], gens[i])).is_zero():
+            if not equal(compose(gens[i], gens[j]), compose(gens[j], gens[i])):
                 return f"e{i + 1} and e{j + 1} do not commute"
     return None
 

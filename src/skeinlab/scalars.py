@@ -305,8 +305,19 @@ class LaurentA(_Scalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        acc = dict(self.terms)
-        for k, c in other.terms:
+        s, o = self.terms, other.terms
+        if not o:
+            return self
+        if not s:
+            return other
+        if len(s) == 1 and len(o) == 1:
+            (k1, c1), (k2, c2) = s[0], o[0]
+            if k1 != k2:
+                return _laurent((s[0], o[0]) if k1 < k2 else (o[0], s[0]))
+            c = c1 + c2
+            return _L_ZERO if c.is_zero() else _laurent(((k1, c),))
+        acc = dict(s)
+        for k, c in o:
             prev = acc.get(k)
             acc[k] = c if prev is None else prev + c
         return _laurent(_sorted_terms(acc))
@@ -314,16 +325,27 @@ class LaurentA(_Scalar):
     __radd__ = __add__
 
     def __neg__(self):
-        return _laurent(tuple((k, -c) for k, c in self.terms))
+        return _laurent(tuple([(k, -c) for k, c in self.terms]))
 
     def __mul__(self, other):
         if other.__class__ is not LaurentA:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        s, o = self.terms, other.terms
+        if not s or not o:
+            return _L_ZERO
+        # a monomial factor, moved into o as the product commutes, shifts
+        # exponents and scales coefficients; Q(i) has no zero divisors, so
+        # no term vanishes and the order holds
+        if len(s) == 1:
+            s, o = o, s
+        if len(o) == 1:
+            k2, c2 = o[0]
+            return _laurent(tuple([(k + k2, c * c2) for k, c in s]))
         acc: dict[int, GaussRat] = {}
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
+        for k1, c1 in s:
+            for k2, c2 in o:
                 k = k1 + k2
                 prev = acc.get(k)
                 acc[k] = c1 * c2 if prev is None else prev + c1 * c2
@@ -364,7 +386,7 @@ def _laurent(terms: tuple[tuple[int, GaussRat], ...]) -> LaurentA:
 
 
 def _sorted_terms(acc: dict[int, GaussRat]) -> tuple[tuple[int, GaussRat], ...]:
-    return tuple((k, acc[k]) for k in sorted(acc) if not acc[k].is_zero())
+    return tuple([(k, acc[k]) for k in sorted(acc) if not acc[k].is_zero()])
 
 
 def _laurent_const(c: GaussRat) -> LaurentA:
@@ -573,9 +595,12 @@ class Dual(_Scalar):
         return _dual(self.body._const(x), self.body._const(0))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is Dual and other.body.__class__ is self.body.__class__:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         return _dual(self.body + o.body, self.slope + o.slope)
 
     __radd__ = __add__
@@ -584,9 +609,12 @@ class Dual(_Scalar):
         return _dual(-self.body, -self.slope)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is Dual and other.body.__class__ is self.body.__class__:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         if self.slope.is_zero() and o.slope.is_zero():
             return _dual(self.body * o.body, self.slope)
         return _dual(

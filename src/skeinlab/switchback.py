@@ -49,6 +49,7 @@ from .linmap import (
     compose,
     dual_from_parts,
     dual_parts,
+    equal,
     invert_rows,
     kernel_basis,
     map_promote,
@@ -345,7 +346,7 @@ def deformation_obstruction(
     if not (body1.is_zero() and body2.is_zero()):
         raise SwitchbackError("the undeformed pair fails the switchback conditions")
     e1, e2 = d2(pair, phi1, phi2)
-    if not ((xi1 - e1).is_zero() and (xi2 - e2).is_zero()):
+    if not (equal(xi1, e1) and equal(xi2, e2)):
         raise SwitchbackError("residual slope disagrees with the 2-differential")
     return xi1, xi2
 

@@ -12,6 +12,7 @@ from skeinlab.linmap import (
     compose,
     dual_from_parts,
     dual_parts,
+    equal,
     full_trace,
     invert_rows,
     kernel_basis,
@@ -248,6 +249,22 @@ def test_mixed_ring_map_arithmetic_rejected():
         f + g
 
 
+def test_equal_rejects_what_subtraction_rejects():
+    rng = random.Random(12)
+    f = _rand_map(rng, 2, 1, 1)
+    assert equal(f, LinearMap.from_rows(2, 1, 1, GAUSS, f.rows))
+    assert not equal(f, f + LinearMap.unit(2, 1, 1, GAUSS, 1, 0))
+    for other in (_rand_map(rng, 2, 1, 2), _rand_map(rng, 3, 1, 1)):
+        with pytest.raises(ShapeMismatchError):
+            equal(f, other)
+        with pytest.raises(ShapeMismatchError):
+            f - other
+    with pytest.raises(RingMismatchError):
+        equal(f, map_promote(f, LAURENT))
+    with pytest.raises(RingMismatchError):
+        f - map_promote(f, LAURENT)
+
+
 # ---------------------------------------------------------------------------
 # Sparse storage against a dense reference.  The reference below works on
 # plain row lists and shares no code with linmap.
@@ -335,6 +352,8 @@ def test_sparse_ops_match_dense_reference(name, data):
     _assert_matches(fa + fc, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)])
     _assert_matches(fa - fc, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)])
     _assert_matches(-fa, [[-x for x in ra] for ra in a])
+    assert equal(fa, fc) == (a == c)
+    assert equal(fa - fc + fc, fa)
     _assert_matches(fa.scale(s), [[s * x for x in ra] for ra in a])
     # f: V^k -> V^q and g: V^q -> V^k
     g = _draw_rows(data, name, q, k)

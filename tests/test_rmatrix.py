@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab.linmap import LinearMap, compose, kernel_basis, map_specialize
+from skeinlab.linmap import LinearMap, compose, equal, kernel_basis, map_specialize, tensor_all
 from skeinlab.rmatrix import (
     MAX_DIM,
     RMatrixError,
@@ -19,7 +19,7 @@ from skeinlab.rmatrix import (
     verify_weak_tl_condition,
     ybe_residual,
 )
-from skeinlab.scalars import GAUSS, LAURENT, RATFUN, GaussRat, dual, parse_scalar, specialize
+from skeinlab.scalars import A, GAUSS, LAURENT, RATFUN, GaussRat, dual, parse_scalar, specialize
 from skeinlab.switchback import (
     C2,
     bracket_cocycle,
@@ -116,6 +116,30 @@ def test_tl_wrong_delta_reported():
     failure = tl_first_failure(gens, delta0(pair) + LAURENT.one())
     assert failure == "e1^2 != delta*e1"
     assert tl_first_failure(gens, LAURENT.one()) is not None
+
+
+def test_tl_reports_each_relation_kind():
+    pair = make_bracket_pair()
+    delta = delta0(pair)
+    e1, e2, e3 = tl_generators(pair, 4)
+    # a doubled e2 squares to 2*delta times itself
+    assert tl_first_failure([e1, e2.scale(2), e3], delta) == "e2^2 != delta*e2"
+    # e1 in the place of e2 keeps every square, but e1^3 = delta^2*e1
+    assert tl_first_failure([e1, e1, e3], delta) == "e1*e2*e1 != e1"
+    # e1 with its third strand held at basis vector 0: a rank-one map that
+    # keeps g^2 = delta*g and g e2 g = g (a zig-zag), but e2 g e2 has rank
+    # one where e2 has rank four
+    one = LinearMap.identity(2, 1, LAURENT)
+    g = tensor_all([cupcap(pair), LinearMap.unit(2, 1, 1, LAURENT, 0, 0), one], 2, LAURENT)
+    assert tl_first_failure([g, e2, e3], delta) == "e2*e1*e2 != e2"
+    # conjugating e3 by u = 1 + A^2*e2 keeps its relations with e2, which
+    # commutes with u (u^-1 = 1 + A^-2*e2 as delta = -A^2 - A^-2), but not
+    # its commutation with e1
+    ident = LinearMap.identity(2, 4, LAURENT)
+    u, u_inv = ident + e2.scale(A**2), ident + e2.scale(A**-2)
+    assert equal(compose(u, u_inv), ident)
+    f3 = compose(compose(u, e3), u_inv)
+    assert tl_first_failure([e1, e2, f3], delta) == "e1 and e3 do not commute"
 
 
 def test_tl_needs_two_strands():

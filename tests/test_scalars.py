@@ -385,6 +385,68 @@ def test_gaussrat_equal_values_are_equal_structures():
     assert repr(GaussRat(Fraction(3, 6), -1)) == "GaussRat(1/2, -1)"
 
 
+# -- Laurent and dual fast paths ---------------------------------------------
+
+_small_gauss = st.sampled_from([
+    GaussRat(Fraction(a, d), Fraction(b, d))
+    for a in range(-2, 3) for b in range(-2, 3) for d in (1, 2, 3) if a or b
+])
+_term_maps = st.dictionaries(st.integers(min_value=-3, max_value=3), _small_gauss, max_size=3)
+
+
+@st.composite
+def _laurent_pairs(draw):
+    """Two polynomials of 0-3 terms; the second may take the negation of a
+    term of the first, so that their sum cancels it exactly."""
+    x = draw(_term_maps)
+    y = draw(_term_maps)
+    if x and draw(st.booleans()):
+        k = draw(st.sampled_from(sorted(x)))
+        y = dict(sorted(y.items())[:2])
+        y[k] = -x[k]
+    return LaurentA(x), LaurentA(y)
+
+
+def _assert_ascending_nonzero(z):
+    exps = [k for k, _ in z.terms]
+    assert exps == sorted(set(exps))
+    assert all(not c.is_zero() for _, c in z.terms)
+
+
+# the explain phase would spend about a minute annotating a failure
+@settings(max_examples=300, phases=tuple(p for p in Phase if p is not Phase.explain))
+@given(_laurent_pairs())
+def test_laurent_arithmetic_matches_the_normalising_constructor(pair):
+    x, y = pair
+    neg = [(k, -c) for k, c in y.terms]
+    prod = [(k1 + k2, c1 * c2) for k1, c1 in x.terms for k2, c2 in y.terms]
+    for got, want in (
+        (x + y, [*x.terms, *y.terms]), (y + x, [*x.terms, *y.terms]),
+        (x - y, [*x.terms, *neg]), (x * y, prod), (y * x, prod),
+    ):
+        _assert_ascending_nonzero(got)
+        assert got == LaurentA(want)
+    assert (x + (-x)).terms == () and (x - x).terms == ()
+    assert (x * 0).terms == () and 0 + x == x and x + 0 == x
+
+
+def test_dual_arithmetic_keeps_its_coercion_rule():
+    over_ratfun = Dual(promote(scalars.A, RATFUN), RATFUN.one())
+    over_laurent = Dual(scalars.A, LAURENT.one())
+    for x, y in ((over_ratfun, over_laurent), (over_laurent, over_ratfun)):
+        for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u - v):
+            with pytest.raises(RingMismatchError, match="different base rings"):
+                op(x, y)
+    with pytest.raises(RingMismatchError):
+        over_laurent + scalars.A
+    assert over_laurent + 2 == 2 + over_laurent == Dual(scalars.A + 2, LAURENT.one())
+    half = Fraction(1, 2)
+    assert over_laurent * half == half * over_laurent == Dual(
+        scalars.A * half, LAURENT.from_int(1) * half
+    )
+    assert over_laurent * over_laurent == Dual(scalars.A**2, 2 * scalars.A)
+
+
 # -- immutability --------------------------------------------------------------
 
 

@@ -61,3 +61,19 @@ def test_switchback_does_not_pad_to_three_tensor_factors():
             names.add(node.attr)
     assert "compose" in names, "switchback.py no longer imports compose"
     assert names & {"tensor", "tensor_all"} == set()
+
+
+def test_maps_are_compared_with_equal():
+    # linmap.equal compares two maps without building their difference;
+    # (x - y).is_zero() would build a negated copy and a difference map
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "is_zero"
+        and isinstance(node.func.value, ast.BinOp)
+        and isinstance(node.func.value.op, ast.Sub)
+    ]
+    assert found == []
