@@ -38,7 +38,6 @@ from .scalars import (
     RatFunA,
     Ring,
     into_ring,
-    promote,
 )
 from .switchback import SwitchbackPair
 
@@ -193,7 +192,7 @@ def _fraction(x):
     """(numerator, denominator) of a base-ring scalar, as LaurentA."""
     if isinstance(x, RatFunA):
         return x.num, x.den
-    return promote(x, LAURENT), LAURENT.one()
+    return into_ring(x, LAURENT), LAURENT.one()
 
 
 @dataclass(frozen=True)
@@ -465,7 +464,9 @@ def skein_triple_check(td: TuraevData, wp: BraidWord, wm: BraidWord, w0: BraidWo
 
 
 def jones_oracle(w: BraidWord) -> LaurentA:
-    """Independent combinatorial Kauffman-bracket value of the closure."""
+    """Independent combinatorial Kauffman-bracket value of the closure,
+    refused past the strand limit of the invariant it is checked against."""
+    check_strands(w.n, 2)
     return jones_polynomial(w.n, w.letters)
 
 

@@ -66,6 +66,7 @@ from .switchback import (
     parse_pair_config,
     solve_2cocycles,
     switchback_residuals,
+    verify_switchback,
 )
 
 _FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,12 +132,12 @@ def _specialized_at(args):
 
 
 def _load_pair(args) -> SwitchbackPair:
-    """The pair file, promoted by --ring and then specialized by
+    """The pair file, brought into --ring and then specialized by
     --specialize; cocycles and coefficients follow it via pair.scalar."""
     path = _resolve(args.pair, ".pair")
     pair = parse_pair_config(path.read_text(), str(path))
     if args.ring:
-        pair = pair.promote(ring_by_name(args.ring))
+        pair = pair.into_ring(ring_by_name(args.ring))
     at = _specialized_at(args)
     return pair if at is None else pair.specialize(at)
 
@@ -144,7 +145,7 @@ def _load_pair(args) -> SwitchbackPair:
 def _field_pair(pair: SwitchbackPair) -> SwitchbackPair:
     # cohomology / invariants divide by the loop value, so the Laurent
     # ring is silently widened to its fraction field
-    return pair.promote(RATFUN) if pair.ring is LAURENT else pair
+    return pair.into_ring(RATFUN) if pair.ring is LAURENT else pair
 
 
 def _load_cocycle(args, pair: SwitchbackPair):
@@ -281,8 +282,7 @@ def cmd_deform(args, out: Out) -> int:
     beta_t, gamma_t = _matrix_text(pt.pairing), _matrix_text(pt.copairing)
     out.emit("deformed", [("beta", beta_t)], f"beta_t = {beta_t}")
     out.emit("deformed", [("gamma", gamma_t)], f"gamma_t = {gamma_t}")
-    r1, r2 = switchback_residuals(pt)
-    ok = r1.is_zero() and r2.is_zero()
+    ok = verify_switchback(pt)
     out.verdict(
         ok, "switchback", [("deformed", "true")],
         f"deformed switchback: {'OK' if ok else 'FAIL'}",
@@ -294,9 +294,11 @@ def cmd_deform(args, out: Out) -> int:
     return out.exit_code("deformation does not satisfy the switchback conditions")
 
 
-def _turaev_data(args, base: SwitchbackPair):
-    """Build Turaev data for the undeformed pair or, with --cocycle, for
-    the first-order deformation with solved dual coefficients."""
+def _turaev_data(args):
+    """Build Turaev data for the pair, widened to a field, or, with
+    --cocycle, for its first-order deformation with solved dual
+    coefficients."""
+    base = _field_pair(_load_pair(args))
     a, b = (base.scalar(parse_scalar(text)) for text in (args.a, args.b))
     if args.cocycle:
         work = deform(base, *_load_cocycle(args, base))
@@ -307,8 +309,7 @@ def _turaev_data(args, base: SwitchbackPair):
 
 
 def cmd_verify_ybe(args, out: Out) -> int:
-    base = _field_pair(_load_pair(args))
-    td = _turaev_data(args, base)
+    td = _turaev_data(args)
     if args.cocycle:
         out.emit("coefficient", [("a", format_scalar(td.rmx.a))],
                  f"a = {format_scalar(td.rmx.a)}")
@@ -351,8 +352,7 @@ def _invariant_line(out: Out, word: str, value):
 
 
 def cmd_invariant(args, out: Out) -> int:
-    base = _field_pair(_load_pair(args))
-    td = _turaev_data(args, base)
+    td = _turaev_data(args)
     for text in args.braid:
         w = parse_braid(text)
         value = normalized_invariant(td, w)
@@ -377,8 +377,7 @@ _CORPUS = ("", "s1 s1 s1", "s1 s2^-1 s1 s2^-1", "s1 s1 s1 s1 s1")
 
 
 def cmd_compare(args, out: Out) -> int:
-    base = _field_pair(_load_pair(args))
-    td = _turaev_data(args, base)
+    td = _turaev_data(args)
     if args.braid:
         corpus = [parse_braid(t) for t in args.braid]
     else:
@@ -424,7 +423,7 @@ def _parser() -> argparse.ArgumentParser:
     paired.add_argument("--pair", default="bracket",
                         help="pair config path or bundled name (default bracket)")
     paired.add_argument("--ring", choices=["gauss", "laurent", "ratfun"],
-                        help="promote the pair into this ring")
+                        help="bring the pair into this ring")
     paired.add_argument("--specialize", metavar="A=<rational>",
                         help="substitute a rational value for A")
     turaev = argparse.ArgumentParser(add_help=False, parents=[paired])

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .scalars import Dual, Ring, RingMismatchError, dual, promote, ring_of, specialize
+from .scalars import Dual, Ring, RingMismatchError, dual, ring_of, specialize
 
 Scalar = object
 
@@ -439,10 +439,6 @@ def map_apply(f: LinearMap, fn, ring: Ring) -> LinearMap:
     return LinearMap(f.shape, ring, _pruned(
         (r, {c: fn(v) for c, v in row.items()}) for r, row in f._entries.items()
     ))
-
-
-def map_promote(f: LinearMap, target: Ring) -> LinearMap:
-    return map_apply(f, lambda x: promote(x, target), target)
 
 
 def map_specialize(f: LinearMap, value) -> LinearMap:

@@ -8,8 +8,9 @@ The tower is
 and every ring supports +, -, *, /, ** on same-ring values, `is_zero()`,
 `inv()`, structural equality, and a canonical text form produced by
 `format_scalar` and read back by `parse_scalar`.  Mixing rings in an
-arithmetic operation raises RingMismatchError; movement up and down the
-tower is always explicit via `promote` / `demote`.
+arithmetic operation raises RingMismatchError.  A value changes ring only
+explicitly, through `into_ring`: up the tower always, down it and out of
+a dual ring when the value lies in the target.
 
 All arithmetic is exact and runs on Python ints: a GaussRat is Gaussian-
 integer parts over one positive denominator, and every other ring is built
@@ -35,7 +36,8 @@ class ScalarError(ValueError):
 
 
 class RingMismatchError(ScalarError):
-    """Arithmetic mixed two different rings without an explicit promotion."""
+    """Arithmetic mixed two different rings, or into_ring found no value of
+    x in the target."""
 
 
 class NotInvertibleError(ScalarError):
@@ -58,8 +60,8 @@ class _Scalar:
 
     A subclass supplies `_const` (an int or Fraction in its own ring), `+`,
     unary `-`, `*` and `inv`.  Coercion of the other operand, subtraction,
-    division (both reflected forms included), the canonical `str` and the
-    `repr` follow from those.
+    division (both reflected forms included), integer powers, the canonical
+    `str` and the `repr` follow from those.
 
     Scalars are immutable: their fields live in `__slots__`, are written
     once by the class's constructors, and assigning or deleting one raises
@@ -121,6 +123,19 @@ class _Scalar:
 
     def __repr__(self):
         return f"{type(self).__name__}({format_scalar(self)!r})"
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError("exponent must be an int")
+        base = self if n >= 0 else self.inv()
+        n = abs(n)
+        out = self._const(1)
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return out
 
 
 def _restore(cls, values):
@@ -209,9 +224,6 @@ class GaussRat(_Scalar):
             raise NotInvertibleError("division by zero in Q(i)")
         return _gauss(d * a, -d * b, n)
 
-    def __pow__(self, n: int):
-        return _generic_pow(self, n, _G_ONE)
-
     def __eq__(self, other):
         if isinstance(other, GaussRat):
             return self._a == other._a and self._b == other._b and self._d == other._d
@@ -245,21 +257,6 @@ def _gauss(a: int, b: int, d: int) -> GaussRat:
     _set_b(x, b)
     _set_d(x, d)
     return x
-
-
-def _generic_pow(x, n: int, one):
-    if not isinstance(n, int):
-        raise TypeError("exponent must be an int")
-    if n < 0:
-        return _generic_pow(x.inv(), -n, one)
-    out = one
-    base = x
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base if n > 1 else base
-        n >>= 1
-    return out
 
 
 _G_ZERO = GaussRat(0)
@@ -361,9 +358,6 @@ class LaurentA(_Scalar):
             )
         k, c = self.terms[0]
         return _laurent(((-k, c.inv()),))
-
-    def __pow__(self, n: int):
-        return _generic_pow(self, n, _L_ONE)
 
     def __eq__(self, other):
         if other.__class__ is not LaurentA:
@@ -531,9 +525,6 @@ class RatFunA(_Scalar):
             raise NotInvertibleError("division by zero in ratfun")
         return RatFunA(self.den, self.num)
 
-    def __pow__(self, n: int):
-        return _generic_pow(self, n, _R_ONE)
-
     def __eq__(self, other):
         if other.__class__ is not RatFunA:
             return NotImplemented
@@ -552,9 +543,6 @@ def _ratfun(num: LaurentA, den: LaurentA) -> RatFunA:
     _set_num(x, num)
     _set_den(x, den)
     return x
-
-
-_R_ONE = _ratfun(_L_ONE, _L_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +615,6 @@ class Dual(_Scalar):
         u = self.body.inv()
         return _dual(u, -(u * u * self.slope))
 
-    def __pow__(self, n: int):
-        base = ring_of(self.body)
-        return _generic_pow(self, n, _dual(base.one(), base.zero()))
-
     def __eq__(self, other):
         if other.__class__ is not Dual:
             return NotImplemented
@@ -652,7 +636,7 @@ def _dual(body, slope) -> Dual:
 
 
 # ---------------------------------------------------------------------------
-# Ring tags, promotion, demotion
+# Ring tags and moves between rings
 # ---------------------------------------------------------------------------
 
 
@@ -670,13 +654,7 @@ class Ring:
         return self.from_int(1)
 
     def from_int(self, n: int):
-        if self.name == "gauss":
-            return GaussRat(n)
-        if self.name == "laurent":
-            return _laurent_const(GaussRat(n))
-        if self.name == "ratfun":
-            return _ratfun(_laurent_const(GaussRat(n)), _L_ONE)
-        return _dual(self.base.from_int(n), self.base.zero())
+        return into_ring(GaussRat(n), self)
 
     @property
     def is_field(self) -> bool:
@@ -726,66 +704,40 @@ def ring_by_name(name: str) -> Ring:
         raise ScalarError(f"unknown ring name {name!r}") from None
 
 
-def promote(x, target: Ring):
-    """Embed x into a ring at or above its own; error otherwise."""
-    cur = ring_of(x)
-    if cur == target:
-        return x
-    if target.name == "dual":
-        body = x.body if cur.name == "dual" else x
-        slope = x.slope if cur.name == "dual" else ring_of(x).zero()
-        return _dual(promote(body, target.base), promote(slope, target.base))
-    if cur.name == "dual":
-        raise RingMismatchError(f"cannot promote {cur} into non-dual {target}")
-    if _TOWER[cur.name] > _TOWER[target.name]:
-        raise RingMismatchError(f"cannot promote {cur} down to {target}; use demote")
-    if isinstance(x, GaussRat):
-        x = _laurent_const(x)
-    if target == LAURENT:
-        return x
-    return _ratfun(x, _L_ONE)
-
-
-def demote(x, target: Ring):
-    """Inverse of promote where exact; error when x is not in the subring."""
-    cur = ring_of(x)
-    if cur == target:
-        return x
-    if cur.name == "dual":
-        if target.name == "dual":
-            return Dual(demote(x.body, target.base), demote(x.slope, target.base))
+def into_ring(x, target: Ring):
+    """x as a value of the target ring.  Up the tower x is embedded; down it,
+    and out of a dual ring, x must lie in the target (no slope, no
+    denominator, no A), or RingMismatchError says why not.  Into a dual
+    ring, x's body and slope (zero when x is not dual) each go into the base."""
+    name = target.name
+    if name == "dual":
+        body, slope = (x.body, x.slope) if x.__class__ is Dual else (x, _G_ZERO)
+        return _dual(into_ring(body, target.base), into_ring(slope, target.base))
+    if x.__class__ is Dual:
         if not x.slope.is_zero():
             raise RingMismatchError("dual value with nonzero slope cannot demote")
-        return demote(x.body, target)
-    if target.name == "dual":
-        raise RingMismatchError(f"use promote to move {cur} into {target}")
-    if isinstance(x, RatFunA):
-        if x.den != _L_ONE:
+        x = x.body
+    if x.__class__ is RatFunA:
+        if name == "ratfun":
+            return x
+        if x.den.terms != _ONE_TERMS:
             raise RingMismatchError(
                 f"{format_scalar(x)} has a nontrivial denominator; not demotable"
             )
         x = x.num
-    if isinstance(x, LaurentA) and target == GAUSS:
-        if x.terms and (len(x.terms) > 1 or x.terms[0][0] != 0):
-            raise RingMismatchError(
-                f"{format_scalar(x)} involves A; not a Gaussian rational"
-            )
-        return x.coeff(0)
-    if ring_of(x) != target:
-        raise RingMismatchError(f"cannot demote to {target}")
-    return x
-
-
-def into_ring(x, target: Ring):
-    """x in the target ring: promoted when it lies below, else demoted; into
-    a dual ring, its body and slope each go into the base this way."""
-    if target.name == "dual" and ring_of(x) != target:
-        body, slope = (x.body, x.slope) if isinstance(x, Dual) else (x, ring_of(x).zero())
-        return _dual(into_ring(body, target.base), into_ring(slope, target.base))
-    try:
-        return promote(x, target)
-    except RingMismatchError:
-        return demote(x, target)
+    elif x.__class__ is GaussRat:
+        if name == "gauss":
+            return x
+        x = _laurent_const(x)
+    elif x.__class__ is not LaurentA:
+        raise RingMismatchError(f"not a scalar of the tower: {x!r}")
+    if name == "laurent":
+        return x
+    if name == "ratfun":
+        return _ratfun(x, _L_ONE)
+    if x.terms and (len(x.terms) > 1 or x.terms[0][0] != 0):
+        raise RingMismatchError(f"{format_scalar(x)} involves A; not a Gaussian rational")
+    return x.coeff(0)
 
 
 def specialize(x, value: GaussRat):
@@ -797,7 +749,7 @@ def specialize(x, value: GaussRat):
     if isinstance(x, LaurentA):
         out = _G_ZERO
         for k, c in x.terms:
-            out = out + c * _generic_pow(value, k, _G_ONE)
+            out = out + c * value**k
         return out
     if isinstance(x, RatFunA):
         den = specialize(x.den, value)
@@ -1021,10 +973,8 @@ class _ScalarParser:
             self.take(")")
             if sign < 0:
                 slope = -slope
-            base = ring_of(val)
-            if _TOWER[ring_of(slope).name] > _TOWER[base.name]:
-                base = ring_of(slope)
-            val = Dual(promote(val, base), promote(slope, base))
+            base = max(ring_of(val), ring_of(slope), key=lambda r: _TOWER[r.name])
+            val = _dual(into_ring(val, base), into_ring(slope, base))
         self.take("end")
         return val
 

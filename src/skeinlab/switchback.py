@@ -52,7 +52,7 @@ from .linmap import (
     equal,
     invert_rows,
     kernel_basis,
-    map_promote,
+    map_apply,
     map_specialize,
     rank,
     reshape,
@@ -113,13 +113,11 @@ class SwitchbackPair:
     def id1(self) -> LinearMap:
         return LinearMap.identity(self.d, 1, self.ring)
 
-    def promote(self, target: Ring) -> "SwitchbackPair":
-        return SwitchbackPair(
-            self.d, target,
-            map_promote(self.pairing, target),
-            map_promote(self.copairing, target),
-            self.at,
-        )
+    def into_ring(self, target: Ring) -> "SwitchbackPair":
+        """The pair with every entry brought into the target ring."""
+        b, g = (map_apply(m, lambda x: into_ring(x, target), target)
+                for m in (self.pairing, self.copairing))
+        return SwitchbackPair(self.d, target, b, g, self.at)
 
     def specialize(self, value) -> "SwitchbackPair":
         """The pair at A = value; its entries must still be written in A."""
@@ -150,7 +148,7 @@ def make_bracket_pair(ring: Ring = LAURENT) -> SwitchbackPair:
     g = LinearMap.from_rows(2, 0, 2, LAURENT, [[z], [up], [dn], [z]])
     pair = SwitchbackPair(2, LAURENT, b, g)
     if ring is not LAURENT:
-        pair = pair.promote(ring)
+        pair = pair.into_ring(ring)
     if not verify_switchback(pair):
         raise SwitchbackError("the bracket pair fails the switchback conditions")
     return pair

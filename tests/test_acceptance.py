@@ -47,8 +47,8 @@ from skeinlab.scalars import (
     RATFUN,
     GaussRat,
     dual,
+    into_ring,
     parse_scalar,
-    promote,
 )
 from skeinlab.switchback import (
     C2,
@@ -397,7 +397,7 @@ def test_criterion_12_invariant_battery(criterion):
         for text, n in NAMED_LINKS:
             w = parse_braid(text, n=n)
             undeformed_value = normalized_invariant(tds[0], w)
-            assert undeformed_value == promote(jones_oracle(w), RATFUN)
+            assert undeformed_value == into_ring(jones_oracle(w), RATFUN)
 
     criterion(12, "Markov, skein, and oracle battery on the braid corpus", body,
               budget=60.0)
@@ -425,7 +425,7 @@ def test_criterion_13_ten_strand_words_against_the_oracle(criterion):
         for text in CORPUS_13:
             w = parse_braid(text)
             assert (w.n, len(w.letters)) == (10, 20)
-            oracle = promote(jones_oracle(w), RATFUN)
+            oracle = into_ring(jones_oracle(w), RATFUN)
             values = [normalized_invariant(td, w) for td in tds]
             for td, value in zip(tds, values):
                 assert matches_oracle(td, value, w)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skeinlab import planar
 from skeinlab.braid import (
     BraidSyntaxError,
     BraidWord,
@@ -32,8 +33,8 @@ from skeinlab.scalars import (
     RATFUN,
     GaussRat,
     dual,
+    into_ring,
     parse_scalar,
-    promote,
     specialize,
 )
 from skeinlab.switchback import (
@@ -59,7 +60,7 @@ CINQUEFOIL = "s1 s1 s1 s1 s1"
 
 def _turaev(ring=LAURENT):
     pair = make_bracket_pair(ring)
-    a, b = promote(L("A"), ring), promote(L("A^-1"), ring)
+    a, b = into_ring(L("A"), ring), into_ring(L("A^-1"), ring)
     return make_turaev(pair, a, b)
 
 
@@ -158,8 +159,8 @@ def test_normalized_invariant_matches_known_values(text, n, expected):
     td = _turaev(RATFUN)
     w = parse_braid(text, n=n)
     value = normalized_invariant(td, w)
-    assert value == promote(parse_scalar(expected, LAURENT), RATFUN)
-    assert value == promote(jones_oracle(w), RATFUN)
+    assert value == into_ring(parse_scalar(expected, LAURENT), RATFUN)
+    assert value == into_ring(jones_oracle(w), RATFUN)
 
 
 _RATFUN_TD = _turaev(RATFUN)
@@ -177,7 +178,7 @@ def _words(draw):
 @example(parse_braid("s1 s3^-1 s9 s2 s5^-1 s7 s4 s9^-1 s6 s8^-1 s2", n=10))
 def test_normalized_invariant_matches_oracle_on_random_words(w):
     # the planar oracle shares no code with linmap
-    assert normalized_invariant(_RATFUN_TD, w) == promote(jones_oracle(w), RATFUN)
+    assert normalized_invariant(_RATFUN_TD, w) == into_ring(jones_oracle(w), RATFUN)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def test_invariant_matches_the_reference_on_a_long_ten_strand_word(case):
 def test_deformed_invariant_body_matches_oracle_on_random_words(case, w):
     # the planar oracle shares no code with the packed kernel
     value = normalized_invariant(KERNEL_CASES[case], w)
-    assert value.body == promote(jones_oracle(w), RATFUN)
+    assert value.body == into_ring(jones_oracle(w), RATFUN)
 
 
 _BRACKET_PAIR = make_bracket_pair(RATFUN)
@@ -335,12 +336,19 @@ def test_deformed_invariant_is_the_bracket_at_the_deformed_weights(phi, w):
     assert value == (delta * c + 1) ** (-w.writhe) * bracket_state_sum(
         w.n, w.letters, c, c**0, delta
     )
-    assert value.body == promote(jones_oracle(w), RATFUN)
+    assert value.body == into_ring(jones_oracle(w), RATFUN)
 
 
-def test_invariant_rejects_too_many_strands():
+def test_invariant_rejects_too_many_strands(monkeypatch):
     with pytest.raises(RMatrixError, match="limit of 10"):
         invariant(_RATFUN_TD, parse_braid("s30"))
+    # so does the oracle it is checked against, before counting any state
+    def count_states(n, letters):
+        raise AssertionError(f"counted the states of a {n}-strand word")
+
+    monkeypatch.setattr(planar, "_count_states", count_states)
+    with pytest.raises(RMatrixError, match="^11 strands is more than the limit of 10$"):
+        jones_oracle(parse_braid("s1 s2 s3 s4 s5 s6 s7 s8 s9 s10"))
 
 
 def test_unnormalized_unknot_is_the_loop_value():
@@ -429,7 +437,7 @@ def test_compare_with_oracle_deformed():
     )
     # the t-slope is a genuine correction, not zero
     assert not trefoil_value.slope.is_zero()
-    assert trefoil_value.body == promote(jones_oracle(parse_braid(TREFOIL)), RATFUN)
+    assert trefoil_value.body == into_ring(jones_oracle(parse_braid(TREFOIL)), RATFUN)
 
 
 @pytest.mark.parametrize("cocycle", [None, "xy"])

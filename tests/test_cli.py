@@ -346,6 +346,23 @@ def test_bundled_cocycle_loads_on_a_specialized_pair(capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_a_dual_literal_with_zero_slope_is_its_body(capsys):
+    # A + t*( 0 ) is exactly A, so it lands in the pair's ring as A does
+    code, out = run(capsys, "invariant", "--a", "A + t*( 0 )", "--braid", "s1 s1 s1")
+    assert code == 0
+    assert out == run(capsys, "invariant", "--a", "A", "--braid", "s1 s1 s1")[1]
+
+
+def test_ring_moves_the_pair_down_only_where_exact(capsys, tmp_path):
+    code, out = run(capsys, "verify-switchback", "--ring", "gauss")
+    assert code == 2
+    assert out == "FAIL: i*A involves A; not a Gaussian rational\n"
+    pair = tmp_path / "ratfun.pair"
+    pair.write_text("dimension = 2\nring = ratfun\nbeta = 1, 0, 0, 1\ngamma = 1; 0; 0; 1\n")
+    code, out = run(capsys, "verify-switchback", "--pair", str(pair), "--ring", "gauss")
+    assert code == 0 and out.count(": OK\n") == 2
+
+
 def test_missing_fixture_is_an_error(capsys):
     code, out = run(capsys, "verify-switchback", "--pair", "nope")
     assert code == 2
@@ -362,21 +379,24 @@ def test_bad_braid_is_an_error(capsys):
     ("invariant", "--braid", "s30"),
     ("compare", "--braid", "s30"),
     ("tl-check", "--strands", "30"),
+    ("jones-oracle", "--braid", "s11"),
 ])
 def test_too_many_strands_fail_up_front(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 2
-    strands = 31 if "--braid" in argv else 30
+    strands = int(argv[2][1:]) + 1 if "--braid" in argv else int(argv[2])
     assert out == f"FAIL: {strands} strands is more than the limit of 10\n"
 
 
 def test_strand_limit_at_the_boundary_for_d2(capsys):
-    # 2^10 = MAX_DIM: ten strands are built, eleven are refused
-    code, out = run(capsys, "invariant", "--braid", "s9")
-    assert code == 0 and out.startswith("s9\t")
-    code, out = run(capsys, "invariant", "--braid", "s10")
-    assert code == 2
-    assert out == "FAIL: 11 strands is more than the limit of 10\n"
+    # 2^10 = MAX_DIM: ten strands are built, eleven are refused; the oracle
+    # keeps the limit of the invariant it is checked against
+    for command in ("invariant", "jones-oracle"):
+        code, out = run(capsys, command, "--braid", "s9")
+        assert code == 0 and out.startswith("s9\t")
+        code, out = run(capsys, command, "--braid", "s10")
+        assert code == 2
+        assert out == "FAIL: 11 strands is more than the limit of 10\n"
 
 
 def test_strand_limit_at_the_boundary_for_d3(capsys, tmp_path):

@@ -16,7 +16,7 @@ from skeinlab.linmap import (
     full_trace,
     invert_rows,
     kernel_basis,
-    map_promote,
+    map_apply,
     map_specialize,
     partial_trace,
     rank,
@@ -35,6 +35,7 @@ from skeinlab.scalars import (
     GaussRat,
     RingMismatchError,
     dual,
+    into_ring,
     parse_scalar,
 )
 
@@ -45,6 +46,10 @@ def _rand_map(rng, d, p, q, ring=GAUSS):
         for _ in range(d**q)
     ]
     return LinearMap.from_rows(d, p, q, ring, rows)
+
+
+def _map_into(f, ring):
+    return map_apply(f, lambda x: into_ring(x, ring), ring)
 
 
 def test_shape_and_entry_layout():
@@ -230,9 +235,9 @@ def test_gaussian_elimination_requires_field():
 
 def test_ring_changing_maps():
     f = _rand_map(random.Random(10), 2, 1, 1)
-    up = map_promote(f, RATFUN)
+    up = _map_into(f, RATFUN)
     assert up.ring is RATFUN
-    assert map_specialize(map_promote(f, LAURENT), GaussRat(2)) == f
+    assert map_specialize(_map_into(f, LAURENT), GaussRat(2)) == f
     emb = dual_from_parts(up, LinearMap.zero(2, 1, 1, RATFUN))
     assert emb.ring is dual(RATFUN)
     body, slope = dual_parts(emb)
@@ -244,7 +249,7 @@ def test_ring_changing_maps():
 
 def test_mixed_ring_map_arithmetic_rejected():
     f = _rand_map(random.Random(11), 2, 1, 1, GAUSS)
-    g = map_promote(f, LAURENT)
+    g = _map_into(f, LAURENT)
     with pytest.raises(RingMismatchError):
         f + g
 
@@ -260,9 +265,9 @@ def test_equal_rejects_what_subtraction_rejects():
         with pytest.raises(ShapeMismatchError):
             f - other
     with pytest.raises(RingMismatchError):
-        equal(f, map_promote(f, LAURENT))
+        equal(f, _map_into(f, LAURENT))
     with pytest.raises(RingMismatchError):
-        f - map_promote(f, LAURENT)
+        f - _map_into(f, LAURENT)
 
 
 # ---------------------------------------------------------------------------

@@ -77,3 +77,23 @@ def test_maps_are_compared_with_equal():
         and isinstance(node.func.value.op, ast.Sub)
     ]
     assert found == []
+
+
+def test_rings_change_only_through_into_ring():
+    # scalars.into_ring is the one rule that moves a value between rings;
+    # a second name for a move up or down would be a second rule
+    moves = {"promote", "demote", "map_promote"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.asname or a.name.rsplit(".", 1)[-1] for a in node.names}
+                names |= {a.name for a in node.names}
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names = {node.id if isinstance(node, ast.Name) else node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in sorted(names & moves)]
+    assert found == []

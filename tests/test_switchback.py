@@ -16,8 +16,8 @@ from skeinlab.scalars import (
     Dual,
     GaussRat,
     dual,
+    into_ring,
     parse_scalar,
-    promote,
 )
 from skeinlab.switchback import (
     C1,
@@ -98,8 +98,9 @@ def test_pair_from_matrix_and_rejection():
 
 def test_pair_promote_and_specialize():
     pair = make_bracket_pair()
-    up = pair.promote(RATFUN)
+    up = pair.into_ring(RATFUN)
     assert up.ring is RATFUN and verify_switchback(up)
+    assert up.into_ring(LAURENT) == pair
     low = pair.specialize(GaussRat(2))
     assert low.ring is GAUSS and verify_switchback(low)
 
@@ -109,12 +110,12 @@ def test_specialize_refuses_a_pair_with_no_A():
     with pytest.raises(SwitchbackError, match="^the pair is already specialized at A = 2$"):
         low.specialize(GaussRat(3, 1) / 2)
     with pytest.raises(SwitchbackError, match="^the pair is already specialized at A = 2$"):
-        low.promote(RATFUN).specialize(GaussRat(3))
+        low.into_ring(RATFUN).specialize(GaussRat(3))
     # a pair file over gauss: its entries were written for some other A
     written = parse_pair_config(
         "dimension = 2\nring = gauss\nbeta = 0, 2i, -1/2i, 0\ngamma = 0; 2i; -1/2i; 0\n"
     )
-    for pair in (written, written.promote(dual(GAUSS))):
+    for pair in (written, written.into_ring(dual(GAUSS))):
         with pytest.raises(SwitchbackError, match=f"^a pair over {pair.ring} has no A to specialize$"):
             pair.specialize(GaussRat(3))
 
@@ -344,7 +345,7 @@ def _entry(rng, ring):
     k = ring.from_int(rng.randint(-3, 3))
     if ring is GAUSS:
         return k + GaussRat(0, rng.randint(-1, 1))
-    return k * promote(A ** rng.randint(-2, 2), ring)
+    return k * into_ring(A ** rng.randint(-2, 2), ring)
 
 
 def _generic_pair(rng, d, ring):
