@@ -114,14 +114,6 @@ class LinearMap:
         o = ring.one()
         return LinearMap(MapShape(d, n, n), ring, {i: {i: o} for i in range(d**n)})
 
-    @staticmethod
-    def unit(d: int, p: int, q: int, ring: Ring, row: int, col: int) -> "LinearMap":
-        """The matrix unit: one at (row, col), zero elsewhere."""
-        shape = MapShape(d, p, q)
-        if not (0 <= row < shape.rows and 0 <= col < shape.cols):
-            raise ShapeMismatchError(f"unit ({row}, {col}) lies outside {shape}")
-        return LinearMap(shape, ring, {row: {col: ring.one()}})
-
     # -- reading ------------------------------------------------------------
 
     @cached_property
@@ -354,7 +346,12 @@ def _require_field(ring: Ring, what: str):
 
 
 def rref(rows: list[list[Scalar]], ring: Ring) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Left of its pivot the pivot row is zero (every earlier column is a
+    pivot column cleared from it, or was zero in all rows still below), so
+    normalising and subtracting it touch only its nonzero columns from the
+    pivot on."""
     _require_field(ring, "elimination")
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -366,12 +363,17 @@ def rref(rows: list[list[Scalar]], ring: Ring) -> tuple[list[list[Scalar]], list
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inv()
-        m[r] = [inv * v for v in m[r]]
+        prow = m[r]
+        inv = prow[c].inv()
+        nz = [k for k in range(c, ncols) if not prow[k].is_zero()]
+        for k in nz:
+            prow[k] = inv * prow[k]
         for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                for k in nz:
+                    row[k] = row[k] - f * prow[k]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -385,12 +387,12 @@ def rank(rows, ring: Ring) -> int:
 
 def kernel_basis(rows, ring: Ring) -> list[list[Scalar]]:
     """Basis of the right kernel, one vector per free column."""
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return []
-    ncols = len(m[0])
-    red, pivots = rref(m, ring)
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(rows[0])
+    red, pivots = rref(rows, ring)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     z, o = ring.zero(), ring.one()
     basis = []
     for fc in free:

@@ -90,7 +90,7 @@ class _Scalar:
         if isinstance(other, _Scalar):
             raise RingMismatchError(
                 f"cannot mix {type(self).__name__} with {ring_of(other).name}; "
-                "promote explicitly"
+                "convert with into_ring"
             )
         return None
 
@@ -354,7 +354,7 @@ class LaurentA(_Scalar):
         if not self.is_monomial():
             raise NotInvertibleError(
                 f"{format_scalar(self)!r} is not a unit in the Laurent ring; "
-                "promote to ratfun for general division"
+                "convert into ratfun with into_ring for general division"
             )
         k, c = self.terms[0]
         return _laurent(((-k, c.inv()),))
@@ -574,7 +574,7 @@ class Dual(_Scalar):
             # a body is never Dual, so its class names its ring
             if other.body.__class__ is not self.body.__class__:
                 raise RingMismatchError(
-                    "dual numbers over different base rings; promote explicitly"
+                    "dual numbers over different base rings; convert with into_ring"
                 )
             return other
         return super()._coerce(other)

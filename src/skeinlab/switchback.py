@@ -38,6 +38,22 @@ Coordinates, fixed for golden tests: a cochain lists each component map's
 entries column by column (input index, then output index), components in
 order: xx, xy, yx, yy for Hom(V,V) at d=2, and the pairing row, then the
 copairing column, for C2.  C1, C2 and C3 below give the component arities.
+
+The matrices of the differentials are written by placement.  Each column
+is the image of a unit cochain E_rc: one at row r, column c of one
+component's d x d matrix (bent, for C2), zero elsewhere.  By the formulas
+above its entries are entries of B and G, copied with a sign.  With
+n = d^2, every index is read in the coordinates above; a unit's column is
+its coordinate: a*d + j for phi1 = E_aj, n + j*d + k for phi2 = E_jk,
+i*d + o for xi1 = E_oi and n + i*d + o for xi2 = E_oi.
+
+    d2:  phi1 = E_aj puts G[j][k] at row a*d + k, G[i][a] at n + j*d + i;
+         phi2 = E_jk puts B[a][j] at row a*d + k, B[k][m] at n + m*d + j.
+    D3:  xi1 = E_oi puts +B[o][j] at row i*d + j, -G[j][i] at n + j*d + o;
+         xi2 = E_oi puts -B[a][o] at row a*d + i, +G[i][k] at n + o*d + k.
+
+D1's column for eta = E_oi (column i*d + o) holds both D3 rules, added
+where they meet: at rows i*d + i and n + o*d + o.
 """
 
 from __future__ import annotations
@@ -246,40 +262,66 @@ def cochain_from_coords(coords, d: int, ring: Ring, arities) -> tuple[LinearMap,
     return tuple(maps)
 
 
-def _basis_cochain(k: int, d: int, ring: Ring, arities) -> tuple[LinearMap, ...]:
-    """The cochain whose coordinates are the k-th unit vector."""
-    maps = []
-    for p, q in arities:
-        size = d ** (p + q)
-        if 0 <= k < size:
-            rows = d**q
-            maps.append(LinearMap.unit(d, p, q, ring, k % rows, k // rows))
-        else:
-            maps.append(LinearMap.zero(d, p, q, ring))
-        k -= size
-    return tuple(maps)
+def _dense(nrows: int, ncols: int, ring: Ring, entries) -> list[list]:
+    """The nrows x ncols matrix of the (row, col, value) entries, summed
+    where two land on one cell, zero elsewhere."""
+    z = ring.zero()
+    m = [[z] * ncols for _ in range(nrows)]
+    for r, c, v in entries:
+        row = m[r]
+        row[c] = v if row[c] is z else row[c] + v
+    return m
 
 
-def _matrix_of(pair, differential, domain):
-    """Rows x cols matrix of a differential in the fixed coordinates."""
-    dom_dim = sum(pair.d ** (p + q) for p, q in domain)
-    cols = [
-        cochain_coords(*differential(pair, *_basis_cochain(k, pair.d, pair.ring, domain)))
-        for k in range(dom_dim)
-    ]
-    return [[cols[k][r] for k in range(dom_dim)] for r in range(len(cols[0]))]
+def _bent(pair: SwitchbackPair):
+    """B and G as d x d row tuples."""
+    return reshape(pair.pairing, 1, 1).rows, reshape(pair.copairing, 1, 1).rows
+
+
+def _d2_entries(pair: SwitchbackPair):
+    """d2 on the unit cochains phi1 = E_aj (column a*d + j) and phi2 =
+    E_jk (column n + j*d + k)."""
+    d, n = pair.d, pair.d**2
+    bb, gg = _bent(pair)
+    for a in range(d):
+        for j in range(d):
+            for k in range(d):
+                yield a * d + k, a * d + j, gg[j][k]
+                yield n + j * d + k, a * d + j, gg[k][a]
+                yield a * d + k, n + j * d + k, bb[a][j]
+                yield n + a * d + j, n + j * d + k, bb[k][a]
+
+
+def _d3_entries(pair: SwitchbackPair, off1: int, off2: int):
+    """D3 on the unit cochains xi1 = E_oi (column off1 + i*d + o) and
+    xi2 = E_oi (column off2 + i*d + o)."""
+    d, n = pair.d, pair.d**2
+    bb, gg = _bent(pair)
+    nb, ng = ([[-x for x in row] for row in m] for m in (bb, gg))
+    for o in range(d):
+        for i in range(d):
+            c1, c2 = off1 + i * d + o, off2 + i * d + o
+            for x in range(d):
+                yield i * d + x, c1, bb[o][x]
+                yield n + x * d + o, c1, ng[x][i]
+                yield x * d + i, c2, nb[x][o]
+                yield n + o * d + x, c2, gg[i][x]
 
 
 def d1_matrix(pair: SwitchbackPair):
-    return _matrix_of(pair, D1, C1)
+    # D1(eta) = D3(eta, eta): both unit rules share each column
+    n = pair.d**2
+    return _dense(2 * n, n, pair.ring, _d3_entries(pair, 0, 0))
 
 
 def d2_matrix(pair: SwitchbackPair):
-    return _matrix_of(pair, d2, C2)
+    n = pair.d**2
+    return _dense(2 * n, 2 * n, pair.ring, _d2_entries(pair))
 
 
 def d3_matrix(pair: SwitchbackPair):
-    return _matrix_of(pair, D3, C3)
+    n = pair.d**2
+    return _dense(2 * n, 2 * n, pair.ring, _d3_entries(pair, 0, n))
 
 
 @dataclass(frozen=True)

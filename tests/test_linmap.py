@@ -151,12 +151,20 @@ def test_reshape_and_transpose_keep_dual_entries():
     assert all(not v.is_zero() for _, _, v in transpose(m).nonzeros())
 
 
+def _unit(d, p, q, ring, row, col):
+    """The matrix unit: one at (row, col), zero elsewhere."""
+    z, o = ring.zero(), ring.one()
+    return LinearMap.from_rows(d, p, q, ring, [
+        [o if (r, c) == (row, col) else z for c in range(d**p)] for r in range(d**q)
+    ])
+
+
 def test_unit_is_one_hot():
-    u = LinearMap.unit(2, 0, 2, GAUSS, 3, 0)
+    u = _unit(2, 0, 2, GAUSS, 3, 0)
     assert [(r, c) for r, c, _ in u.nonzeros()] == [(3, 0)]
     assert u.entry(3, 0) == GAUSS.one()
     with pytest.raises(ShapeMismatchError):
-        LinearMap.unit(2, 0, 2, GAUSS, 0, 1)
+        LinearMap.from_rows(2, 0, 2, GAUSS, [[GAUSS.one(), GAUSS.zero()]] * 4)
 
 
 def test_partial_trace_of_product_map():
@@ -233,6 +241,80 @@ def test_gaussian_elimination_requires_field():
     assert rank(ok, RATFUN) == 1
 
 
+def _dense_rref(rows, ring):
+    """Reduced row echelon form by whole-row operations: the reference for
+    rref, which visits only the nonzeros of each pivot row."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inv()
+        m[r] = [inv * v for v in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+# zero is drawn often, so matrices are sparse and often rank-deficient
+ELIMINATION_POOLS = {
+    "gauss": (GAUSS, ("0", "0", "0", "1", "-1", "2", "i", "1/2 - i", "-3/4")),
+    "ratfun": (RATFUN, (
+        "0", "0", "0", "( 1 )/( 1 )", "( A )/( 1 )", "( -1 )/( A )",
+        "( 1 )/( 1 + A )", "( 2 - i*A^2 )/( 1 )",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELIMINATION_POOLS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rref_matches_dense_reference(name, data):
+    ring, texts = ELIMINATION_POOLS[name]
+    values = [parse_scalar(t, ring) for t in texts]
+    draw_value = lambda: data.draw(st.sampled_from(values))  # noqa: E731
+    nrows = data.draw(st.integers(min_value=0, max_value=5))
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    rows = [[draw_value() for _ in range(ncols)] for _ in range(nrows)]
+    if rows:
+        # rank deficiency: a zero column, a zero row, a duplicate row and a
+        # combination of two rows, each where drawn
+        if data.draw(st.booleans()):
+            c = data.draw(st.integers(min_value=0, max_value=ncols - 1))
+            for row in rows:
+                row[c] = ring.zero()
+        if data.draw(st.booleans()):
+            rows.append([ring.zero()] * ncols)
+        if data.draw(st.booleans()):
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        if data.draw(st.booleans()):
+            a, b, x, y = rows[0], rows[-1], draw_value(), draw_value()
+            rows.insert(1, [x * u + y * v for u, v in zip(a, b)])
+        if data.draw(st.booleans()):
+            # an augmented system: a right-hand side, consistent when it is
+            # a combination of the columns
+            x, y = draw_value(), draw_value()
+            for row in rows:
+                row.append(x * row[0] + y * row[-1] if data.draw(st.booleans()) else draw_value())
+        data.draw(st.randoms(use_true_random=False)).shuffle(rows)
+    before = [list(r) for r in rows]
+    assert rref(rows, ring) == _dense_rref(rows, ring)
+    assert rows == before
+    free = len(rows[0]) - rank(rows, ring) if rows else 0
+    assert len(kernel_basis(rows, ring)) == free
+
+
 def test_ring_changing_maps():
     f = _rand_map(random.Random(10), 2, 1, 1)
     up = _map_into(f, RATFUN)
@@ -258,7 +340,7 @@ def test_equal_rejects_what_subtraction_rejects():
     rng = random.Random(12)
     f = _rand_map(rng, 2, 1, 1)
     assert equal(f, LinearMap.from_rows(2, 1, 1, GAUSS, f.rows))
-    assert not equal(f, f + LinearMap.unit(2, 1, 1, GAUSS, 1, 0))
+    assert not equal(f, f + _unit(2, 1, 1, GAUSS, 1, 0))
     for other in (_rand_map(rng, 2, 1, 2), _rand_map(rng, 3, 1, 1)):
         with pytest.raises(ShapeMismatchError):
             equal(f, other)

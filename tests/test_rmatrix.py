@@ -130,7 +130,9 @@ def test_tl_reports_each_relation_kind():
     # keeps g^2 = delta*g and g e2 g = g (a zig-zag), but e2 g e2 has rank
     # one where e2 has rank four
     one = LinearMap.identity(2, 1, LAURENT)
-    g = tensor_all([cupcap(pair), LinearMap.unit(2, 1, 1, LAURENT, 0, 0), one], 2, LAURENT)
+    o, z = LAURENT.one(), LAURENT.zero()
+    hold = LinearMap.from_rows(2, 1, 1, LAURENT, [[o, z], [z, z]])
+    g = tensor_all([cupcap(pair), hold, one], 2, LAURENT)
     assert tl_first_failure([g, e2, e3], delta) == "e2*e1*e2 != e2"
     # conjugating e3 by u = 1 + A^2*e2 keeps its relations with e2, which
     # commutes with u (u^-1 = 1 + A^-2*e2 as delta = -A^2 - A^-2), but not

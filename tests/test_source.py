@@ -97,3 +97,16 @@ def test_rings_change_only_through_into_ring():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in sorted(names & moves)]
     assert found == []
+
+
+def test_differential_matrices_are_written_by_placement():
+    # d1_matrix, d2_matrix and d3_matrix copy entries of B and G into place;
+    # no helper may build them by running a differential on unit cochains
+    tree = ast.parse((SRC / "switchback.py").read_text())
+    names = {
+        node.name if isinstance(node, ast.FunctionDef) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.Name))
+    }
+    assert {"d1_matrix", "d2_matrix", "d3_matrix"} <= names
+    assert names & {"_matrix_of", "_basis_cochain"} == set()

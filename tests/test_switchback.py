@@ -368,8 +368,11 @@ def _pair_and_coboundary(d, ring, seed):
 
 
 @pytest.mark.parametrize("deformed", [False, True], ids=["pair", "deformed"])
-@pytest.mark.parametrize("ring", [GAUSS, RATFUN], ids=["gauss", "ratfun"])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "d, ring",
+    [(1, GAUSS), (2, GAUSS), (2, RATFUN), (3, GAUSS), (3, RATFUN), (4, GAUSS)],
+    ids=["1-gauss", "2-gauss", "2-ratfun", "3-gauss", "3-ratfun", "4-gauss"],
+)
 def test_bent_matrix_complex_matches_diagrams(d, ring, deformed):
     rng, pair, phi = _pair_and_coboundary(d, ring, f"{d}-{ring}")
     if deformed:
