@@ -21,12 +21,12 @@ from math import lcm
 
 from .linmap import (
     LinearMap,
+    apply_local,
     compose,
     equal,
+    full_trace,
     partial_trace,
     swap,
-    tensor,
-    tensor_all,
 )
 from .planar import bracket_state_sum, jones_polynomial
 from .rmatrix import SkeinRMatrix, build_R, check_strands
@@ -109,12 +109,8 @@ def parse_braid(text: str, n: int | None = None) -> BraidWord:
 
 def make_nu(pair: SwitchbackPair) -> LinearMap:
     """The one-strand twist (1 x pairing)(tau x 1)(1 x copairing)."""
-    one = pair.id1()
-    tau = swap(pair.d, pair.ring)
-    return compose(
-        tensor(one, pair.pairing),
-        compose(tensor(tau, one), tensor(one, pair.copairing)),
-    )
+    nu = apply_local(swap(pair.d, pair.ring), 0, apply_local(pair.copairing, 1, pair.id1()))
+    return apply_local(pair.pairing, 1, nu)
 
 
 @dataclass(frozen=True)
@@ -123,11 +119,14 @@ class TuraevData:
     nu: LinearMap
     # delta0*a + b: closing one strand gives Tr_2(R (nu x nu)) = u*nu
     u: object = field(init=False)
+    # the one-strand unknot value Tr(nu), by which invariants are normalized
+    unknot: object = field(init=False)
     # R, R^-1 and the twist scaled for the packed kernel, worked out once
     _kernel: "_Kernel" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", self.rmx.loop * self.rmx.a + self.rmx.b)
+        object.__setattr__(self, "unknot", full_trace(self.nu))
         object.__setattr__(self, "_kernel", _Kernel.of(self))
 
     @property
@@ -157,7 +156,8 @@ def turaev_first_failure(td: TuraevData) -> str | None:
     """None when every trace-compatibility condition holds exactly."""
     R, Rinv, nu = td.rmx.R, td.rmx.Rinv, td.nu
     pair = td.pair
-    nn = tensor(nu, nu)
+    two = LinearMap.identity(pair.d, 2, pair.ring)
+    nn = apply_local(nu, 0, apply_local(nu, 1, two))
     r_nn = compose(R, nn)
     if not equal(r_nn, compose(nn, R)):
         return "R does not commute with the doubled twist"
@@ -169,12 +169,9 @@ def turaev_first_failure(td: TuraevData) -> str | None:
         return "pairing not invariant under the doubled twist"
     if not equal(compose(nn, pair.copairing), pair.copairing):
         return "copairing not invariant under the doubled twist"
-    one = pair.id1()
-    curl = compose(
-        tensor(pair.copairing, one),
-        compose(tensor(pair.pairing, one), tensor_all([one, nu, one], pair.d, pair.ring)),
-    )
-    if not equal(partial_trace(curl, 1), LinearMap.identity(pair.d, 2, pair.ring)):
+    curl = apply_local(nu, 1, LinearMap.identity(pair.d, 3, pair.ring))
+    curl = apply_local(pair.copairing, 0, apply_local(pair.pairing, 0, curl))
+    if not equal(partial_trace(curl, 1), two):
         return "twist does not cancel the cusp-pair curl"
     return None
 
@@ -446,8 +443,7 @@ def normalized_invariant(td: TuraevData, w: BraidWord):
     """invariant(w) divided by the one-strand unknot value; needs a ring
     where the loop value is invertible (the rational-function field or its
     dual)."""
-    unknot = invariant(td, BraidWord(1, ()))
-    return invariant(td, w) * unknot.inv()
+    return invariant(td, w) * td.unknot.inv()
 
 
 def skein_triple_check(td: TuraevData, wp: BraidWord, wm: BraidWord, w0: BraidWord) -> bool:

@@ -24,6 +24,9 @@ one-strand map f is
 
 and check_d2d1 confirms, for concrete data satisfying the identity, that the
 2-differential vanishes on these induced cochains.
+
+Evaluation is strand-local: from the identity of an expression's domain, each
+generator, cochain and X acts on its own strands only (linmap.apply_local).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from .linmap import LinearMap, compose, equal, swap, tensor
+from .linmap import LinearMap, apply_local, equal, swap
 from .rmatrix import check_strands
 from .scalars import Ring
 
@@ -510,7 +513,8 @@ def _env_key(sym: Sym) -> str:
     return f"phi[{sym.name}]" if sym.role == COCHAIN else sym.name
 
 
-def evaluate_expr(expr: Expr, env: dict[str, LinearMap], d: int, ring: Ring) -> LinearMap:
+def _place(expr: Expr, slot: int, acc: LinearMap, env) -> tuple[LinearMap, int]:
+    """expr applied to acc's strands from slot on, and how many it leaves there."""
     if isinstance(expr, Sym):
         key = _env_key(expr)
         if key not in env:
@@ -521,22 +525,27 @@ def evaluate_expr(expr: Expr, env: dict[str, LinearMap], d: int, ring: Ring) -> 
                 f"assignment for {key} has shape {m.shape}, "
                 f"declared {expr.p}->{expr.q}"
             )
-        return m
+        return apply_local(m, slot, acc), expr.q
     if isinstance(expr, Id):
-        return LinearMap.identity(d, expr.n, ring)
+        return acc, expr.n
     if isinstance(expr, Swap):
-        return swap(d, ring)
+        return apply_local(swap(acc.shape.d, acc.ring), slot, acc), 2
     if isinstance(expr, Tensor):
-        out = LinearMap.identity(d, 0, ring)
+        end = slot
         for part in expr.parts:
-            out = tensor(out, evaluate_expr(part, env, d, ring))
-        return out
+            acc, q = _place(part, end, acc, env)
+            end += q
+        return acc, end - slot
     if isinstance(expr, Compose):
-        out = evaluate_expr(expr.parts[-1], env, d, ring)
-        for part in reversed(expr.parts[:-1]):
-            out = compose(evaluate_expr(part, env, d, ring), out)
-        return out
+        for part in reversed(expr.parts):
+            acc, q = _place(part, slot, acc, env)
+        return acc, q
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def evaluate_expr(expr: Expr, env: dict[str, LinearMap], d: int, ring: Ring) -> LinearMap:
+    """expr as a map, built strand by strand from the identity of its domain."""
+    return _place(expr, 0, LinearMap.identity(d, signature(expr)[0], ring), env)[0]
 
 
 def _sum_env(
@@ -562,6 +571,11 @@ def evaluate(
         env[f"phi[{name}]"] = m
     if not fs.terms:
         raise EmptySumError("cannot evaluate an empty formal sum without a shape")
+    if not env:  # no map gives d and the ring: name the first unbound symbol
+        syms: list[Sym] = []
+        _map_syms(Tensor(tuple(expr for _, expr in fs.terms)), syms.append)
+        what = f"symbol {_env_key(syms[0])}" if syms else "any symbol"
+        raise UnknownNameError(f"no assignment for {what}")
     probe = next(iter(env.values()))
     return _sum_env(fs, env, probe.shape.d, probe.ring, *signature(fs.terms[0][1]))
 

@@ -4,8 +4,9 @@ A LinearMap of shape (d, p, q) sends V^{⊗p} -> V^{⊗q}; it is a d^q x d^p
 matrix over one ring of the scalar tower (rows index the codomain).  Basis
 ordering contract: the basis vector e_{i_0} ⊗ ... ⊗ e_{i_{n-1}} has index
 sum_k i_k * d^{n-1-k}, i.e. the leftmost tensor factor is the most
-significant digit.  `tensor` is the Kronecker product consistent with that
-ordering.
+significant digit, so `apply_local(f, slot, g)` = (1^slot ⊗ f ⊗ 1^rest) ∘ g
+acts on digits slot .. slot+k-1 of g's codomain index.  It is the one product
+loop: `compose` is it at slot 0, and `tensor(f, g)` is (f ⊗ 1)(1 ⊗ g).
 
 Storage is sparse, and only this module knows its format: row -> {col:
 scalar}, where no stored scalar is an exact zero and no stored row is
@@ -73,13 +74,6 @@ def _pruned(rows) -> dict[int, dict[int, Scalar]]:
         if kept:
             out[r] = kept
     return out
-
-
-def _sum(values, ring: Ring) -> Scalar:
-    acc = None
-    for v in values:
-        acc = v if acc is None else acc + v
-    return _zero(ring) if acc is None else acc
 
 
 @dataclass(frozen=True)
@@ -208,56 +202,65 @@ def equal(f: LinearMap, g: LinearMap) -> bool:
     return f._entries == g._entries
 
 
+def _place(f: LinearMap, slot: int, g: LinearMap) -> LinearMap:
+    """apply_local unchecked.  Each output row is pulled from the rows of g
+    that differ from it in f's digits only; cancelled entries are dropped."""
+    d, k, l, q = f.shape.d, f.shape.p, f.shape.q, g.shape.q
+    low = d ** (q - k - slot)      # place value of f's lowest digit
+    hi, out_hi = low * d**k, low * d**l
+    grows = g._entries
+    out = {}
+    for a, c in {(r // hi, r % low) for r in grows}:
+        gbase, obase = a * hi + c, a * out_hi + c
+        for rf, frow in f._entries.items():
+            acc: dict[int, Scalar] = {}
+            for t, x in frow.items():
+                grow = grows.get(gbase + t * low)
+                if grow is None:
+                    continue
+                for s, gv in grow.items():
+                    prev = acc.get(s)
+                    acc[s] = x * gv if prev is None else prev + x * gv
+            row = {s: v for s, v in acc.items() if not v.is_zero()}
+            if row:
+                out[obase + rf * low] = row
+    return LinearMap(MapShape(d, g.shape.p, q - k + l), f.ring, out)
+
+
+def _check_pair(f: LinearMap, g: LinearMap, what: str):
+    if f.shape.d != g.shape.d:
+        raise ShapeMismatchError(f"{what}: d differs, {f.shape} vs {g.shape}")
+    if f.ring != g.ring:
+        raise RingMismatchError(f"{what}: rings differ, {f.ring} vs {g.ring}")
+
+
+def apply_local(f: LinearMap, slot: int, g: LinearMap) -> LinearMap:
+    """(1^slot ⊗ f ⊗ 1^rest) ∘ g: V^p -> V^(q-k+l) for f: V^k -> V^l and
+    g: V^p -> V^q; needs 0 <= slot <= q - k."""
+    _check_pair(f, g, "apply_local")
+    if not 0 <= slot <= g.shape.q - f.shape.p:
+        raise ShapeMismatchError(
+            f"apply_local: {f.shape} does not fit at slot {slot} "
+            f"of codomain arity {g.shape.q}"
+        )
+    return _place(f, slot, g)
+
+
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f ∘ g (apply g first).  Requires domain of f = codomain of g."""
-    if f.shape.d != g.shape.d:
-        raise ShapeMismatchError(f"compose: d differs, {f.shape} vs {g.shape}")
     if f.shape.p != g.shape.q:
         raise ShapeMismatchError(
             f"compose: domain arity {f.shape.p} != codomain arity {g.shape.q}"
         )
-    if f.ring != g.ring:
-        raise RingMismatchError(f"compose: rings differ, {f.ring} vs {g.ring}")
-    grows = g._entries
-    out = {}
-    for r, frow in f._entries.items():
-        acc: dict[int, Scalar] = {}
-        for t, c in frow.items():
-            grow = grows.get(t)
-            if grow is None:
-                continue
-            for s, gv in grow.items():
-                prev = acc.get(s)
-                acc[s] = c * gv if prev is None else prev + c * gv
-        row = {s: v for s, v in acc.items() if not v.is_zero()}
-        if row:
-            out[r] = row
-    return LinearMap(MapShape(f.shape.d, g.shape.p, f.shape.q), f.ring, out)
+    _check_pair(f, g, "compose")
+    return _place(f, 0, g)
 
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product; f's factors are the more significant (leftmost)."""
-    if f.shape.d != g.shape.d:
-        raise ShapeMismatchError(f"tensor: d differs, {f.shape} vs {g.shape}")
-    if f.ring != g.ring:
-        raise RingMismatchError(f"tensor: rings differ, {f.ring} vs {g.ring}")
-    grows, gcols = g.shape.rows, g.shape.cols
-    out = {}
-    for rf, frow in f._entries.items():
-        for rg, grow in g._entries.items():
-            row = {}
-            for cf, a in frow.items():
-                base = cf * gcols
-                for cg, b in grow.items():
-                    v = a * b
-                    if not v.is_zero():
-                        row[base + cg] = v
-            if row:
-                out[rf * grows + rg] = row
-    return LinearMap(
-        MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q),
-        f.ring, out,
-    )
+    """f ⊗ g = (f ⊗ 1)(1 ⊗ g); f's factors are the leftmost."""
+    _check_pair(f, g, "tensor")
+    one = LinearMap.identity(f.shape.d, f.shape.p + g.shape.p, f.ring)
+    return _place(f, 0, _place(g, f.shape.p, one))
 
 
 def reshape(f: LinearMap, p: int, q: int) -> LinearMap:
@@ -285,13 +288,6 @@ def transpose(f: LinearMap) -> LinearMap:
         for c, v in row.items():
             out.setdefault(c, {})[r] = v
     return LinearMap(MapShape(f.shape.d, f.shape.q, f.shape.p), f.ring, out)
-
-
-def tensor_all(maps: list[LinearMap], d: int, ring: Ring) -> LinearMap:
-    out = LinearMap.identity(d, 0, ring)
-    for m in maps:
-        out = tensor(out, m)
-    return out
 
 
 def swap(d: int, ring: Ring) -> LinearMap:
@@ -330,7 +326,7 @@ def partial_trace(f: LinearMap, slot: int) -> LinearMap:
 def full_trace(f: LinearMap) -> Scalar:
     if f.shape.p != f.shape.q:
         raise ShapeMismatchError(f"trace needs square shape, got {f.shape}")
-    return _sum((row[r] for r, row in f._entries.items() if r in row), f.ring)
+    return sum((row[r] for r, row in f._entries.items() if r in row), _zero(f.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linmap import LinearMap, compose, equal, tensor_all
+from .linmap import LinearMap, apply_local, compose, equal
 from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar
 from .switchback import SwitchbackPair, d2, delta0
 
@@ -95,10 +95,8 @@ def build_R(pair: SwitchbackPair, a, b) -> SkeinRMatrix:
 
 def ybe_residual(R: LinearMap) -> LinearMap:
     """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands."""
-    d, ring = R.shape.d, R.ring
-    one = LinearMap.identity(d, 1, ring)
-    left = tensor_all([R, one], d, ring)
-    right = tensor_all([one, R], d, ring)
+    three = LinearMap.identity(R.shape.d, 3, R.ring)
+    left, right = apply_local(R, 0, three), apply_local(R, 1, three)
     return compose(compose(left, right), left) - compose(compose(right, left), right)
 
 
@@ -155,12 +153,8 @@ def tl_generators(pair: SwitchbackPair, n: int) -> list[LinearMap]:
         raise RMatrixError(f"need at least 2 strands, got {n}")
     check_strands(n, pair.d)
     cc = cupcap(pair)
-    one = LinearMap.identity(pair.d, 1, pair.ring)
-    gens = []
-    for i in range(1, n):
-        factors = [one] * (i - 1) + [cc] + [one] * (n - i - 1)
-        gens.append(tensor_all(factors, pair.d, pair.ring))
-    return gens
+    ident = LinearMap.identity(pair.d, n, pair.ring)
+    return [apply_local(cc, i - 1, ident) for i in range(1, n)]
 
 
 def tl_first_failure(gens: list[LinearMap], delta) -> str | None:

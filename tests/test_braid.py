@@ -1,6 +1,7 @@
 """Braid words, the trace invariant, and the oracle comparison."""
 
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from skeinlab.braid import (
     skein_triple_check,
     turaev_first_failure,
 )
-from skeinlab.linmap import LinearMap, compose, full_trace, map_specialize, tensor, tensor_all
+from skeinlab.linmap import LinearMap, compose, full_trace, map_specialize, tensor
 from skeinlab.planar import bracket_state_sum
 from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
 from skeinlab.scalars import (
@@ -35,6 +36,7 @@ from skeinlab.scalars import (
     dual,
     into_ring,
     parse_scalar,
+    ring_of,
     specialize,
 )
 from skeinlab.switchback import (
@@ -188,15 +190,16 @@ def test_normalized_invariant_matches_oracle_on_random_words(w):
 
 def _reference_invariant(td, w):
     """u^(-writhe) Tr(twist^(x n) . R(w)), with every letter padded
-    by tensor_all and composed on the whole space: shares no code with the
-    packed kernel of braid.invariant."""
+    by tensor products and composed on the whole space: shares no code with
+    the packed kernel of braid.invariant."""
     d, ring = td.pair.d, td.rmx.R.ring
-    one = LinearMap.identity(d, 1, ring)
     acc = LinearMap.identity(d, w.n, ring)
     for i, sign in w.letters:
         f = td.rmx.R if sign > 0 else td.rmx.Rinv
-        acc = compose(tensor_all([one] * (i - 1) + [f] + [one] * (w.n - i - 1), d, ring), acc)
-    tr = full_trace(compose(tensor_all([td.nu] * w.n, d, ring), acc))
+        left, right = (LinearMap.identity(d, m, ring) for m in (i - 1, w.n - i - 1))
+        acc = compose(tensor(tensor(left, f), right), acc)
+    twists = reduce(tensor, [td.nu] * w.n, LinearMap.identity(d, 0, ring))
+    tr = full_trace(compose(twists, acc))
     return td.u ** (-w.writhe) * tr
 
 
@@ -354,6 +357,14 @@ def test_invariant_rejects_too_many_strands(monkeypatch):
 def test_unnormalized_unknot_is_the_loop_value():
     td = _turaev()
     assert invariant(td, BraidWord(1, ())) == L("-A^-2 - A^2")
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_unknot_is_the_one_strand_invariant(case):
+    # undeformed, specialized and cocycle-deformed data alike
+    td = KERNEL_CASES[case]
+    value = invariant(td, BraidWord(1, ()))
+    assert td.unknot == value and ring_of(td.unknot) == ring_of(value)
 
 
 def test_markov_invariance():

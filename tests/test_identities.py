@@ -360,6 +360,10 @@ def test_evaluate_missing_binding():
     diff = infiltrate(elaborate(idf.identity("assoc")))
     with pytest.raises(UnknownNameError):
         evaluate(diff, {"mu": _dualnumbers_mu()})
+    # with nothing bound there is no map to take d and the ring from; the
+    # first symbol of the sum as written is named
+    with pytest.raises(UnknownNameError, match=r"^no assignment for symbol f$"):
+        evaluate(one_differential("mu", 2, 1), {})
 
 
 def test_evaluate_arity_mismatch():

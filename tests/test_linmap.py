@@ -1,6 +1,7 @@
 """Tensor calculus and exact linear algebra over the scalar tower."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from skeinlab.linmap import (
     LinearMap,
     ShapeMismatchError,
+    apply_local,
     compose,
     dual_from_parts,
     dual_parts,
@@ -25,7 +27,6 @@ from skeinlab.linmap import (
     solve,
     swap,
     tensor,
-    tensor_all,
     transpose,
 )
 from skeinlab.scalars import (
@@ -83,12 +84,13 @@ def test_interchange_law():
         assert lhs == rhs
 
 
-def test_tensor_associativity_and_tensor_all():
+def test_tensor_associativity_and_unit():
     rng = random.Random(3)
     f, g, h = (_rand_map(rng, 2, 1, 1) for _ in range(3))
+    unit = LinearMap.identity(2, 0, GAUSS)
     assert tensor(tensor(f, g), h) == tensor(f, tensor(g, h))
-    assert tensor_all([f, g, h], 2, GAUSS) == tensor(f, tensor(g, h))
-    assert tensor_all([], 2, GAUSS) == LinearMap.identity(2, 0, GAUSS)
+    assert reduce(tensor, [f, g, h], unit) == tensor(f, tensor(g, h))
+    assert tensor(unit, f) == f == tensor(f, unit)
 
 
 def test_permutation_moves_factors():
@@ -462,6 +464,59 @@ def test_sparse_traces_match_dense_reference(name, data):
     f = LinearMap.from_rows(2, n, n, ring, a)
     _assert_matches(partial_trace(f, slot), _dense_partial_trace(a, 2, n, slot, zero))
     assert full_trace(f) == _dense_sum((a[i][i] for i in range(len(a))), zero)
+
+
+# entry pools for apply_local at d = 1, 2, 3; the dual pool has pure
+# t-multiples, so a placement can cancel (t*t = 0)
+PLACE_POOLS = {
+    "gauss": (GAUSS, ("0", "0", "0", "1", "-1", "i", "1/2 - i")),
+    "dual-gauss": (dual(GAUSS), (
+        "0", "0", "0", "0 + t*( 1 )", "0 + t*( -i )", "1 + t*( 0 )", "2 + t*( 1/2 )",
+    )),
+}
+
+
+def _dense_identity(d, n, ring):
+    return [[ring.one() if i == j else ring.zero() for j in range(d**n)] for i in range(d**n)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PLACE_POOLS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_apply_local_matches_dense_padded_product(name, d, data):
+    ring, texts = PLACE_POOLS[name]
+    values = [parse_scalar(text, ring) for text in texts]
+    k, l, p = (data.draw(st.integers(min_value=0, max_value=2)) for _ in range(3))
+    q = k + data.draw(st.integers(min_value=0, max_value=3 - k))
+
+    def rows(nin, nout):
+        return [[data.draw(st.sampled_from(values)) for _ in range(d**nin)]
+                for _ in range(d**nout)]
+
+    a, b = rows(k, l), rows(p, q)
+    f, g = LinearMap.from_rows(d, k, l, ring, a), LinearMap.from_rows(d, p, q, ring, b)
+    for slot in range(q - k + 1):
+        padded = _dense_tensor(
+            _dense_tensor(_dense_identity(d, slot, ring), a),
+            _dense_identity(d, q - k - slot, ring),
+        )
+        out = apply_local(f, slot, g)
+        assert out.shape.p == p and out.shape.q == q - k + l
+        _assert_matches(out, _dense_compose(padded, b, ring.zero()))
+
+
+def test_apply_local_refusals():
+    rng = random.Random(13)
+    f, g = _rand_map(rng, 2, 2, 1), _rand_map(rng, 2, 1, 3)
+    assert apply_local(f, 1, g).shape.q == 2
+    for slot in (-1, 2):
+        with pytest.raises(ShapeMismatchError, match="^apply_local: .* at slot"):
+            apply_local(f, slot, g)
+    with pytest.raises(ShapeMismatchError, match="^apply_local: d differs"):
+        apply_local(_rand_map(rng, 3, 2, 1), 0, g)
+    with pytest.raises(RingMismatchError, match="^apply_local: rings differ"):
+        apply_local(_map_into(f, LAURENT), 0, g)
 
 
 def test_cancelled_entries_are_dropped():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab.linmap import LinearMap, compose, equal, kernel_basis, map_specialize, tensor_all
+from skeinlab.linmap import LinearMap, compose, equal, kernel_basis, map_specialize, tensor
 from skeinlab.rmatrix import (
     MAX_DIM,
     RMatrixError,
@@ -132,7 +132,7 @@ def test_tl_reports_each_relation_kind():
     one = LinearMap.identity(2, 1, LAURENT)
     o, z = LAURENT.one(), LAURENT.zero()
     hold = LinearMap.from_rows(2, 1, 1, LAURENT, [[o, z], [z, z]])
-    g = tensor_all([cupcap(pair), hold, one], 2, LAURENT)
+    g = tensor(tensor(cupcap(pair), hold), one)
     assert tl_first_failure([g, e2, e3], delta) == "e2*e1*e2 != e2"
     # conjugating e3 by u = 1 + A^2*e2 keeps its relations with e2, which
     # commutes with u (u^-1 = 1 + A^-2*e2 as delta = -A^2 - A^-2), but not

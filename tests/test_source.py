@@ -110,3 +110,20 @@ def test_differential_matrices_are_written_by_placement():
     }
     assert {"d1_matrix", "d2_matrix", "d3_matrix"} <= names
     assert names & {"_matrix_of", "_basis_cochain"} == set()
+
+
+def test_only_linmap_builds_tensor_products():
+    # a map on a few strands is placed on a wide one by linmap.apply_local;
+    # padding it with identities through tensor would build the padded map
+    importers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linmap.py" and ("linmap", "tensor") in _imports(path)
+    ]
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "tensor_all"
+    ]
+    assert importers == [] and defined == []
