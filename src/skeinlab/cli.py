@@ -111,13 +111,13 @@ class Out:
         self.emit("fail", [("reason", reason)], f"FAIL: {reason}")
 
 
-def _resolve(name: str, suffix: str) -> Path:
-    p = Path(name)
-    if p.is_file():
-        return p
-    for cand in (_FIXTURES / name, _FIXTURES / (name + suffix)):
-        if cand.is_file():
-            return cand
+def _resolve(name: str, suffix: str, prefix: str = "") -> Path:
+    """The file `name`, else the bundled fixture `name` or `name` + suffix;
+    then the same three for prefix + name."""
+    for stem in (name, prefix + name):
+        for cand in (Path(stem), _FIXTURES / stem, _FIXTURES / (stem + suffix)):
+            if cand.is_file():
+                return cand
     raise CliError(f"no such file or bundled fixture: {name}")
 
 
@@ -149,10 +149,7 @@ def _field_pair(pair: SwitchbackPair) -> SwitchbackPair:
 
 
 def _load_cocycle(args, pair: SwitchbackPair):
-    try:
-        path = _resolve(args.cocycle, ".cfg")
-    except CliError:
-        path = _resolve(f"cocycle_{args.cocycle}", ".cfg")
+    path = _resolve(args.cocycle, ".cfg", "cocycle_")
     return parse_cocycle_config(path.read_text(), pair, str(path))
 
 

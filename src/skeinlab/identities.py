@@ -358,7 +358,12 @@ class _DslParser:
                 self.take(";")
                 gens[name] = (p, q)
             elif head.text == "identity":
-                label = self.take("name", "identity label").text
+                label_tok = self.take("name", "identity label")
+                label = label_tok.text
+                if any(i.label == label for i in idents):
+                    raise DslSyntaxError(
+                        f"line {label_tok.line}: identity {label!r} redeclared"
+                    )
                 self.take(":")
                 lhs = self.expr(gens)
                 self.take("=")
@@ -410,16 +415,6 @@ class _DslParser:
 
 def parse_identity_file(text: str) -> IdentityFile:
     return _DslParser(text).parse_file()
-
-
-def parse_identity(text: str) -> SingleTermIdentity:
-    """Parse a file-let that declares its generators and exactly one identity."""
-    f = parse_identity_file(text)
-    if len(f.identities) != 1:
-        raise DslSyntaxError(
-            f"expected exactly one identity, found {len(f.identities)}"
-        )
-    return f.identities[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ ordering contract: the basis vector e_{i_0} ⊗ ... ⊗ e_{i_{n-1}} has index
 sum_k i_k * d^{n-1-k}, i.e. the leftmost tensor factor is the most
 significant digit, so `apply_local(f, slot, g)` = (1^slot ⊗ f ⊗ 1^rest) ∘ g
 acts on digits slot .. slot+k-1 of g's codomain index.  It is the one product
-loop: `compose` is it at slot 0, and `tensor(f, g)` is (f ⊗ 1)(1 ⊗ g).
+loop, and `compose` is it at slot 0.
 
 Storage is sparse, and only this module knows its format: row -> {col:
 scalar}, where no stored scalar is an exact zero and no stored row is
@@ -256,13 +256,6 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     return _place(f, 0, g)
 
 
-def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
-    """f ⊗ g = (f ⊗ 1)(1 ⊗ g); f's factors are the leftmost."""
-    _check_pair(f, g, "tensor")
-    one = LinearMap.identity(f.shape.d, f.shape.p + g.shape.p, f.ring)
-    return _place(f, 0, _place(g, f.shape.p, one))
-
-
 def reshape(f: LinearMap, p: int, q: int) -> LinearMap:
     """The same coefficients regrouped as V^p -> V^q: the flat index
     row * d^p_f + col of each entry is kept.  Bends a pairing V^2 -> K or a
@@ -352,6 +345,10 @@ def rref(rows: list[list[Scalar]], ring: Ring) -> tuple[list[list[Scalar]], list
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    if any(len(row) != ncols for row in m):
+        raise ShapeMismatchError(
+            f"elimination: row lengths differ, {sorted({len(row) for row in m})}"
+        )
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -404,6 +401,8 @@ def solve(rows, rhs: list[Scalar], ring: Ring) -> list[Scalar] | None:
     """One exact solution of rows · x = rhs (free variables set to 0),
     or None when the system is inconsistent."""
     _require_field(ring, "solve")
+    if len(rhs) != len(rows):
+        raise ShapeMismatchError(f"solve: {len(rows)} rows but {len(rhs)} right-hand sides")
     m = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
     red, pivots = rref(m, ring)

