@@ -8,6 +8,7 @@ relation survive exactly.  Then break it on purpose and look at the
 obstruction.
 """
 
+from skeinlab.linmap import equal
 from skeinlab.rmatrix import (
     build_R,
     solve_deformed_coefficients,
@@ -70,4 +71,4 @@ print("non-cocycle deformation passes:", verify_switchback(broken))
 xi1, xi2 = deformation_obstruction(pair, bad1, bad2)
 e1, e2 = d2(pair, bad1, bad2)
 print("obstruction equals the differential:",
-      (xi1 - e1).is_zero() and (xi2 - e2).is_zero())
+      equal(xi1, e1) and equal(xi2, e2))

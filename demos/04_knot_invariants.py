@@ -3,11 +3,11 @@ Closed-braid invariants against an independent oracle
 =====================================================
 
 The braid-trace invariant is computed from the R-matrix and the twist map;
-the oracle is a brute-force Kauffman state sum over planar diagrams that
-never touches the linear-algebra code.  They must agree on the nose.  The
-deformed invariant, which carries a genuine first-order correction, must
-equal the same state sum taken at the deformed R-matrix's weights, slope
-included.
+the oracle is the Kauffman state sum, which counts the smoothings of the
+closure on packed ints and never touches the linear-algebra code.  They
+must agree on the nose.  The deformed invariant, which carries a genuine
+first-order correction, must equal the same state sum taken at the
+deformed R-matrix's weights, slope included.
 """
 
 from skeinlab.braid import (

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from math import lcm
 
+from . import SkeinlabError
 from .linmap import (
     LinearMap,
     apply_local,
@@ -31,7 +32,7 @@ from .linmap import (
 from .planar import bracket_state_sum, jones_polynomial
 from .rmatrix import SkeinRMatrix, build_R, check_strands
 from .scalars import (
-    LAURENT,
+    RATFUN,
     Dual,
     GaussRat,
     LaurentA,
@@ -42,11 +43,11 @@ from .scalars import (
 from .switchback import SwitchbackPair
 
 
-class BraidSyntaxError(ValueError):
+class BraidSyntaxError(SkeinlabError):
     pass
 
 
-class TuraevError(ValueError):
+class TuraevError(SkeinlabError):
     pass
 
 
@@ -69,15 +70,6 @@ class BraidWord:
     @property
     def writhe(self) -> int:
         return sum(sign for _, sign in self.letters)
-
-    def conjugated(self, i: int, sign: int = 1) -> "BraidWord":
-        """g w g^-1 for g = s_i^sign."""
-        g, ginv = (i, sign), (i, -sign)
-        return BraidWord(self.n, (g, *self.letters, ginv))
-
-    def stabilized(self, sign: int = 1) -> "BraidWord":
-        """w . s_n^sign on one more strand."""
-        return BraidWord(self.n + 1, (*self.letters, (self.n, sign)))
 
     def __str__(self):
         if not self.letters:
@@ -185,13 +177,6 @@ def turaev_first_failure(td: TuraevData) -> str | None:
 # proof of the bound on the packed width B.
 
 
-def _fraction(x):
-    """(numerator, denominator) of a base-ring scalar, as LaurentA."""
-    if isinstance(x, RatFunA):
-        return x.num, x.den
-    return into_ring(x, LAURENT), LAURENT.one()
-
-
 @dataclass(frozen=True)
 class _Scaled:
     """A local map M = M'/scale, with M' as the lane moves of its entries:
@@ -208,29 +193,16 @@ def _scaled(m: LinearMap) -> _Scaled:
     is_dual = m.ring.name == "dual"
     base = m.ring.base if is_dual else m.ring
     cells = [
-        (r, c, [_fraction(p) for p in ((x.body, x.slope) if is_dual else (x,))])
+        (r, c, [into_ring(p, RATFUN) for p in ((x.body, x.slope) if is_dual else (x,))])
         for r, c, x in m.nonzeros()
     ]
-    one = LAURENT.one()
-    dens = list(dict.fromkeys(
-        den for _, _, parts in cells for _, den in parts if den != one
-    ))
-    q = one
-    for den in dens:
-        q = q * den
-
-    def cofactor(den):
-        out = one
-        for other in dens:
-            if other != den:
-                out = out * other
-        return out
-
+    q = RATFUN.one()
+    for den in dict.fromkeys(p.den for _, _, parts in cells for p in parts):
+        q = q * RatFunA(den)
     # (row, col, t-degree, [(exponent, re, im)]) of M times Q, as Fractions
     polys = [
-        (r, c, tdeg, [(e, g.re, g.im) for e, g in
-                      (num * cofactor(den) if dens else num).terms])
-        for r, c, parts in cells for tdeg, (num, den) in enumerate(parts)
+        (r, c, tdeg, [(e, g.re, g.im) for e, g in (q * p).num.terms])
+        for r, c, parts in cells for tdeg, p in enumerate(parts)
     ]
     mult = lcm(*(f.denominator for *_, p in polys for _, a, b in p for f in (a, b)))
     shift = -min((e for *_, p in polys for e, _, _ in p), default=0)
@@ -252,7 +224,7 @@ def _scaled(m: LinearMap) -> _Scaled:
             if im:
                 neg = {e: -v for e, v in im.items()}
                 moves += [(r, c, dst, src + 1, neg), (r, c, dst + 1, src, im)]
-    scale = LaurentA(((shift, GaussRat(mult)),)) * q
+    scale = into_ring(LaurentA(((shift, GaussRat(mult)),)), RATFUN) * q
     return _Scaled(tuple(moves), into_ring(scale, base),
                    max(colnorm.values(), default=0))
 

@@ -16,10 +16,9 @@ import random
 import sys
 from pathlib import Path
 
+from . import SkeinlabError
 from .braid import (
-    BraidSyntaxError,
     BraidWord,
-    TuraevError,
     compare_with_oracle,
     jones_oracle,
     make_turaev,
@@ -28,17 +27,14 @@ from .braid import (
     parse_braid,
 )
 from .identities import (
-    DslError,
     check_d2d1,
     elaborate,
     infiltrate,
     parse_identity_file,
     to_text,
 )
-from .linmap import LinearMap, ShapeMismatchError
-from .planar import PlanarityError
+from .linmap import LinearMap
 from .rmatrix import (
-    RMatrixError,
     check_strands,
     solve_deformed_coefficients,
     tl_first_failure,
@@ -49,19 +45,19 @@ from .scalars import (
     GAUSS,
     LAURENT,
     RATFUN,
-    ScalarError,
     format_scalar,
     parse_scalar,
     ring_by_name,
 )
 from .switchback import (
-    SwitchbackError,
     SwitchbackPair,
     cochain_coords,
     cohomology_dims,
     deform,
     deformation_obstruction,
     delta0,
+    format_matrix,
+    make_bracket_pair,
     parse_cocycle_config,
     parse_pair_config,
     solve_2cocycles,
@@ -72,7 +68,7 @@ from .switchback import (
 _FIXTURES = Path(__file__).parent / "fixtures"
 
 
-class CliError(ValueError):
+class CliError(SkeinlabError):
     pass
 
 
@@ -160,7 +156,7 @@ def _load_cocycle(args, pair: SwitchbackPair):
 
 def _model_assignment(name: str):
     if name == "bracket":
-        pair = parse_pair_config((_FIXTURES / "bracket.pair").read_text())
+        pair = make_bracket_pair()
         return {"beta": pair.pairing, "gamma": pair.copairing}, 2, pair.ring
     if name == "dualnumbers":
         # multiplication table of Q(i)[x]/(x^2) on basis (1, x)
@@ -266,17 +262,11 @@ def cmd_solve_cocycles(args, out: Out) -> int:
     return 0
 
 
-def _matrix_text(m: LinearMap) -> str:
-    """m as a matrix literal of the config files: rows split by `;`,
-    entries by `,`."""
-    return "; ".join(", ".join(format_scalar(e) for e in row) for row in m.rows)
-
-
 def cmd_deform(args, out: Out) -> int:
     pair = _load_pair(args)
     phi1, phi2 = _load_cocycle(args, pair)
     pt = deform(pair, phi1, phi2)
-    beta_t, gamma_t = _matrix_text(pt.pairing), _matrix_text(pt.copairing)
+    beta_t, gamma_t = format_matrix(pt.pairing), format_matrix(pt.copairing)
     out.emit("deformed", [("beta", beta_t)], f"beta_t = {beta_t}")
     out.emit("deformed", [("gamma", gamma_t)], f"gamma_t = {gamma_t}")
     ok = verify_switchback(pt)
@@ -285,7 +275,7 @@ def cmd_deform(args, out: Out) -> int:
         f"deformed switchback: {'OK' if ok else 'FAIL'}",
     )
     if not ok:
-        ob1, ob2 = map(_matrix_text, deformation_obstruction(pair, phi1, phi2))
+        ob1, ob2 = map(format_matrix, deformation_obstruction(pair, phi1, phi2))
         out.emit("obstruction", [("xi1", ob1)], f"obstruction xi1 = {ob1}")
         out.emit("obstruction", [("xi2", ob2)], f"obstruction xi2 = {ob2}")
     return out.exit_code("deformation does not satisfy the switchback conditions")
@@ -498,18 +488,7 @@ def main(argv=None) -> int:
     out = Out(args.output)
     try:
         return args.fn(args, out)
-    except (
-        ScalarError,
-        ShapeMismatchError,
-        DslError,
-        SwitchbackError,
-        RMatrixError,
-        BraidSyntaxError,
-        TuraevError,
-        PlanarityError,
-        CliError,
-        OSError,
-    ) as e:
+    except (SkeinlabError, OSError) as e:
         out.fail(str(e))
         return 2
 

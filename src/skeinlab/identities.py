@@ -35,12 +35,13 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
+from . import SkeinlabError
 from .linmap import LinearMap, apply_local, equal, swap
 from .rmatrix import check_strands
 from .scalars import Ring
 
 
-class DslError(ValueError):
+class DslError(SkeinlabError):
     """Base for identity-DSL errors."""
 
 

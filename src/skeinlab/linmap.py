@@ -32,12 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 
+from . import SkeinlabError
 from .scalars import Dual, Ring, RingMismatchError, dual, ring_of, specialize
 
 Scalar = object
 
 
-class ShapeMismatchError(ValueError):
+class ShapeMismatchError(SkeinlabError):
     """Operands have incompatible shapes (reports both)."""
 
 

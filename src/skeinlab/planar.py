@@ -28,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from . import SkeinlabError
 from .scalars import A, A_INV, GaussRat, LaurentA
 
 
-class PlanarityError(ValueError):
+class PlanarityError(SkeinlabError):
     pass
 
 

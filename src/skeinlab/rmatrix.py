@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import SkeinlabError
 from .linmap import LinearMap, apply_local, compose, equal
 from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar
 from .switchback import SwitchbackPair, delta0
 
 
-class RMatrixError(ValueError):
+class RMatrixError(SkeinlabError):
     pass
 
 

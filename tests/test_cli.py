@@ -1,11 +1,21 @@
 """End-to-end command-line checks: golden output, record mode, exit codes."""
 
 import argparse
+from pathlib import Path
 
 import pytest
 
 from skeinlab import cli
 from skeinlab.cli import main
+from skeinlab.scalars import ring_by_name
+from skeinlab.switchback import (
+    deform,
+    make_bracket_pair,
+    parse_cocycle_config,
+    parse_pair_config,
+)
+
+FIXTURES = Path(__file__).parent.parent / "src" / "skeinlab" / "fixtures"
 
 
 def run(capsys, *argv):
@@ -487,6 +497,36 @@ def test_nonpositive_dimension_is_an_error(capsys, tmp_path):
         code, out = run(capsys, *argv, "--pair", str(pair))
         assert code == 2
         assert out == f"FAIL: {pair}: dimension must be at least 1, got -1\n"
+
+
+def test_config_files_refuse_keys_they_do_not_define(capsys, tmp_path):
+    pair = tmp_path / "typo.pair"
+    pair.write_text(
+        "dimension = 2\nring = laurent\nbeta = 0, i*A, -i*A^-1, 0\n"
+        "gamma = 0; i*A; -i*A^-1; 0\ngama = 1\n"
+    )
+    code, out = run(capsys, "verify-switchback", "--pair", str(pair))
+    assert code == 2
+    assert out == f"FAIL: {pair}:5: unknown key 'gama'\n"
+
+
+@pytest.mark.parametrize("ring", ["laurent", "ratfun"])
+def test_the_pair_printed_by_deform_reads_back_as_a_pair_file(capsys, tmp_path, ring):
+    # format_matrix writes the literal that the pair parser reads
+    code, out = run(capsys, "deform", "--cocycle", "yx", "--ring", ring, "--output", "records")
+    assert code == 0
+    printed = dict(
+        line.split("\t")[1].split("=", 1)
+        for line in out.splitlines() if line.startswith("deformed\t")
+    )
+    path = tmp_path / "deformed.pair"
+    path.write_text(
+        f"dimension = 2\nring = dual-{ring}\n"
+        f"beta = {printed['beta']}\ngamma = {printed['gamma']}\n"
+    )
+    base = make_bracket_pair(ring_by_name(ring))
+    phi = parse_cocycle_config((FIXTURES / "cocycle_yx.cfg").read_text(), base)
+    assert parse_pair_config(path.read_text(), str(path)) == deform(base, *phi)
 
 
 def test_bad_specialize_is_an_error(capsys):

@@ -452,13 +452,14 @@ def test_gaussrat_matches_fraction_pair_reference(p, q, r, s, k):
             y.inv()
     if k:
         _assert_canonical(x / k, _ref_mul(rx, _ref_inv(rk)))
-    # == against ints and Fractions, and hashes as before: of the parts
+    # == against ints and Fractions, and hashes as the value it equals: a
+    # real value as its Fraction, any other as the pair of its parts
     assert (x == k) == (rx == rk)
     assert (x == Fraction(k)) == (rx == rk)
     assert (x == rx[0]) == (not rx[1])
     assert (x == rx[0].numerator) == (not rx[1] and rx[0].denominator == 1)
     assert (x == y) == (rx == ry)
-    assert hash(x) == hash(rx)
+    assert hash(x) == (hash(rx) if rx[1] else hash(rx[0]))
     # equal values reached by different paths are the same structure
     back = (x + y) - y
     assert back == x and _parts(back) == _parts(x) and hash(back) == hash(x)
@@ -480,6 +481,14 @@ def test_gaussrat_equal_values_are_equal_structures():
     assert _parts(GaussRat(Fraction(3, 6), Fraction(-1, 4))) == (2, -1, 4)
     assert _parts(GaussRat(0, 1).inv()) == (0, -1, 1)
     assert repr(GaussRat(Fraction(3, 6), -1)) == "GaussRat(1/2, -1)"
+
+
+def test_gaussrat_hashes_as_the_number_it_equals():
+    # x == y must give hash(x) == hash(y), or sets and dict keys mix them up
+    assert 2 in {GaussRat(2)} and GaussRat(2) in {2}
+    assert hash(GaussRat(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert {GaussRat(Fraction(-3, 4)): "x"}[Fraction(-3, 4)] == "x"
+    assert GaussRat(0) in {0} and GaussRat(0, 1) not in {0, 1}
 
 
 # -- Laurent and dual fast paths ---------------------------------------------

@@ -1,6 +1,7 @@
 """Checks on the program's source text."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "skeinlab"
@@ -142,6 +143,24 @@ def _referenced(tree):
     return names
 
 
+def _program_names():
+    """The names that the demos and the benchmark's workloads read."""
+    root = SRC.parent.parent
+    used = set()
+    for path in [*sorted(root.glob("demos/*.py")), root / "perfbench" / "workloads.py"]:
+        used |= _referenced(ast.parse(path.read_text(), str(path)))
+    return used
+
+
+def _statements():
+    """The top-level statements of every source file."""
+    return [
+        stmt
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+    ]
+
+
 def test_every_public_name_is_used_by_the_program():
     # a public function or class that only tests reach is test code in the
     # library.  "The program" is src/ outside the definition itself, the
@@ -153,15 +172,8 @@ def test_every_public_name_is_used_by_the_program():
         # hooks its __mul__, so it leaves with the next benchmark change
         "PlanarMatching",
     }
-    root = SRC.parent.parent
-    used = set()
-    for path in [*sorted(root.glob("demos/*.py")), root / "perfbench" / "workloads.py"]:
-        used |= _referenced(ast.parse(path.read_text(), str(path)))
-    statements = [
-        stmt
-        for path in sorted(SRC.glob("*.py"))
-        for stmt in ast.parse(path.read_text(), str(path)).body
-    ]
+    used = _program_names()
+    statements = _statements()
     referenced = [_referenced(stmt) for stmt in statements]
     unused = sorted(
         stmt.name
@@ -173,3 +185,46 @@ def test_every_public_name_is_used_by_the_program():
     )
     assert statements, f"no sources under {SRC}"
     assert unused == []
+
+
+def test_every_public_method_is_used_by_the_program():
+    # the same rule for the public methods of public classes: a method is
+    # used when the program reads its name outside the method itself
+    used = _program_names()
+    statements = _statements()
+    referenced = [_referenced(stmt) for stmt in statements]
+    unused = []
+    for i, cls in enumerate(statements):
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        if cls.name == "PlanarMatching":  # kept whole, as above
+            continue
+        for j, method in enumerate(cls.body):
+            if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                continue
+            elsewhere = [names for k, names in enumerate(referenced) if k != i]
+            elsewhere += [_referenced(m) for k, m in enumerate(cls.body) if k != j]
+            if method.name not in used and not any(method.name in n for n in elsewhere):
+                unused.append(f"{cls.name}.{method.name}")
+    assert any(isinstance(stmt, ast.ClassDef) for stmt in statements)
+    assert unused == []
+
+
+def test_every_error_class_derives_from_skeinlab_error():
+    # cli.main reports a SkeinlabError as refused input, exit 2; an error
+    # class with another root would end the run in a traceback.  A class
+    # whose base is a built-in exception is a root, and SkeinlabError must
+    # be the only one
+    roots = [
+        f"{path.name}: {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(base, ast.Name)
+            and isinstance(getattr(builtins, base.id, None), type)
+            and issubclass(getattr(builtins, base.id), BaseException)
+            for base in node.bases
+        )
+    ]
+    assert roots == ["__init__.py: SkeinlabError"]

@@ -1,6 +1,7 @@
 """Switchback pairs, their cochain complex, cohomology, and deformations."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from skeinlab.scalars import (
     A,
     Dual,
     GaussRat,
+    RingMismatchError,
+    ScalarSyntaxError,
     dual,
     into_ring,
     parse_scalar,
@@ -487,6 +490,11 @@ def test_pair_config_roundtrip():
     assert (pair.copairing - ref.copairing).is_zero()
 
 
+def test_bundled_bracket_pair_is_make_bracket_pair():
+    # cli's bracket model is make_bracket_pair(); the fixture must agree
+    assert parse_pair_config((FIXTURES / "bracket.pair").read_text()) == make_bracket_pair()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -496,7 +504,8 @@ def test_pair_config_roundtrip():
         ("dimension = 2\nring = laurent\nbeta = 0, i*A\ngamma = 0; i*A; -i*A^-1; 0\n",
          "beta must be"),
         ("dimension = 2\nring = laurent\nbeta = 0, i*A, -i*A^-1, 0\ngamma = 0; 1, 2\n",
-         "ragged"),
+         "^<config>: gamma: ragged matrix literal$"),
+        (BRACKET_CFG + "gama = 1\n", "^<config>:5: unknown key 'gama'$"),
         ("no equals sign here\n", "key = value"),
         # d = -1 with 1 x 1 literals would pass the d^2 = 1 size checks
         ("dimension = -1\nring = gauss\nbeta = 1\ngamma = 1\n", "at least 1, got -1"),
@@ -524,6 +533,36 @@ def test_cocycle_config_both_forms():
         parse_cocycle_config("beta1_xx = 1\n", pair)
     with pytest.raises(PairConfigError):
         parse_cocycle_config("phi1 = 1, 0, 0, 0\n", pair)
+
+
+def test_cocycle_config_refuses_keys_it_does_not_define():
+    pair = _bracket()
+    named = "beta1_xx = 0\nbeta1_xy = 1\nbeta1_yx = 0\nbeta1_yy = 0\n"
+    with pytest.raises(PairConfigError, match="^c.cfg:5: unknown key 'beta'$"):
+        parse_cocycle_config(named + "beta = 1\n", pair, "c.cfg")
+    # a malformed phi1 next to a complete bracket form is not ignored
+    with pytest.raises(PairConfigError, match="^c.cfg: give either .* not both$"):
+        parse_cocycle_config(named + "phi1 = 1, 2, 3\n", pair, "c.cfg")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # a syntax error, in a pair file and in each cocycle form
+    (BRACKET_CFG.replace("-i*A^-1, 0", "-i*A^-1 %, 0"), ScalarSyntaxError,
+     "f: beta entry '-i*A^-1 %': unexpected character '%' at column 8"),
+    ("beta1_xx = 0\nbeta1_xy = 1/\nbeta1_yx = 0\nbeta1_yy = 0\n", ScalarSyntaxError,
+     "f: beta1_xy entry '1/': "),
+    ("phi1 = 0, 0, 0, 0\nphi2 = 0; 0; 0; A^\n", ScalarSyntaxError,
+     "f: phi2 entry 'A^': expected 'int', found 'end of input' at column 2"),
+    # an entry that does not fit the declared ring
+    (BRACKET_CFG.replace("laurent", "gauss"), RingMismatchError,
+     "f: beta entry 'i*A': i*A involves A; not a Gaussian rational"),
+])
+def test_a_bad_entry_names_the_file_and_key_and_keeps_its_class(text, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        if "dimension" in text:
+            parse_pair_config(text, "f")
+        else:
+            parse_cocycle_config(text, _bracket(), "f")
 
 
 # ---------------------------------------------------------------------------
