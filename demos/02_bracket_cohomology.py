@@ -3,10 +3,12 @@ Cohomology of the bracket pairing
 =================================
 
 The bracket pair is the 2-dimensional pairing/copairing with entries
-(0, i*A, -i*A^-1, 0).  Its cochain complex is small enough to solve by
-exact Gaussian elimination over the rational-function field, and the
-kernel of the degree-2 differential is where the interesting deformations
-live.
+(0, i*A, -i*A^-1, 0).  The dimensions of its cochain complex come from
+exact Gaussian elimination over the rational-function field.  The kernel
+of the degree-2 differential, where the interesting deformations live,
+needs none: bending the pairing and copairing into matrices B and G, a
+cochain (phi1, phi2) is a 2-cocycle exactly when Phi1 = -B Phi2 B, so the
+basis below has one cocycle per unit copairing slope.
 """
 
 from skeinlab.scalars import RATFUN, format_scalar
@@ -44,6 +46,7 @@ for k, (phi1, phi2) in enumerate(solve_2cocycles(pair), 1):
 print()
 
 # every basis vector ties its copairing slope to its pairing slope by the
-# same four relations; eyeball them in the rows above:
+# same four relations, Phi2 = -G Phi1 G for the bracket's G; eyeball them
+# in the rows above:
 #   g_yy = -b_xx    g_xx = -b_yy    g_yx = A^-2 b_xy    g_xy = A^2 b_yx
 assert verify_switchback(pair)

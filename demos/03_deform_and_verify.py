@@ -56,10 +56,13 @@ print("Temperley-Lieb (4 strands, deformed delta):",
 print()
 
 # second order: the cocycle composed with itself across each zig-zag is a
-# 3-cocycle, and here it is even a coboundary
+# 3-cocycle, and for every 2-cocycle of a switchback pair a coboundary: the
+# extension (-psi1^T B, 0) has d2 = -psi
 report = degree2_analysis(pair, phi1, phi2)
 print("psi is a 3-cocycle:", report.is_cocycle)
-print("degree-2 extension found:", report.extension is not None)
+x1, x2 = d2(pair, *report.extension)
+print("d2 of the degree-2 extension is -psi:",
+      equal(x1, -report.psi1) and equal(x2, -report.psi2))
 print()
 
 # a cochain that is not a cocycle: the switchback conditions fail at order

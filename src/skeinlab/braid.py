@@ -137,6 +137,7 @@ def make_turaev(pair: SwitchbackPair, a, b) -> TuraevData:
     taken.  Nothing is left to solve: turaev_first_failure checks both
     traces against these values.
     """
+    check_strands(3, pair.d)
     td = TuraevData(build_R(pair, a, b), make_nu(pair))
     failure = turaev_first_failure(td)
     if failure is not None:

@@ -292,7 +292,7 @@ class IdentityFile:
         raise UnknownNameError(f"no identity labelled {label!r}")
 
 
-_RESERVED = {"gen", "identity", "id", "X", "x", "t", "phi"}
+_RESERVED = {"gen", "identity", "id", "X", "x", "t", "phi", "f"}
 
 
 _DslTok = namedtuple("_DslTok", "kind text line col")

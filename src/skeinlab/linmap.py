@@ -23,7 +23,7 @@ equal exactly when their sparse entries are, and f - g is then zero.
 Arity 0 is the ground ring: a map V^{⊗2} -> K is a 1 x d^2 matrix, a map
 K -> V^{⊗2} is d^2 x 1.
 
-Exact Gaussian elimination (rank / kernel_basis / solve) is provided for
+Exact Gaussian elimination (rref / rank / invert_rows) is provided for
 dense row lists over the field rings only (GaussRat and RatFunA).
 """
 
@@ -377,43 +377,6 @@ def rref(rows: list[list[Scalar]], ring: Ring) -> tuple[list[list[Scalar]], list
 
 def rank(rows, ring: Ring) -> int:
     return len(rref(rows, ring)[1])
-
-
-def kernel_basis(rows, ring: Ring) -> list[list[Scalar]]:
-    """Basis of the right kernel, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows, ring)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    z, o = ring.zero(), ring.one()
-    basis = []
-    for fc in free:
-        v = [z] * ncols
-        v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(rows, rhs: list[Scalar], ring: Ring) -> list[Scalar] | None:
-    """One exact solution of rows · x = rhs (free variables set to 0),
-    or None when the system is inconsistent."""
-    _require_field(ring, "solve")
-    if len(rhs) != len(rows):
-        raise ShapeMismatchError(f"solve: {len(rows)} rows but {len(rhs)} right-hand sides")
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(m, ring)
-    if ncols in pivots:
-        return None
-    z = ring.zero()
-    x = [z] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 def invert_rows(rows, ring: Ring) -> list[list[Scalar]] | None:

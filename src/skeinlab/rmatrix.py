@@ -93,6 +93,7 @@ def build_R(pair: SwitchbackPair, a, b) -> SkeinRMatrix:
 
 def ybe_residual(R: LinearMap) -> LinearMap:
     """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands."""
+    check_strands(3, R.shape.d)
     three = LinearMap.identity(R.shape.d, 3, R.ring)
     left, right = apply_local(R, 0, three), apply_local(R, 1, three)
     return compose(compose(left, right), left) - compose(compose(right, left), right)

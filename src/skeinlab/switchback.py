@@ -54,6 +54,20 @@ i*d + o for xi1 = E_oi and n + i*d + o for xi2 = E_oi.
 
 d1's column for eta = E_oi (column i*d + o) holds both D3 rules, added
 where they meet: at rows i*d + i and n + o*d + o.
+
+The 2-cocycles have a closed form, the cocycle rule.  As B G = G B = 1,
+d2(phi1, phi2) = 0 exactly when Phi1 = -B Phi2 B, or equivalently
+Phi2 = -G Phi1 G (then Phi2 B + G Phi1 = 0 as well).  The rule divides by
+nothing, so it holds over every ring; solve_2cocycles, degree2_analysis
+and bracket_cocycle read it, and first refuse a pair that fails
+verify_switchback.  The basis (-B E B, E), for the unit copairing slopes E
+in coordinate order, is the one an elimination of d2 reads off:
+d2(Phi1, 0) = 0 forces Phi1 = 0, so the phi1 columns are its pivots.  The
+degree-2 extension (Phi1', 0) solves d2 x = -psi with its free coordinates
+0.  The first component asks Phi1' = -psi1^T B; the second asks
+G Phi1' = -psi2, and a cocycle meets it, as psi1^T = Phi1 Phi2,
+psi2 = Phi2 Phi1 and Phi2 = -G Phi1 G give
+G Phi1' = -G Phi1 Phi2 B = G Phi1 G Phi1 = -Phi2 Phi1.
 """
 
 from __future__ import annotations
@@ -68,22 +82,20 @@ from .linmap import (
     dual_parts,
     equal,
     invert_rows,
-    kernel_basis,
     map_apply,
     map_specialize,
     rank,
     reshape,
-    solve,
     transpose,
 )
 from .scalars import (
-    A,
     GAUSS,
     I,
     LAURENT,
     LaurentA,
     Ring,
     RingMismatchError,
+    ScalarError,
     dual,
     format_scalar,
     into_ring,
@@ -166,8 +178,7 @@ def make_bracket_pair(ring: Ring = LAURENT) -> SwitchbackPair:
     pair = SwitchbackPair(2, LAURENT, b, g)
     if ring is not LAURENT:
         pair = pair.into_ring(ring)
-    if not verify_switchback(pair):
-        raise SwitchbackError("the bracket pair fails the switchback conditions")
+    _require_switchback(pair)
     return pair
 
 
@@ -347,10 +358,26 @@ def cohomology_dims(pair: SwitchbackPair) -> CohomologyDims:
     return CohomologyDims(z1, b2, z1, z2, b3, z2 - b2, z3, b4, z3 - b3)
 
 
+def _require_switchback(pair: SwitchbackPair):
+    if not verify_switchback(pair):
+        raise SwitchbackError("the pair fails the switchback conditions")
+
+
+def _cocycle_partner(m: LinearMap, x: LinearMap) -> LinearMap:
+    """-M X M on bent d x d maps: the cocycle rule, read from B or from G."""
+    return -compose(compose(m, x), m)
+
+
 def solve_2cocycles(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
-    """Basis of the 2-cocycle space (kernel of d2) as (phi1, phi2) pairs."""
-    basis = kernel_basis(d2_matrix(pair), pair.ring)
-    return [cochain_from_coords(v, pair.d, pair.ring, C2) for v in basis]
+    """Basis of the 2-cocycle space (kernel of d2) as (phi1, phi2) pairs:
+    phi2 runs over the unit copairing slopes E in coordinate order, and
+    phi1 = -B E B."""
+    _require_switchback(pair)
+    bb, n, ring = reshape(pair.pairing, 1, 1), pair.d**2, pair.ring
+    z, o = ring.zero(), ring.one()
+    units = (LinearMap.from_rows(pair.d, 0, 2, ring, [[o if r == k else z] for r in range(n)])
+             for k in range(n))
+    return [(reshape(_cocycle_partner(bb, reshape(e, 1, 1)), 2, 0), e) for e in units]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +414,7 @@ class Degree2Report:
     psi1: LinearMap
     psi2: LinearMap
     is_cocycle: bool
-    extension: tuple[LinearMap, LinearMap] | None
+    extension: tuple[LinearMap, LinearMap]
 
 
 def degree2_analysis(
@@ -397,19 +424,21 @@ def degree2_analysis(
 
     psi1, psi2 = Z(phi1, phi2) are the t^2 part of the deformed zig-zags
     (the cocycle composed with itself across each zig-zag); they always
-    form a 3-cocycle.  The
-    extension, when the linear system is consistent, is a degree-2
-    correction (phi1', phi2') with d2(phi1', phi2') = (-psi1, -psi2), which
-    exhibits psi as a coboundary."""
+    form a 3-cocycle.  The extension (-psi1^T B, 0) has d2 = (-psi1, -psi2),
+    which exhibits psi as a coboundary; the module docstring proves it, and
+    SwitchbackError reports a failure of the proof."""
+    _require_switchback(pair)
     e1, e2 = d2(pair, phi1, phi2)
     if not (e1.is_zero() and e2.is_zero()):
         raise NotACocycleError("degree-2 analysis needs a 2-cocycle")
     psi1, psi2 = _zigzags(phi1, phi2)
     r1, r2 = D3(pair, psi1, psi2)
     is_cocycle = r1.is_zero() and r2.is_zero()
-    target = [-c for c in cochain_coords(psi1, psi2)]
-    sol = solve(d2_matrix(pair), target, pair.ring)
-    ext = None if sol is None else cochain_from_coords(sol, pair.d, pair.ring, C2)
+    bb, gg = reshape(pair.pairing, 1, 1), reshape(pair.copairing, 1, 1)
+    ext1 = -compose(transpose(psi1), bb)
+    if not equal(compose(gg, ext1), -psi2):
+        raise SwitchbackError("the degree-2 extension does not meet -psi2")
+    ext = (reshape(ext1, 2, 0), LinearMap.zero(pair.d, 0, 2, pair.ring))
     return Degree2Report(psi1, psi2, is_cocycle, ext)
 
 
@@ -418,20 +447,19 @@ def degree2_analysis(
 # ---------------------------------------------------------------------------
 
 def bracket_cocycle(pair: SwitchbackPair, bxx, bxy, byx, byy) -> tuple[LinearMap, LinearMap]:
-    """2-cocycle of the bracket pair from its four free pairing-slope
-    coordinates, given in the pair's ring; the copairing slope is forced:
+    """The 2-cocycle of a d = 2 pair with pairing slope (bxx, bxy, byx,
+    byy), given in the pair's ring.  The cocycle rule forces the copairing
+    slope, Phi2 = -G Phi1 G; on the bracket pair that reads
 
         copairing yy = -xx of the pairing slope, xx = -yy,
         yx = A^-2 * xy, xy = A^2 * yx.
     """
+    _require_switchback(pair)
     if pair.d != 2:
         raise SwitchbackError(f"bracket cocycle coordinates need d = 2, got d = {pair.d}")
-    ring = pair.ring
-    a2, am2 = pair.scalar(A**2), pair.scalar(A**-2)
-    phi1 = LinearMap.from_rows(2, 2, 0, ring, [[bxx, bxy, byx, byy]])
-    gxx, gxy, gyx, gyy = -byy, a2 * byx, am2 * bxy, -bxx
-    phi2 = LinearMap.from_rows(2, 0, 2, ring, [[gxx], [gxy], [gyx], [gyy]])
-    return phi1, phi2
+    phi1 = LinearMap.from_rows(2, 2, 0, pair.ring, [[bxx, bxy, byx, byy]])
+    gg = reshape(pair.copairing, 1, 1)
+    return phi1, reshape(_cocycle_partner(gg, reshape(phi1, 1, 1)), 0, 2)
 
 
 _PAIR_KEYS = ("dimension", "ring", "beta", "gamma")
@@ -503,7 +531,10 @@ def parse_pair_config(text: str, path: str = "<config>") -> SwitchbackPair:
         raise PairConfigError(f"{path}: dimension must be an integer") from None
     if d < 1:
         raise PairConfigError(f"{path}: dimension must be at least 1, got {d}")
-    ring = ring_by_name(kv["ring"])
+    try:
+        ring = ring_by_name(kv["ring"])
+    except ScalarError as e:
+        raise type(e)(f"{path}: ring: {e}") from None
     brows, grows = (
         _parse_matrix(kv[k], k, lambda x: into_ring(x, ring), path) for k in ("beta", "gamma")
     )

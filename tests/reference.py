@@ -3,11 +3,14 @@
 `kron` multiplies the stored entries of two maps pairwise, as a Kronecker
 product of matrices; it calls no compose, apply_local or _place, so a test
 that builds a padded map with it checks placement against something else.
+`kernel_basis` reads a kernel off `linmap.rref`, as an elimination of the
+whole matrix gives it; the program finds its 2-cocycles and degree-2
+extensions without one.
 `conjugated` and `stabilized` make the two Markov moves of a braid word.
 """
 
 from skeinlab.braid import BraidWord
-from skeinlab.linmap import LinearMap, MapShape
+from skeinlab.linmap import LinearMap, MapShape, rref
 
 
 def kron(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -24,6 +27,21 @@ def kron(f: LinearMap, g: LinearMap) -> LinearMap:
                 entries.setdefault(r * g_rows + s, {})[c * g_cols + u] = v
     shape = MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q)
     return LinearMap(shape, f.ring, entries)
+
+
+def kernel_basis(rows, ring) -> list[list]:
+    """Basis of the right kernel, one vector per free column in order: 1 at
+    the free column, 0 at the others, minus the reduced entries of that
+    column at the pivots."""
+    red, pivots = rref(rows, ring)
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ring.one() if c == fc else ring.zero() for c in range(ncols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
 
 
 def conjugated(w: BraidWord, i: int, sign: int = 1) -> BraidWord:

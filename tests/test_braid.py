@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skeinlab import planar
+from skeinlab import braid, planar
 from skeinlab.braid import (
     BraidSyntaxError,
     BraidWord,
@@ -30,6 +30,7 @@ from skeinlab.planar import bracket_state_sum
 from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
 from skeinlab.scalars import (
     A,
+    GAUSS,
     LAURENT,
     RATFUN,
     GaussRat,
@@ -356,6 +357,20 @@ def test_invariant_rejects_too_many_strands(monkeypatch):
     monkeypatch.setattr(planar, "_count_states", count_states)
     with pytest.raises(RMatrixError, match="^11 strands is more than the limit of 10$"):
         jones_oracle(parse_braid("s1 s2 s3 s4 s5 s6 s7 s8 s9 s10"))
+
+
+def test_make_turaev_refuses_a_pair_too_wide_for_three_strands(monkeypatch):
+    # the curl check works on V^3: at d = 11 that is 1331 dimensions
+    def build(*args):
+        pytest.fail("a map was built")
+
+    for name in ("build_R", "make_nu"):
+        monkeypatch.setattr(braid, name, build)
+    monkeypatch.setattr(LinearMap, "identity", staticmethod(build))
+    d = 11
+    pair = SwitchbackPair(d, GAUSS, LinearMap.zero(d, 2, 0, GAUSS), LinearMap.zero(d, 0, 2, GAUSS))
+    with pytest.raises(RMatrixError, match="^3 strands is more than the limit of 2$"):
+        make_turaev(pair, GAUSS.one(), GAUSS.one())
 
 
 def test_unnormalized_unknot_is_the_loop_value():

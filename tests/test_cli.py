@@ -7,7 +7,7 @@ import pytest
 
 from skeinlab import cli
 from skeinlab.cli import main
-from skeinlab.scalars import ring_by_name
+from skeinlab.scalars import ScalarError, ring_by_name
 from skeinlab.switchback import (
     deform,
     make_bracket_pair,
@@ -54,6 +54,27 @@ def test_verify_switchback_fails_on_bad_pair(capsys, tmp_path):
     code, out = run(capsys, "verify-switchback", "--pair", str(cfg))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_a_bad_ring_name_names_the_pair_file(capsys, tmp_path):
+    cfg = tmp_path / "typo.pair"
+    cfg.write_text("dimension = 2\nring = gaus\nbeta = 1, 0, 0, 1\ngamma = 1; 0; 0; 1\n")
+    code, out = run(capsys, "verify-switchback", "--pair", str(cfg))
+    assert code == 2
+    assert out == f"FAIL: {cfg}: ring: unknown ring name 'gaus'\n"
+    with pytest.raises(ScalarError) as refused:
+        parse_pair_config(cfg.read_text(), str(cfg))
+    assert type(refused.value) is ScalarError
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("text", "FAIL: the pair fails the switchback conditions\n"),
+    ("records", "fail\treason=the pair fails the switchback conditions\n"),
+])
+def test_solve_cocycles_refuses_a_pair_that_is_not_switchback(capsys, mode, expected):
+    broken = Path(__file__).parent / "golden" / "broken.pair"
+    code, out = run(capsys, "solve-cocycles", "--pair", str(broken), "--output", mode)
+    assert (code, out) == (2, expected)
 
 
 def test_verify_ybe(capsys):

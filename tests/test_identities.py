@@ -93,8 +93,9 @@ def test_names_may_contain_digits_and_underscores():
 
 
 def test_reserved_names_rejected():
-    for bad in ("id", "X", "x", "t", "phi", "gen", "identity"):
-        with pytest.raises(DslSyntaxError):
+    # f is the marked map that check_d2d1 binds beside the generators
+    for bad in ("id", "X", "x", "t", "phi", "gen", "identity", "f"):
+        with pytest.raises(DslSyntaxError, match=f"^line 1, column 5: '{bad}' is reserved$"):
             parse_identity_file(f"gen {bad}: 2 -> 1; identity a: {bad} = {bad};")
 
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab.linmap import LinearMap, compose, equal, kernel_basis, map_specialize
+from skeinlab import rmatrix
+from skeinlab.linmap import LinearMap, compose, equal, map_specialize
 from skeinlab.rmatrix import (
     MAX_DIM,
     RMatrixError,
@@ -34,7 +35,7 @@ from skeinlab.switchback import (
     verify_switchback,
 )
 
-from reference import kron
+from reference import kernel_basis, kron
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
 
@@ -153,6 +154,16 @@ def test_tl_needs_two_strands():
 def test_tl_strand_limit_is_checked_before_building():
     with pytest.raises(RMatrixError, match="limit of 10"):
         tl_generators(make_bracket_pair(), 30)
+
+
+def test_ybe_strand_limit_is_checked_before_building(monkeypatch):
+    def build(*args):
+        pytest.fail("a map was built")
+
+    monkeypatch.setattr(LinearMap, "identity", staticmethod(build))
+    monkeypatch.setattr(rmatrix, "apply_local", build)
+    with pytest.raises(RMatrixError, match="^3 strands is more than the limit of 2$"):
+        ybe_residual(LinearMap.zero(11, 2, 2, GAUSS))
 
 
 @pytest.mark.parametrize("d, limit", [(1, 10), (2, 10), (3, 6), (4, 5), (32, 2), (33, 1)])

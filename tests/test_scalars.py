@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -586,3 +587,21 @@ def test_scalars_are_immutable(x):
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is type(x) and y == x and hash(y) == hash(x)
         assert format_scalar(y) == before
+
+
+def test_ratfun_and_dual_constructors_refuse_bad_parts():
+    a, one = parse_scalar("A", LAURENT), GaussRat(1)
+    cases = [
+        (RingMismatchError, "RatFunA parts must be LaurentA values", lambda: RatFunA(one)),
+        (RingMismatchError, "RatFunA parts must be LaurentA values", lambda: RatFunA(a, one)),
+        (NotInvertibleError, "zero denominator in ratfun", lambda: RatFunA(a, LAURENT.zero())),
+        (RingMismatchError, "nested dual numbers are not supported",
+         lambda: Dual(Dual(one, one), Dual(one, one))),
+        (RingMismatchError, "nested dual numbers are not supported",
+         lambda: Dual(one, Dual(one, one))),
+        (RingMismatchError, "dual body and slope live in different rings: gauss vs laurent",
+         lambda: Dual(one, a)),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -113,6 +113,24 @@ def test_differential_matrices_are_written_by_placement():
     assert names & {"_matrix_of", "_basis_cochain"} == set()
 
 
+def test_switchback_eliminates_only_for_ranks_and_inverses():
+    # the cocycle rule gives the 2-cocycles and the degree-2 extension with
+    # no elimination; switchback eliminates only for the ranks of
+    # cohomology_dims and the inverse of pair_from_matrix.  The elimination
+    # functions are rref and every linmap function that reaches it
+    functions = {
+        node.name: _referenced(node)
+        for node in ast.parse((SRC / "linmap.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    eliminating = {"rref"}
+    while grown := {f for f, names in functions.items() if names & eliminating} - eliminating:
+        eliminating |= grown
+    assert {"rank", "invert_rows"} < eliminating
+    used = _referenced(ast.parse((SRC / "switchback.py").read_text()))
+    assert used & eliminating <= {"rank", "invert_rows"}
+
+
 def test_only_linmap_builds_tensor_products():
     # a map on a few strands is placed on a wide one by linmap.apply_local;
     # a tensor product would build the identity-padded map, so no module,

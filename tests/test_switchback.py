@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeinlab.linmap import LinearMap, compose, kernel_basis, map_specialize
+from skeinlab.linmap import LinearMap, compose, map_apply, map_specialize
 from skeinlab.scalars import (
     GAUSS,
     LAURENT,
@@ -31,6 +31,7 @@ from skeinlab.switchback import (
     NotACocycleError,
     PairConfigError,
     SwitchbackError,
+    SwitchbackPair,
     bracket_cocycle,
     cochain_coords,
     cochain_from_coords,
@@ -52,7 +53,7 @@ from skeinlab.switchback import (
     verify_switchback,
 )
 
-from reference import kron
+from reference import kernel_basis, kron
 
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
 
@@ -401,7 +402,8 @@ def test_bent_matrix_complex_matches_diagrams(d, ring, deformed):
     assert d3_matrix(pair) == _diagram_matrix(pair, _diagram_D3, C3)
 
 
-# d=3 over ratfun is left out: its degree-2 solve alone takes seconds
+# d=3 over ratfun is left out: degree2_analysis there takes about 1.7 s,
+# nearly all of it in the RatFunA gcd inside compose (ROADMAP item 3)
 @pytest.mark.parametrize(
     "d, ring", [(2, GAUSS), (2, RATFUN), (3, GAUSS)], ids=["2-gauss", "2-ratfun", "3-gauss"]
 )
@@ -411,6 +413,90 @@ def test_degree2_residual_matches_diagrams(d, ring):
     psi = _diagram_zigzags(*phi)
     assert not (psi[0].is_zero() and psi[1].is_zero())
     assert (report.psi1, report.psi2) == psi
+
+
+# ---------------------------------------------------------------------------
+# the cocycle rule against an elimination of the whole d2 matrix
+# ---------------------------------------------------------------------------
+
+_RULE_PAIRS = {
+    "bracket": _bracket,
+    "A=2": lambda: make_bracket_pair().specialize(GaussRat(2)),
+    "A=3": lambda: make_bracket_pair().specialize(GaussRat(3)),
+    **{
+        f"{d}-{ring}": (lambda d=d, ring=ring: _generic_pair(random.Random(f"rule-{d}"), d, ring))
+        for d in (1, 2, 3, 4) for ring in (GAUSS, RATFUN)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_PAIRS))
+def test_cocycle_rule_matches_elimination(name):
+    # one elimination of [d2 | psi].  rref reduces column by column, so the
+    # appended column leaves the reduced d2 columns as they are: the kernel
+    # vectors with a trailing 0 are kernel_basis(d2) in order, and the one
+    # with a trailing 1 is the solution of d2 x = -psi whose free
+    # coordinates are 0
+    pair = _RULE_PAIRS[name]()
+    ring, n = pair.ring, pair.d**2
+    basis = solve_2cocycles(pair)
+    rng = random.Random(name)
+    phi = [ring.zero()] * (2 * n)
+    for phi1, phi2 in basis:
+        c = ring.from_int(rng.randint(-3, 3))
+        phi = [x + c * y for x, y in zip(phi, cochain_coords(phi1, phi2))]
+    report = degree2_analysis(pair, *cochain_from_coords(phi, pair.d, ring, C2))
+    psi = cochain_coords(report.psi1, report.psi2)
+    kernel = kernel_basis([row + [p] for row, p in zip(d2_matrix(pair), psi)], ring)
+    z, o = ring.zero(), ring.one()
+    assert [cochain_coords(*c) + [z] for c in basis] == kernel[:n]
+    assert kernel[n:] == [cochain_coords(*report.extension) + [o]]
+
+
+def test_laurent_pair_has_the_cocycles_of_its_ratfun_widening():
+    def widen(maps):
+        return tuple(map_apply(m, lambda x: into_ring(x, RATFUN), RATFUN) for m in maps)
+
+    laurent = solve_2cocycles(make_bracket_pair())
+    assert all(m.ring is LAURENT for c in laurent for m in c)
+    assert [widen(c) for c in laurent] == solve_2cocycles(_bracket())
+    ext = degree2_analysis(make_bracket_pair(), *laurent[1]).extension
+    assert widen(ext) == degree2_analysis(_bracket(), *widen(laurent[1])).extension
+
+
+def test_cocycles_of_a_deformed_pair_are_computed_over_the_dual_ring():
+    pair = deform(_bracket(), *solve_2cocycles(_bracket())[1])
+    basis = solve_2cocycles(pair)
+    assert len(basis) == 4
+    for phi1, phi2 in basis:
+        assert phi1.ring is dual(RATFUN)
+        xi1, xi2 = d2(pair, phi1, phi2)
+        assert xi1.is_zero() and xi2.is_zero()
+
+
+def test_bracket_cocycle_is_a_cocycle_of_any_two_dimensional_pair():
+    rng = random.Random(9)
+    for ring in (GAUSS, RATFUN):
+        pair = _generic_pair(rng, 2, ring)
+        coords = [ring.from_int(rng.randint(-9, 9)) for _ in range(4)]
+        xi1, xi2 = d2(pair, *bracket_cocycle(pair, *coords))
+        assert xi1.is_zero() and xi2.is_zero()
+
+
+BROKEN = "dimension = 2\nring = gauss\nbeta = 1, 0, 0, 1\ngamma = 1; 0; 0; 2\n"
+
+
+def test_the_cocycle_rule_refuses_a_pair_that_is_not_switchback():
+    pair = parse_pair_config(BROKEN)
+    zero = (LinearMap.zero(2, 2, 0, GAUSS), LinearMap.zero(2, 0, 2, GAUSS))
+    message = "^the pair fails the switchback conditions$"
+    for call in (
+        lambda: solve_2cocycles(pair),
+        lambda: degree2_analysis(pair, *zero),
+        lambda: bracket_cocycle(pair, *[GAUSS.one()] * 4),
+    ):
+        with pytest.raises(SwitchbackError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +596,58 @@ def test_bundled_bracket_pair_is_make_bracket_pair():
         # d = -1 with 1 x 1 literals would pass the d^2 = 1 size checks
         ("dimension = -1\nring = gauss\nbeta = 1\ngamma = 1\n", "at least 1, got -1"),
         ("dimension = 0\nring = gauss\nbeta = 1\ngamma = 1\n", "at least 1, got 0"),
+        ("= 2\n", "^<config>:1: empty key or value$"),
+        ("dimension = 2\nring =\n", "^<config>:2: empty key or value$"),
+        ('dimension = ""\n', "^<config>:1: empty key or value$"),
+        ("dimension = 2\nring = gauss\nbeta = 1, 0, 0, 1\ngamma = 1, 0; 0, 1; 0, 0; 1, 0\n",
+         "^<config>: gamma must be 4 x 1$"),
+        ("dimension = 2\nring = gauss\nbeta = 1, 0, 0, 1\ngamma = 1; 0; 0\n",
+         "^<config>: gamma must be 4 x 1$"),
     ],
 )
 def test_pair_config_errors(text, message):
     with pytest.raises(PairConfigError, match=message):
         parse_pair_config(text)
+
+
+def _whole(message):
+    return f"^{re.escape(message)}$"
+
+
+def test_pair_refuses_maps_of_the_wrong_shape_or_ring():
+    pair = make_bracket_pair()
+    b, g = pair.pairing, pair.copairing
+    widened = pair.into_ring(RATFUN).copairing
+    cases = [
+        (SwitchbackError, "pairing has shape (d=2, 0->2), expected (d=2, 2->0)",
+         lambda: SwitchbackPair(2, LAURENT, g, g)),
+        (SwitchbackError, "copairing has shape (d=2, 2->0), expected (d=2, 0->2)",
+         lambda: SwitchbackPair(2, LAURENT, b, b)),
+        (SwitchbackError, "pairing has shape (d=2, 2->0), expected (d=3, 2->0)",
+         lambda: SwitchbackPair(3, LAURENT, b, g)),
+        (RingMismatchError, "pairing is over laurent, pair declared over ratfun",
+         lambda: SwitchbackPair(2, RATFUN, b, g)),
+        (RingMismatchError, "copairing is over ratfun, pair declared over laurent",
+         lambda: SwitchbackPair(2, LAURENT, b, widened)),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error, match=_whole(message)):
+            call()
+
+
+def test_quoted_values_lose_their_quotes():
+    quoted = 'dimension = "2"\nring = "gauss"\nbeta = "1, 0, 0, 1"\ngamma = 1; 0; 0; 1\n'
+    plain = quoted.replace('"', "")
+    assert parse_pair_config(quoted) == parse_pair_config(plain)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("phi1 = 0, 1, 0\nphi2 = 0; 0; 0; 0\n", "c.cfg: phi1 must be 1 x 4"),
+    ("phi1 = 0, 1, 0, 0\nphi2 = 0, 0, 0, 0\n", "c.cfg: phi2 must be 4 x 1"),
+])
+def test_cocycle_literals_of_the_wrong_size_are_refused(text, message):
+    with pytest.raises(PairConfigError, match=_whole(message)):
+        parse_cocycle_config(text, _bracket(), "c.cfg")
 
 
 def test_cocycle_config_both_forms():
