@@ -1,0 +1,263 @@
+"""The packed-integer kernel: products of linear maps evaluated on ints.
+
+The closed-braid trace (braid), the Temperley-Lieb relations and the
+Yang-Baxter residual (rmatrix) are products of a few maps over one ring of
+the tower.  Here those products run on Python ints, in a placement loop
+shaped like linmap.apply_local's, and only the values that are read go back
+to scalars.
+
+Scaling.  A family of maps and scalars (a scalar is a 1 x 1 map) over the
+base ring K, or over its dual with parts M = M0 + t*M1, is written over one
+scale D = m*A^s*Q: Q is the product of the distinct denominators of the
+parts of its entries, and the positive int m and the int s are chosen so
+that every part of every entry of M' = D*M is a polynomial in A with
+Gaussian-integer coefficients and no negative exponent.  For a part
+p = num/den, the numerator of Q*p is num times the other distinct
+denominators: a product of Laurent polynomials, with no gcd.  The scalar 1
+in a family scales to D itself.
+
+Packing.  A polynomial P = sum_k (a_k + b_k*i) A^k is held as the two ints
+P_re(2^B) and P_im(2^B), with P_re = sum a_k A^k and P_im = sum b_k A^k.
+Evaluation at 2^B is a ring homomorphism Z[A] -> Z, so sums and products of
+packed values are the packed sums and products, and an entry acts on a
+packed entry by a few big-int multiplies and adds.  A value is stored as
+lanes indexed by dual degree and power of i: (re, im) over K, and (body re,
+body im, slope re, slope im) over the dual of K.  The im part of an entry
+takes an im lane to a re lane negated, as i*i = -1, and the slope part of
+an entry takes body lanes to slope lanes only, as t*t = 0.  Lanes that no
+entry of the kernel's maps can reach from lane 0 (every imaginary lane when
+all entries are real, say) are not stored.
+
+The width B.  Write |P| = sum_k |a_k| + |b_k| and, for a matrix, ||M'|| =
+max over columns c of sum over rows r of |M'_rc|, where a dual entry counts
+|M0'_rc| + |M1'_rc|.  |.| is submultiplicative on Z[i][A] and on its dual,
+as |M0 N0| + |M0 N1 + M1 N0| <= (|M0| + |M1|)(|N0| + |N1|), so ||.|| is
+submultiplicative on products.  Placing a map on some of the strands (padding
+it with identities) keeps ||.||, a scalar x acts as x times the identity,
+with ||.|| = |D*x|, and the identity has ||.|| = 1.  So when factors F_1,
+..., F_k are applied in turn to the identity, every entry of every partial
+product, and every partial sum formed inside one, has |.| at most
+max(1, ||F_1||) * ... * max(1, ||F_k||).  Let N bound all of these and every
+sum of entries that the caller reads.  Then B = bit_length(N) + 2 puts each
+coefficient met, and the difference of two, strictly inside
+(-2^(B-1), 2^(B-1)).  So the signed base-2^B digits of a packed int are
+exactly its coefficients, a packed entry is zero exactly when its
+polynomial is, and two packed values are equal exactly when their
+polynomials are.  With c the largest max(1, ||F||) among the factors, a
+product of three packed maps, or a packed scalar times a product of two,
+has N = c^3, and a packed scalar times one map has N = c^2;
+braid.r_of_word states its own N.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import lcm, prod
+
+from .linmap import LinearMap
+from .scalars import LAURENT, Dual, GaussRat, LaurentA, RatFunA, Ring, into_ring
+
+
+@dataclass(frozen=True)
+class Scaled:
+    """A map M = M'/scale, with M' as the lane moves of its entries:
+    (row, col, out lane, in lane, {exponent: nonzero int coefficient}),
+    meaning that entry (row, col) adds that polynomial times the in lane of
+    a value to its out lane.  scale is the family's D, a LaurentA, and norm
+    is ||M'||."""
+
+    moves: tuple
+    scale: LaurentA
+    norm: int
+
+
+def _is_dual(x) -> bool:
+    if isinstance(x, LinearMap):
+        return x.ring.name == "dual"
+    return x.__class__ is Dual
+
+
+def _parts(family) -> list[list[tuple]]:
+    """Per member of a family, (row, col, t-degree, numerator, denominator)
+    for each nonzero part of each entry of a map, or of a scalar as a 1 x 1
+    map; a denominator of 1 is None.  A canonical ratfun denominator has
+    constant coefficient 1, so it is 1 exactly when it is a monomial."""
+    out = []
+    for x in family:
+        entries = x.nonzeros() if isinstance(x, LinearMap) else [(0, 0, x)]
+        member = []
+        for r, c, v in entries:
+            for tdeg, p in enumerate((v.body, v.slope) if v.__class__ is Dual else (v,)):
+                if p.is_zero():
+                    continue
+                if p.__class__ is RatFunA:
+                    den = None if p.den.is_monomial() else p.den
+                    member.append((r, c, tdeg, p.num, den))
+                else:
+                    member.append((r, c, tdeg, into_ring(p, LAURENT), None))
+        out.append(member)
+    return out
+
+
+def _scaled(family, lanes: int) -> list[Scaled]:
+    """The members of a family (maps and scalars) over one common scale."""
+    parts = _parts(family)
+    dens = list(dict.fromkeys(den for member in parts for *_, den in member if den))
+    # Q*num/den is num times the distinct denominators other than den
+    others = {den: prod(dens[:k] + dens[k + 1:], start=LAURENT.one())
+              for k, den in enumerate(dens)}
+    others[None] = prod(dens, start=LAURENT.one())
+    # per member: (row, col, t-degree, key) for Q*M, where a key lists the
+    # terms (exponent, a, b, d) of a polynomial with coefficients (a + b*i)/d
+    keyed = [
+        [(r, c, tdeg, tuple((e, *g.as_ints()) for e, g in (
+            num * others[den] if dens else num).terms))
+         for r, c, tdeg, num, den in member]
+        for member in parts
+    ]
+    terms = {t for member in keyed for *_, key in member for t in key}
+    mult = lcm(*(d for *_, d in terms))
+    shift = -min((e for e, *_ in terms), default=0)
+    scale = LaurentA(((shift, GaussRat(mult)),)) * others[None]
+    # the integer polynomials of M', once for each distinct entry part:
+    # (re, im, -im, |.|) with re and im as {exponent: nonzero int}
+    polys = {}
+    for key in {key for member in keyed for *_, key in member}:
+        re = {e + shift: a * (mult // d) for e, a, _, d in key if a}
+        im = {e + shift: b * (mult // d) for e, _, b, d in key if b}
+        size = sum(map(abs, re.values())) + sum(map(abs, im.values()))
+        polys[key] = (re, im, {e: -v for e, v in im.items()}, size)
+    out = []
+    for member in keyed:
+        moves, colnorm = [], {}
+        for r, c, tdeg, key in member:
+            re, im, neg, size = polys[key]
+            colnorm[c] = colnorm.get(c, 0) + size
+            # (x + y*i)(re + im*i) = (re*x - im*y) + (re*y + im*x)*i, and the
+            # slope part of the entry takes body lanes to slope lanes
+            for src in range(0, lanes - 2 * tdeg, 2):
+                dst = src + 2 * tdeg
+                if re:
+                    moves += [(r, c, dst, src, re), (r, c, dst + 1, src + 1, re)]
+                if im:
+                    moves += [(r, c, dst, src + 1, neg), (r, c, dst + 1, src, im)]
+        out.append(Scaled(tuple(moves), scale, max(colnorm.values(), default=0)))
+    return out
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """Families of maps and scalars, each family over its own scale, with
+    the lanes that their products with the identity can reach."""
+
+    lanes: int            # 2 over a base ring, 4 over its dual
+    live: frozenset       # lanes reachable from the identity
+    maps: tuple           # the Scaled members, family by family, in order
+
+    @staticmethod
+    def of(*families) -> "Kernel":
+        lanes = 4 if any(_is_dual(x) for family in families for x in family) else 2
+        maps = tuple(sm for family in families for sm in _scaled(family, lanes))
+        live = {0}
+        while True:
+            grown = live | {o for sm in maps for _, _, o, i, _ in sm.moves if i in live}
+            if grown == live:
+                break
+            live = grown
+        return Kernel(lanes, frozenset(live), maps)
+
+    def plan(self, sm: Scaled, bits: int):
+        """Per output local index: (out lane, [(source local index, in
+        lane, odd multiplier, shift)]) over the live lanes.  A packed factor
+        f is split as f = odd * 2^shift, so that the usual monomial factors
+        (odd = +-1) act by a shift alone."""
+        by_out: dict[int, dict[int, list]] = {}
+        factors = {}      # id of a polynomial of sm -> (odd, shift)
+        for r, c, o, i, poly in sm.moves:
+            if i in self.live:
+                factor = factors.get(id(poly))
+                if factor is None:
+                    f = sum(v << (e * bits) for e, v in poly.items())
+                    shift = (f & -f).bit_length() - 1
+                    factor = factors[id(poly)] = (f >> shift, shift)
+                by_out.setdefault(r, {}).setdefault(o, []).append((c, i, *factor))
+        return [(r, list(outs.items())) for r, outs in sorted(by_out.items())]
+
+    def identity(self, size: int) -> list[dict]:
+        """The packed identity on a space of the given dimension."""
+        acc: list[dict] = [{} for _ in range(self.lanes)]
+        acc[0] = {r: {r: 1} for r in range(size)}
+        return acc
+
+
+def width(bound: int) -> int:
+    """The digit width B for a bound N on every coefficient met: B =
+    bit_length(N) + 2, as the module docstring proves."""
+    return bound.bit_length() + 2
+
+
+def place(plan, low: int, block: int, acc: list[dict]) -> list[dict]:
+    """(1^slot x f x 1^rest) . acc on packed lanes, for the plan of a local
+    f; low and block are the place values of f's lowest digit and of its
+    whole block of digits.  With low = 1 and block the dimension of acc's
+    rows this is f . acc, and with low = block = 1 for a 1 x 1 f it is the
+    scalar multiple.  Each output row is pulled from the rows that differ
+    from it in f's digits only; cancelled entries are dropped."""
+    new: list[dict] = [{} for _ in acc]
+    bases = {r - r % block // low * low for lane in acc for r in lane}
+    for base in bases:
+        for fr, outs in plan:
+            key = base + fr * low
+            for o, terms in outs:
+                row = None
+                for local, i, odd, shift in terms:
+                    src = acc[i].get(base + local * low)
+                    if src is None:
+                        continue
+                    if odd == 1:
+                        part = {s: g << shift for s, g in src.items()}
+                    elif odd == -1:
+                        part = {s: -(g << shift) for s, g in src.items()}
+                    else:
+                        part = {s: odd * g << shift for s, g in src.items()}
+                    if row is None:
+                        row = part
+                        continue
+                    get = row.get
+                    for s, v in part.items():
+                        v += get(s, 0)
+                        if v:
+                            row[s] = v
+                        else:
+                            del row[s]
+                if row:
+                    new[o][key] = row
+    return new
+
+
+def digits(x: int, bits: int) -> dict[int, int]:
+    """The nonzero signed base-2^bits digits of x, by place."""
+    out = {}
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    k = 0
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << bits
+        if c:
+            out[k] = c
+        x = (x - c) >> bits
+        k += 1
+    return out
+
+
+def unpack(values: list[int], bits: int, base: Ring, factor):
+    """The scalar whose lanes pack to values, times factor (in base): over
+    the dual of base when there are four lanes."""
+    parts = []
+    for re_value, im_value in zip(values[0::2], values[1::2]):
+        re, im = digits(re_value, bits), digits(im_value, bits)
+        poly = LaurentA({k: GaussRat(re.get(k, 0), im.get(k, 0))
+                         for k in re.keys() | im.keys()})
+        parts.append(into_ring(poly, base) * factor)
+    return Dual(*parts) if len(parts) == 2 else parts[0]

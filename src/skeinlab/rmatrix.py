@@ -14,8 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import SkeinlabError
-from .linmap import LinearMap, apply_local, compose, equal
-from .scalars import A, A_INV, Dual, NotInvertibleError, format_scalar
+from ._packed import Kernel, place, unpack, width
+from .linmap import LinearMap, ShapeMismatchError, apply_local, compose, equal
+from .scalars import (
+    A,
+    A_INV,
+    Dual,
+    GaussRat,
+    NotInvertibleError,
+    RingMismatchError,
+    format_scalar,
+    into_ring,
+    ring_of,
+)
 from .switchback import SwitchbackPair, delta0
 
 
@@ -26,8 +37,9 @@ class RMatrixError(SkeinlabError):
 # Largest dimension d^n of V^(x n) on which maps are built; maps on it are
 # d^n x d^n.  On a 2-core x86-64 host (Intel Xeon) under CPython 3.11, whose
 # speed swings by up to 2x, the Temperley-Lieb check of the Laurent bracket
-# pair (d = 2) takes 0.09 s at 8 strands and 0.50-0.59 s at 10, and of the
-# d = 3 identity pair 0.08 s at 6 strands.  The ratfun invariant of
+# pair (d = 2), generators included, takes 0.03-0.05 s at 8 strands and
+# 0.19-0.28 s at 10, and of the d = 3 identity pair 0.04-0.07 s at 6
+# strands.  The ratfun invariant of
 # s1 s2 ... s(n-1) takes 0.004-0.008 s at 8 strands and 0.025-0.044 s at
 # 10, and of a 20-letter word on 10 strands 0.09-0.16 s (0.5-0.7 s
 # deformed by a cocycle).
@@ -92,11 +104,43 @@ def build_R(pair: SwitchbackPair, a, b) -> SkeinRMatrix:
 
 
 def ybe_residual(R: LinearMap) -> LinearMap:
-    """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands."""
-    check_strands(3, R.shape.d)
-    three = LinearMap.identity(R.shape.d, 3, R.ring)
-    left, right = apply_local(R, 0, three), apply_local(R, 1, three)
-    return compose(compose(left, right), left) - compose(compose(right, left), right)
+    """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands.
+
+    Both products run on the packed kernel from the identity, with
+    R = R'/D; each is a product of three packed maps, so N = c^3 in the
+    _packed docstring's bound.  A nonzero difference is unpacked and divided
+    by D^3."""
+    d, k = R.shape.d, R.shape.p
+    check_strands(3, d)
+    if not k == R.shape.q <= 2:
+        # only a map on k <= 2 strands fits both placements and their
+        # products; for any other shape the padded products, run on a zero
+        # map of R's shape, raise the ShapeMismatchError they raise on R
+        three = LinearMap.identity(d, 3, R.ring)
+        zero = LinearMap.zero(d, k, R.shape.q, R.ring)
+        compose(apply_local(zero, 0, three), apply_local(zero, 1, three))
+    kern = Kernel.of([R])
+    (scaled,) = kern.maps
+    bits = width(max(1, scaled.norm) ** 3)
+    plan = kern.plan(scaled, bits)
+
+    def at(slot, acc):
+        low = d ** (3 - k - slot)
+        return place(plan, low, low * d**k, acc)
+
+    start = kern.identity(d**3)
+    left = at(0, at(1, at(0, start)))
+    right = at(1, at(0, at(1, start)))
+    if left == right:
+        return LinearMap.zero(d, 3, 3, R.ring)
+    base = R.ring.base or R.ring
+    factor = into_ring(scaled.scale, base).inv() ** 3
+    rows = [[R.ring.zero()] * d**3 for _ in range(d**3)]
+    for r, c in {(r, c) for lane in (*left, *right) for r, row in lane.items() for c in row}:
+        values = [x.get(r, {}).get(c, 0) - y.get(r, {}).get(c, 0) for x, y in zip(left, right)]
+        if any(values):
+            rows[r][c] = unpack(values, bits, base, factor)
+    return LinearMap.from_rows(d, 3, 3, R.ring, rows)
 
 
 def solve_deformed_coefficients(pair_t: SwitchbackPair, a0=None, b0=None):
@@ -156,23 +200,88 @@ def tl_generators(pair: SwitchbackPair, n: int) -> list[LinearMap]:
     return [apply_local(cc, i - 1, ident) for i in range(1, n)]
 
 
+def _tl_steps(m: int) -> list[tuple[str, str, int, int]]:
+    """(failure message, relation, i, j) for every Temperley-Lieb relation
+    among m generators, in the order they are checked."""
+    steps = [(f"e{i + 1}^2 != delta*e{i + 1}", "square", i, i) for i in range(m)]
+    for i in range(m - 1):
+        steps += [(f"e{i + 1}*e{i + 2}*e{i + 1} != e{i + 1}", "braid", i, i + 1),
+                  (f"e{i + 2}*e{i + 1}*e{i + 2} != e{i + 2}", "braid", i + 1, i)]
+    steps += [(f"e{i + 1} and e{j + 1} do not commute", "commute", i, j)
+              for i in range(m) for j in range(i + 2, m)]
+    return steps
+
+
+def _shape_check(kind: str, f: LinearMap, g: LinearMap, delta):
+    """Relation kind on f and g as the linear maps state it; run on zero
+    maps, it raises the ShapeMismatchError or RingMismatchError of
+    mismatched shapes and rings and costs nothing else."""
+    if kind == "square":
+        equal(compose(f, f), f.scale(delta))
+    elif kind == "braid":
+        equal(compose(compose(f, g), f), f)
+    else:
+        equal(compose(f, g), compose(g, f))
+
+
 def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
     """None when all Temperley-Lieb relations hold; otherwise a human
-    description of the first failure (1-based generator indices)."""
-    m = len(gens)
-    for i in range(m):
-        if not equal(compose(gens[i], gens[i]), gens[i].scale(delta)):
-            return f"e{i + 1}^2 != delta*e{i + 1}"
-    for i in range(m - 1):
-        lhs = compose(compose(gens[i], gens[i + 1]), gens[i])
-        if not equal(lhs, gens[i]):
-            return f"e{i + 1}*e{i + 2}*e{i + 1} != e{i + 1}"
-        lhs = compose(compose(gens[i + 1], gens[i]), gens[i + 1])
-        if not equal(lhs, gens[i + 1]):
-            return f"e{i + 2}*e{i + 1}*e{i + 2} != e{i + 2}"
-    for i in range(m):
-        for j in range(i + 2, m):
-            if not equal(compose(gens[i], gens[j]), compose(gens[j], gens[i])):
-                return f"e{i + 1} and e{j + 1} do not commute"
-    return None
+    description of the first failure (1-based generator indices).
 
+    The generators and delta are packed once over one scale D, e_i = M_i'/D
+    and delta = delta'/D, and each relation is an equality of packed maps:
+    M_i'M_i' = delta'M_i', M_i'M_j'M_i' = D^2 M_i' and M_i'M_j' = M_j'M_i'.
+    Each side is at most a product of three packed maps, or of packed
+    scalars and maps, so N = c^3 in the _packed docstring's bound.  The
+    relations are checked in the order of _tl_steps; when the generators
+    do not share one square shape and ring with delta, each is first
+    checked on zero maps of the same shapes, so that the first mismatch
+    raises where the linear maps would."""
+    m = len(gens)
+    if m == 0:
+        return None
+    steps = _tl_steps(m)
+    shape, ring = gens[0].shape, gens[0].ring
+    error = None
+    if not (shape.p == shape.q
+            and all(g.shape == shape and g.ring == ring for g in gens)
+            and (isinstance(delta, int) or ring_of(delta) == ring)):
+        zeros = [LinearMap.zero(g.shape.d, g.shape.p, g.shape.q, g.ring) for g in gens]
+        for k, (_, kind, i, j) in enumerate(steps):
+            try:
+                _shape_check(kind, zeros[i], zeros[j], delta)
+            except (ShapeMismatchError, RingMismatchError) as e:
+                error, steps = e, steps[:k]
+                break
+    if steps:
+        if isinstance(delta, int):
+            delta = ring.from_int(delta)
+        kern = Kernel.of([*gens, delta, GaussRat(1)])
+        bits = width(max(1, *(sm.norm for sm in kern.maps)) ** 3)
+        *plans, by_delta, by_d = (kern.plan(sm, bits) for sm in kern.maps)
+
+        def times(i, acc):
+            # M_i' acc
+            return place(plans[i], 1, gens[i].shape.cols, acc)
+
+        def scaled(plan, acc):
+            # a packed scalar (delta' or D) times acc
+            return place(plan, 1, 1, acc)
+
+        packed = [times(i, kern.identity(g.shape.cols)) for i, g in enumerate(gens)]
+        squared_d = {}    # i -> D^2 M_i'
+        for message, kind, i, j in steps:
+            e = packed[i]
+            if kind == "square":
+                holds = times(i, e) == scaled(by_delta, e)
+            elif kind == "braid":
+                if i not in squared_d:
+                    squared_d[i] = scaled(by_d, scaled(by_d, e))
+                holds = times(i, times(j, e)) == squared_d[i]
+            else:
+                holds = times(i, packed[j]) == times(j, e)
+            if not holds:
+                return message
+    if error is not None:
+        raise error
+    return None

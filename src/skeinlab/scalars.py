@@ -190,6 +190,10 @@ class GaussRat(_Scalar):
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
+    def as_ints(self) -> tuple[int, int, int]:
+        """The stored parts (a, b, d): self = (a + b*i)/d."""
+        return self._a, self._b, self._d
+
     def is_zero(self) -> bool:
         return not self._a and not self._b
 

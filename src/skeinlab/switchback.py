@@ -398,11 +398,10 @@ def deformation_obstruction(
 ) -> tuple[LinearMap, LinearMap]:
     """t-slope of the deformed pair's switchback residuals.  Cross-checked
     against d2(phi1, phi2); they agree identically."""
+    _require_switchback(pair)
     r1, r2 = switchback_residuals(deform(pair, phi1, phi2))
-    body1, xi1 = dual_parts(r1)
-    body2, xi2 = dual_parts(r2)
-    if not (body1.is_zero() and body2.is_zero()):
-        raise SwitchbackError("the undeformed pair fails the switchback conditions")
+    _, xi1 = dual_parts(r1)
+    _, xi2 = dual_parts(r2)
     e1, e2 = d2(pair, phi1, phi2)
     if not (equal(xi1, e1) and equal(xi2, e2)):
         raise SwitchbackError("residual slope disagrees with the 2-differential")

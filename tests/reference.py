@@ -7,10 +7,13 @@ that builds a padded map with it checks placement against something else.
 whole matrix gives it; the program finds its 2-cocycles and degree-2
 extensions without one.
 `conjugated` and `stabilized` make the two Markov moves of a braid word.
+`tl_first_failure` and `ybe_residual` state the Temperley-Lieb relations
+and the Yang-Baxter residual on scalar maps, with compose, equal and kron;
+the program evaluates both on the packed-integer kernel.
 """
 
 from skeinlab.braid import BraidWord
-from skeinlab.linmap import LinearMap, MapShape, rref
+from skeinlab.linmap import LinearMap, MapShape, compose, equal, rref
 
 
 def kron(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -52,3 +55,34 @@ def conjugated(w: BraidWord, i: int, sign: int = 1) -> BraidWord:
 def stabilized(w: BraidWord, sign: int = 1) -> BraidWord:
     """w . s_n^sign on one more strand."""
     return BraidWord(w.n + 1, (*w.letters, (w.n, sign)))
+
+
+def tl_first_failure(gens, delta):
+    """None when all Temperley-Lieb relations hold; otherwise the first
+    failure, in the program's order and words."""
+    m = len(gens)
+    for i in range(m):
+        if not equal(compose(gens[i], gens[i]), gens[i].scale(delta)):
+            return f"e{i + 1}^2 != delta*e{i + 1}"
+    for i in range(m - 1):
+        lhs = compose(compose(gens[i], gens[i + 1]), gens[i])
+        if not equal(lhs, gens[i]):
+            return f"e{i + 1}*e{i + 2}*e{i + 1} != e{i + 1}"
+        lhs = compose(compose(gens[i + 1], gens[i]), gens[i + 1])
+        if not equal(lhs, gens[i + 1]):
+            return f"e{i + 2}*e{i + 1}*e{i + 2} != e{i + 2}"
+    for i in range(m):
+        for j in range(i + 2, m):
+            if not equal(compose(gens[i], gens[j]), compose(gens[j], gens[i])):
+                return f"e{i + 1} and e{j + 1} do not commute"
+    return None
+
+
+def ybe_residual(R: LinearMap) -> LinearMap:
+    """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands, for
+    R on k <= 2 strands, padded by Kronecker products."""
+    d, k, ring = R.shape.d, R.shape.p, R.ring
+    one = LinearMap.identity(d, 1, ring)
+    left = kron(R, LinearMap.identity(d, 3 - k, ring))
+    right = kron(kron(one, R), LinearMap.identity(d, 2 - k, ring))
+    return compose(compose(left, right), left) - compose(compose(right, left), right)

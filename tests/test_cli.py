@@ -495,7 +495,7 @@ def test_deform_rejects_a_pair_that_is_not_switchback(capsys, tmp_path):
     cocycle.write_text("phi1 = 0, 0, 0, 0\nphi2 = 0; 0; 0; 0\n")
     code, out = run(capsys, "deform", "--pair", str(pair), "--cocycle", str(cocycle))
     assert code == 2
-    assert out.endswith("FAIL: the undeformed pair fails the switchback conditions\n")
+    assert out.endswith("FAIL: the pair fails the switchback conditions\n")
 
 
 def test_turaev_failure_names_the_first_failing_condition(capsys, tmp_path):

@@ -1,0 +1,288 @@
+"""The Temperley-Lieb check and the Yang-Baxter residual on the packed
+kernel, against scalar references that share no code with it."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+import reference
+from reference import kron
+from skeinlab.linmap import LinearMap, ShapeMismatchError, apply_local, compose, equal
+from skeinlab.rmatrix import (
+    build_R,
+    cupcap,
+    solve_deformed_coefficients,
+    tl_first_failure,
+    tl_generators,
+    ybe_residual,
+)
+from skeinlab.scalars import (
+    GAUSS,
+    LAURENT,
+    RATFUN,
+    Dual,
+    GaussRat,
+    LaurentA,
+    RingMismatchError,
+    into_ring,
+    parse_scalar,
+)
+from skeinlab.switchback import (
+    SwitchbackPair,
+    deform,
+    delta0,
+    make_bracket_pair,
+    pair_from_matrix,
+    parse_cocycle_config,
+)
+
+FIXTURES = Path(__file__).parent.parent / "src" / "skeinlab" / "fixtures"
+UNITS = (GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1))
+WIDE = 2**40 + 1
+
+
+def _agree(gens, delta):
+    """The program's verdict, which must be the reference's."""
+    got = tl_first_failure(gens, delta)
+    assert got == reference.tl_first_failure(gens, delta)
+    return got
+
+
+def _monomial(e, unit):
+    return LaurentA(((e, unit),))
+
+
+def _gauged(rng):
+    """pairing(x, y) -> c * pairing(Dx, Dy) on the bracket pair, with D
+    diagonal and D and c monomials whose coefficients are units of Z[i]."""
+    pair = make_bracket_pair()
+    dg = [_monomial(rng.randint(-15, 15), rng.choice(UNITS)) for _ in range(2)]
+    c = _monomial(rng.randint(-2, 2), rng.choice(UNITS))
+    b = [pair.pairing.entry(0, k) for k in range(4)]
+    g = [pair.copairing.entry(k, 0) for k in range(4)]
+    brow = [c * b[2 * i + j] * dg[i] * dg[j] for i in range(2) for j in range(2)]
+    gcol = [[c.inv() * g[2 * i + j] * dg[i].inv() * dg[j].inv()]
+            for i in range(2) for j in range(2)]
+    return SwitchbackPair(
+        2, LAURENT,
+        LinearMap.from_rows(2, 2, 0, LAURENT, [brow]),
+        LinearMap.from_rows(2, 0, 2, LAURENT, gcol),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_laurent_gauges_with_unit_coefficients(seed):
+    # D = A^15 puts entries up to A^+-30 into the generators
+    pair = _gauged(random.Random(seed))
+    delta = delta0(pair)
+    i = LaurentA(((0, GaussRat(0, 1)),))
+    for n in (2, 3, 4, 5):
+        gens = tl_generators(pair, n)
+        assert _agree(gens, delta) is None
+        for wrong in (delta + LAURENT.one(), delta * i, -delta):
+            assert _agree(gens, wrong) == "e1^2 != delta*e1"
+        # an imaginary multiple keeps every square with delta times it
+        turned = [e.scale(i) for e in gens]
+        assert _agree(turned, delta * i) == (None if n == 2 else "e1*e2*e1 != e1")
+
+
+@pytest.mark.parametrize("name", ["xx", "xy", "yx", "yy"])
+@pytest.mark.parametrize("scale", [(1, 0), (-1, 0), (2, 0), (0, 1)])
+def test_bundled_cocycles_at_four_scales(name, scale):
+    rat = make_bracket_pair(RATFUN)
+    phi1, phi2 = parse_cocycle_config((FIXTURES / f"cocycle_{name}.cfg").read_text(), rat)
+    s = RATFUN.one() * into_ring(GaussRat(*scale), RATFUN)
+    pair = deform(rat, phi1.scale(s), phi2.scale(s))
+    delta = delta0(pair)
+    off_slope = delta + Dual(RATFUN.zero(), RATFUN.one())
+    for n in (3, 4):
+        gens = tl_generators(pair, n)
+        assert _agree(gens, delta) is None
+        assert _agree(gens, off_slope) == "e1^2 != delta*e1"
+        # a slope added to one generator breaks a relation in the slope only
+        bent = [gens[0] + gens[0].scale(Dual(RATFUN.zero(), RATFUN.one())), *gens[1:]]
+        assert _agree(bent, delta) is not None
+
+
+RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
+
+RATFUN_MATRICES = {
+    "d2": [["( 2*A )/( 3 - i*A )", "1"], ["( -1/2 )/( 1 + A )", "A^-1"]],
+    "d2-gauss": [["1/3", "( i )/( 1 - A^2 )"], ["2 - i", "( A )/( 3 - i*A )"]],
+    "d3": [
+        ["1", "( A )/( 1 + A )", "0"],
+        ["0", "2", "i*A^-1"],
+        ["1/2", "0", "A"],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATFUN_MATRICES))
+def test_ratfun_pairs_with_denominators(name):
+    rows = [[RF(x) for x in row] for row in RATFUN_MATRICES[name]]
+    pair = pair_from_matrix(rows, RATFUN)
+    delta = delta0(pair)
+    # the scalar reference normalises a ratfun gcd at every product, so the
+    # pairs with more denominators stop at fewer strands
+    for n in range(2, 5 if name == "d2" else 4):
+        gens = tl_generators(pair, n)
+        assert _agree(gens, delta) is None
+        for wrong in (delta + RATFUN.one(), delta * RF("( 1 )/( 1 + A )")):
+            assert _agree(gens, wrong) == "e1^2 != delta*e1"
+
+
+def test_broken_generators():
+    pair = make_bracket_pair()
+    delta = delta0(pair)
+    e1, e2, e3 = tl_generators(pair, 4)
+    one = LinearMap.identity(2, 1, LAURENT)
+    o, z = LAURENT.one(), LAURENT.zero()
+    hold = LinearMap.from_rows(2, 1, 1, LAURENT, [[o, z], [z, z]])
+    g = kron(kron(cupcap(pair), hold), one)
+    ident = LinearMap.identity(2, 4, LAURENT)
+    a2 = LaurentA(((2, GaussRat(1)),))
+    u, u_inv = ident + e2.scale(a2), ident + e2.scale(a2.inv())
+    f3 = compose(compose(u, e3), u_inv)
+    cases = {
+        "e2^2 != delta*e2": [e1, e2.scale(2), e3],
+        "e1*e2*e1 != e1": [e1, e1, e3],
+        "e2*e1*e2 != e2": [g, e2, e3],
+        "e1 and e3 do not commute": [e1, e2, f3],
+    }
+    for message, gens in cases.items():
+        assert _agree(gens, delta) == message
+
+
+def test_wide_coefficients_and_exponents():
+    # packed at a fixed 40-bit width, (1 + A) and 2^40 + 1 would be one int
+    pair = make_bracket_pair()
+    delta = delta0(pair)
+    e1, e2, e3 = tl_generators(pair, 4)
+    one_plus_a = LaurentA(((0, GaussRat(1)), (1, GaussRat(1))))
+    assert _agree([e1.scale(one_plus_a), e2, e3], delta * WIDE) == "e1^2 != delta*e1"
+    assert _agree([e.scale(WIDE) for e in (e1, e2, e3)], delta * WIDE) == "e1*e2*e1 != e1"
+    assert _agree([e1, e2.scale(WIDE), e3], delta) == "e2^2 != delta*e2"
+    far, near = LaurentA(((30, GaussRat(1)),)), LaurentA(((-30, GaussRat(1)),))
+    assert _agree([e.scale(far) for e in (e1, e2, e3)], delta * far) == "e1*e2*e1 != e1"
+    assert _agree([e1.scale(far), e2.scale(near), e3], delta) == "e1^2 != delta*e1"
+    # scaling by a unit keeps every relation only if it squares to one
+    assert _agree([e.scale(-1) for e in (e1, e2, e3)], -delta) is None
+
+
+def _mismatched():
+    pair = make_bracket_pair()
+    delta = delta0(pair)
+    three, four = tl_generators(pair, 3), tl_generators(pair, 4)
+    d3 = tl_generators(pair_from_matrix([[GaussRat(int(i == j)) for j in range(3)]
+                                         for i in range(3)], GAUSS), 3)
+    rat = tl_generators(make_bracket_pair(RATFUN), 3)
+    bent = LinearMap.zero(2, 3, 2, LAURENT)
+    return {
+        "strand counts": (three[:1] + four[1:2], delta),
+        "strand counts after a failure": ([three[0].scale(2), four[1]], delta),
+        "not square": ([bent, *three], delta),
+        "delta ring": (three, into_ring(delta, RATFUN)),
+        "generator rings": ([three[0], rat[1]], delta),
+        "dimensions": ([three[0], *d3[1:]], delta),
+        "int delta": ([three[0], rat[1]], 2),
+        "zero maps over two rings": ([LinearMap.zero(2, 3, 3, LAURENT),
+                                      LinearMap.zero(2, 3, 3, RATFUN)], 2),
+        "commuting strands": ([*four, three[0]], delta),
+    }
+
+
+# the cases where a relation fails before any mismatch is met
+FAIL_FIRST = {"strand counts after a failure", "int delta"}
+
+
+@pytest.mark.parametrize("case", sorted(_mismatched()))
+def test_mismatched_shapes_and_rings_raise_as_the_reference(case):
+    gens, delta = _mismatched()[case]
+    try:
+        expected = reference.tl_first_failure(gens, delta)
+    except (ShapeMismatchError, RingMismatchError) as e:
+        assert case not in FAIL_FIRST
+        with pytest.raises(type(e)) as got:
+            tl_first_failure(gens, delta)
+        assert str(got.value) == str(e)
+    else:
+        assert case in FAIL_FIRST and expected is not None
+        assert tl_first_failure(gens, delta) == expected
+
+
+# ---------------------------------------------------------------------------
+# Yang-Baxter
+# ---------------------------------------------------------------------------
+
+
+def _same(got: LinearMap, want: LinearMap):
+    assert (got.shape, got.ring) == (want.shape, want.ring)
+    assert equal(got, want)
+
+
+def _perturbed(R: LinearMap, r: int, c: int, by) -> LinearMap:
+    rows = [list(row) for row in R.rows]
+    rows[r][c] = rows[r][c] + by
+    return LinearMap.from_rows(R.shape.d, R.shape.p, R.shape.q, R.ring, rows)
+
+
+def _ybe_cases():
+    pair = make_bracket_pair()
+    bracket = build_R(pair, LaurentA(((1, GaussRat(1)),)), LaurentA(((-1, GaussRat(1)),)))
+    rat = make_bracket_pair(RATFUN)
+    ratfun = build_R(rat, RF("( 2*A )/( 3 - i*A )"), RF("( 2*A^-1 )/( 3 - i*A )"))
+    phi = parse_cocycle_config((FIXTURES / "cocycle_xy.cfg").read_text(), rat)
+    deformed_pair = deform(rat, *phi)
+    deformed = build_R(deformed_pair, *solve_deformed_coefficients(deformed_pair))
+    t = Dual(RATFUN.zero(), RF("A"))
+    rng = random.Random(5)
+    pool = [RF(x) for x in ("0", "0", "0", "1", "-2", "i*A", "( 1 )/( 1 + A )", "( A^2 )/( 3 - i*A )")]
+    d3 = LinearMap.from_rows(3, 2, 2, RATFUN,
+                             [[rng.choice(pool) for _ in range(9)] for _ in range(9)])
+    far = LaurentA(((30, GaussRat(1)),))
+    at = GaussRat(3, 1) / 2
+    gauss = build_R(pair.specialize(at), at, at.inv())
+    return {
+        "bracket": bracket.R,
+        "bracket inverse": bracket.Rinv,
+        "bracket perturbed": _perturbed(bracket.R, 0, 0, LAURENT.one()),
+        "ratfun": ratfun.R,
+        "ratfun perturbed": _perturbed(ratfun.R, 1, 2, RF("( 1 )/( 1 - A )")),
+        "deformed": deformed.R,
+        "deformed slope": _perturbed(deformed.R, 3, 3, t),
+        "gauss perturbed": _perturbed(gauss.R, 2, 1, GaussRat(0, 1)),
+        "wide": _perturbed(bracket.R, 1, 2, LAURENT.one()).scale(WIDE),
+        # one entry per column: every product of three has |.| = WIDE^3,
+        # the bound itself, so a narrower digit would misread the residual
+        "wide cycle": LinearMap.from_rows(2, 2, 2, LAURENT, [
+            [LAURENT.one() * WIDE if c == (1, 2, 0, 3)[r] else LAURENT.zero()
+             for c in range(4)] for r in range(4)]),
+        "far": _perturbed(bracket.R, 2, 2, far),
+        "d3 random": d3,
+        "one strand": LinearMap.from_rows(
+            2, 1, 1, LAURENT, [[far, LAURENT.one()], [LAURENT.zero(), -far]]),
+        "scalar": LinearMap.from_rows(2, 0, 0, LAURENT, [[far]]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ybe_cases()))
+def test_ybe_residual_matches_the_reference(case):
+    R = _ybe_cases()[case]
+    want = reference.ybe_residual(R)
+    _same(ybe_residual(R), want)
+    assert want.is_zero() == (case in {"bracket", "bracket inverse", "ratfun", "deformed", "scalar"})
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 1), (1, 2), (0, 2), (4, 4)])
+def test_ybe_shape_errors_are_the_padded_products(shape):
+    p, q = shape
+    R = LinearMap.zero(2, p, q, LAURENT)
+    three = LinearMap.identity(2, 3, LAURENT)
+    with pytest.raises(ShapeMismatchError) as want:
+        # the residual as the padded products state it
+        left, right = apply_local(R, 0, three), apply_local(R, 1, three)
+        compose(compose(left, right), left) - compose(compose(right, left), right)
+    with pytest.raises(ShapeMismatchError) as got:
+        ybe_residual(R)
+    assert str(got.value) == str(want.value)

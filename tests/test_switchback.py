@@ -530,7 +530,7 @@ def test_obstruction_rejects_a_pair_that_is_not_switchback():
         "dimension = 2\nring = gauss\nbeta = 1, 0, 0, 1\ngamma = 1; 0; 0; 2\n"
     )
     phi1, phi2 = LinearMap.zero(2, 2, 0, GAUSS), LinearMap.zero(2, 0, 2, GAUSS)
-    with pytest.raises(SwitchbackError, match="undeformed pair"):
+    with pytest.raises(SwitchbackError, match="^the pair fails the switchback conditions$"):
         deformation_obstruction(pair, phi1, phi2)
 
 
