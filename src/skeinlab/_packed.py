@@ -47,6 +47,16 @@ polynomials are.  With c the largest max(1, ||F||) among the factors, a
 product of three packed maps, or a packed scalar times a product of two,
 has N = c^3, and a packed scalar times one map has N = c^2;
 braid.r_of_word states its own N.
+
+Products.  A Scaled map is a matrix over Z[A] whose rows and columns are
+(index, lane) pairs, so two of them compose as matrices: product(f, g) =
+f . g holds at ((r, o), (c, i)) the sum over (k, l) of the polynomial of f
+at ((r, o), (k, l)) times that of g at ((k, l), (c, i)).  As (f'/D_f) .
+(g'/D_g) = f'g'/(D_f*D_g), its scale is f.scale*g.scale, and its norm
+f.norm*g.norm bounds ||f'g'|| as ||.|| is submultiplicative.  padded(sm, d,
+slot) puts a one-strand map on one strand of two, with the same scale and
+norm.  So a product placed as one factor meets no coefficient beyond the
+bound that its factors, placed in turn, are given.
 """
 
 from __future__ import annotations
@@ -69,6 +79,42 @@ class Scaled:
     moves: tuple
     scale: LaurentA
     norm: int
+
+
+def padded(sm: Scaled, d: int, slot: int) -> Scaled:
+    """A one-strand map sm placed on strand slot (0 or 1) of two, by the
+    identity on the other strand: the same scale and norm."""
+    moves = []
+    for r, c, o, i, poly in sm.moves:
+        for k in range(d):
+            if slot == 0:
+                moves.append((r * d + k, c * d + k, o, i, poly))
+            else:
+                moves.append((k * d + r, k * d + c, o, i, poly))
+    return Scaled(tuple(moves), sm.scale, sm.norm)
+
+
+def product(f: Scaled, g: Scaled) -> Scaled:
+    """f . g, g applied first: the lane moves of f and g compose through
+    g's output index and lane, and the polynomials of the moves that meet
+    multiply and add.  The scale is f.scale*g.scale, and the norm the bound
+    f.norm*g.norm, as ||.|| is submultiplicative."""
+    into = {}         # (col, in lane) of f -> [(row, out lane, poly)]
+    for r, c, o, i, poly in f.moves:
+        into.setdefault((c, i), []).append((r, o, poly))
+    sums: dict[tuple, dict[int, int]] = {}
+    for r, c, o, i, q in g.moves:
+        for fr, fo, p in into.get((r, o), ()):
+            acc = sums.setdefault((fr, c, fo, i), {})
+            for e, v in p.items():
+                for e2, v2 in q.items():
+                    acc[e + e2] = acc.get(e + e2, 0) + v * v2
+    moves = []
+    for key, acc in sums.items():
+        poly = {e: v for e, v in acc.items() if v}
+        if poly:
+            moves.append((*key, poly))
+    return Scaled(tuple(moves), f.scale * g.scale, f.norm * g.norm)
 
 
 def _is_dual(x) -> bool:
@@ -147,11 +193,12 @@ def _scaled(family, lanes: int) -> list[Scaled]:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Families of maps and scalars, each family over its own scale, with
-    the lanes that their products with the identity can reach."""
+    """Families of maps and scalars, each family over its own scale, kept
+    to the moves out of the lanes that their products with the identity
+    can reach (the live lanes); a move out of any other lane never meets a
+    nonzero value.  Products of these maps keep to the live lanes too."""
 
     lanes: int            # 2 over a base ring, 4 over its dual
-    live: frozenset       # lanes reachable from the identity
     maps: tuple           # the Scaled members, family by family, in order
 
     @staticmethod
@@ -164,23 +211,24 @@ class Kernel:
             if grown == live:
                 break
             live = grown
-        return Kernel(lanes, frozenset(live), maps)
+        maps = tuple(Scaled(tuple(m for m in sm.moves if m[3] in live), sm.scale, sm.norm)
+                     for sm in maps)
+        return Kernel(lanes, maps)
 
     def plan(self, sm: Scaled, bits: int):
         """Per output local index: (out lane, [(source local index, in
-        lane, odd multiplier, shift)]) over the live lanes.  A packed factor
-        f is split as f = odd * 2^shift, so that the usual monomial factors
-        (odd = +-1) act by a shift alone."""
+        lane, odd multiplier, shift)]).  A packed factor f is split as
+        f = odd * 2^shift, so that the usual monomial factors (odd = +-1)
+        act by a shift alone."""
         by_out: dict[int, dict[int, list]] = {}
         factors = {}      # id of a polynomial of sm -> (odd, shift)
         for r, c, o, i, poly in sm.moves:
-            if i in self.live:
-                factor = factors.get(id(poly))
-                if factor is None:
-                    f = sum(v << (e * bits) for e, v in poly.items())
-                    shift = (f & -f).bit_length() - 1
-                    factor = factors[id(poly)] = (f >> shift, shift)
-                by_out.setdefault(r, {}).setdefault(o, []).append((c, i, *factor))
+            factor = factors.get(id(poly))
+            if factor is None:
+                f = sum(v << (e * bits) for e, v in poly.items())
+                shift = (f & -f).bit_length() - 1
+                factor = factors[id(poly)] = (f >> shift, shift)
+            by_out.setdefault(r, {}).setdefault(o, []).append((c, i, *factor))
         return [(r, list(outs.items())) for r, outs in sorted(by_out.items())]
 
     def identity(self, size: int) -> list[dict]:
@@ -214,18 +262,18 @@ def place(plan, low: int, block: int, acc: list[dict]) -> list[dict]:
                     src = acc[i].get(base + local * low)
                     if src is None:
                         continue
-                    if odd == 1:
-                        part = {s: g << shift for s, g in src.items()}
-                    elif odd == -1:
-                        part = {s: -(g << shift) for s, g in src.items()}
-                    else:
-                        part = {s: odd * g << shift for s, g in src.items()}
                     if row is None:
-                        row = part
+                        # the first term is the row; later ones merge into it
+                        if odd == 1:
+                            row = {s: g << shift for s, g in src.items()} if shift else dict(src)
+                        elif odd == -1:
+                            row = {s: -(g << shift) for s, g in src.items()}
+                        else:
+                            row = {s: odd * g << shift for s, g in src.items()}
                         continue
                     get = row.get
-                    for s, v in part.items():
-                        v += get(s, 0)
+                    for s, g in src.items():
+                        v = get(s, 0) + (odd * g << shift)
                         if v:
                             row[s] = v
                         else:

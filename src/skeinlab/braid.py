@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import SkeinlabError
-from ._packed import Kernel, place, unpack, width
+from ._packed import Kernel, padded, place, product, unpack, width
 from .linmap import (
     LinearMap,
     apply_local,
@@ -107,12 +107,18 @@ class TuraevData:
     unknot: object = field(init=False)
     # R, R^-1 and the twist scaled for the packed kernel, worked out once
     _kernel: Kernel = field(init=False, repr=False, compare=False)
+    # the factors of r_of_word, made on first use (_factor), and the
+    # kernel's plans of them by (factor key, width)
+    _factors: dict = field(init=False, repr=False, compare=False)
+    _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", self.rmx.loop * self.rmx.a + self.rmx.b)
         object.__setattr__(self, "unknot", full_trace(self.nu))
         kernel = Kernel.of([self.rmx.R], [self.rmx.Rinv], [self.nu])
         object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_plans", {})
 
     @property
     def pair(self) -> SwitchbackPair:
@@ -167,23 +173,63 @@ def turaev_first_failure(td: TuraevData) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+def _factor(td: TuraevData, key):
+    """A scaled factor of r_of_word, made once per Turaev data: the twist
+    for the key None, and R^sign . (twist^a x twist^b) for (sign, a, b),
+    with a and b each 0 or 1, as products of the packed R, R^-1 and twist;
+    (sign, 1, 1) is made from (sign, 1, 0)."""
+    f = td._factors.get(key)
+    if f is None:
+        R, Rinv, nu = td._kernel.maps
+        if key is None:
+            f = nu
+        else:
+            sign, a, b = key
+            if b:
+                f = product(_factor(td, (sign, a, 0)), padded(nu, td.pair.d, 1))
+            elif a:
+                f = product(_factor(td, (sign, 0, 0)), padded(nu, td.pair.d, 0))
+            else:
+                f = R if sign > 0 else Rinv
+        td._factors[key] = f
+    return f
+
+
+def _plan(td: TuraevData, key, bits: int):
+    """The kernel's plan of one factor of r_of_word at width bits, made
+    once per Turaev data."""
+    plan = td._plans.get((key, bits))
+    if plan is None:
+        plan = td._plans[key, bits] = td._kernel.plan(_factor(td, key), bits)
+    return plan
+
+
 def r_of_word(td: TuraevData, w: BraidWord):
     """The letter loop: product over letters of 1^(i-1) x R^(sign) x
     1^(n-i-1), first letter applied first (bottom of the diagram), each
     acting on its two strands only.  It runs on the packed kernel and
-    starts from the twist^(x n), built by n one-strand updates of the
-    identity, because only the trace Tr(twist^(x n) . R(w)) =
-    Tr(R(w) . twist^(x n)) is ever read.  Returns (lanes, bits, scale):
-    R(w) . twist^(x n) = X / scale, X held as packed lanes of bits-bit
-    digits and scale a LaurentA.
+    takes in the twist^(x n) as well, because only the trace
+    Tr(twist^(x n) . R(w)) = Tr(R(w) . twist^(x n)) is ever read.  Returns
+    (lanes, bits, scale): R(w) . twist^(x n) = X / scale, X held as packed
+    lanes of bits-bit digits and scale a LaurentA.
+
+    A strand's twist commutes with every letter that does not touch the
+    strand, so it rides on the first letter that does: that letter, on
+    strands i and i+1, places R^(sign) . (twist^a x twist^b), with a = 1
+    when strand i is fresh and b = 1 when strand i+1 is.  Only the strands
+    that no letter touches get a one-strand twist of their own, placed on
+    the identity first.
 
     R, R^-1 and the twist are each scaled on their own, M = M'/D, and packed
     as the _packed docstring sets out; its bound on the width B applies with
     this N.  X is the product of the n one-strand twists and one local map
     per letter, so every entry of X, and of every partial product (each
     factor is invertible, so ||.|| >= 1), has |X_rc| <= N0 = ||twist'||^n *
-    prod over letters of ||R'^(+-1)||.  The trace adds d^n diagonal entries,
-    so N = d^n * N0 bounds every coefficient of every lane of the result.
+    prod over letters of ||R'^(+-1)||.  A folded factor has
+    ||R'^(+-1) (twist'^a x twist'^b)|| <= ||R'^(+-1)|| * ||twist'||^(a+b),
+    the norm it carries, and placing it keeps ||.||, so folding leaves N0 as
+    it is.  The trace adds d^n diagonal entries, so N = d^n * N0 bounds
+    every coefficient of every lane of the result.
     """
     kern = td._kernel
     R, Rinv, nu = kern.maps
@@ -193,15 +239,19 @@ def r_of_word(td: TuraevData, w: BraidWord):
     neg = len(w.letters) - pos
     bound = d**n * nu.norm**n * R.norm**pos * Rinv.norm**neg
     bits = width(bound)
-    acc = kern.identity(d**n)
-    twist = kern.plan(nu, bits)
-    for slot in range(n):
-        low = d ** (n - 1 - slot)
-        acc = place(twist, low, low * d, acc)
-    plans = {1: kern.plan(R, bits), -1: kern.plan(Rinv, bits)}
+    fresh = [1] * n
+    keys = []
     for i, sign in w.letters:
+        keys.append((sign, fresh[i - 1], fresh[i]))
+        fresh[i - 1] = fresh[i] = 0
+    acc = kern.identity(d**n)
+    for slot in range(n):
+        if fresh[slot]:
+            low = d ** (n - 1 - slot)
+            acc = place(_plan(td, None, bits), low, low * d, acc)
+    for (i, _), key in zip(w.letters, keys):
         low = d ** (n - i - 1)
-        acc = place(plans[sign], low, low * d * d, acc)
+        acc = place(_plan(td, key, bits), low, low * d * d, acc)
     scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
     return acc, bits, scale
 

@@ -37,12 +37,11 @@ class RMatrixError(SkeinlabError):
 # Largest dimension d^n of V^(x n) on which maps are built; maps on it are
 # d^n x d^n.  On a 2-core x86-64 host (Intel Xeon) under CPython 3.11, whose
 # speed swings by up to 2x, the Temperley-Lieb check of the Laurent bracket
-# pair (d = 2), generators included, takes 0.03-0.05 s at 8 strands and
-# 0.19-0.28 s at 10, and of the d = 3 identity pair 0.04-0.07 s at 6
-# strands.  The ratfun invariant of
-# s1 s2 ... s(n-1) takes 0.004-0.008 s at 8 strands and 0.025-0.044 s at
-# 10, and of a 20-letter word on 10 strands 0.09-0.16 s (0.5-0.7 s
-# deformed by a cocycle).
+# pair (d = 2), generators included, takes 0.025-0.05 s at 8 strands and
+# 0.15-0.30 s at 10, and of the d = 3 identity pair 0.035-0.07 s at 6
+# strands.  The ratfun invariant of s1 s2 ... s(n-1) takes 0.0024-0.006 s
+# at 8 strands and 0.013-0.03 s at 10, and of a 20-letter word on 10
+# strands 0.11-0.22 s (0.75-1.3 s deformed by a cocycle).
 MAX_DIM = 2**10
 
 

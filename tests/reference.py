@@ -7,11 +7,15 @@ that builds a padded map with it checks placement against something else.
 whole matrix gives it; the program finds its 2-cocycles and degree-2
 extensions without one.
 `conjugated` and `stabilized` make the two Markov moves of a braid word.
+`unfolded_r_of_word` is braid.r_of_word without folding each strand's
+twist into its first letter: the packed identity, then n one-strand
+twists, then one placement of R or R^-1 per letter.
 `tl_first_failure` and `ybe_residual` state the Temperley-Lieb relations
 and the Yang-Baxter residual on scalar maps, with compose, equal and kron;
 the program evaluates both on the packed-integer kernel.
 """
 
+from skeinlab._packed import place, width
 from skeinlab.braid import BraidWord
 from skeinlab.linmap import LinearMap, MapShape, compose, equal, rref
 
@@ -86,3 +90,26 @@ def ybe_residual(R: LinearMap) -> LinearMap:
     left = kron(R, LinearMap.identity(d, 3 - k, ring))
     right = kron(kron(one, R), LinearMap.identity(d, 2 - k, ring))
     return compose(compose(left, right), left) - compose(compose(right, left), right)
+
+
+def unfolded_r_of_word(td, w: BraidWord):
+    """(lanes, bits, scale) of R(w) . twist^(x n) on the packed kernel, as
+    braid.r_of_word returns them, by n twist placements on the packed
+    identity and one placement of R^(sign) per letter."""
+    kern = td._kernel
+    R, Rinv, nu = kern.maps
+    d, n = td.pair.d, w.n
+    pos = sum(sign > 0 for _, sign in w.letters)
+    neg = len(w.letters) - pos
+    bits = width(d**n * nu.norm**n * R.norm**pos * Rinv.norm**neg)
+    acc = kern.identity(d**n)
+    twist = kern.plan(nu, bits)
+    for slot in range(n):
+        low = d ** (n - 1 - slot)
+        acc = place(twist, low, low * d, acc)
+    plans = {1: kern.plan(R, bits), -1: kern.plan(Rinv, bits)}
+    for i, sign in w.letters:
+        low = d ** (n - i - 1)
+        acc = place(plans[sign], low, low * d * d, acc)
+    scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
+    return acc, bits, scale

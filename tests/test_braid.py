@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeinlab import braid, planar
+from skeinlab._packed import digits, place, unpack, width
 from skeinlab.braid import (
     BraidSyntaxError,
     BraidWord,
@@ -22,6 +23,7 @@ from skeinlab.braid import (
     matches_oracle,
     normalized_invariant,
     parse_braid,
+    r_of_word,
     skein_triple_check,
     turaev_first_failure,
 )
@@ -50,7 +52,7 @@ from skeinlab.switchback import (
     verify_switchback,
 )
 
-from reference import conjugated, kron, stabilized
+from reference import conjugated, kron, stabilized, unfolded_r_of_word
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
@@ -298,6 +300,80 @@ def test_invariant_matches_the_reference_on_a_long_ten_strand_word(case):
     assert (w.n, len(w.letters)) == (10, 30)
     td = KERNEL_CASES[case]
     assert invariant(td, w) == _reference_invariant(td, w)
+
+
+# ---------------------------------------------------------------------------
+# each strand's twist folded into its first letter
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _fold_words(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    if n == 1:
+        return BraidWord(1, ())
+    letter = st.tuples(st.integers(min_value=1, max_value=n - 1), st.sampled_from((1, -1)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=10))))
+
+
+# strands 1, 4 and 7 untouched, every first letter on a strand negative
+_UNTOUCHED = parse_braid("s2^-1 s5^-1 s2 s5", n=7)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(KERNEL_CASES)), _fold_words())
+def test_r_of_word_is_the_unfolded_loop(case, w):
+    # lanes, bits and scale, exactly
+    td = KERNEL_CASES[case]
+    assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_r_of_word_folds_negative_first_letters_and_skips_untouched_strands(case):
+    td = KERNEL_CASES[case]
+    words = (_UNTOUCHED, parse_braid("s1^-1 s3 s1", n=4), parse_braid("s2^-1 s2^-1"),
+             BraidWord(6, ()))
+    for w in words:
+        assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+
+
+def _power(f: LinearMap, k: int) -> LinearMap:
+    return f if k else LinearMap.identity(f.shape.d, 1, f.ring)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_folded_factors_are_r_times_the_twists(case):
+    td = KERNEL_CASES[case]
+    kern, d = td._kernel, td.pair.d
+    base = td.rmx.R.ring.base or td.rmx.R.ring
+    for sign, f in ((1, td.rmx.R), (-1, td.rmx.Rinv)):
+        for a in (0, 1):
+            for b in (0, 1):
+                factor = braid._factor(td, (sign, a, b))
+                want = compose(f, kron(_power(td.nu, a), _power(td.nu, b)))
+                # the factor alone: N = max(1, ||factor'||) bounds what placing
+                # it on the identity meets
+                bits = width(max(1, factor.norm))
+                lanes = place(kern.plan(factor, bits), 1, d * d, kern.identity(d * d))
+                over = into_ring(factor.scale, base).inv()
+                colnorm = {}
+                for r in range(d * d):
+                    for c in range(d * d):
+                        values = [lane.get(r, {}).get(c, 0) for lane in lanes]
+                        assert unpack(values, bits, base, over) == want.entry(r, c)
+                        colnorm[c] = colnorm.get(c, 0) + sum(
+                            abs(x) for v in values for x in digits(v, bits).values())
+                assert factor.norm >= max(colnorm.values())
+
+
+def test_plans_are_reused_per_width():
+    td = _turaev(RATFUN)
+    short, long = parse_braid("s1 s2^-1", n=4), parse_braid(" ".join(["s1^-1 s3"] * 8))
+    assert r_of_word(td, short)[1] != r_of_word(td, long)[1]
+    grown = len(td._plans)
+    for w in (short, long, short, long):
+        assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+    assert len(td._plans) == grown
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
