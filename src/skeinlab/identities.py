@@ -61,10 +61,6 @@ class UnknownNameError(DslError):
     """A label or symbol that the identity file or assignment does not bind."""
 
 
-class EmptySumError(DslError):
-    """An empty formal sum has no arity to evaluate at."""
-
-
 # ---------------------------------------------------------------------------
 # Expression AST
 # ---------------------------------------------------------------------------
@@ -505,14 +501,10 @@ def one_differential(name: str, p: int, q: int) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
-def _env_key(sym: Sym) -> str:
-    return f"phi[{sym.name}]" if sym.role == COCHAIN else sym.name
-
-
 def _place(expr: Expr, slot: int, acc: LinearMap, env) -> tuple[LinearMap, int]:
     """expr applied to acc's strands from slot on, and how many it leaves there."""
     if isinstance(expr, Sym):
-        key = _env_key(expr)
+        key = f"phi[{expr.name}]" if expr.role == COCHAIN else expr.name
         if key not in env:
             raise UnknownNameError(f"no assignment for symbol {key}")
         m = env[key]
@@ -553,27 +545,6 @@ def _sum_env(
         m = evaluate_expr(expr, env, d, ring)
         out = out + (m if coeff == 1 else m.scale(coeff))
     return out
-
-
-def evaluate(
-    fs: FormalSum,
-    assignment: dict[str, LinearMap],
-    cochain: dict[str, LinearMap] | None = None,
-) -> LinearMap:
-    """Evaluate a formal sum.  `assignment` binds generator names and the
-    marked f; `cochain` binds cochain symbols by generator name."""
-    env = dict(assignment)
-    for name, m in (cochain or {}).items():
-        env[f"phi[{name}]"] = m
-    if not fs.terms:
-        raise EmptySumError("cannot evaluate an empty formal sum without a shape")
-    if not env:  # no map gives d and the ring: name the first unbound symbol
-        syms: list[Sym] = []
-        _map_syms(Tensor(tuple(expr for _, expr in fs.terms)), syms.append)
-        what = f"symbol {_env_key(syms[0])}" if syms else "any symbol"
-        raise UnknownNameError(f"no assignment for {what}")
-    probe = next(iter(env.values()))
-    return _sum_env(fs, env, probe.shape.d, probe.ring, *signature(fs.terms[0][1]))
 
 
 def check_d2d1(

@@ -7,6 +7,10 @@ R^-1 = a^-1*1 + b^-1*(copairing after pairing).
 
 The cup-cap composites e_i = 1^(i-1) x (copairing pairing) x 1^(n-i-1)
 represent the Temperley-Lieb algebra with parameter delta0.
+
+Both checks run on the packed kernel and take only what they can pack: TL
+generators of one square shape and ring with delta in that ring, an R on two
+strands.  Other input raises ShapeMismatchError or RingMismatchError first.
 """
 
 from __future__ import annotations
@@ -103,29 +107,26 @@ def build_R(pair: SwitchbackPair, a, b) -> SkeinRMatrix:
 
 
 def ybe_residual(R: LinearMap) -> LinearMap:
-    """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands.
+    """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands, for R
+    on two strands; any other shape raises ShapeMismatchError before
+    anything is packed.
 
     Both products run on the packed kernel from the identity, with
     R = R'/D; each is a product of three packed maps, so N = c^3 in the
     _packed docstring's bound.  A nonzero difference is unpacked and divided
     by D^3."""
-    d, k = R.shape.d, R.shape.p
+    d = R.shape.d
+    if (R.shape.p, R.shape.q) != (2, 2):
+        raise ShapeMismatchError(f"Yang-Baxter: R has shape {R.shape}, not (d={d}, 2->2)")
     check_strands(3, d)
-    if not k == R.shape.q <= 2:
-        # only a map on k <= 2 strands fits both placements and their
-        # products; for any other shape the padded products, run on a zero
-        # map of R's shape, raise the ShapeMismatchError they raise on R
-        three = LinearMap.identity(d, 3, R.ring)
-        zero = LinearMap.zero(d, k, R.shape.q, R.ring)
-        compose(apply_local(zero, 0, three), apply_local(zero, 1, three))
     kern = Kernel.of([R])
     (scaled,) = kern.maps
     bits = width(max(1, scaled.norm) ** 3)
     plan = kern.plan(scaled, bits)
 
     def at(slot, acc):
-        low = d ** (3 - k - slot)
-        return place(plan, low, low * d**k, acc)
+        low = d ** (1 - slot)
+        return place(plan, low, low * d * d, acc)
 
     start = kern.identity(d**3)
     left = at(0, at(1, at(0, start)))
@@ -199,88 +200,57 @@ def tl_generators(pair: SwitchbackPair, n: int) -> list[LinearMap]:
     return [apply_local(cc, i - 1, ident) for i in range(1, n)]
 
 
-def _tl_steps(m: int) -> list[tuple[str, str, int, int]]:
-    """(failure message, relation, i, j) for every Temperley-Lieb relation
-    among m generators, in the order they are checked."""
-    steps = [(f"e{i + 1}^2 != delta*e{i + 1}", "square", i, i) for i in range(m)]
-    for i in range(m - 1):
-        steps += [(f"e{i + 1}*e{i + 2}*e{i + 1} != e{i + 1}", "braid", i, i + 1),
-                  (f"e{i + 2}*e{i + 1}*e{i + 2} != e{i + 2}", "braid", i + 1, i)]
-    steps += [(f"e{i + 1} and e{j + 1} do not commute", "commute", i, j)
-              for i in range(m) for j in range(i + 2, m)]
-    return steps
-
-
-def _shape_check(kind: str, f: LinearMap, g: LinearMap, delta):
-    """Relation kind on f and g as the linear maps state it; run on zero
-    maps, it raises the ShapeMismatchError or RingMismatchError of
-    mismatched shapes and rings and costs nothing else."""
-    if kind == "square":
-        equal(compose(f, f), f.scale(delta))
-    elif kind == "braid":
-        equal(compose(compose(f, g), f), f)
-    else:
-        equal(compose(f, g), compose(g, f))
-
-
 def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
     """None when all Temperley-Lieb relations hold; otherwise a human
     description of the first failure (1-based generator indices).
+
+    Before anything is packed, e1's shape must be square, every generator
+    must have that shape and e1's ring, and delta must be a scalar of that
+    ring; the first violation raises ShapeMismatchError or RingMismatchError.
 
     The generators and delta are packed once over one scale D, e_i = M_i'/D
     and delta = delta'/D, and each relation is an equality of packed maps:
     M_i'M_i' = delta'M_i', M_i'M_j'M_i' = D^2 M_i' and M_i'M_j' = M_j'M_i'.
     Each side is at most a product of three packed maps, or of packed
     scalars and maps, so N = c^3 in the _packed docstring's bound.  The
-    relations are checked in the order of _tl_steps; when the generators
-    do not share one square shape and ring with delta, each is first
-    checked on zero maps of the same shapes, so that the first mismatch
-    raises where the linear maps would."""
-    m = len(gens)
-    if m == 0:
+    relations are checked squares first, then braids, then commutations."""
+    if not gens:
         return None
-    steps = _tl_steps(m)
     shape, ring = gens[0].shape, gens[0].ring
-    error = None
-    if not (shape.p == shape.q
-            and all(g.shape == shape and g.ring == ring for g in gens)
-            and (isinstance(delta, int) or ring_of(delta) == ring)):
-        zeros = [LinearMap.zero(g.shape.d, g.shape.p, g.shape.q, g.ring) for g in gens]
-        for k, (_, kind, i, j) in enumerate(steps):
-            try:
-                _shape_check(kind, zeros[i], zeros[j], delta)
-            except (ShapeMismatchError, RingMismatchError) as e:
-                error, steps = e, steps[:k]
-                break
-    if steps:
-        if isinstance(delta, int):
-            delta = ring.from_int(delta)
-        kern = Kernel.of([*gens, delta, GaussRat(1)])
-        bits = width(max(1, *(sm.norm for sm in kern.maps)) ** 3)
-        *plans, by_delta, by_d = (kern.plan(sm, bits) for sm in kern.maps)
+    if shape.p != shape.q:
+        raise ShapeMismatchError(f"Temperley-Lieb: e1 has shape {shape}, not square")
+    for k, g in enumerate(gens, 1):
+        if g.shape != shape:
+            raise ShapeMismatchError(f"Temperley-Lieb: shapes differ, e{k} {g.shape} vs e1 {shape}")
+        if g.ring != ring:
+            raise RingMismatchError(f"Temperley-Lieb: rings differ, e{k} {g.ring} vs e1 {ring}")
+    if ring_of(delta) != ring:
+        raise RingMismatchError(f"Temperley-Lieb: rings differ, delta {ring_of(delta)} vs e1 {ring}")
+    kern = Kernel.of([*gens, delta, GaussRat(1)])
+    bits = width(max(1, *(sm.norm for sm in kern.maps)) ** 3)
+    *plans, by_delta, by_d = (kern.plan(sm, bits) for sm in kern.maps)
 
-        def times(i, acc):
-            # M_i' acc
-            return place(plans[i], 1, gens[i].shape.cols, acc)
+    def times(i, acc):
+        # M_i' acc
+        return place(plans[i], 1, shape.cols, acc)
 
-        def scaled(plan, acc):
-            # a packed scalar (delta' or D) times acc
-            return place(plan, 1, 1, acc)
+    def scaled(plan, acc):
+        # a packed scalar (delta' or D) times acc
+        return place(plan, 1, 1, acc)
 
-        packed = [times(i, kern.identity(g.shape.cols)) for i, g in enumerate(gens)]
-        squared_d = {}    # i -> D^2 M_i'
-        for message, kind, i, j in steps:
-            e = packed[i]
-            if kind == "square":
-                holds = times(i, e) == scaled(by_delta, e)
-            elif kind == "braid":
-                if i not in squared_d:
-                    squared_d[i] = scaled(by_d, scaled(by_d, e))
-                holds = times(i, times(j, e)) == squared_d[i]
-            else:
-                holds = times(i, packed[j]) == times(j, e)
-            if not holds:
-                return message
-    if error is not None:
-        raise error
+    packed = [times(i, kern.identity(shape.cols)) for i in range(len(gens))]
+    for i, e in enumerate(packed):
+        if times(i, e) != scaled(by_delta, e):
+            return f"e{i + 1}^2 != delta*e{i + 1}"
+    squared_d = {}    # i -> D^2 M_i'
+    for i in range(len(gens) - 1):
+        for a, b in ((i, i + 1), (i + 1, i)):
+            if a not in squared_d:
+                squared_d[a] = scaled(by_d, scaled(by_d, packed[a]))
+            if times(a, times(b, packed[a])) != squared_d[a]:
+                return f"e{a + 1}*e{b + 1}*e{a + 1} != e{a + 1}"
+    for i in range(len(gens)):
+        for j in range(i + 2, len(gens)):
+            if times(i, packed[j]) != times(j, packed[i]):
+                return f"e{i + 1} and e{j + 1} do not commute"
     return None

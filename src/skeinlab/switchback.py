@@ -349,7 +349,9 @@ def cohomology_dims(pair: SwitchbackPair) -> CohomologyDims:
     """Kernel/image dimensions of the complex C1 -> C2 -> C3 -> C4 over a
     field ring.  One elimination per differential gives its rank (the
     image dimension), and rank-nullity (dim C^n = rank + nullity) gives
-    the kernel dimension from the same pivots."""
+    the kernel dimension from the same pivots.  A pair that fails the
+    switchback conditions, whose maps need not form a complex, is refused."""
+    _require_switchback(pair)
     n1 = pair.d**2
     n2 = 2 * pair.d**2
     m1, m2, m3 = d1_matrix(pair), d2_matrix(pair), d3_matrix(pair)

@@ -84,11 +84,9 @@ def tl_first_failure(gens, delta):
 
 def ybe_residual(R: LinearMap) -> LinearMap:
     """(R x 1)(1 x R)(R x 1) - (1 x R)(R x 1)(1 x R) on three strands, for
-    R on k <= 2 strands, padded by Kronecker products."""
-    d, k, ring = R.shape.d, R.shape.p, R.ring
-    one = LinearMap.identity(d, 1, ring)
-    left = kron(R, LinearMap.identity(d, 3 - k, ring))
-    right = kron(kron(one, R), LinearMap.identity(d, 2 - k, ring))
+    R on two strands, padded by Kronecker products."""
+    one = LinearMap.identity(R.shape.d, 1, R.ring)
+    left, right = kron(R, one), kron(one, R)
     return compose(compose(left, right), left) - compose(compose(right, left), right)
 
 

@@ -77,6 +77,16 @@ def test_solve_cocycles_refuses_a_pair_that_is_not_switchback(capsys, mode, expe
     assert (code, out) == (2, expected)
 
 
+@pytest.mark.parametrize("mode, expected", [
+    ("text", "FAIL: the pair fails the switchback conditions\n"),
+    ("records", "fail\treason=the pair fails the switchback conditions\n"),
+])
+def test_cohomology_refuses_a_pair_that_is_not_switchback(capsys, mode, expected):
+    broken = Path(__file__).parent / "golden" / "broken.pair"
+    code, out = run(capsys, "cohomology", "--pair", str(broken), "--output", mode)
+    assert (code, out) == (2, expected)
+
+
 def test_verify_ybe(capsys):
     code, out = run(capsys, "verify-ybe")
     assert code == 0

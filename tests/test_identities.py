@@ -11,7 +11,6 @@ from skeinlab.identities import (
     ArityError,
     Compose,
     DslSyntaxError,
-    EmptySumError,
     FormalSum,
     Id,
     IdentityNotSatisfiedError,
@@ -22,7 +21,6 @@ from skeinlab.identities import (
     canonicalize,
     check_d2d1,
     elaborate,
-    evaluate,
     evaluate_expr,
     infiltrate,
     one_differential,
@@ -349,19 +347,25 @@ def test_check_d2d1_refuses_too_many_strands_before_building(monkeypatch):
         check_d2d1(ident, {"beta": pair.pairing}, _random_f(random.Random(3), pair.ring))
 
 
+def _sum(fs, env, d, ring):
+    """A nonempty formal sum as a map, term by term through evaluate_expr."""
+    out = None
+    for coeff, expr in fs.terms:
+        m = evaluate_expr(expr, env, d, ring).scale(ring.from_int(coeff))
+        out = m if out is None else out + m
+    return out
+
+
 def test_evaluate_infiltration_matches_identity_difference():
     # with the cochain bound to the generator itself, each side's terms sum
     # to (number of occurrences) * side, so the differential evaluates to
     # (lhs_count - rhs_count) * (lhs - rhs) ... for a satisfied identity: 0
     pair = make_bracket_pair()
     idf = _fixture("switchback.idl")
+    env = {"beta": pair.pairing, "gamma": pair.copairing,
+           "phi[beta]": pair.pairing, "phi[gamma]": pair.copairing}
     for label in ("s1", "s2"):
-        diff = infiltrate(elaborate(idf.identity(label)))
-        value = evaluate(
-            diff,
-            {"beta": pair.pairing, "gamma": pair.copairing},
-            cochain={"beta": pair.pairing, "gamma": pair.copairing},
-        )
+        value = _sum(infiltrate(elaborate(idf.identity(label))), env, 2, pair.ring)
         two = LinearMap.identity(2, 1, pair.ring).scale(pair.ring.from_int(2))
         assert value == two
 
@@ -369,12 +373,10 @@ def test_evaluate_infiltration_matches_identity_difference():
 def test_evaluate_missing_binding():
     idf = _fixture("assoc.idl")
     diff = infiltrate(elaborate(idf.identity("assoc")))
-    with pytest.raises(UnknownNameError):
-        evaluate(diff, {"mu": _dualnumbers_mu()})
-    # with nothing bound there is no map to take d and the ring from; the
-    # first symbol of the sum as written is named
+    with pytest.raises(UnknownNameError, match=r"^no assignment for symbol phi\[mu\]$"):
+        _sum(diff, {"mu": _dualnumbers_mu()}, 2, GAUSS)
     with pytest.raises(UnknownNameError, match=r"^no assignment for symbol f$"):
-        evaluate(one_differential("mu", 2, 1), {})
+        _sum(one_differential("mu", 2, 1), {"mu": _dualnumbers_mu()}, 2, GAUSS)
 
 
 def test_evaluate_arity_mismatch():
@@ -382,16 +384,4 @@ def test_evaluate_arity_mismatch():
     diff = infiltrate(elaborate(idf.identity("assoc")))
     wrong = _random_f(random.Random(3))  # 1 -> 1, but mu is declared 2 -> 1
     with pytest.raises(ArityError):
-        evaluate(diff, {"mu": wrong}, cochain={"mu": wrong})
-
-
-def test_evaluate_empty_sum_is_a_typed_error():
-    # X*X = id x id has no generator occurrence, so its 2-differential is
-    # the empty sum, which carries no arity to evaluate at
-    ident = parse_identity_file(
-        "gen mu: 2 -> 1;\nidentity swap2: X*X = id x id;\n"
-    ).identity("swap2")
-    diff = infiltrate(elaborate(ident))
-    assert diff.terms == ()
-    with pytest.raises(EmptySumError, match="^cannot evaluate an empty formal sum without a shape$"):
-        evaluate(diff, {"mu": _dualnumbers_mu()})
+        _sum(diff, {"mu": wrong, "phi[mu]": wrong}, 2, GAUSS)

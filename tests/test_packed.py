@@ -8,6 +8,7 @@ import pytest
 
 import reference
 from reference import kron
+from skeinlab import rmatrix
 from skeinlab.linmap import LinearMap, ShapeMismatchError, apply_local, compose, equal
 from skeinlab.rmatrix import (
     build_R,
@@ -186,29 +187,48 @@ def _mismatched():
         "generator rings": ([three[0], rat[1]], delta),
         "dimensions": ([three[0], *d3[1:]], delta),
         "int delta": ([three[0], rat[1]], 2),
+        "int delta alone": (three, 2),
         "zero maps over two rings": ([LinearMap.zero(2, 3, 3, LAURENT),
                                       LinearMap.zero(2, 3, 3, RATFUN)], 2),
         "commuting strands": ([*four, three[0]], delta),
     }
 
 
-# the cases where a relation fails before any mismatch is met
-FAIL_FIRST = {"strand counts after a failure", "int delta"}
+# the gate's error for each case: the first generator, in order, whose shape
+# or ring is not e1's, else delta's ring; an int delta has no ring to name
+_SHAPES, _RINGS = "Temperley-Lieb: shapes differ,", "Temperley-Lieb: rings differ,"
+TL_GATE = {
+    "strand counts": (ShapeMismatchError, f"{_SHAPES} e2 (d=2, 4->4) vs e1 (d=2, 3->3)"),
+    "strand counts after a failure":
+        (ShapeMismatchError, f"{_SHAPES} e2 (d=2, 4->4) vs e1 (d=2, 3->3)"),
+    "not square": (ShapeMismatchError, "Temperley-Lieb: e1 has shape (d=2, 3->2), not square"),
+    "delta ring": (RingMismatchError, f"{_RINGS} delta ratfun vs e1 laurent"),
+    "generator rings": (RingMismatchError, f"{_RINGS} e2 ratfun vs e1 laurent"),
+    "dimensions": (ShapeMismatchError, f"{_SHAPES} e2 (d=3, 3->3) vs e1 (d=2, 3->3)"),
+    "int delta": (RingMismatchError, f"{_RINGS} e2 ratfun vs e1 laurent"),
+    "int delta alone": (RingMismatchError, "not a scalar of the tower: 2"),
+    "zero maps over two rings": (RingMismatchError, f"{_RINGS} e2 ratfun vs e1 laurent"),
+    "commuting strands": (ShapeMismatchError, f"{_SHAPES} e4 (d=2, 3->3) vs e1 (d=2, 4->4)"),
+}
+
+
+def _nothing_is_built(monkeypatch):
+    def built(*args, **kwargs):
+        pytest.fail("malformed input reached the kernel or the linear maps")
+
+    for name in ("Kernel", "compose", "apply_local"):
+        monkeypatch.setattr(rmatrix, name, built)
 
 
 @pytest.mark.parametrize("case", sorted(_mismatched()))
-def test_mismatched_shapes_and_rings_raise_as_the_reference(case):
+def test_tl_gate_refuses_malformed_input_before_packing(monkeypatch, case):
     gens, delta = _mismatched()[case]
-    try:
-        expected = reference.tl_first_failure(gens, delta)
-    except (ShapeMismatchError, RingMismatchError) as e:
-        assert case not in FAIL_FIRST
-        with pytest.raises(type(e)) as got:
-            tl_first_failure(gens, delta)
-        assert str(got.value) == str(e)
-    else:
-        assert case in FAIL_FIRST and expected is not None
-        assert tl_first_failure(gens, delta) == expected
+    error, message = TL_GATE[case]
+    _nothing_is_built(monkeypatch)
+    with pytest.raises(error) as got:
+        tl_first_failure(gens, delta)
+    assert type(got.value) is error
+    assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +280,6 @@ def _ybe_cases():
              for c in range(4)] for r in range(4)]),
         "far": _perturbed(bracket.R, 2, 2, far),
         "d3 random": d3,
-        "one strand": LinearMap.from_rows(
-            2, 1, 1, LAURENT, [[far, LAURENT.one()], [LAURENT.zero(), -far]]),
-        "scalar": LinearMap.from_rows(2, 0, 0, LAURENT, [[far]]),
     }
 
 
@@ -271,18 +288,15 @@ def test_ybe_residual_matches_the_reference(case):
     R = _ybe_cases()[case]
     want = reference.ybe_residual(R)
     _same(ybe_residual(R), want)
-    assert want.is_zero() == (case in {"bracket", "bracket inverse", "ratfun", "deformed", "scalar"})
+    assert want.is_zero() == (case in {"bracket", "bracket inverse", "ratfun", "deformed"})
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (2, 1), (1, 2), (0, 2), (4, 4)])
-def test_ybe_shape_errors_are_the_padded_products(shape):
+@pytest.mark.parametrize("shape", [(3, 3), (2, 1), (1, 2), (0, 2), (4, 4), (1, 1), (0, 0)])
+def test_ybe_refuses_every_shape_but_two_strands(monkeypatch, shape):
     p, q = shape
-    R = LinearMap.zero(2, p, q, LAURENT)
-    three = LinearMap.identity(2, 3, LAURENT)
-    with pytest.raises(ShapeMismatchError) as want:
-        # the residual as the padded products state it
-        left, right = apply_local(R, 0, three), apply_local(R, 1, three)
-        compose(compose(left, right), left) - compose(compose(right, left), right)
+    far = LaurentA(((30, GaussRat(1)),))
+    R = LinearMap.from_rows(2, p, q, LAURENT, [[far] * 2**p for _ in range(2**q)])
+    _nothing_is_built(monkeypatch)
     with pytest.raises(ShapeMismatchError) as got:
         ybe_residual(R)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"Yang-Baxter: R has shape (d=2, {p}->{q}), not (d=2, 2->2)"

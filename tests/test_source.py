@@ -184,8 +184,6 @@ def test_every_public_name_is_used_by_the_program():
     # library.  "The program" is src/ outside the definition itself, the
     # demos and the benchmark's workloads.
     kept = {
-        # the public evaluation of an infiltrated sum, with typed errors
-        "evaluate",
         # the brute-force reference of test_planar.py; the benchmark's tracer
         # hooks its __mul__, so it leaves with the next benchmark change
         "PlanarMatching",
@@ -203,6 +201,31 @@ def test_every_public_name_is_used_by_the_program():
     )
     assert statements, f"no sources under {SRC}"
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is dead code: each *Error class
+    # defined under src/ is raised there, or is the base of one that is
+    statements = _statements()
+    bases = {
+        stmt.name: {base.id for base in stmt.bases if isinstance(base, ast.Name)}
+        for stmt in statements
+        if isinstance(stmt, ast.ClassDef) and stmt.name.endswith("Error")
+    }
+    live = set()
+    for node in ast.walk(ast.Module(body=statements, type_ignores=[])):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                live.add(exc.id)
+    todo = list(live)
+    while todo:
+        for base in bases.get(todo.pop(), ()):
+            if base not in live:
+                live.add(base)
+                todo.append(base)
+    assert bases, f"no error classes under {SRC}"
+    assert sorted(set(bases) - live) == []
 
 
 def test_every_public_method_is_used_by_the_program():

@@ -494,6 +494,8 @@ def test_the_cocycle_rule_refuses_a_pair_that_is_not_switchback():
         lambda: solve_2cocycles(pair),
         lambda: degree2_analysis(pair, *zero),
         lambda: bracket_cocycle(pair, *[GAUSS.one()] * 4),
+        # on this pair d2 o d1 != 0, so its matrices form no complex
+        lambda: cohomology_dims(pair),
     ):
         with pytest.raises(SwitchbackError, match=message):
             call()
