@@ -543,7 +543,10 @@ def _sum_env(
     out = LinearMap.zero(d, p, q, ring)
     for coeff, expr in fs.terms:
         m = evaluate_expr(expr, env, d, ring)
-        out = out + (m if coeff == 1 else m.scale(coeff))
+        if coeff == -1:
+            out = out - m
+        else:
+            out = out + (m if coeff == 1 else m.scale(coeff))
     return out
 
 

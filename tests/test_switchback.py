@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeinlab import linmap
 from skeinlab.linmap import LinearMap, compose, map_apply, map_specialize
 from skeinlab.scalars import (
     GAUSS,
@@ -16,6 +17,8 @@ from skeinlab.scalars import (
     A,
     Dual,
     GaussRat,
+    I,
+    LaurentA,
     RingMismatchError,
     ScalarSyntaxError,
     dual,
@@ -27,6 +30,7 @@ from skeinlab.switchback import (
     C2,
     C3,
     D3,
+    CohomologyDims,
     Degree2Report,
     NotACocycleError,
     PairConfigError,
@@ -451,6 +455,122 @@ def test_cocycle_rule_matches_elimination(name):
     z, o = ring.zero(), ring.one()
     assert [cochain_coords(*c) + [z] for c in basis] == kernel[:n]
     assert kernel[n:] == [cochain_coords(*report.extension) + [o]]
+
+
+# ---------------------------------------------------------------------------
+# cohomology_dims and verify_switchback against their definitions
+# ---------------------------------------------------------------------------
+
+
+def _symmetric_pair(rng, d, ring):
+    while True:
+        rows = [[None] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = _entry(rng, ring)
+        try:
+            return pair_from_matrix(rows, ring)
+        except SwitchbackError:
+            continue
+
+
+_DIMS_PAIRS = {
+    "bracket": _bracket,
+    "A=2": lambda: make_bracket_pair().specialize(GaussRat(2)),
+    "A=3": lambda: make_bracket_pair().specialize(GaussRat(3)),
+    **{
+        f"{kind}-{d}-{ring}": (
+            lambda make=make, d=d, ring=ring: make(random.Random(f"dims-{d}"), d, ring)
+        )
+        for kind, make in (("random", _generic_pair), ("symmetric", _symmetric_pair))
+        for d in (2, 3) for ring in (GAUSS, RATFUN)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_DIMS_PAIRS))
+def test_cohomology_dims_match_kernels_of_the_full_matrices(name, monkeypatch):
+    pair = _DIMS_PAIRS[name]()
+    ring, n = pair.ring, pair.d**2
+    shapes, rref = [], linmap.rref
+
+    def counted(rows, ring):
+        shapes.append((len(rows), len(rows[0])))
+        return rref(rows, ring)
+
+    monkeypatch.setattr(linmap, "rref", counted)
+    dims = cohomology_dims(pair)
+    monkeypatch.undo()
+    assert shapes == [(n, n)]
+    z1, z2, z3 = (
+        len(kernel_basis(m, ring)) for m in (d1_matrix(pair), d2_matrix(pair), d3_matrix(pair))
+    )
+    b2, b3, b4 = n - z1, 2 * n - z2, 2 * n - z3
+    assert dims == CohomologyDims(z1, b2, z1, z2, b3, z2 - b2, z3, b4, z3 - b3)
+    # for a symmetric B, d1 eta = 0 exactly when B eta is symmetric
+    expected_z1 = {"bracket": 1, "A=2": 1, "A=3": 1, "symmetric": pair.d * (pair.d + 1) // 2}
+    kind = name.split("-")[0]
+    if kind in expected_z1:
+        assert dims.z1 == expected_z1[kind]
+
+
+def _laurent_gauges(rng):
+    """The bracket pair under pairing(x, y) -> c pairing(Dx, Dy), for D
+    diagonal and c, D Laurent monomials with unit coefficients; gauged
+    back by c^-1 and D^-1, the copairing makes a switchback pair, and
+    gauged by c instead it makes one that fails."""
+    pair = make_bracket_pair()
+    units = (GaussRat(1), GaussRat(-1), I, -I)
+
+    def monomial():
+        return LaurentA(((rng.randint(-4, 4), rng.choice(units)),))
+
+    dg, c = [monomial() for _ in range(2)], monomial()
+    b = [c * pair.pairing.entry(0, 2 * i + j) * dg[i] * dg[j]
+         for i in range(2) for j in range(2)]
+    for cg in (c.inv(), c):
+        g = [[cg * pair.copairing.entry(2 * i + j, 0) * dg[i].inv() * dg[j].inv()]
+             for i in range(2) for j in range(2)]
+        yield SwitchbackPair(
+            2, LAURENT,
+            LinearMap.from_rows(2, 2, 0, LAURENT, [b]),
+            LinearMap.from_rows(2, 0, 2, LAURENT, g),
+        )
+
+
+def _zig_zag_cases():
+    rng = random.Random("zig-zag")
+    for d in (1, 2, 3):
+        for ring in (GAUSS, RATFUN):
+            pair = _generic_pair(rng, d, ring)
+            yield pair
+            n = d * d
+            # a singular pairing, with an invertible pair's copairing
+            b = [[_entry(rng, ring) for _ in range(n)]]
+            b[0][n - d:] = [ring.zero()] * d
+            yield SwitchbackPair(d, ring, LinearMap.from_rows(d, 2, 0, ring, b), pair.copairing)
+            # the copairing twice the inverse
+            two = ring.from_int(2)
+            yield SwitchbackPair(d, ring, pair.pairing, pair.copairing.scale(two))
+            if d > 1:
+                for phi in (
+                    solve_2cocycles(pair)[rng.randrange(n)],
+                    cochain_from_coords([_entry(rng, ring) for _ in range(2 * n)], d, ring, C2),
+                ):
+                    yield deform(pair, *phi)
+    yield parse_pair_config((Path(__file__).parent / "golden" / "broken.pair").read_text())
+    for _ in range(3):
+        yield from _laurent_gauges(rng)
+
+
+def test_verify_switchback_is_both_residuals_zero():
+    verdicts = set()
+    for pair in _zig_zag_cases():
+        r1, r2 = switchback_residuals(pair)
+        ok = verify_switchback(pair)
+        verdicts.add((pair.ring.name, ok))
+        assert ok == (r1.is_zero() and r2.is_zero())
+    assert verdicts == {(r, v) for r in ("gauss", "ratfun", "laurent", "dual") for v in (True, False)}
 
 
 def test_laurent_pair_has_the_cocycles_of_its_ratfun_widening():
