@@ -107,10 +107,12 @@ class TuraevData:
     unknot: object = field(init=False)
     # R, R^-1 and the twist scaled for the packed kernel, worked out once
     _kernel: Kernel = field(init=False, repr=False, compare=False)
-    # the factors of r_of_word, made on first use (_factor), and the
-    # kernel's plans of them by (factor key, width)
+    # the factors of r_of_word, made on first use (_factor), the kernel's
+    # plans of them by (factor key, width), and the scales of its words by
+    # (strands, positive letters, negative letters)
     _factors: dict = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False)
+    _scales: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", self.rmx.loop * self.rmx.a + self.rmx.b)
@@ -119,6 +121,7 @@ class TuraevData:
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_scales", {})
 
     @property
     def pair(self) -> SwitchbackPair:
@@ -252,7 +255,9 @@ def r_of_word(td: TuraevData, w: BraidWord):
     for (i, _), key in zip(w.letters, keys):
         low = d ** (n - i - 1)
         acc = place(_plan(td, key, bits), low, low * d * d, acc)
-    scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
+    scale = td._scales.get((n, pos, neg))
+    if scale is None:
+        scale = td._scales[n, pos, neg] = nu.scale**n * R.scale**pos * Rinv.scale**neg
     return acc, bits, scale
 
 

@@ -25,8 +25,13 @@ one-strand map f is
 and check_d2d1 confirms, for concrete data satisfying the identity, that the
 2-differential vanishes on these induced cochains.
 
-Evaluation is strand-local: from the identity of an expression's domain, each
-generator, cochain and X acts on its own strands only (linmap.apply_local).
+Evaluation is compiled.  A term flattens into its placements (key, slot),
+first-applied first, each generator, cochain, f and X acting on its own
+strands only (linmap.apply_local); Id places nothing.  A sum of terms is
+grouped by last placement, Horner style, with identical subsums shared
+(_Program), so one pass evaluates it from a single identity map.
+check_d2d1 expands d2 over d1 and compiles it with the gate lhs - rhs
+into one program per identity, on its first call.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
+from math import gcd
 
 from . import SkeinlabError
-from .linmap import LinearMap, apply_local, equal, swap
+from .linmap import LinearMap, apply_local, swap
 from .rmatrix import check_strands
 from .scalars import Ring
 
@@ -275,6 +282,12 @@ class SingleTermIdentity:
                 f"{ls} vs {rs}"
             )
 
+    @cached_property
+    def _d2d1(self):
+        """check_d2d1's symbols and program, compiled on the first call
+        (_d2d1_program) and kept with the identity."""
+        return _d2d1_program(self)
+
 
 @dataclass(frozen=True)
 class IdentityFile:
@@ -497,57 +510,140 @@ def one_differential(name: str, p: int, q: int) -> FormalSum:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation against concrete linear maps
+# Compiled evaluation against concrete linear maps
 # ---------------------------------------------------------------------------
 
 
-def _place(expr: Expr, slot: int, acc: LinearMap, env) -> tuple[LinearMap, int]:
-    """expr applied to acc's strands from slot on, and how many it leaves there."""
-    if isinstance(expr, Sym):
-        key = f"phi[{expr.name}]" if expr.role == COCHAIN else expr.name
-        if key not in env:
-            raise UnknownNameError(f"no assignment for symbol {key}")
-        m = env[key]
-        if (m.shape.p, m.shape.q) != (expr.p, expr.q):
-            raise ArityError(
-                f"assignment for {key} has shape {m.shape}, "
-                f"declared {expr.p}->{expr.q}"
-            )
-        return apply_local(m, slot, acc), expr.q
-    if isinstance(expr, Id):
-        return acc, expr.n
-    if isinstance(expr, Swap):
-        return apply_local(swap(acc.shape.d, acc.ring), slot, acc), 2
-    if isinstance(expr, Tensor):
-        end = slot
-        for part in expr.parts:
-            acc, q = _place(part, end, acc, env)
-            end += q
-        return acc, end - slot
-    if isinstance(expr, Compose):
-        for part in reversed(expr.parts):
-            acc, q = _place(part, slot, acc, env)
-        return acc, q
-    raise TypeError(f"not an expression: {expr!r}")
+def _placements(expr: Expr) -> tuple:
+    """expr as its steps (key, slot), first-applied first: each generator,
+    cochain phi[gen], marked f and X placed at strands slot.. of the map
+    the steps before it made; an Id adds nothing."""
+    out: list[tuple[str, int]] = []
+
+    def walk(e: Expr, slot: int) -> int:
+        if isinstance(e, Sym):
+            out.append((f"phi[{e.name}]" if e.role == COCHAIN else e.name, slot))
+            return e.q
+        if isinstance(e, Id):
+            return e.n
+        if isinstance(e, Swap):
+            out.append(("X", slot))
+            return 2
+        if isinstance(e, Tensor):
+            end = slot
+            for part in e.parts:
+                end += walk(part, end)
+            return end - slot
+        if isinstance(e, Compose):
+            for part in reversed(e.parts):
+                q = walk(part, slot)
+            return q
+        raise TypeError(f"not an expression: {e!r}")
+
+    walk(expr, 0)
+    return tuple(out)
 
 
-def evaluate_expr(expr: Expr, env: dict[str, LinearMap], d: int, ring: Ring) -> LinearMap:
-    """expr as a map, built strand by strand from the identity of its domain."""
-    return _place(expr, 0, LinearMap.identity(d, signature(expr)[0], ring), env)[0]
+def _collect(terms: dict, steps: tuple, coeff: int) -> None:
+    """Add coeff * steps to the sum terms (steps -> coefficient), dropping
+    a term whose coefficient cancels to 0."""
+    c = terms.get(steps, 0) + coeff
+    if c:
+        terms[steps] = c
+    else:
+        terms.pop(steps, None)
 
 
-def _sum_env(
-    fs: FormalSum, env: dict[str, LinearMap], d: int, ring: Ring, p: int, q: int
-) -> LinearMap:
-    """fs evaluated as a map of arity p -> q; the empty sum is the zero map."""
-    out = LinearMap.zero(d, p, q, ring)
-    for coeff, expr in fs.terms:
-        m = evaluate_expr(expr, env, d, ring)
-        if coeff == -1:
-            out = out - m
-        else:
-            out = out + (m if coeff == 1 else m.scale(coeff))
-    return out
+class _Program:
+    """Sums of step tuples (see _placements), compiled to be evaluated
+    together on maps p -> q.
+
+    Each sum is grouped by its terms' last step, Horner style: the sum is
+    base * 1 + sum over last steps a of a . (the sum of the rests before
+    a), down to the empty rest, whose coefficient is the base.  A group of
+    rests is divided by its gcd, signed so that its least rest counts
+    positively, and that factor k rides on the step.  Groups that come out
+    identical, within one sum or across sums, are one node, numbered after
+    its children, so node i evaluates as
+
+        base_i * 1 + sum over its steps (key, slot, k, j) of
+                     k * apply_local(env[key], slot, node_j)
+
+    and one pass over the nodes evaluates every sum, each placement once.
+    """
+
+    def __init__(self, sums, p: int, q: int):
+        self.p, self.q = p, q
+        self.nodes: list[tuple[int, tuple]] = []
+        index: dict[tuple, int] = {}
+        self.roots = [self._node(terms, index) if terms else None for terms in sums]
+        self.swaps = any(key == "X" for _, steps in self.nodes for key, *_ in steps)
+
+    def _node(self, terms: dict, index: dict) -> int:
+        groups: dict[tuple, dict] = {}
+        for steps, c in terms.items():
+            if steps:
+                groups.setdefault(steps[-1], {})[steps[:-1]] = c
+        edges = []
+        for (key, slot), rests in groups.items():
+            k = gcd(*rests.values())
+            if rests[min(rests)] < 0:
+                k = -k
+            child = self._node({r: c // k for r, c in rests.items()}, index)
+            edges.append((key, slot, k, child))
+        node = (terms.get((), 0), tuple(sorted(edges)))
+        if node not in index:
+            index[node] = len(self.nodes)
+            self.nodes.append(node)
+        return index[node]
+
+    def values(self, env: dict[str, LinearMap], d: int, ring: Ring) -> list[LinearMap]:
+        """Each sum as a map, with every key but X bound by env; an empty
+        sum is the zero map."""
+        if self.swaps:
+            env = {**env, "X": swap(d, ring)}
+        one = LinearMap.identity(d, self.p, ring)
+        vals: list[LinearMap] = []
+        for base, edges in self.nodes:
+            acc = None if not base else one if base == 1 else one.scale(base)
+            for key, slot, k, child in edges:
+                m = apply_local(env[key], slot, vals[child])
+                if k == -1:
+                    acc = -m if acc is None else acc - m
+                else:
+                    m = m if k == 1 else m.scale(k)
+                    acc = m if acc is None else acc + m
+            vals.append(acc)
+        return [LinearMap.zero(d, self.p, self.q, ring) if r is None else vals[r]
+                for r in self.roots]
+
+
+def _d2d1_program(identity: SingleTermIdentity) -> tuple[tuple, _Program]:
+    """The symbols (key, p, q) that the identity's sides place, in the order
+    they place them, and the program of two sums: the gate lhs - rhs, and
+    the 2-differential with each phi[gen] expanded into the steps of
+    one_differential(gen) at its slot, coefficients multiplied."""
+    lhs, rhs = _placements(identity.lhs), _placements(identity.rhs)
+    names = dict.fromkeys(key for key, _ in lhs + rhs if key != "X")
+    gate: dict[tuple, int] = {}
+    _collect(gate, lhs, 1)
+    _collect(gate, rhs, -1)
+    d1 = {
+        f"phi[{name}]": [
+            (c, _placements(t)) for c, t in one_differential(name, *identity.gens[name]).terms
+        ]
+        for name in names
+    }
+    d2d1: dict[tuple, int] = {}
+    for c, term in infiltrate(elaborate(identity)).terms:
+        steps = _placements(term)
+        i = next(i for i, (key, _) in enumerate(steps) if key in d1)
+        key, at = steps[i]
+        for c1, inner in d1[key]:
+            shifted = tuple((k, at + slot) for k, slot in inner)
+            _collect(d2d1, steps[:i] + shifted + steps[i + 1:], c * c1)
+    symbols = tuple((name, *identity.gens[name]) for name in names)
+    return symbols, _Program((gate, d2d1), *signature(identity.lhs))
 
 
 def check_d2d1(
@@ -559,21 +655,31 @@ def check_d2d1(
     1-differentials of f (it always does when the hypothesis gate passes).
 
     Refuses first, by rmatrix.check_strands, an identity whose widest part
-    spans too many strands to build; then gates on the hypothesis: the
-    assignment must satisfy the identity exactly (IdentityNotSatisfiedError
-    otherwise).
+    spans too many strands to build.  Every generator the identity places
+    needs an assignment of its declared arity (UnknownNameError,
+    ArityError), and so does f (1 -> 1); generators it does not place need
+    none.  Then the hypothesis gate: the assignment must satisfy the
+    identity exactly (IdentityNotSatisfiedError otherwise).
+
+    Both sums, lhs - rhs and d2 d1 (f), are one program, compiled on the
+    first call and kept on the identity (SingleTermIdentity._d2d1): a call
+    builds one identity map and places each shared subterm once, 5
+    placements for s1 and s2 (14 term by term), 15 for assoc (18).
     """
     d, ring = f.shape.d, f.ring
     check_strands(max(_width(identity.lhs), _width(identity.rhs)), d)
-    lhs = evaluate_expr(identity.lhs, assignment, d, ring)
-    rhs = evaluate_expr(identity.rhs, assignment, d, ring)
-    if not equal(lhs, rhs):
+    symbols, program = identity._d2d1
+    env = {key: assignment.get(key) for key, _, _ in symbols}
+    env["f"] = f
+    for key, p, q in (*symbols, ("f", 1, 1)):
+        m = env[key]
+        if m is None:
+            raise UnknownNameError(f"no assignment for symbol {key}")
+        if (m.shape.p, m.shape.q) != (p, q):
+            raise ArityError(f"assignment for {key} has shape {m.shape}, declared {p}->{q}")
+    gate, d2d1 = program.values(env, d, ring)
+    if not gate.is_zero():
         raise IdentityNotSatisfiedError(
             f"assignment does not satisfy identity {identity.label!r}"
         )
-    env = dict(assignment)
-    env["f"] = f
-    for name, (p, q) in identity.gens.items():
-        env[f"phi[{name}]"] = _sum_env(one_differential(name, p, q), env, d, ring, p, q)
-    diff = infiltrate(elaborate(identity))
-    return _sum_env(diff, env, d, ring, *signature(identity.lhs)).is_zero()
+    return d2d1.is_zero()

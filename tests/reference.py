@@ -10,6 +10,9 @@ extensions without one.
 `unfolded_r_of_word` is braid.r_of_word without folding each strand's
 twist into its first letter: the packed identity, then n one-strand
 twists, then one placement of R or R^-1 per letter.
+`evaluate` builds an identity-DSL expression bottom-up, a tensor as the
+kron of its parts and a composition as the compose of its parts; the
+program evaluates its sums as one compiled program of placements.
 `tl_first_failure` and `ybe_residual` state the Temperley-Lieb relations
 and the Yang-Baxter residual on scalar maps, with compose, equal and kron;
 the program evaluates both on the packed-integer kernel.
@@ -17,7 +20,8 @@ the program evaluates both on the packed-integer kernel.
 
 from skeinlab._packed import place, width
 from skeinlab.braid import BraidWord
-from skeinlab.linmap import LinearMap, MapShape, compose, equal, rref
+from skeinlab.identities import COCHAIN, Compose, Id, Swap, Sym, Tensor
+from skeinlab.linmap import LinearMap, MapShape, compose, equal, rref, swap
 
 
 def kron(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -34,6 +38,29 @@ def kron(f: LinearMap, g: LinearMap) -> LinearMap:
                 entries.setdefault(r * g_rows + s, {})[c * g_cols + u] = v
     shape = MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q)
     return LinearMap(shape, f.ring, entries)
+
+
+def evaluate(expr, env, d, ring) -> LinearMap:
+    """expr as a map, with phi[gen], gen and f bound by env: id^n is the
+    identity, X the swap, a tensor the kron of its parts left to right and
+    a composition the compose of its parts, the leftmost applied last."""
+    if isinstance(expr, Sym):
+        return env[f"phi[{expr.name}]" if expr.role == COCHAIN else expr.name]
+    if isinstance(expr, Id):
+        return LinearMap.identity(d, expr.n, ring)
+    if isinstance(expr, Swap):
+        return swap(d, ring)
+    parts = [evaluate(part, env, d, ring) for part in expr.parts]
+    out = parts[0]
+    if isinstance(expr, Tensor):
+        for part in parts[1:]:
+            out = kron(out, part)
+        return out
+    if isinstance(expr, Compose):
+        for part in parts[1:]:
+            out = compose(out, part)
+        return out
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 def kernel_basis(rows, ring) -> list[list]:

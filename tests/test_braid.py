@@ -376,6 +376,16 @@ def test_plans_are_reused_per_width():
     assert len(td._plans) == grown
 
 
+def test_word_scales_are_reused_per_letter_count():
+    # the scale depends on the strands and the counts of positive and
+    # negative letters only, so these three words share one
+    td = _turaev(RATFUN)
+    words = [parse_braid(text, n=3) for text in ("s1 s2^-1 s1", "s2 s1 s2^-1", "s1^-1 s1 s2")]
+    for w in words + words:
+        assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+    assert list(td._scales) == [(3, 2, 1)]
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.sampled_from([c for c in sorted(KERNEL_CASES) if c.startswith("dual-")]), _words())
 def test_deformed_invariant_body_matches_oracle_on_random_words(case, w):

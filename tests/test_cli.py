@@ -178,6 +178,18 @@ def test_check_d2d1_both_models(capsys):
     )
 
 
+def test_check_d2d1_needs_only_the_generators_an_identity_places(capsys):
+    # b1 is associativity of mu alone; b2 places Delta, which dualnumbers lacks
+    for mode, ok, fail in (
+        ("text", "check-d2d1 b1: OK (5 random f)\n", "FAIL: no assignment for symbol Delta\n"),
+        ("records", "check-d2d1\tidentity=b1\tok=true\n",
+         "fail\treason=no assignment for symbol Delta\n"),
+    ):
+        args = ("check-d2d1", "bialgebra", "--model", "dualnumbers", "--output", mode)
+        assert run(capsys, *args, "--identity", "b1") == (0, ok)
+        assert run(capsys, *args, "--identity", "b2") == (2, fail)
+
+
 @pytest.mark.parametrize("text, label", [
     # no generator occurrence: the 2-differential is the empty sum
     ("gen mu: 2 -> 1;\nidentity swap2: X*X = id x id;\n", "swap2"),

@@ -1,6 +1,8 @@
 """DSL parsing, elaboration, infiltration, and the d2d1 vanishing check."""
 
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,6 @@ from skeinlab.identities import (
     canonicalize,
     check_d2d1,
     elaborate,
-    evaluate_expr,
     infiltrate,
     one_differential,
     parse_identity_file,
@@ -29,10 +30,13 @@ from skeinlab.identities import (
 )
 from skeinlab.linmap import LinearMap, swap
 from skeinlab.rmatrix import RMatrixError
-from skeinlab.scalars import GAUSS
+from skeinlab.scalars import A, GAUSS, RATFUN, into_ring
 from skeinlab.switchback import make_bracket_pair
 
+from reference import evaluate
+
 FIXTURES = Path(__file__).parent.parent / "src" / "skeinlab" / "fixtures"
+IDL = ("assoc.idl", "bialgebra.idl", "switchback.idl", "adjoint.idl", "selfdist.idl")
 
 
 def _fixture(name: str):
@@ -256,10 +260,14 @@ def test_formal_sum_equality_up_to_nesting_and_identities():
 
 
 def test_swap_evaluates_to_the_transposition():
-    x = evaluate_expr(X_SWAP, {}, 3, GAUSS)
+    x = evaluate(X_SWAP, {}, 3, GAUSS)
     assert x == swap(3, GAUSS)
-    xx = evaluate_expr(Compose((X_SWAP, X_SWAP)), {}, 3, GAUSS)
+    xx = evaluate(Compose((X_SWAP, X_SWAP)), {}, 3, GAUSS)
     assert xx == LinearMap.identity(3, 2, GAUSS)
+    program = identities._Program(
+        [{identities._placements(e): 1} for e in (X_SWAP, Compose((X_SWAP, X_SWAP)))], 2, 2
+    )
+    assert program.values({}, 3, GAUSS) == [x, xx]
     assert canonicalize(Compose((X_SWAP, Id(2)))) == X_SWAP
     assert to_text(Tensor((Id(1), X_SWAP))) == "id x X"
 
@@ -339,19 +347,21 @@ def test_check_d2d1_refuses_too_many_strands_before_building(monkeypatch):
     def build(*args):
         pytest.fail("a map was built")
 
-    monkeypatch.setattr(identities, "evaluate_expr", build)
     pair = make_bracket_pair()
+    f = _random_f(random.Random(3), pair.ring)
     ids = " x ".join(["id"] * 11)
     (ident,) = parse_identity_file(f"identity wide: {ids} = {ids};").identities
+    monkeypatch.setattr(identities, "apply_local", build)
+    monkeypatch.setattr(LinearMap, "identity", build)
     with pytest.raises(RMatrixError, match="^11 strands is more than the limit of 10$"):
-        check_d2d1(ident, {"beta": pair.pairing}, _random_f(random.Random(3), pair.ring))
+        check_d2d1(ident, {"beta": pair.pairing}, f)
 
 
 def _sum(fs, env, d, ring):
-    """A nonempty formal sum as a map, term by term through evaluate_expr."""
+    """A nonempty formal sum as a map, term by term through the reference."""
     out = None
     for coeff, expr in fs.terms:
-        m = evaluate_expr(expr, env, d, ring).scale(ring.from_int(coeff))
+        m = evaluate(expr, env, d, ring).scale(ring.from_int(coeff))
         out = m if out is None else out + m
     return out
 
@@ -371,17 +381,155 @@ def test_evaluate_infiltration_matches_identity_difference():
 
 
 def test_evaluate_missing_binding():
-    idf = _fixture("assoc.idl")
-    diff = infiltrate(elaborate(idf.identity("assoc")))
-    with pytest.raises(UnknownNameError, match=r"^no assignment for symbol phi\[mu\]$"):
-        _sum(diff, {"mu": _dualnumbers_mu()}, 2, GAUSS)
-    with pytest.raises(UnknownNameError, match=r"^no assignment for symbol f$"):
-        _sum(one_differential("mu", 2, 1), {"mu": _dualnumbers_mu()}, 2, GAUSS)
+    # only the generators an identity places need an assignment: b1 is
+    # associativity of mu alone, and b2 places Delta
+    idf = _fixture("bialgebra.idl")
+    f = _random_f(random.Random(4))
+    assert check_d2d1(idf.identity("b1"), {"mu": _dualnumbers_mu()}, f)
+    with pytest.raises(UnknownNameError, match="^no assignment for symbol Delta$"):
+        check_d2d1(idf.identity("b2"), {"mu": _dualnumbers_mu()}, f)
+    with pytest.raises(UnknownNameError, match="^no assignment for symbol mu$"):
+        check_d2d1(idf.identity("b3"), {}, f)
 
 
 def test_evaluate_arity_mismatch():
-    idf = _fixture("assoc.idl")
-    diff = infiltrate(elaborate(idf.identity("assoc")))
+    ident = _fixture("assoc.idl").identity("assoc")
     wrong = _random_f(random.Random(3))  # 1 -> 1, but mu is declared 2 -> 1
-    with pytest.raises(ArityError):
-        _sum(diff, {"mu": wrong, "phi[mu]": wrong}, 2, GAUSS)
+    with pytest.raises(ArityError, match=r"^assignment for mu has shape \(d=2, 1->1\), declared 2->1$"):
+        check_d2d1(ident, {"mu": wrong}, wrong)
+    with pytest.raises(ArityError, match=r"^assignment for f has shape \(d=2, 2->1\), declared 1->1$"):
+        check_d2d1(ident, {"mu": _dualnumbers_mu()}, _dualnumbers_mu())
+
+
+# ---------------------------------------------------------------------------
+# the compiled program against the reference
+# ---------------------------------------------------------------------------
+
+
+def _random_map(rng, ring, p, q, d=2):
+    """A random map p -> q with small integer entries, half of them zero;
+    over ratfun each entry also carries A^e for e in -1..1."""
+    def entry():
+        c = ring.from_int(rng.choice((0, 0, 0, 1, -1, 2, -3)))
+        return c * into_ring(A, ring) ** rng.randint(-1, 1) if ring is RATFUN else c
+    return LinearMap.from_rows(d, p, q, ring, [[entry() for _ in range(d**p)] for _ in range(d**q)])
+
+
+def _bundled_identities():
+    return [(name, ident.label) for name in IDL for ident in _fixture(name).identities]
+
+
+@pytest.mark.parametrize("ring", [GAUSS, RATFUN], ids=["gauss", "ratfun"])
+@pytest.mark.parametrize("name, label", _bundled_identities())
+def test_program_matches_the_reference(name, label, ring):
+    # the program of the 2-differential with every phi bound to a random map,
+    # and check_d2d1's own program (lhs - rhs and d2 d1 f) on an assignment
+    # that satisfies nothing, entry for entry against the reference
+    ident = _fixture(name).identity(label)
+    rng = random.Random(f"{label}/{ring.name}")
+    env = {}
+    for gen, (p, q) in ident.gens.items():
+        env[gen] = _random_map(rng, ring, p, q)
+        env[f"phi[{gen}]"] = _random_map(rng, ring, p, q)
+    env["f"] = _random_f(rng, ring)
+    diff = infiltrate(elaborate(ident))
+    terms = {}
+    for coeff, term in diff.terms:
+        identities._collect(terms, identities._placements(term), coeff)
+    p, q = identities.signature(ident.lhs)
+    (value,) = identities._Program([terms], p, q).values(env, 2, ring)
+    assert value == _sum(diff, env, 2, ring)
+
+    gate = evaluate(ident.lhs, env, 2, ring) - evaluate(ident.rhs, env, 2, ring)
+    induced = dict(env)
+    for gen, (gp, gq) in ident.gens.items():
+        induced[f"phi[{gen}]"] = _sum(one_differential(gen, gp, gq), env, 2, ring)
+    expected = [gate, _sum(diff, induced, 2, ring)]
+    assert not gate.is_zero() and not expected[1].is_zero()
+    assert ident._d2d1[1].values(env, 2, ring) == expected
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(identities, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(identities, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, label, most", [
+    ("switchback.idl", "s1", 6), ("switchback.idl", "s2", 6), ("assoc.idl", "assoc", 15),
+])
+def test_check_d2d1_places_each_shared_subterm_once(monkeypatch, name, label, most):
+    # term by term, s1 and s2 took 14 placements and assoc 18
+    ident = _fixture(name).identity(label)
+    assignment, ring = _model(name)
+    check_d2d1(ident, assignment, _random_f(random.Random(5), ring))
+    placements = _counted(monkeypatch, "apply_local")
+    assert check_d2d1(ident, assignment, _random_f(random.Random(6), ring))
+    assert 0 < len(placements) <= most
+
+
+def test_check_d2d1_compiles_once_per_identity(monkeypatch):
+    compiles = _counted(monkeypatch, "infiltrate")
+    ident = _fixture("assoc.idl").identity("assoc")
+    rng = random.Random(7)
+    for _ in range(10):
+        assert check_d2d1(ident, {"mu": _dualnumbers_mu()}, _random_f(rng))
+    assert len(compiles) == 1
+    # the program lives on the identity and goes with it
+    gone = weakref.ref(ident)
+    del ident
+    gc.collect()
+    assert gone() is None
+
+
+def _model(name):
+    if name == "switchback.idl":
+        pair = make_bracket_pair()
+        return {"beta": pair.pairing, "gamma": pair.copairing}, pair.ring
+    return {"mu": _dualnumbers_mu()}, GAUSS
+
+
+def _mutations(terms):
+    """Every single-term mutation of a formal sum's terms: each term
+    dropped, then each term with its sign flipped."""
+    for i in range(len(terms)):
+        yield terms[:i] + terms[i + 1:]
+    for i, (coeff, expr) in enumerate(terms):
+        yield terms[:i] + ((-coeff, expr),) + terms[i + 1:]
+
+
+@pytest.mark.parametrize("name", ["switchback.idl", "assoc.idl"])
+def test_check_d2d1_catches_a_mutated_infiltration(monkeypatch, name):
+    assignment, ring = _model(name)
+    original = identities.infiltrate
+    caught = 0
+    for k, ident in enumerate(_fixture(name).identities):
+        for mutated in _mutations(original(elaborate(ident)).terms):
+            monkeypatch.setattr(identities, "infiltrate", lambda plan: FormalSum(mutated))
+            fresh = _fixture(name).identity(ident.label)
+            assert not check_d2d1(fresh, assignment, _random_f(random.Random(k), ring))
+            caught += 1
+    assert caught == {"switchback.idl": 8, "assoc.idl": 8}[name]
+
+
+@pytest.mark.parametrize("name", ["switchback.idl", "assoc.idl"])
+def test_check_d2d1_catches_a_mutated_one_differential(monkeypatch, name):
+    assignment, ring = _model(name)
+    original = identities.one_differential
+    caught = 0
+    for gen, (p, q) in _fixture(name).gens.items():
+        for mutated in _mutations(original(gen, p, q).terms):
+            def one_differential(g, gp, gq, gen=gen, mutated=mutated):
+                return FormalSum(mutated) if g == gen else original(g, gp, gq)
+
+            monkeypatch.setattr(identities, "one_differential", one_differential)
+            for k, ident in enumerate(_fixture(name).identities):
+                assert not check_d2d1(ident, assignment, _random_f(random.Random(k), ring))
+                caught += 1
+    assert caught == {"switchback.idl": 16, "assoc.idl": 6}[name]
