@@ -14,7 +14,10 @@ that every part of every entry of M' = D*M is a polynomial in A with
 Gaussian-integer coefficients and no negative exponent.  For a part
 p = num/den, the numerator of Q*p is num times the other distinct
 denominators: a product of Laurent polynomials, with no gcd.  The scalar 1
-in a family scales to D itself.
+in a family scales to D itself.  The placements of one map hold that map's
+entry objects (linmap.placed), so each distinct entry object is scaled and
+turned into lane moves once, with its share of its column's norm, and the
+moves are then laid out at every entry that holds it.
 
 Packing.  A polynomial P = sum_k (a_k + b_k*i) A^k is held as the two ints
 P_re(2^B) and P_im(2^B), with P_re = sum a_k A^k and P_im = sum b_k A^k.
@@ -123,70 +126,85 @@ def _is_dual(x) -> bool:
     return x.__class__ is Dual
 
 
-def _parts(family) -> list[list[tuple]]:
-    """Per member of a family, (row, col, t-degree, numerator, denominator)
-    for each nonzero part of each entry of a map, or of a scalar as a 1 x 1
-    map; a denominator of 1 is None.  A canonical ratfun denominator has
+def _parts(v) -> list[tuple]:
+    """(t-degree, numerator, denominator) for each nonzero part of one
+    entry; a denominator of 1 is None.  A canonical ratfun denominator has
     constant coefficient 1, so it is 1 exactly when it is a monomial."""
     out = []
-    for x in family:
-        entries = x.nonzeros() if isinstance(x, LinearMap) else [(0, 0, x)]
-        member = []
-        for r, c, v in entries:
-            for tdeg, p in enumerate((v.body, v.slope) if v.__class__ is Dual else (v,)):
-                if p.is_zero():
-                    continue
-                if p.__class__ is RatFunA:
-                    den = None if p.den.is_monomial() else p.den
-                    member.append((r, c, tdeg, p.num, den))
-                else:
-                    member.append((r, c, tdeg, into_ring(p, LAURENT), None))
-        out.append(member)
+    for tdeg, p in enumerate((v.body, v.slope) if v.__class__ is Dual else (v,)):
+        if p.is_zero():
+            continue
+        if p.__class__ is RatFunA:
+            out.append((tdeg, p.num, None if p.den.is_monomial() else p.den))
+        else:
+            out.append((tdeg, into_ring(p, LAURENT), None))
     return out
 
 
 def _scaled(family, lanes: int) -> list[Scaled]:
-    """The members of a family (maps and scalars) over one common scale."""
-    parts = _parts(family)
-    dens = list(dict.fromkeys(den for member in parts for *_, den in member if den))
+    """The members of a family (maps and scalars) over one common scale.
+    Each distinct entry object is packed once, however many entries hold
+    it (the placements of one map share its entries)."""
+    # per member: (row, col, entry), a scalar as a 1 x 1 map
+    members = [list(x.nonzeros()) if isinstance(x, LinearMap) else [(0, 0, x)]
+               for x in family]
+    # id of an entry -> (entry, its parts); holding the entry keeps its id
+    # valid for the call
+    parts = {}
+    for member in members:
+        for _, _, v in member:
+            if id(v) not in parts:
+                parts[id(v)] = (v, _parts(v))
+    dens = list(dict.fromkeys(den for _, ps in parts.values() for *_, den in ps if den))
     # Q*num/den is num times the distinct denominators other than den
     others = {den: prod(dens[:k] + dens[k + 1:], start=LAURENT.one())
               for k, den in enumerate(dens)}
     others[None] = prod(dens, start=LAURENT.one())
-    # per member: (row, col, t-degree, key) for Q*M, where a key lists the
-    # terms (exponent, a, b, d) of a polynomial with coefficients (a + b*i)/d
-    keyed = [
-        [(r, c, tdeg, tuple((e, *g.as_ints()) for e, g in (
+    # per entry id: (t-degree, key) for each part of Q*v, where a key lists
+    # the terms (exponent, a, b, d) of a polynomial with coefficients
+    # (a + b*i)/d
+    keyed = {
+        k: [(tdeg, tuple((e, *g.as_ints()) for e, g in (
             num * others[den] if dens else num).terms))
-         for r, c, tdeg, num, den in member]
-        for member in parts
-    ]
-    terms = {t for member in keyed for *_, key in member for t in key}
+            for tdeg, num, den in ps]
+        for k, (_, ps) in parts.items()
+    }
+    terms = {t for ks in keyed.values() for _, key in ks for t in key}
     mult = lcm(*(d for *_, d in terms))
     shift = -min((e for e, *_ in terms), default=0)
     scale = LaurentA(((shift, GaussRat(mult)),)) * others[None]
     # the integer polynomials of M', once for each distinct entry part:
     # (re, im, -im, |.|) with re and im as {exponent: nonzero int}
     polys = {}
-    for key in {key for member in keyed for *_, key in member}:
+    for key in {key for ks in keyed.values() for _, key in ks}:
         re = {e + shift: a * (mult // d) for e, a, _, d in key if a}
         im = {e + shift: b * (mult // d) for e, _, b, d in key if b}
         size = sum(map(abs, re.values())) + sum(map(abs, im.values()))
         polys[key] = (re, im, {e: -v for e, v in im.items()}, size)
-    out = []
-    for member in keyed:
-        moves, colnorm = [], {}
-        for r, c, tdeg, key in member:
+    # per entry id: its lane moves (out lane, in lane, poly) and its share
+    # of its column's norm
+    packed = {}
+    for k, ks in keyed.items():
+        lane_moves, share = [], 0
+        for tdeg, key in ks:
             re, im, neg, size = polys[key]
-            colnorm[c] = colnorm.get(c, 0) + size
+            share += size
             # (x + y*i)(re + im*i) = (re*x - im*y) + (re*y + im*x)*i, and the
             # slope part of the entry takes body lanes to slope lanes
             for src in range(0, lanes - 2 * tdeg, 2):
                 dst = src + 2 * tdeg
                 if re:
-                    moves += [(r, c, dst, src, re), (r, c, dst + 1, src + 1, re)]
+                    lane_moves += [(dst, src, re), (dst + 1, src + 1, re)]
                 if im:
-                    moves += [(r, c, dst, src + 1, neg), (r, c, dst + 1, src, im)]
+                    lane_moves += [(dst, src + 1, neg), (dst + 1, src, im)]
+        packed[k] = (lane_moves, share)
+    out = []
+    for member in members:
+        moves, colnorm = [], {}
+        for r, c, v in member:
+            lane_moves, share = packed[id(v)]
+            colnorm[c] = colnorm.get(c, 0) + share
+            moves += [(r, c, o, i, poly) for o, i, poly in lane_moves]
         out.append(Scaled(tuple(moves), scale, max(colnorm.values(), default=0)))
     return out
 

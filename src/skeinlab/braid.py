@@ -27,6 +27,7 @@ from .linmap import (
     equal,
     full_trace,
     partial_trace,
+    placed,
     swap,
 )
 from .planar import bracket_state_sum, jones_polynomial
@@ -152,7 +153,7 @@ def turaev_first_failure(td: TuraevData) -> str | None:
     R, Rinv, nu = td.rmx.R, td.rmx.Rinv, td.nu
     pair = td.pair
     two = LinearMap.identity(pair.d, 2, pair.ring)
-    nn = apply_local(nu, 0, apply_local(nu, 1, two))
+    nn = apply_local(nu, 0, placed(nu, 1, 2))
     r_nn = compose(R, nn)
     if not equal(r_nn, compose(nn, R)):
         return "R does not commute with the doubled twist"
@@ -164,7 +165,7 @@ def turaev_first_failure(td: TuraevData) -> str | None:
         return "pairing not invariant under the doubled twist"
     if not equal(compose(nn, pair.copairing), pair.copairing):
         return "copairing not invariant under the doubled twist"
-    curl = apply_local(nu, 1, LinearMap.identity(pair.d, 3, pair.ring))
+    curl = placed(nu, 1, 3)
     curl = apply_local(pair.copairing, 0, apply_local(pair.pairing, 0, curl))
     if not equal(partial_trace(curl, 1), two):
         return "twist does not cancel the cusp-pair curl"

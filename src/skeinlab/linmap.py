@@ -6,7 +6,8 @@ ordering contract: the basis vector e_{i_0} ⊗ ... ⊗ e_{i_{n-1}} has index
 sum_k i_k * d^{n-1-k}, i.e. the leftmost tensor factor is the most
 significant digit, so `apply_local(f, slot, g)` = (1^slot ⊗ f ⊗ 1^rest) ∘ g
 acts on digits slot .. slot+k-1 of g's codomain index.  It is the one product
-loop, and `compose` is it at slot 0.
+loop, and `compose` is it at slot 0.  On the identity, for a square f, it is
+`placed(f, slot, n)`, which lays out f's own entries with no product.
 
 Storage is sparse, and only this module knows its format: row -> {col:
 scalar}, where no stored scalar is an exact zero and no stored row is
@@ -245,6 +246,29 @@ def apply_local(f: LinearMap, slot: int, g: LinearMap) -> LinearMap:
             f"of codomain arity {g.shape.q}"
         )
     return _place(f, slot, g)
+
+
+def placed(f: LinearMap, slot: int, n: int) -> LinearMap:
+    """1^slot ⊗ f ⊗ 1^rest on n strands, for a square f: V^k -> V^k with
+    0 <= slot <= n - k.  It equals apply_local(f, slot, identity on n
+    strands), but is laid out by index arithmetic: every stored entry is an
+    entry of f itself, with no product and no zero test."""
+    d, k = f.shape.d, f.shape.p
+    if f.shape.q != k:
+        raise ShapeMismatchError(f"placed: {f.shape} is not square")
+    if not 0 <= slot <= n - k:
+        raise ShapeMismatchError(
+            f"placed: {f.shape} does not fit at slot {slot} of {n} strands"
+        )
+    low = d ** (n - k - slot)      # place value of f's lowest digit
+    hi = low * d**k
+    out = {}
+    for a in range(d**slot):
+        for c in range(low):
+            base = a * hi + c
+            for rf, frow in f._entries.items():
+                out[base + rf * low] = {base + t * low: x for t, x in frow.items()}
+    return LinearMap(MapShape(d, n, n), f.ring, out)
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:

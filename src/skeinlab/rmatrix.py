@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import SkeinlabError
 from ._packed import Kernel, place, unpack, width
-from .linmap import LinearMap, ShapeMismatchError, apply_local, compose, equal
+from .linmap import LinearMap, ShapeMismatchError, compose, equal, placed
 from .scalars import (
     A,
     A_INV,
@@ -41,8 +41,8 @@ class RMatrixError(SkeinlabError):
 # Largest dimension d^n of V^(x n) on which maps are built; maps on it are
 # d^n x d^n.  On a 2-core x86-64 host (Intel Xeon) under CPython 3.11, whose
 # speed swings by up to 2x, the Temperley-Lieb check of the Laurent bracket
-# pair (d = 2), generators included, takes 0.025-0.05 s at 8 strands and
-# 0.15-0.30 s at 10, and of the d = 3 identity pair 0.035-0.07 s at 6
+# pair (d = 2), generators included, takes 0.017-0.035 s at 8 strands and
+# 0.11-0.22 s at 10, and of the d = 3 identity pair 0.022-0.045 s at 6
 # strands.  The ratfun invariant of s1 s2 ... s(n-1) takes 0.0024-0.006 s
 # at 8 strands and 0.013-0.03 s at 10, and of a 20-letter word on 10
 # strands 0.11-0.22 s (0.75-1.3 s deformed by a cocycle).
@@ -196,8 +196,7 @@ def tl_generators(pair: SwitchbackPair, n: int) -> list[LinearMap]:
         raise RMatrixError(f"need at least 2 strands, got {n}")
     check_strands(n, pair.d)
     cc = cupcap(pair)
-    ident = LinearMap.identity(pair.d, n, pair.ring)
-    return [apply_local(cc, i - 1, ident) for i in range(1, n)]
+    return [placed(cc, i - 1, n) for i in range(1, n)]
 
 
 def tl_first_failure(gens: list[LinearMap], delta) -> str | None:

@@ -20,6 +20,7 @@ from skeinlab.linmap import (
     map_apply,
     map_specialize,
     partial_trace,
+    placed,
     rank,
     reshape,
     rref,
@@ -500,6 +501,60 @@ def test_apply_local_refusals():
         apply_local(_rand_map(rng, 3, 2, 1), 0, g)
     with pytest.raises(RingMismatchError, match="^apply_local: rings differ"):
         apply_local(_map_into(f, LAURENT), 0, g)
+
+
+# entry pools for placed, one per ring the Temperley-Lieb and Turaev
+# checks place maps over
+SQUARE_POOLS = {
+    "gauss": (GAUSS, ("0", "0", "1", "-1", "i", "1/2 - i")),
+    "laurent": (LAURENT, ("0", "0", "A", "-A^-1", "2 + i*A^3")),
+    "ratfun": (RATFUN, ("0", "0", "A^-1", "( 2*A )/( 3 - i*A )", "( -1/2 )/( 1 + A )")),
+    "dual-ratfun": (dual(RATFUN), (
+        "0", "0", "( 0 )/( 1 ) + t*( ( 1 )/( 1 ) )",
+        "( A )/( 1 + A ) + t*( ( -2/3*A^-1 )/( 1 - 1/3i*A ) )",
+        "( 2 )/( 1 ) + t*( ( 0 )/( 1 ) )",
+    )),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SQUARE_POOLS))
+def test_placed_is_apply_local_on_the_identity(name, d):
+    ring, texts = SQUARE_POOLS[name]
+    values = [parse_scalar(text, ring) for text in texts]
+    rng = random.Random(f"{name}-{d}")
+    for k in (0, 1, 2):
+        f = LinearMap.from_rows(d, k, k, ring, [
+            [rng.choice(values) for _ in range(d**k)] for _ in range(d**k)
+        ])
+        own = {id(v) for *_, v in f.nonzeros()}
+        for n in range(k, 4):
+            for slot in range(n - k + 1):
+                out = placed(f, slot, n)
+                by_product = apply_local(f, slot, LinearMap.identity(d, n, ring))
+                padded = kron(kron(LinearMap.identity(d, slot, ring), f),
+                              LinearMap.identity(d, n - k - slot, ring))
+                assert (out.shape, out.ring) == (by_product.shape, ring)
+                assert equal(out, by_product) and equal(out, padded)
+                assert list(out.nonzeros()) == list(padded.nonzeros())
+                assert all(id(v) in own for *_, v in out.nonzeros())
+
+
+def test_placed_refusals():
+    rng = random.Random(14)
+    square = _rand_map(rng, 2, 2, 2)
+    assert placed(square, 1, 3).shape.q == 3
+    cases = [
+        (_rand_map(rng, 2, 1, 2), 0, 3, "placed: (d=2, 1->2) is not square"),
+        (_rand_map(rng, 2, 1, 0), 0, 1, "placed: (d=2, 1->0) is not square"),
+        (square, -1, 3, "placed: (d=2, 2->2) does not fit at slot -1 of 3 strands"),
+        (square, 2, 3, "placed: (d=2, 2->2) does not fit at slot 2 of 3 strands"),
+        (square, 0, 1, "placed: (d=2, 2->2) does not fit at slot 0 of 1 strands"),
+    ]
+    for f, slot, n, message in cases:
+        with pytest.raises(ShapeMismatchError) as got:
+            placed(f, slot, n)
+        assert str(got.value) == message
 
 
 def test_scale_trace_and_dual_refusals():

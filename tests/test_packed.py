@@ -1,6 +1,7 @@
 """The Temperley-Lieb check and the Yang-Baxter residual on the packed
 kernel, against scalar references that share no code with it."""
 
+import copy
 import random
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 
 import reference
 from reference import kron
-from skeinlab import rmatrix
+from skeinlab import _packed, rmatrix
+from skeinlab._packed import Kernel
 from skeinlab.linmap import LinearMap, ShapeMismatchError, apply_local, compose, equal
 from skeinlab.rmatrix import (
     build_R,
@@ -171,6 +173,91 @@ def test_wide_coefficients_and_exponents():
     assert _agree([e.scale(-1) for e in (e1, e2, e3)], -delta) is None
 
 
+# ---------------------------------------------------------------------------
+# Shared entries
+# ---------------------------------------------------------------------------
+
+
+def _fresh(x):
+    """An equal scalar that is another object."""
+    y = copy.deepcopy(x)
+    assert y is not x and y == x
+    return y
+
+
+def _unshared(g: LinearMap) -> LinearMap:
+    return LinearMap.from_rows(g.shape.d, g.shape.p, g.shape.q, g.ring,
+                               [[_fresh(x) for x in row] for row in g.rows])
+
+
+def _tl_family(name):
+    """(pair, strands) for a Temperley-Lieb family above."""
+    kind, _, which = name.partition("-")
+    if kind == "gauge":
+        return _gauged(random.Random(int(which))), 4
+    rat = make_bracket_pair(RATFUN)
+    if kind == "cocycle":
+        cfg = (FIXTURES / f"cocycle_{which}.cfg").read_text()
+        return deform(rat, *parse_cocycle_config(cfg, rat)), 3
+    rows = [[RF(x) for x in row] for row in RATFUN_MATRICES[which]]
+    return pair_from_matrix(rows, RATFUN), 3
+
+
+TL_FAMILIES = [
+    *(f"gauge-{seed}" for seed in range(6)),
+    *(f"cocycle-{name}" for name in ("xx", "xy", "yx", "yy")),
+    *(f"ratfun-{name}" for name in sorted(RATFUN_MATRICES)),
+]
+
+
+def _packing(kern: Kernel):
+    return [(sm.scale, sm.norm, sorted((*m[:4], sorted(m[4].items())) for m in sm.moves))
+            for sm in kern.maps]
+
+
+@pytest.mark.parametrize("name", TL_FAMILIES)
+def test_shared_entries_pack_as_fresh_ones(name):
+    pair, n = _tl_family(name)
+    gens = tl_generators(pair, n)
+    # the placements of one cup-cap hold its entry objects only
+    shared = {id(v) for g in gens for *_, v in g.nonzeros()}
+    assert len(shared) == len(list(cupcap(pair).nonzeros()))
+    delta = delta0(pair)
+    got = Kernel.of([*gens, delta, GaussRat(1)])
+    want = Kernel.of([*map(_unshared, gens), _fresh(delta), GaussRat(1)])
+    assert got.lanes == want.lanes
+    assert _packing(got) == _packing(want)
+
+
+def test_each_distinct_entry_is_packed_once(monkeypatch):
+    pair = make_bracket_pair()
+    cc, delta = cupcap(pair), delta0(pair)
+    products, mul = [], LaurentA.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(rmatrix, "cupcap", lambda _: cc)
+    monkeypatch.setattr(LaurentA, "__mul__", counted)
+    monkeypatch.setattr(LaurentA, "__rmul__", counted)
+    gens = tl_generators(pair, 6)
+    assert products == []
+    monkeypatch.undo()
+
+    # _packed moves each Laurent part it packs into LAURENT: one call per
+    # distinct cup-cap entry, and one each for delta and the scale's 1
+    packed, into = [], _packed.into_ring
+
+    def converted(x, ring):
+        packed.append(x)
+        return into(x, ring)
+
+    monkeypatch.setattr(_packed, "into_ring", converted)
+    assert tl_first_failure(gens, delta) is None
+    assert len(packed) <= len(list(cc.nonzeros())) + 2
+
+
 def _mismatched():
     pair = make_bracket_pair()
     delta = delta0(pair)
@@ -216,7 +303,7 @@ def _nothing_is_built(monkeypatch):
     def built(*args, **kwargs):
         pytest.fail("malformed input reached the kernel or the linear maps")
 
-    for name in ("Kernel", "compose", "apply_local"):
+    for name in ("Kernel", "compose", "placed"):
         monkeypatch.setattr(rmatrix, name, built)
 
 

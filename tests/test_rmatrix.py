@@ -161,7 +161,7 @@ def test_ybe_strand_limit_is_checked_before_building(monkeypatch):
         pytest.fail("a map was built")
 
     monkeypatch.setattr(LinearMap, "identity", staticmethod(build))
-    monkeypatch.setattr(rmatrix, "apply_local", build)
+    monkeypatch.setattr(rmatrix, "placed", build)
     with pytest.raises(RMatrixError, match="^3 strands is more than the limit of 2$"):
         ybe_residual(LinearMap.zero(11, 2, 2, GAUSS))
 

@@ -148,6 +148,20 @@ def test_only_linmap_builds_tensor_products():
     assert found == []
 
 
+def test_only_linmap_reads_map_storage():
+    # a map's storage format stays behind linmap: every other module reads
+    # entries through entry, nonzeros or rows
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linmap.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_entries"
+    ]
+    assert (SRC / "linmap.py").read_text().count("._entries") > 0
+    assert found == []
+
+
 def _referenced(tree):
     """The names a tree reads or imports."""
     names = set()
