@@ -19,6 +19,23 @@ from GaussRat coefficients.  Fractions appear only at the edges (the `re` /
 anywhere in this module.  Values are immutable, and arithmetic builds its
 results in canonical form directly, so the normalising public constructors
 run only on values that come from outside.
+
+A RatFunA is normalised on polynomials over the Gaussian integers Z[i].
+Each part is cleared to a dense list of (re, im) int pairs over one
+integer denominator, its power of A set aside.  The gcd of the two parts
+is the last remainder of the subresultant polynomial remainder sequence
+(Collins 1967, Brown 1971).  Each step takes a pseudo-remainder of
+l^k * u by v, whose long division has its quotient in Z[i][A], and divides
+it by g * h^delta, which the subresultant theorem says divides it; so every
+division is exact in Z[i].  That gcd may carry a content far larger than
+the parts.  Its primitive part g0 divides both parts in Z[i][A] (Gauss's
+lemma), so lead(g0) divides the lead l of the denominator.  The parts are
+multiplied by l and divided by l * gcd / lead(gcd) = (l / lead(g0)) * g0,
+whose lead is l, and each quotient coefficient is again an exact division
+in Z[i].  The integer denominators and the factor that makes the new
+denominator's constant coefficient 1 are folded into one Gaussian
+rational, and each coefficient is reduced once by `_gauss`.  A division
+that is not exact is an internal fault and raises ScalarInvariantError.
 """
 
 from __future__ import annotations
@@ -401,56 +418,109 @@ A = _laurent(((1, _G_ONE),))
 A_INV = _laurent(((-1, _G_ONE),))
 
 
-def _laurent_valuation(x: LaurentA) -> tuple[list[GaussRat], int]:
-    """Split x = A^v * p with p an honest polynomial, nonzero constant term.
-
-    Returns (dense coefficient list of p, v).  x must be nonzero.
-    """
-    if not x.terms:
-        raise ScalarInvariantError("the zero polynomial has no valuation")
-    v = x.terms[0][0]
-    deg = x.terms[-1][0] - v
-    coeffs = [_G_ZERO] * (deg + 1)
-    for k, c in x.terms:
-        coeffs[k - v] = c
-    return coeffs, v
+def _zi_dense(x: LaurentA) -> tuple[list[tuple[int, int]], int, int]:
+    """(p, v, m) with x = A^v * p(A) / m: p a dense polynomial over Z[i]
+    with p(0) != 0, and m > 0 the lcm of the coefficients' denominators."""
+    terms = x.terms
+    v = terms[0][0]
+    m = lcm(*[c._d for _, c in terms])
+    p = [(0, 0)] * (terms[-1][0] - v + 1)
+    for k, c in terms:
+        e = m // c._d
+        p[k - v] = (c._a * e, c._b * e)
+    return p, v, m
 
 
-def _poly_from_dense(coeffs: list[GaussRat], shift: int = 0) -> LaurentA:
-    return _laurent(tuple((i + shift, c) for i, c in enumerate(coeffs) if not c.is_zero()))
+def _zi_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
 
 
-def _poly_trim(p: list[GaussRat]) -> list[GaussRat]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
+def _zi_pow(x: tuple[int, int], k: int) -> tuple[int, int]:
+    out = (1, 0)
+    for _ in range(k):
+        out = _zi_mul(out, x)
+    return out
 
 
-def _poly_divmod(
-    a: list[GaussRat], b: list[GaussRat]
-) -> tuple[list[GaussRat], list[GaussRat]]:
-    """Quotient and remainder of a by b, whose leading coefficient is nonzero."""
-    a = list(a)
-    out = [_G_ZERO] * (len(a) - len(b) + 1)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lead
-        off = len(a) - 1 - db
-        out[off] = q
-        for i, bc in enumerate(b):
-            a[off + i] = a[off + i] - q * bc
-        _poly_trim(a)
-    return out, a
+def _zi_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x / y in Z[i]; ScalarInvariantError when y does not divide x."""
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    re, r1 = divmod(a * c + b * d, n)
+    im, r2 = divmod(b * c - a * d, n)
+    if r1 or r2:
+        raise ScalarInvariantError("inexact division in Z[i]")
+    return re, im
 
 
-def _poly_gcd(a: list[GaussRat], b: list[GaussRat]) -> list[GaussRat]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _zi_divmod(u: list[tuple[int, int]], v: list[tuple[int, int]]):
+    """(q, r) with u = q*v + r over Z[i] and deg r < deg v, r trimmed ([]
+    when v divides u): long division, in which each quotient coefficient
+    is a top coefficient divided by the lead of v exactly in Z[i]
+    (ScalarInvariantError when it is not)."""
+    n, lead = len(v) - 1, v[-1]
+    u = list(u)
+    q = [(0, 0)] * max(len(u) - n, 0)
+    for k in range(len(u) - 1 - n, -1, -1):
+        # u <- u - t * A^k * v, whose top coefficient cancels
+        if u[n + k] != (0, 0):
+            tr, ti = q[k] = _zi_div(u[n + k], lead)
+            for j, (vr, vi) in enumerate(v[:n], k):
+                x, y = u[j]
+                u[j] = x - tr * vr + ti * vi, y - tr * vi - ti * vr
+    del u[n:]
+    while u and u[-1] == (0, 0):
+        u.pop()
+    return q, u
+
+
+def _zi_prem(u: list[tuple[int, int]], v: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pseudo-remainder r of u by v: l^k * u = q*v + r with l the lead
+    of v and k = deg u - deg v + 1.  q and r lie in Z[i][A] (Knuth, TAOCP
+    4.6.1), so the long division of l^k * u is exact at every step."""
+    c = _zi_pow(v[-1], len(u) - len(v) + 1)
+    return _zi_divmod([_zi_mul(x, c) for x in u], v)[1]
+
+
+def _zi_gcd(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A gcd of p and q over Q(i), as a polynomial over Z[i]: the last
+    nonzero remainder of the subresultant PRS (Collins, J. ACM 14, 1967;
+    Brown, J. ACM 18, 1971), or [1] when p and q are coprime.  Each
+    pseudo-remainder is divided by g * h^delta, which divides it exactly
+    in Z[i] by the subresultant theorem."""
+    if len(p) < len(q):
+        p, q = q, p
+    g = h = (1, 0)
+    while len(q) > 1:
+        delta = len(p) - len(q)
+        r = _zi_prem(p, q)
+        if not r:
+            return q
+        c = _zi_mul(g, _zi_pow(h, delta))
+        p, q = q, [_zi_div(x, c) for x in r]
+        g = p[-1]
+        if delta:
+            h = _zi_div(_zi_pow(g, delta), _zi_pow(h, delta - 1))
+    return [(1, 0)]
+
+
+def _zi_cofactors(p: list[tuple[int, int]], q: list[tuple[int, int]]):
+    """(p', q') over Z[i] with p'/q' = p/q and no common factor of positive
+    degree.  The PRS gcd g is c * g0 for a primitive g0 and a content c
+    that can be far larger than p and q, so it is replaced by
+    g' = l * g / lead(g) = (l / lead(g0)) * g0 for the lead l of q: lead(g0)
+    divides l by Gauss's lemma.  l*p / g' and l*q / g' are lead(g0) times
+    the cofactors of g0, so each step of their long division is exact."""
+    g = _zi_gcd(p, q)
+    if len(g) == 1:
+        return p, q
+    l = q[-1]
+    g = [_zi_div(_zi_mul(l, x), g[-1]) for x in g]
+    (p, r), (q, s) = (_zi_divmod([_zi_mul(l, x) for x in u], g) for u in (p, q))
+    if r or s:
+        raise ScalarInvariantError("inexact polynomial division")
+    return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +535,11 @@ class RatFunA(_Scalar):
     denominator is an honest polynomial with constant coefficient 1, and
     numerator and denominator share no polynomial factor.  Structural
     equality on (num, den) is then true equality of rational functions.
+
+    The constructor finds the common factor by the subresultant gcd over
+    Z[i] and divides it out by exact divisions in Z[i], as the module
+    docstring sets out; `inv` needs no gcd, since canonical parts are
+    already coprime.
     """
 
     __slots__ = ("num", "den")
@@ -480,17 +555,22 @@ class RatFunA(_Scalar):
         if num.is_zero():
             num, den = _L_ZERO, _L_ONE
         elif den.terms != _ONE_TERMS:
-            p, vn = _laurent_valuation(num)
-            q, vd = _laurent_valuation(den)
-            g = _poly_gcd(p, q)
-            if len(g) > 1:
-                p, p_rem = _poly_divmod(p, g)
-                q, q_rem = _poly_divmod(q, g)
-                if p_rem or q_rem:
-                    raise ScalarInvariantError("inexact polynomial division")
-            c = q[0].inv()
-            num = _poly_from_dense([x * c for x in p], vn - vd)
-            den = _poly_from_dense([x * c for x in q])
+            # num/den = A^(vn - vd) * (md/mn) * p/q with p, q over Z[i]
+            p, vn, mn = _zi_dense(num)
+            q, vd, md = _zi_dense(den)
+            p, q = _zi_cofactors(p, q)
+            # divided through by q(0), den has the constant coefficient 1
+            c, d = q[0]
+            n = c * c + d * d
+            a, b, m = md * c, -md * d, mn * n
+            num = _laurent(tuple([
+                (vn - vd + k, _gauss(a * x - b * y, a * y + b * x, m))
+                for k, (x, y) in enumerate(p) if x or y
+            ]))
+            den = _laurent(tuple([
+                (k, _gauss(x * c + y * d, y * c - x * d, n))
+                for k, (x, y) in enumerate(q) if x or y
+            ]))
         _set_num(self, num)
         _set_den(self, den)
 
@@ -528,9 +608,17 @@ class RatFunA(_Scalar):
     __rmul__ = __mul__
 
     def inv(self) -> "RatFunA":
-        if self.is_zero():
+        num, den = self.num.terms, self.den.terms
+        if not num:
             raise NotInvertibleError("division by zero in ratfun")
-        return RatFunA(self.den, self.num)
+        # the parts are coprime, so den/num is canonical once num's lowest
+        # term is made the constant 1
+        v, c = num[0]
+        c = c.inv()
+        return _ratfun(
+            _laurent(tuple([(k - v, x * c) for k, x in den])),
+            _laurent(tuple([(k - v, x * c) for k, x in num])),
+        )
 
     def __eq__(self, other):
         if other.__class__ is not RatFunA:

@@ -16,12 +16,16 @@ program evaluates its sums as one compiled program of placements.
 `tl_first_failure` and `ybe_residual` state the Temperley-Lieb relations
 and the Yang-Baxter residual on scalar maps, with compose, equal and kron;
 the program evaluates both on the packed-integer kernel.
+`ratfun_parts` is the canonical numerator and denominator of a rational
+function by Euclid's algorithm over Q(i), on GaussRat arithmetic; the
+program takes the gcd by a subresultant sequence over Z[i].
 """
 
 from skeinlab._packed import place, width
 from skeinlab.braid import BraidWord
 from skeinlab.identities import COCHAIN, Compose, Id, Swap, Sym, Tensor
 from skeinlab.linmap import LinearMap, MapShape, compose, equal, rref, swap
+from skeinlab.scalars import GaussRat, LaurentA
 
 
 def kron(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -138,3 +142,58 @@ def unfolded_r_of_word(td, w: BraidWord):
         acc = place(plans[sign], low, low * d * d, acc)
     scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
     return acc, bits, scale
+
+
+def _dense(x: LaurentA) -> tuple[list[GaussRat], int]:
+    """(coefficients of p, v) with x = A^v * p(A) and p(0) != 0."""
+    v = x.terms[0][0]
+    coeffs = [GaussRat(0)] * (x.terms[-1][0] - v + 1)
+    for k, c in x.terms:
+        coeffs[k - v] = c
+    return coeffs, v
+
+
+def _trim(p: list[GaussRat]) -> list[GaussRat]:
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def _divmod(a: list[GaussRat], b: list[GaussRat]) -> tuple[list[GaussRat], list[GaussRat]]:
+    """Quotient and remainder of a by b over Q(i)."""
+    a = list(a)
+    out = [GaussRat(0)] * (len(a) - len(b) + 1)
+    db, lead = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and a:
+        q = a[-1] / lead
+        off = len(a) - 1 - db
+        out[off] = q
+        for i, bc in enumerate(b):
+            a[off + i] = a[off + i] - q * bc
+        _trim(a)
+    return out, a
+
+
+def ratfun_parts(num: LaurentA, den: LaurentA) -> tuple[LaurentA, LaurentA]:
+    """The canonical (num, den) of num/den for den != 0: both parts divided
+    by their gcd over Q(i), found by Euclid's algorithm, the common power of
+    A folded into the numerator, and the denominator's constant coefficient
+    made 1."""
+    one = LaurentA(((0, GaussRat(1)),))
+    if num.is_zero():
+        return LaurentA(), one
+    if den == one:
+        return num, den
+    p, vn = _dense(num)
+    q, vd = _dense(den)
+    a, b = p, q
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    if len(a) > 1:
+        (p, r), (q, s) = _divmod(p, a), _divmod(q, a)
+        assert not r and not s
+    c = q[0].inv()
+    return (
+        LaurentA(tuple((k + vn - vd, x * c) for k, x in enumerate(p))),
+        LaurentA(tuple((k, x * c) for k, x in enumerate(q))),
+    )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from reference import ratfun_parts
 from skeinlab import scalars
 from skeinlab.scalars import (
     GAUSS,
@@ -27,8 +28,9 @@ from skeinlab.scalars import (
     ScalarError,
     ScalarInvariantError,
     ScalarSyntaxError,
-    _laurent_valuation,
-    _poly_divmod,
+    _zi_div,
+    _zi_divmod,
+    _zi_prem,
     dual,
     format_scalar,
     into_ring,
@@ -355,22 +357,127 @@ def test_format_is_canonical_and_ascending():
     assert format_scalar(y) == "-1 - i"
 
 
+def _zi_times(a, b):
+    """The product of two dense polynomials over Z[i] (lists of (re, im))."""
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for j, (x, y) in enumerate(a):
+        for k, (u, v) in enumerate(b):
+            re, im = out[j + k]
+            out[j + k] = re + x * u - y * v, im + x * v + y * u
+    return out
+
+
+def _zi_plus(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [(0, 0)] * (n - len(a)), b + [(0, 0)] * (n - len(b))
+    out = [(x + u, y + v) for (x, y), (u, v) in zip(a, b)]
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # x^2 + 1 by 2x + 1 leaves a remainder, x^2 - 1 by x + 1 none
+        ([(1, 0), (0, 0), (1, 0)], [(1, 0), (2, 0)]),
+        ([(-1, 0), (0, 0), (1, 0)], [(1, 0), (1, 0)]),
+        # Gaussian leads, and a divisor of the dividend's degree
+        ([(3, -1), (0, 2), (5, 0), (-1, 1)], [(2, 1), (1, 2)]),
+        ([(0, 1), (4, 0), (1, 1)], [(7, 0), (1, -3), (2, 0)]),
+        # a divisor of degree 0
+        ([(1, 0), (2, 3)], [(1, 1)]),
+    ],
+)
+def test_pseudo_division_identity(a, b):
+    # l^k a = q b + r with l the lead of b, k = deg a - deg b + 1, deg r < deg b
+    k = len(a) - len(b) + 1
+    lead = [(1, 0)]
+    for _ in range(k):
+        lead = _zi_times(lead, [b[-1]])
+    q, r = _zi_divmod(_zi_times(lead, a), b)
+    assert _zi_times(lead, a) == _zi_plus(_zi_times(q, b), r)
+    assert len(r) < len(b) and (not r or r[-1] != (0, 0))
+    assert _zi_prem(a, b) == r
+
+
 def test_polynomial_helper_invariants_raise():
-    g = GaussRat
-    # x^2 + 1 = (x - 2)(x + 2) + 5 leaves a remainder, x^2 - 1 = (x - 1)(x + 1) none
-    assert _poly_divmod([g(1), g(0), g(1)], [g(2), g(1)]) == ([g(-2), g(1)], [g(5)])
-    assert _poly_divmod([g(-1), g(0), g(1)], [g(1), g(1)]) == ([g(-1), g(1)], [])
-    with pytest.raises(ScalarInvariantError):
-        _laurent_valuation(LaurentA())
+    # x^2 + 1 over 2x + 1 has the quotient coefficient 1/2, outside Z[i];
+    # 1 + i does not divide 1
+    for inexact in (
+        lambda: _zi_divmod([(1, 0), (0, 0), (1, 0)], [(1, 0), (2, 0)]),
+        lambda: _zi_div((1, 0), (1, 1)),
+    ):
+        with pytest.raises(ScalarInvariantError, match="^inexact division in Z\\[i\\]$"):
+            inexact()
 
 
 def test_ratfun_normalisation_raises_on_inexact_division(monkeypatch):
     # a gcd that does not divide the numerator must not pass silently
-    monkeypatch.setattr(scalars, "_poly_gcd", lambda p, q: [GaussRat(2), GaussRat(1)])
+    monkeypatch.setattr(scalars, "_zi_gcd", lambda p, q: [(2, 0), (1, 0)])
     num = parse_scalar("A^2 + 1", LAURENT)
     den = parse_scalar("A + 2", LAURENT)
     with pytest.raises(ScalarInvariantError, match="inexact polynomial division"):
         RatFunA(num, den)
+
+
+# -- RatFunA normalisation against Euclid over Q(i) --------------------------
+
+_small = st.integers(min_value=-4, max_value=4)
+# Gaussian integers, and Gaussian rationals over a denominator up to 6
+_coefficients = st.builds(
+    lambda a, b, d: GaussRat(Fraction(a, d), Fraction(b, d)),
+    _small, _small, st.sampled_from((1, 1, 1, 2, 3, 4, 6)),
+)
+
+
+@st.composite
+def _polynomials(draw, max_terms=4):
+    """A nonzero Laurent polynomial, its exponents from -3 to 5."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(min_value=-3, max_value=5), _coefficients),
+        min_size=1, max_size=max_terms,
+    ))
+    x = LaurentA(terms)
+    return x if not x.is_zero() else LaurentA(((draw(_small), GaussRat(1)),))
+
+
+# common factors whose removal is where a gcd over Z[i] differs from one
+# over Q(i): non-monic leads, Gaussian content, rational coefficients
+_G = GaussRat
+_PLANTED = [
+    LaurentA(terms)
+    for terms in (
+        ((0, _G(2)), (1, _G(3))),
+        ((0, _G(-1)), (1, _G(1, 2))),
+        ((0, _G(1)), (2, _G(1, 1))),
+        ((0, _G(0, Fraction(-2, 3))), (2, _G(Fraction(1, 2)))),
+        ((0, _G(1, 1)), (3, _G(1, 2))),
+        ((-1, _G(2)), (1, _G(3, -1))),
+    )
+]
+
+
+@st.composite
+def _ratfun_parts(draw):
+    num, den = draw(_polynomials()), draw(_polynomials())
+    planted = draw(st.lists(st.sampled_from(_PLANTED), max_size=2))
+    for f in planted:
+        num, den = num * f, den * f
+    if draw(st.booleans()):
+        num = num * LaurentA(((draw(st.integers(-4, 4)), GaussRat(1)),))
+    return (LAURENT.zero() if draw(st.integers(0, 19)) == 0 else num), den
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ratfun_parts())
+def test_ratfun_normalisation_matches_euclid_over_q_i(parts):
+    num, den = parts
+    x = RatFunA(num, den)
+    assert (x.num, x.den) == ratfun_parts(num, den)
+    if not num.is_zero():
+        y = x.inv()
+        assert (y.num, y.den) == ratfun_parts(den, num)
 
 
 # -- GaussRat against a (Fraction, Fraction) reference -----------------------

@@ -406,10 +406,10 @@ def test_bent_matrix_complex_matches_diagrams(d, ring, deformed):
     assert d3_matrix(pair) == _diagram_matrix(pair, _diagram_D3, C3)
 
 
-# d=3 over ratfun is left out: degree2_analysis there takes about 1.7 s,
-# nearly all of it in the RatFunA gcd inside compose (ROADMAP item 3)
 @pytest.mark.parametrize(
-    "d, ring", [(2, GAUSS), (2, RATFUN), (3, GAUSS)], ids=["2-gauss", "2-ratfun", "3-gauss"]
+    "d, ring",
+    [(2, GAUSS), (2, RATFUN), (3, GAUSS), (3, RATFUN)],
+    ids=["2-gauss", "2-ratfun", "3-gauss", "3-ratfun"],
 )
 def test_degree2_residual_matches_diagrams(d, ring):
     _, pair, phi = _pair_and_coboundary(d, ring, f"psi-{d}-{ring}")
