@@ -28,7 +28,7 @@ from .linmap import (
     full_trace,
     partial_trace,
     placed,
-    swap,
+    transpose,
 )
 from .planar import bracket_state_sum, jones_polynomial
 from .rmatrix import SkeinRMatrix, build_R, check_strands
@@ -93,9 +93,10 @@ def parse_braid(text: str, n: int | None = None) -> BraidWord:
 
 
 def make_nu(pair: SwitchbackPair) -> LinearMap:
-    """The one-strand twist (1 x pairing)(tau x 1)(1 x copairing)."""
-    nu = apply_local(swap(pair.d, pair.ring), 0, apply_local(pair.copairing, 1, pair.id1()))
-    return apply_local(pair.pairing, 1, nu)
+    """The one-strand twist (1 x pairing)(tau x 1)(1 x copairing): it sends
+    e_a to sum over j, k of G[j][k] B[a][k] e_j, so it is G B^T."""
+    bb, gg = pair.bent()
+    return compose(gg, transpose(bb))
 
 
 @dataclass(frozen=True)
@@ -149,10 +150,9 @@ def make_turaev(pair: SwitchbackPair, a, b) -> TuraevData:
 
 
 def turaev_first_failure(td: TuraevData) -> str | None:
-    """None when every trace-compatibility condition holds exactly."""
+    """None when every trace-compatibility condition holds exactly.  R is
+    a general map on V^2, so the conditions on R are checked there."""
     R, Rinv, nu = td.rmx.R, td.rmx.Rinv, td.nu
-    pair = td.pair
-    two = LinearMap.identity(pair.d, 2, pair.ring)
     nn = apply_local(nu, 0, placed(nu, 1, 2))
     r_nn = compose(R, nn)
     if not equal(r_nn, compose(nn, R)):
@@ -161,13 +161,21 @@ def turaev_first_failure(td: TuraevData) -> str | None:
         return "Tr_2(R (nu x nu)) != u*nu"
     if not equal(partial_trace(compose(Rinv, nn), 1), nu.scale(td.u.inv())):
         return "Tr_2(R^-1 (nu x nu)) != u^-1*nu"
-    if not equal(compose(pair.pairing, nn), pair.pairing):
+    return _pair_failure(td.pair, nu)
+
+
+def _pair_failure(pair: SwitchbackPair, nu: LinearMap) -> str | None:
+    """The conditions on the pair and twist alone, on d x d matrices:
+    pairing (nu x nu) = pairing is nu^T B nu = B, (nu x nu) copairing =
+    copairing is nu G nu^T = G, and the cusp-pair curl (copairing x 1)
+    (pairing x 1)(1 x nu x 1) has Tr_2 = (G nu^T B^T) x 1 on V^2."""
+    bb, gg = pair.bent()
+    nt = transpose(nu)
+    if not equal(compose(compose(nt, bb), nu), bb):
         return "pairing not invariant under the doubled twist"
-    if not equal(compose(nn, pair.copairing), pair.copairing):
+    if not equal(compose(compose(nu, gg), nt), gg):
         return "copairing not invariant under the doubled twist"
-    curl = placed(nu, 1, 3)
-    curl = apply_local(pair.copairing, 0, apply_local(pair.pairing, 0, curl))
-    if not equal(partial_trace(curl, 1), two):
+    if not equal(compose(compose(gg, nt), transpose(bb)), pair.id1()):
         return "twist does not cancel the cusp-pair curl"
     return None
 

@@ -7,7 +7,8 @@ and the copairing matrix is its inverse.
 
 Everything below is computed on d x d matrices.  Bending a pairing b into
 B[i][j] = b(e_i x e_j), and a copairing g into G[j][k] = its coefficient on
-e_j x e_k (`linmap.reshape(., 1, 1)`), turns each diagram into a product:
+e_j x e_k (`linmap.reshape(., 1, 1)`, `SwitchbackPair.bent`), turns each
+diagram into a product:
 
     (b x 1)(1 x g) = (B G)^T,    (1 x b)(g x 1) = G B.
 
@@ -81,8 +82,8 @@ h2 = z2 - b2 = z1 and h3 = z3 - b3 = 0.
 One product checks a pair: G B = 1 alone implies B G = 1.  B and G are
 square over a commutative ring (every ring of the tower is, the dual
 rings included), so det G det B = 1, B is invertible, and its left
-inverse G is its inverse.  switchback_residuals still forms both
-zig-zags, for reports that name each condition.
+inverse G is its inverse.  So verify_switchback's one verdict answers
+both zig-zag conditions, and the CLI reports it for each.
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ class SwitchbackPair:
     def id1(self) -> LinearMap:
         return LinearMap.identity(self.d, 1, self.ring)
 
+    def bent(self) -> tuple[LinearMap, LinearMap]:
+        """B and G, the pairing and copairing bent (module docstring)."""
+        return reshape(self.pairing, 1, 1), reshape(self.copairing, 1, 1)
+
     def into_ring(self, target: Ring) -> "SwitchbackPair":
         """The pair with every entry brought into the target ring."""
         b, g = (map_apply(m, lambda x: into_ring(x, target), target)
@@ -209,24 +214,16 @@ def pair_from_matrix(rows, ring: Ring) -> SwitchbackPair:
     return SwitchbackPair(d, ring, b, g)
 
 
-def _zigzags(b: LinearMap, g: LinearMap) -> tuple[LinearMap, LinearMap]:
-    """Z(b, g): both zig-zag composites of b: V2 -> K and g: K -> V2,
+def _zigzags(bb: LinearMap, gg: LinearMap) -> tuple[LinearMap, LinearMap]:
+    """Z(b, g) of b: V2 -> K and g: K -> V2 from their bent B and G:
     (b x 1)(1 x g) = (B G)^T and (1 x b)(g x 1) = G B."""
-    bb, gg = reshape(b, 1, 1), reshape(g, 1, 1)
     return transpose(compose(bb, gg)), compose(gg, bb)
-
-
-def switchback_residuals(pair: SwitchbackPair) -> tuple[LinearMap, LinearMap]:
-    """Both zig-zag composites minus the identity of V."""
-    one = pair.id1()
-    r1, r2 = _zigzags(pair.pairing, pair.copairing)
-    return r1 - one, r2 - one
 
 
 def verify_switchback(pair: SwitchbackPair) -> bool:
     """Both zig-zags are the identity, checked by the one product G B = 1:
     over a commutative ring it implies B G = 1 (module docstring)."""
-    bb, gg = reshape(pair.pairing, 1, 1), reshape(pair.copairing, 1, 1)
+    bb, gg = pair.bent()
     return equal(compose(gg, bb), pair.id1())
 
 
@@ -244,13 +241,14 @@ def d2(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> tuple[LinearMa
     """The t-slope of the deformed pair's zig-zags, which is what
     infiltrating the two switchback identities produces: one component per
     identity, each a Hom(V, V) element."""
-    x1, x2 = _zigzags(pair.pairing, phi2)
-    y1, y2 = _zigzags(phi1, pair.copairing)
+    bb, gg = pair.bent()
+    x1, x2 = _zigzags(bb, reshape(phi2, 1, 1))
+    y1, y2 = _zigzags(reshape(phi1, 1, 1), gg)
     return x1 + y1, x2 + y2
 
 
 def D3(pair: SwitchbackPair, xi1: LinearMap, xi2: LinearMap) -> tuple[LinearMap, LinearMap]:
-    bb, gg = reshape(pair.pairing, 1, 1), reshape(pair.copairing, 1, 1)
+    bb, gg = pair.bent()
     xt = transpose(xi1)
     r1 = compose(xt, bb) - compose(bb, xi2)
     r2 = compose(xi2, gg) - compose(gg, xt)
@@ -298,16 +296,11 @@ def _dense(nrows: int, ncols: int, ring: Ring, entries) -> list[list]:
     return m
 
 
-def _bent(pair: SwitchbackPair):
-    """B and G as d x d row tuples."""
-    return reshape(pair.pairing, 1, 1).rows, reshape(pair.copairing, 1, 1).rows
-
-
 def _d2_entries(pair: SwitchbackPair):
     """d2 on the unit cochains phi1 = E_aj (column a*d + j) and phi2 =
     E_jk (column n + j*d + k)."""
     d, n = pair.d, pair.d**2
-    bb, gg = _bent(pair)
+    bb, gg = (m.rows for m in pair.bent())
     for a in range(d):
         for j in range(d):
             for k in range(d):
@@ -321,7 +314,7 @@ def _d3_entries(pair: SwitchbackPair, off1: int, off2: int):
     """D3 on the unit cochains xi1 = E_oi (column off1 + i*d + o) and
     xi2 = E_oi (column off2 + i*d + o)."""
     d, n = pair.d, pair.d**2
-    bb, gg = _bent(pair)
+    bb, gg = (m.rows for m in pair.bent())
     nb, ng = ([[-x for x in row] for row in m] for m in (bb, gg))
     for o in range(d):
         for i in range(d):
@@ -390,7 +383,7 @@ def solve_2cocycles(pair: SwitchbackPair) -> list[tuple[LinearMap, LinearMap]]:
     phi2 runs over the unit copairing slopes E in coordinate order, and
     phi1 = -B E B."""
     _require_switchback(pair)
-    bb, n, ring = reshape(pair.pairing, 1, 1), pair.d**2, pair.ring
+    (bb, _), n, ring = pair.bent(), pair.d**2, pair.ring
     z, o = ring.zero(), ring.one()
     units = (LinearMap.from_rows(pair.d, 0, 2, ring, [[o if r == k else z] for r in range(n)])
              for k in range(n))
@@ -413,12 +406,11 @@ def deform(pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap) -> Switchback
 def deformation_obstruction(
     pair: SwitchbackPair, phi1: LinearMap, phi2: LinearMap
 ) -> tuple[LinearMap, LinearMap]:
-    """t-slope of the deformed pair's switchback residuals.  Cross-checked
-    against d2(phi1, phi2); they agree identically."""
+    """t-slope of the deformed pair's zig-zags.  Cross-checked against
+    d2(phi1, phi2); they agree identically."""
     _require_switchback(pair)
-    r1, r2 = switchback_residuals(deform(pair, phi1, phi2))
-    _, xi1 = dual_parts(r1)
-    _, xi2 = dual_parts(r2)
+    z1, z2 = _zigzags(*deform(pair, phi1, phi2).bent())
+    (_, xi1), (_, xi2) = dual_parts(z1), dual_parts(z2)
     e1, e2 = d2(pair, phi1, phi2)
     if not (equal(xi1, e1) and equal(xi2, e2)):
         raise SwitchbackError("residual slope disagrees with the 2-differential")
@@ -447,10 +439,10 @@ def degree2_analysis(
     e1, e2 = d2(pair, phi1, phi2)
     if not (e1.is_zero() and e2.is_zero()):
         raise NotACocycleError("degree-2 analysis needs a 2-cocycle")
-    psi1, psi2 = _zigzags(phi1, phi2)
+    psi1, psi2 = _zigzags(reshape(phi1, 1, 1), reshape(phi2, 1, 1))
     r1, r2 = D3(pair, psi1, psi2)
     is_cocycle = r1.is_zero() and r2.is_zero()
-    bb, gg = reshape(pair.pairing, 1, 1), reshape(pair.copairing, 1, 1)
+    bb, gg = pair.bent()
     ext1 = -compose(transpose(psi1), bb)
     if not equal(compose(gg, ext1), -psi2):
         raise SwitchbackError("the degree-2 extension does not meet -psi2")
@@ -474,7 +466,7 @@ def bracket_cocycle(pair: SwitchbackPair, bxx, bxy, byx, byy) -> tuple[LinearMap
     if pair.d != 2:
         raise SwitchbackError(f"bracket cocycle coordinates need d = 2, got d = {pair.d}")
     phi1 = LinearMap.from_rows(2, 2, 0, pair.ring, [[bxx, bxy, byx, byy]])
-    gg = reshape(pair.copairing, 1, 1)
+    _, gg = pair.bent()
     return phi1, reshape(_cocycle_partner(gg, reshape(phi1, 1, 1)), 0, 2)
 
 

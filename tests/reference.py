@@ -16,6 +16,14 @@ program evaluates its sums as one compiled program of placements.
 `tl_first_failure` and `ybe_residual` state the Temperley-Lieb relations
 and the Yang-Baxter residual on scalar maps, with compose, equal and kron;
 the program evaluates both on the packed-integer kernel.
+`zigzags` forms both zig-zag composites of a pairing and a copairing on
+V^3 by Kronecker products; the program reads them off the bent d x d
+matrices, and checks a pair by the one product G B = 1.
+`twist` and `pair_first_failure` are the twist and the Turaev conditions
+on the pair alone as tensor diagrams: the twist (1 x pairing)(tau x 1)
+(1 x copairing) through the swap, the doubled twist on V^2 and the
+cusp-pair curl on V^3; the program evaluates all four as products of
+the bent d x d matrices of the pairing and copairing.
 `ratfun_parts` is the canonical numerator and denominator of a rational
 function by Euclid's algorithm over Q(i), on GaussRat arithmetic; the
 program takes the gcd by a subresultant sequence over Z[i].
@@ -24,7 +32,17 @@ program takes the gcd by a subresultant sequence over Z[i].
 from skeinlab._packed import place, width
 from skeinlab.braid import BraidWord
 from skeinlab.identities import COCHAIN, Compose, Id, Swap, Sym, Tensor
-from skeinlab.linmap import LinearMap, MapShape, compose, equal, rref, swap
+from skeinlab.linmap import (
+    LinearMap,
+    MapShape,
+    apply_local,
+    compose,
+    equal,
+    partial_trace,
+    placed,
+    rref,
+    swap,
+)
 from skeinlab.scalars import GaussRat, LaurentA
 
 
@@ -142,6 +160,39 @@ def unfolded_r_of_word(td, w: BraidWord):
         acc = place(plans[sign], low, low * d * d, acc)
     scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
     return acc, bits, scale
+
+
+def zigzags(b: LinearMap, g: LinearMap) -> tuple[LinearMap, LinearMap]:
+    """(b x 1)(1 x g) and (1 x b)(g x 1) for b: V^2 -> K, g: K -> V^2."""
+    one = LinearMap.identity(b.shape.d, 1, b.ring)
+    return (
+        compose(kron(b, one), kron(one, g)),
+        compose(kron(one, b), kron(g, one)),
+    )
+
+
+def twist(pair) -> LinearMap:
+    """The one-strand twist (1 x pairing)(tau x 1)(1 x copairing), each
+    diagram placed on three strands."""
+    nu = apply_local(swap(pair.d, pair.ring), 0, apply_local(pair.copairing, 1, pair.id1()))
+    return apply_local(pair.pairing, 1, nu)
+
+
+def pair_first_failure(pair, nu) -> str | None:
+    """The first of the Turaev conditions on the pair alone that nu fails,
+    in braid.turaev_first_failure's order and words: pairing and
+    copairing invariant under nu x nu, and Tr_2 of the cusp-pair curl
+    (copairing x 1)(pairing x 1)(1 x nu x 1) the identity of V^2."""
+    nn = apply_local(nu, 0, placed(nu, 1, 2))
+    if not equal(compose(pair.pairing, nn), pair.pairing):
+        return "pairing not invariant under the doubled twist"
+    if not equal(compose(nn, pair.copairing), pair.copairing):
+        return "copairing not invariant under the doubled twist"
+    curl = placed(nu, 1, 3)
+    curl = apply_local(pair.copairing, 0, apply_local(pair.pairing, 0, curl))
+    if not equal(partial_trace(curl, 1), LinearMap.identity(pair.d, 2, pair.ring)):
+        return "twist does not cancel the cusp-pair curl"
+    return None
 
 
 def _dense(x: LaurentA) -> tuple[list[GaussRat], int]:

@@ -1,5 +1,6 @@
 """Braid words, the trace invariant, and the oracle comparison."""
 
+import random
 from dataclasses import replace
 from functools import reduce
 from pathlib import Path
@@ -15,6 +16,7 @@ from skeinlab.braid import (
     BraidWord,
     TuraevData,
     TuraevError,
+    _pair_failure,
     compare_with_oracle,
     invariant,
     jones_oracle,
@@ -27,7 +29,14 @@ from skeinlab.braid import (
     skein_triple_check,
     turaev_first_failure,
 )
-from skeinlab.linmap import LinearMap, compose, full_trace, map_specialize
+from skeinlab.linmap import (
+    LinearMap,
+    compose,
+    full_trace,
+    invert_rows,
+    map_specialize,
+    transpose,
+)
 from skeinlab.planar import bracket_state_sum
 from skeinlab.rmatrix import RMatrixError, max_strands, solve_deformed_coefficients
 from skeinlab.scalars import (
@@ -35,6 +44,7 @@ from skeinlab.scalars import (
     GAUSS,
     LAURENT,
     RATFUN,
+    Dual,
     GaussRat,
     dual,
     into_ring,
@@ -48,11 +58,20 @@ from skeinlab.switchback import (
     bracket_cocycle,
     deform,
     make_bracket_pair,
+    pair_from_matrix,
     parse_cocycle_config,
+    solve_2cocycles,
     verify_switchback,
 )
 
-from reference import conjugated, kron, stabilized, unfolded_r_of_word
+from reference import (
+    conjugated,
+    kron,
+    pair_first_failure,
+    stabilized,
+    unfolded_r_of_word,
+)
+from reference import twist as reference_twist
 
 L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
@@ -143,6 +162,101 @@ def test_turaev_first_failure_reports_broken_u():
     broken = TuraevData(replace(td.rmx, loop=td.rmx.loop * A), td.nu)
     assert broken.u != td.u
     assert turaev_first_failure(broken) == "Tr_2(R (nu x nu)) != u*nu"
+
+
+@pytest.mark.parametrize("swapped, message", [
+    ("pairing", "pairing not invariant under the doubled twist"),
+    ("copairing", "copairing not invariant under the doubled twist"),
+    ("doubled copairing", "twist does not cancel the cusp-pair curl"),
+])
+def test_turaev_first_failure_reaches_each_pair_message(swapped, message):
+    # R, R^-1, u and the twist stay those of the bracket, so the checks on
+    # V^2 pass and only the swapped pair can fail
+    td = _turaev(RATFUN)
+    beta, gamma = td.pair.pairing, td.pair.copairing
+    # E_xx: 1 on x(x)x and 0 elsewhere
+    unit = LinearMap.from_rows(2, 2, 0, RATFUN, [[RATFUN.one()] + [RATFUN.zero()] * 3])
+    beta, gamma = {
+        "pairing": (unit, gamma),
+        "copairing": (beta, transpose(unit)),
+        "doubled copairing": (beta, gamma.scale(RATFUN.from_int(2))),
+    }[swapped]
+    pair = replace(td.pair, pairing=beta, copairing=gamma)
+    assert turaev_first_failure(TuraevData(replace(td.rmx, pair=pair), td.nu)) == message
+
+
+def _twist_entry(rng, ring):
+    if ring.name == "dual":
+        return Dual(_twist_entry(rng, ring.base), _twist_entry(rng, ring.base))
+    k = ring.from_int(rng.randint(-2, 2))
+    return k if ring is GAUSS else k * into_ring(A ** rng.randint(-1, 1), ring)
+
+
+def _random_map(rng, d, p, q, ring):
+    rows = [[_twist_entry(rng, ring) for _ in range(d**p)] for _ in range(d**q)]
+    return LinearMap.from_rows(d, p, q, ring, rows)
+
+
+def _twist_cases():
+    """(pair, twist) for pairs with d = 1, 2, 3 over gauss and ratfun and
+    their dual deformations, by a 2-cocycle (switchback) or by a random
+    slope (not), each as it is, with its copairing doubled, or with a
+    random copairing or pairing; with the twist of the pair it came from,
+    its negative, the variant's own twist and a random twist.  The d = 3
+    ratfun pair is not deformed: the reference's curl on V^3 over its
+    dual ring would take 3 s.  Last, the bracket pair over laurent and
+    ratfun, at A = 2, and deformed by each bundled cocycle, with its
+    twist."""
+    rng = random.Random("twist")
+    for d in (1, 2, 3):
+        for ring in (GAUSS, RATFUN):
+            while True:
+                rows = [[_twist_entry(rng, ring) for _ in range(d)] for _ in range(d)]
+                if invert_rows(rows, ring) is not None:
+                    break
+            pair = pair_from_matrix(rows, ring)
+            bases = [pair]
+            if (d, ring) != (3, RATFUN):
+                slope = (_random_map(rng, d, 2, 0, ring), _random_map(rng, d, 0, 2, ring))
+                cocycle = solve_2cocycles(pair)[rng.randrange(d * d)]
+                bases += [deform(pair, *cocycle), deform(pair, *slope)]
+            for base in bases:
+                nu = make_nu(base)
+                two = base.ring.from_int(2)
+                for variant in (
+                    base,
+                    replace(base, copairing=base.copairing.scale(two)),
+                    replace(base, copairing=_random_map(rng, d, 0, 2, base.ring)),
+                    replace(base, pairing=_random_map(rng, d, 2, 0, base.ring)),
+                ):
+                    for twist in (nu, -nu, make_nu(variant), _random_map(rng, d, 1, 1, base.ring)):
+                        yield variant, twist
+    ratfun = make_bracket_pair(RATFUN)
+    brackets = [make_bracket_pair(), ratfun, make_bracket_pair().specialize(GaussRat(2))]
+    for c in ("xx", "xy", "yx", "yy"):
+        phi = parse_cocycle_config((FIXTURES / f"cocycle_{c}.cfg").read_text(), ratfun)
+        brackets.append(deform(ratfun, *phi))
+    for pair in brackets:
+        yield pair, make_nu(pair)
+
+
+def test_bent_twist_and_pair_checks_match_the_diagrams():
+    outcomes = set()
+    for pair, nu in _twist_cases():
+        assert make_nu(pair) == reference_twist(pair)
+        failure = _pair_failure(pair, nu)
+        assert failure == pair_first_failure(pair, nu)
+        outcomes.add((pair.ring.name, verify_switchback(pair), failure))
+    # every verdict is reached over both kinds of ring, and on switchback
+    # pairs the curl is passed and failed
+    messages = {None, "pairing not invariant under the doubled twist",
+                "copairing not invariant under the doubled twist",
+                "twist does not cancel the cusp-pair curl"}
+    for ring in ("gauss", "ratfun", "dual"):
+        assert {m for r, _, m in outcomes if r == ring} == messages
+        assert {(True, None), (True, "twist does not cancel the cusp-pair curl")} <= {
+            (ok, m) for r, ok, m in outcomes if r == ring
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +561,9 @@ def test_invariant_rejects_too_many_strands(monkeypatch):
 
 
 def test_make_turaev_refuses_a_pair_too_wide_for_three_strands(monkeypatch):
-    # the curl check works on V^3: at d = 11 that is 1331 dimensions
+    # Turaev data serve closed braids, whose relations s1 s2 s1 = s2 s1 s2
+    # need three strands; at d = 11, V^3 has 1331 dimensions, past the
+    # limit, so the pair is refused before any map is built
     def build(*args):
         pytest.fail("a map was built")
 

@@ -1,19 +1,23 @@
 """End-to-end command-line checks: golden output, record mode, exit codes."""
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from skeinlab import cli
 from skeinlab.cli import main
-from skeinlab.scalars import ScalarError, ring_by_name
+from skeinlab.scalars import RATFUN, A, GaussRat, ScalarError, into_ring, ring_by_name
 from skeinlab.switchback import (
     deform,
+    format_matrix,
     make_bracket_pair,
     parse_cocycle_config,
     parse_pair_config,
 )
+
+from reference import zigzags
 
 FIXTURES = Path(__file__).parent.parent / "src" / "skeinlab" / "fixtures"
 
@@ -54,6 +58,43 @@ def test_verify_switchback_fails_on_bad_pair(capsys, tmp_path):
     code, out = run(capsys, "verify-switchback", "--pair", str(cfg))
     assert code == 1
     assert "FAIL" in out
+
+
+def _switchback_pairs():
+    """Passing and failing pairs over gauss, laurent, ratfun and
+    dual-ratfun: the bracket pair, at A = 2 over gauss, and the same pair
+    with its copairing scaled or deformed by a slope that is no cocycle."""
+    laurent = make_bracket_pair()
+    ratfun = make_bracket_pair(RATFUN)
+    gauss = laurent.specialize(GaussRat(2))
+    phi = parse_cocycle_config((FIXTURES / "cocycle_yx.cfg").read_text(), ratfun)
+    for pair, scale in ((gauss, GaussRat(2)), (laurent, A), (ratfun, A)):
+        yield pair
+        yield replace(pair, copairing=pair.copairing.scale(into_ring(scale, pair.ring)))
+    yield deform(ratfun, *phi)
+    yield deform(ratfun, phi[0], phi[1].scale(into_ring(A, ratfun.ring)))
+
+
+def test_verify_switchback_records_are_the_two_zigzag_verdicts(capsys, tmp_path):
+    rings, verdicts = set(), set()
+    for k, pair in enumerate(_switchback_pairs()):
+        path = tmp_path / f"{k}.pair"
+        path.write_text(
+            f"dimension = {pair.d}\nring = {pair.ring}\n"
+            f"beta = {format_matrix(pair.pairing)}\ngamma = {format_matrix(pair.copairing)}\n"
+        )
+        code, out = run(capsys, "verify-switchback", "--pair", str(path), "--output", "records")
+        one = pair.id1()
+        expected = [z == one for z in zigzags(pair.pairing, pair.copairing)]
+        assert [line for line in out.splitlines() if line.startswith("switchback\t")] == [
+            f"switchback\tcondition={c}\tok={str(ok).lower()}"
+            for c, ok in enumerate(expected, 1)
+        ]
+        assert code == (0 if all(expected) else 1)
+        rings.add(str(pair.ring))
+        verdicts.add(tuple(expected))
+    assert rings == {"gauss", "laurent", "ratfun", "dual-ratfun"}
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_a_bad_ring_name_names_the_pair_file(capsys, tmp_path):

@@ -30,6 +30,7 @@ from skeinlab.scalars import (
     ScalarSyntaxError,
     _zi_div,
     _zi_divmod,
+    _zi_gcd,
     _zi_prem,
     dual,
     format_scalar,
@@ -399,6 +400,49 @@ def test_pseudo_division_identity(a, b):
     assert _zi_times(lead, a) == _zi_plus(_zi_times(q, b), r)
     assert len(r) < len(b) and (not r or r[-1] != (0, 0))
     assert _zi_prem(a, b) == r
+
+
+def _det(rows):
+    """The determinant of a square matrix, by elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def _subresultant(u, v, j):
+    """The degree-j subresultant of integer polynomials u and v (lowest
+    coefficient first), deg u >= deg v > j: the determinant polynomial of
+    the Sylvester matrix of x^(deg v - j - 1) u, ..., u, x^(deg u - j - 1) v,
+    ..., v.  With r rows, its coefficient of x^k is the determinant of the
+    first r - 1 columns and the column of x^k."""
+    m, n = len(u) - 1, len(v) - 1
+    width = m + n - j
+    rows = [[0] * k + u[::-1] + [0] * (width - k - m - 1) for k in range(n - j)]
+    rows += [[0] * k + v[::-1] + [0] * (width - k - n - 1) for k in range(m - j)]
+    lead = len(rows) - 1
+    return [_det([row[:lead] + [row[width - 1 - k]] for row in rows]) for k in range(j + 1)]
+
+
+def test_subresultant_gcd_keeps_the_subresultant_size():
+    # Knuth's pair (TAOCP 4.6.1), whose remainder sequence drops degree by
+    # 2, each times x - 2: the gcd is the degree-1 subresultant, exactly.
+    # Updating h by anything but g^delta / h^(delta - 1) still divides
+    # exactly here, but leaves a larger multiple of x - 2.
+    u = _zi_times([(c, 0) for c in (-5, 2, 8, -3, -3, 0, 1, 0, 1)], [(-2, 0), (1, 0)])
+    v = _zi_times([(c, 0) for c in (21, -9, -4, 0, 5, 0, 3)], [(-2, 0), (1, 0)])
+    s1 = _subresultant([x for x, _ in u], [x for x, _ in v], 1)
+    assert s1 == [-521416, 260708]
+    assert _zi_gcd(u, v) == [(int(c), 0) for c in s1]
 
 
 def test_polynomial_helper_invariants_raise():

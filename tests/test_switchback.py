@@ -53,11 +53,10 @@ from skeinlab.switchback import (
     parse_cocycle_config,
     parse_pair_config,
     solve_2cocycles,
-    switchback_residuals,
     verify_switchback,
 )
 
-from reference import kernel_basis, kron
+from reference import kernel_basis, kron, zigzags
 
 RF = lambda text: parse_scalar(text, RATFUN)  # noqa: E731
 
@@ -86,8 +85,8 @@ def _random_pair(rng, d=2, ring=RATFUN):
 
 def test_bracket_pair_satisfies_switchback():
     pair = make_bracket_pair()
-    r1, r2 = switchback_residuals(pair)
-    assert r1.is_zero() and r2.is_zero()
+    one = pair.id1()
+    assert zigzags(pair.pairing, pair.copairing) == (one, one)
     assert verify_switchback(pair)
 
 
@@ -315,17 +314,9 @@ def test_bracket_cocycle_constructor_lands_in_kernel():
 # ---------------------------------------------------------------------------
 
 
-def _diagram_zigzags(b, g):
-    one = LinearMap.identity(b.shape.d, 1, b.ring)
-    return (
-        compose(kron(b, one), kron(one, g)),
-        compose(kron(one, b), kron(g, one)),
-    )
-
-
 def _diagram_d2(pair, phi1, phi2):
-    x1, x2 = _diagram_zigzags(pair.pairing, phi2)
-    y1, y2 = _diagram_zigzags(phi1, pair.copairing)
+    x1, x2 = zigzags(pair.pairing, phi2)
+    y1, y2 = zigzags(phi1, pair.copairing)
     return x1 + y1, x2 + y2
 
 
@@ -390,8 +381,7 @@ def test_bent_matrix_complex_matches_diagrams(d, ring, deformed):
         pair = deform(pair, *phi)
     one = pair.id1()
     assert verify_switchback(pair)
-    r1, r2 = _diagram_zigzags(pair.pairing, pair.copairing)
-    assert switchback_residuals(pair) == (r1 - one, r2 - one)
+    assert zigzags(pair.pairing, pair.copairing) == (one, one)
     for _ in range(3):
         c2 = cochain_from_coords(
             [_entry(rng, pair.ring) for _ in range(2 * d * d)], d, pair.ring, C2
@@ -414,7 +404,7 @@ def test_bent_matrix_complex_matches_diagrams(d, ring, deformed):
 def test_degree2_residual_matches_diagrams(d, ring):
     _, pair, phi = _pair_and_coboundary(d, ring, f"psi-{d}-{ring}")
     report = degree2_analysis(pair, *phi)
-    psi = _diagram_zigzags(*phi)
+    psi = zigzags(*phi)
     assert not (psi[0].is_zero() and psi[1].is_zero())
     assert (report.psi1, report.psi2) == psi
 
@@ -566,10 +556,11 @@ def _zig_zag_cases():
 def test_verify_switchback_is_both_residuals_zero():
     verdicts = set()
     for pair in _zig_zag_cases():
-        r1, r2 = switchback_residuals(pair)
+        one = pair.id1()
+        z1, z2 = zigzags(pair.pairing, pair.copairing)
         ok = verify_switchback(pair)
         verdicts.add((pair.ring.name, ok))
-        assert ok == (r1.is_zero() and r2.is_zero())
+        assert ok == (z1 == one) == (z2 == one)
     assert verdicts == {(r, v) for r in ("gauss", "ratfun", "laurent", "dual") for v in (True, False)}
 
 
