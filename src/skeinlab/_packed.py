@@ -59,7 +59,9 @@ at ((r, o), (k, l)) times that of g at ((k, l), (c, i)).  As (f'/D_f) .
 f.norm*g.norm bounds ||f'g'|| as ||.|| is submultiplicative.  padded(sm, d,
 slot) puts a one-strand map on one strand of two, with the same scale and
 norm.  So a product placed as one factor meets no coefficient beyond the
-bound that its factors, placed in turn, are given.
+bound that its factors, placed in turn, are given.  trace_product(f, g)
+reads Tr(f . g) of two packed values without forming f . g: its sums are
+sums of entries read by the caller, which bounds them (braid.r_of_word).
 """
 
 from __future__ import annotations
@@ -299,6 +301,30 @@ def place(plan, low: int, block: int, acc: list[dict]) -> list[dict]:
                 if row:
                     new[o][key] = row
     return new
+
+
+def trace_product(f: list[dict], g: list[dict]) -> list[int]:
+    """The lanes of Tr(f . g) = sum over r, c of f_rc g_cr, for packed maps
+    f and g on one space.  Lanes multiply as their parts do: the lanes
+    of (dual degree, power of i) (t1, j1) and (t2, j2) give (t1 + t2, j1 +
+    j2 mod 2), negated when j1 = j2 = 1 (i*i = -1) and dropped when t1 +
+    t2 = 2 (t*t = 0)."""
+    out = [0] * len(f)
+    for o1, fl in enumerate(f):
+        for o2, gl in enumerate(g):
+            t = (o1 >> 1) + (o2 >> 1)
+            if not fl or not gl or t > 1:
+                continue
+            total = 0
+            for r, frow in fl.items():
+                for c, x in frow.items():
+                    grow = gl.get(c)
+                    if grow is not None:
+                        y = grow.get(r)
+                        if y is not None:
+                            total += x * y
+            out[2 * t + ((o1 ^ o2) & 1)] += -total if o1 & o2 & 1 else total
+    return out
 
 
 def digits(x: int, bits: int) -> dict[int, int]:

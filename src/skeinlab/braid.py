@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import SkeinlabError
-from ._packed import Kernel, padded, place, product, unpack, width
+from ._packed import Kernel, padded, place, product, trace_product, unpack, width
 from .linmap import (
     LinearMap,
     apply_local,
@@ -32,7 +32,7 @@ from .linmap import (
 )
 from .planar import bracket_state_sum, jones_polynomial
 from .rmatrix import SkeinRMatrix, build_R, check_strands
-from .scalars import LaurentA, into_ring
+from .scalars import LaurentA, NotInvertibleError, into_ring
 from .switchback import SwitchbackPair
 
 
@@ -105,8 +105,10 @@ class TuraevData:
     nu: LinearMap
     # delta0*a + b: closing one strand gives Tr_2(R (nu x nu)) = u*nu
     u: object = field(init=False)
-    # the one-strand unknot value Tr(nu), by which invariants are normalized
+    # the one-strand unknot value Tr(nu), by which invariants are normalized,
+    # and its inverse, None where it is not a unit (over the Laurent ring)
     unknot: object = field(init=False)
+    unknot_inv: object = field(init=False)
     # R, R^-1 and the twist scaled for the packed kernel, worked out once
     _kernel: Kernel = field(init=False, repr=False, compare=False)
     # the factors of r_of_word, made on first use (_factor), the kernel's
@@ -118,7 +120,13 @@ class TuraevData:
 
     def __post_init__(self):
         object.__setattr__(self, "u", self.rmx.loop * self.rmx.a + self.rmx.b)
-        object.__setattr__(self, "unknot", full_trace(self.nu))
+        unknot = full_trace(self.nu)
+        try:
+            unknot_inv = unknot.inv()
+        except NotInvertibleError:
+            unknot_inv = None
+        object.__setattr__(self, "unknot", unknot)
+        object.__setattr__(self, "unknot_inv", unknot_inv)
         kernel = Kernel.of([self.rmx.R], [self.rmx.Rinv], [self.nu])
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_factors", {})
@@ -222,8 +230,8 @@ def r_of_word(td: TuraevData, w: BraidWord):
     acting on its two strands only.  It runs on the packed kernel and
     takes in the twist^(x n) as well, because only the trace
     Tr(twist^(x n) . R(w)) = Tr(R(w) . twist^(x n)) is ever read.  Returns
-    (lanes, bits, scale): R(w) . twist^(x n) = X / scale, X held as packed
-    lanes of bits-bit digits and scale a LaurentA.
+    (upper, lower, bits, scale): R(w) . twist^(x n) = U . L / scale, with U
+    and L held as packed lanes of bits-bit digits and scale a LaurentA.
 
     A strand's twist commutes with every letter that does not touch the
     strand, so it rides on the first letter that does: that letter, on
@@ -232,16 +240,26 @@ def r_of_word(td: TuraevData, w: BraidWord):
     that no letter touches get a one-strand twist of their own, placed on
     the identity first.
 
+    These placements, in order, are cut in two: L is the product of the
+    lower ones and U of the upper ones, each applied to the packed
+    identity, so that neither half builds the dense rows of the whole
+    word; an empty half is the identity.  The trace is read as the dot
+    product Tr(U . L) = sum over r, c of U_rc L_cr (_packed.trace_product).
+
     R, R^-1 and the twist are each scaled on their own, M = M'/D, and packed
     as the _packed docstring sets out; its bound on the width B applies with
-    this N.  X is the product of the n one-strand twists and one local map
-    per letter, so every entry of X, and of every partial product (each
-    factor is invertible, so ||.|| >= 1), has |X_rc| <= N0 = ||twist'||^n *
-    prod over letters of ||R'^(+-1)||.  A folded factor has
-    ||R'^(+-1) (twist'^a x twist'^b)|| <= ||R'^(+-1)|| * ||twist'||^(a+b),
-    the norm it carries, and placing it keeps ||.||, so folding leaves N0 as
-    it is.  The trace adds d^n diagonal entries, so N = d^n * N0 bounds
-    every coefficient of every lane of the result.
+    this N.  U . L is the product of the n one-strand twists and one local
+    map per letter, so every entry of U, of L and of every partial product
+    of either (each factor is invertible, so ||.|| >= 1) has |.| <= N0 =
+    ||twist'||^n * prod over letters of ||R'^(+-1)||, and so does
+    ||U'|| * ||L'||.  A folded factor has ||R'^(+-1) (twist'^a x twist'^b)||
+    <= ||R'^(+-1)|| * ||twist'||^(a+b), the norm it carries, and placing it
+    keeps ||.||, so folding leaves N0 as it is.  Every partial sum of the
+    dot product, in every lane, is bounded by sum over r, c of |U'_rc|
+    |L'_cr| <= sum over c of ||L'|| * (sum over r of |U'_rc|) <= d^n *
+    ||L'|| * ||U'||, as |L'_cr|, one entry of column r, is at most ||L'||.
+    So N = d^n * N0 bounds every coefficient met, as it did for the trace
+    of the whole product.
     """
     kern = td._kernel
     R, Rinv, nu = kern.maps
@@ -252,22 +270,25 @@ def r_of_word(td: TuraevData, w: BraidWord):
     bound = d**n * nu.norm**n * R.norm**pos * Rinv.norm**neg
     bits = width(bound)
     fresh = [1] * n
-    keys = []
+    # the placements, first applied first, each as (factor key, place value
+    # of the factor's lowest digit, span of its digits): the letters, and
+    # then the lone twists put in front of them
+    steps = []
     for i, sign in w.letters:
-        keys.append((sign, fresh[i - 1], fresh[i]))
+        steps.append(((sign, fresh[i - 1], fresh[i]), d ** (n - i - 1), d * d))
         fresh[i - 1] = fresh[i] = 0
-    acc = kern.identity(d**n)
-    for slot in range(n):
-        if fresh[slot]:
-            low = d ** (n - 1 - slot)
-            acc = place(_plan(td, None, bits), low, low * d, acc)
-    for (i, _), key in zip(w.letters, keys):
-        low = d ** (n - i - 1)
-        acc = place(_plan(td, key, bits), low, low * d * d, acc)
+    steps[:0] = [(None, d ** (n - 1 - slot), d) for slot in range(n) if fresh[slot]]
+    cut = len(steps) // 2
+    halves = []
+    for part in (steps[cut:], steps[:cut]):
+        acc = kern.identity(d**n)
+        for key, low, span in part:
+            acc = place(_plan(td, key, bits), low, low * span, acc)
+        halves.append(acc)
     scale = td._scales.get((n, pos, neg))
     if scale is None:
         scale = td._scales[n, pos, neg] = nu.scale**n * R.scale**pos * Rinv.scale**neg
-    return acc, bits, scale
+    return (*halves, bits, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +298,22 @@ def r_of_word(td: TuraevData, w: BraidWord):
 
 def invariant(td: TuraevData, w: BraidWord):
     """u^(-writhe) * Tr(twist^(x n) . R(w)); the trace of the
-    packed word is unpacked into the ring of td, and its scaling divided
-    out, once."""
-    lanes, bits, scale = r_of_word(td, w)
+    packed word, read off its two halves as Tr(U . L), is unpacked into
+    the ring of td, and its scaling divided out, once."""
+    upper, lower, bits, scale = r_of_word(td, w)
     base = td.rmx.R.ring.base or td.rmx.R.ring
-    traces = [sum(row.get(r, 0) for r, row in lane.items()) for lane in lanes]
-    tr = unpack(traces, bits, base, into_ring(scale, base).inv())
+    tr = unpack(trace_product(upper, lower), bits, base, into_ring(scale, base).inv())
     return td.u ** (-w.writhe) * tr
 
 
 def normalized_invariant(td: TuraevData, w: BraidWord):
     """invariant(w) divided by the one-strand unknot value; needs a ring
     where the loop value is invertible (the rational-function field or its
-    dual)."""
-    return invariant(td, w) * td.unknot.inv()
+    dual); elsewhere unknot.inv() refuses it."""
+    over = td.unknot_inv
+    if over is None:
+        over = td.unknot.inv()
+    return invariant(td, w) * over
 
 
 def skein_triple_check(td: TuraevData, wp: BraidWord, wm: BraidWord, w0: BraidWord) -> bool:

@@ -45,7 +45,7 @@ class RMatrixError(SkeinlabError):
 # 0.11-0.22 s at 10, and of the d = 3 identity pair 0.022-0.045 s at 6
 # strands.  The ratfun invariant of s1 s2 ... s(n-1) takes 0.0024-0.006 s
 # at 8 strands and 0.013-0.03 s at 10, and of a 20-letter word on 10
-# strands 0.11-0.22 s (0.75-1.3 s deformed by a cocycle).
+# strands 0.04-0.11 s (0.15-0.37 s deformed by a cocycle).
 MAX_DIM = 2**10
 
 

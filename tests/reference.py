@@ -10,6 +10,9 @@ extensions without one.
 `unfolded_r_of_word` is braid.r_of_word without folding each strand's
 twist into its first letter: the packed identity, then n one-strand
 twists, then one placement of R or R^-1 per letter.
+`packed_product` multiplies two packed maps as matrices, lane by lane,
+so that the two halves that braid.r_of_word returns can be checked
+against that loop; the program reads only the trace of their product.
 `evaluate` builds an identity-DSL expression bottom-up, a tensor as the
 kron of its parts and a composition as the compose of its parts; the
 program evaluates its sums as one compiled program of placements.
@@ -160,6 +163,32 @@ def unfolded_r_of_word(td, w: BraidWord):
         acc = place(plans[sign], low, low * d * d, acc)
     scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
     return acc, bits, scale
+
+
+def packed_product(f: list[dict], g: list[dict]) -> list[dict]:
+    """f . g for packed maps held as lanes {row: {col: int}}, lane 2t + j
+    holding the part of dual degree t and power of i j: entry (r, c) of
+    lane (t, j) sums f[(t1, j1)][r][k] * g[(t2, j2)][k][c] over k and the
+    lanes with t1 + t2 = t and j1 + j2 = j mod 2, times -1 when j1 = j2 =
+    1; t1 + t2 = 2 vanishes.  Zero entries and empty rows are left out."""
+    out = [{} for _ in f]
+    for lf, f_lane in enumerate(f):
+        tf, jf = divmod(lf, 2)
+        for lg, g_lane in enumerate(g):
+            tg, jg = divmod(lg, 2)
+            if tf + tg > 1:
+                continue
+            sign = -1 if jf == jg == 1 else 1
+            lane = out[2 * (tf + tg) + (jf + jg) % 2]
+            for r, f_row in f_lane.items():
+                for k, x in f_row.items():
+                    for c, y in g_lane.get(k, {}).items():
+                        row = lane.setdefault(r, {})
+                        row[c] = row.get(c, 0) + sign * x * y
+    return [
+        {r: kept for r, row in lane.items() if (kept := {c: v for c, v in row.items() if v})}
+        for lane in out
+    ]
 
 
 def zigzags(b: LinearMap, g: LinearMap) -> tuple[LinearMap, LinearMap]:

@@ -435,11 +435,11 @@ def test_criterion_13_ten_strand_words_against_the_oracle(criterion):
             assert values[0] == oracle
             assert values[1].body == oracle
 
-    # 3.7-5.9 s on a 2-core x86-64 host (Intel Xeon) under CPython 3.11:
-    # in one timed pass 2.9 s in the packed kernel of normalized_invariant,
-    # most of it on the deformed words, 0.5 s in the whole-value
-    # matches_oracle checks and 0.2 s in the Jones polynomials.  That host's
-    # speed swings by up to 2x, and the budget leaves about five times its
-    # slowest reading
+    # 1.2-1.9 s on a 2-core x86-64 host (Intel Xeon) under CPython 3.11:
+    # in one timed pass 0.9-1.05 s in the packed kernel of
+    # normalized_invariant, most of it on the deformed words, 0.45-0.6 s in
+    # the whole-value matches_oracle checks and 0.2 s in the Jones
+    # polynomials.  That host's speed swings by up to 2x, and the budget
+    # leaves about fifteen times its slowest reading
     criterion(13, "ten-strand words of 20 letters against the oracle, ratfun and deformed",
               body, budget=30.0)

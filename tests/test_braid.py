@@ -67,6 +67,7 @@ from skeinlab.switchback import (
 from reference import (
     conjugated,
     kron,
+    packed_product,
     pair_first_failure,
     stabilized,
     unfolded_r_of_word,
@@ -435,12 +436,22 @@ def _fold_words(draw):
 _UNTOUCHED = parse_braid("s2^-1 s5^-1 s2 s5", n=7)
 
 
+def _assert_unfolded(td, w):
+    """r_of_word's halves multiply to the lanes of the unfolded loop, lane
+    by lane and entry by entry, with its bits and scale."""
+    upper, lower, bits, scale = r_of_word(td, w)
+    lanes, want_bits, want_scale = unfolded_r_of_word(td, w)
+    assert (bits, scale) == (want_bits, want_scale)
+    product = packed_product(upper, lower)
+    assert len(product) == len(lanes)
+    for got, want in zip(product, lanes):
+        assert got == want
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(KERNEL_CASES)), _fold_words())
 def test_r_of_word_is_the_unfolded_loop(case, w):
-    # lanes, bits and scale, exactly
-    td = KERNEL_CASES[case]
-    assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+    _assert_unfolded(KERNEL_CASES[case], w)
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -449,7 +460,42 @@ def test_r_of_word_folds_negative_first_letters_and_skips_untouched_strands(case
     words = (_UNTOUCHED, parse_braid("s1^-1 s3 s1", n=4), parse_braid("s2^-1 s2^-1"),
              BraidWord(6, ()))
     for w in words:
-        assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+        _assert_unfolded(td, w)
+
+
+# r_of_word cuts its placements (the lone twists, then the letters) at the
+# midpoint: these put an empty lower half (one twist, one letter), lone
+# twists in both halves or in the lower one only, and strands whose twists
+# fold into letters of the upper half only (s3^-1 and s4 below)
+_SPLIT_WORDS = (
+    BraidWord(1, ()),
+    BraidWord(6, ()),
+    parse_braid("s1"),
+    parse_braid("s1^-1"),
+    parse_braid("s3", n=5),
+    _UNTOUCHED,
+    parse_braid("s1 s1^-1 s3^-1 s4 s1"),
+)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_r_of_word_split_edges_against_the_loop_and_the_oracle(case):
+    # gauss at A = (3+i)/2 has live imaginary lanes on both sides of the
+    # cut, and the dual-* cases slope lanes
+    td = KERNEL_CASES[case]
+    unknot = td.unknot.body if isinstance(td.unknot, Dual) else td.unknot
+    for w in _SPLIT_WORDS:
+        _assert_unfolded(td, w)
+        jones = jones_oracle(w)
+        if case == "gauss":
+            jones = specialize(jones, GaussRat(3, 1) / 2)
+        value = invariant(td, w)
+        # the normalized invariant is the oracle, in td's ring
+        assert (value.body if isinstance(value, Dual) else value) == unknot * into_ring(
+            jones, ring_of(unknot))
+        # and, slope included, the state sum at td's weights
+        if td.unknot_inv is not None:
+            assert matches_oracle(td, normalized_invariant(td, w), w)
 
 
 def _power(f: LinearMap, k: int) -> LinearMap:
@@ -484,10 +530,10 @@ def test_folded_factors_are_r_times_the_twists(case):
 def test_plans_are_reused_per_width():
     td = _turaev(RATFUN)
     short, long = parse_braid("s1 s2^-1", n=4), parse_braid(" ".join(["s1^-1 s3"] * 8))
-    assert r_of_word(td, short)[1] != r_of_word(td, long)[1]
+    assert r_of_word(td, short)[2] != r_of_word(td, long)[2]
     grown = len(td._plans)
     for w in (short, long, short, long):
-        assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+        _assert_unfolded(td, w)
     assert len(td._plans) == grown
 
 
@@ -497,7 +543,7 @@ def test_word_scales_are_reused_per_letter_count():
     td = _turaev(RATFUN)
     words = [parse_braid(text, n=3) for text in ("s1 s2^-1 s1", "s2 s1 s2^-1", "s1^-1 s1 s2")]
     for w in words + words:
-        assert r_of_word(td, w) == unfolded_r_of_word(td, w)
+        _assert_unfolded(td, w)
     assert list(td._scales) == [(3, 2, 1)]
 
 
