@@ -56,12 +56,15 @@ Products.  A Scaled map is a matrix over Z[A] whose rows and columns are
 f . g holds at ((r, o), (c, i)) the sum over (k, l) of the polynomial of f
 at ((r, o), (k, l)) times that of g at ((k, l), (c, i)).  As (f'/D_f) .
 (g'/D_g) = f'g'/(D_f*D_g), its scale is f.scale*g.scale, and its norm
-f.norm*g.norm bounds ||f'g'|| as ||.|| is submultiplicative.  padded(sm, d,
-slot) puts a one-strand map on one strand of two, with the same scale and
-norm.  So a product placed as one factor meets no coefficient beyond the
-bound that its factors, placed in turn, are given.  trace_product(f, g)
-reads Tr(f . g) of two packed values without forming f . g: its sums are
-sums of entries read by the caller, which bounds them (braid.r_of_word).
+f.norm*g.norm bounds ||f'g'|| as ||.|| is submultiplicative.  A map placed
+on some strands by linmap.placed holds the map's own entry objects, each
+of its columns one column of the map, so as a member of the map's family
+it gets the map's scale and norm and each entry's moves (braid packs the
+twist with its two placements on two strands as one family).  So a product
+placed as one factor meets no coefficient beyond the bound that its
+factors, placed in turn, are given.  trace_product(f, g) reads Tr(f . g) of two packed
+values without forming f . g: its sums are sums of entries read by the
+caller, which bounds them (braid.r_of_word).
 """
 
 from __future__ import annotations
@@ -84,19 +87,6 @@ class Scaled:
     moves: tuple
     scale: LaurentA
     norm: int
-
-
-def padded(sm: Scaled, d: int, slot: int) -> Scaled:
-    """A one-strand map sm placed on strand slot (0 or 1) of two, by the
-    identity on the other strand: the same scale and norm."""
-    moves = []
-    for r, c, o, i, poly in sm.moves:
-        for k in range(d):
-            if slot == 0:
-                moves.append((r * d + k, c * d + k, o, i, poly))
-            else:
-                moves.append((k * d + r, k * d + c, o, i, poly))
-    return Scaled(tuple(moves), sm.scale, sm.norm)
 
 
 def product(f: Scaled, g: Scaled) -> Scaled:

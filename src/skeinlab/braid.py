@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import SkeinlabError
-from ._packed import Kernel, padded, place, product, trace_product, unpack, width
+from ._packed import Kernel, place, product, trace_product, unpack, width
 from .linmap import (
     LinearMap,
     apply_local,
@@ -109,11 +109,12 @@ class TuraevData:
     # and its inverse, None where it is not a unit (over the Laurent ring)
     unknot: object = field(init=False)
     unknot_inv: object = field(init=False)
-    # R, R^-1 and the twist scaled for the packed kernel, worked out once
+    # R, R^-1 and the twist's family [twist, twist x 1, 1 x twist] scaled for
+    # the packed kernel, and the factors of r_of_word made from them by key,
+    # all built once here; the kernel's plans of the factors by (factor key,
+    # width), and the scales of its words by (strands, positive letters,
+    # negative letters)
     _kernel: Kernel = field(init=False, repr=False, compare=False)
-    # the factors of r_of_word, made on first use (_factor), the kernel's
-    # plans of them by (factor key, width), and the scales of its words by
-    # (strands, positive letters, negative letters)
     _factors: dict = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False)
     _scales: dict = field(init=False, repr=False, compare=False)
@@ -127,9 +128,18 @@ class TuraevData:
             unknot_inv = None
         object.__setattr__(self, "unknot", unknot)
         object.__setattr__(self, "unknot_inv", unknot_inv)
-        kernel = Kernel.of([self.rmx.R], [self.rmx.Rinv], [self.nu])
+        nu = self.nu
+        kernel = Kernel.of([self.rmx.R], [self.rmx.Rinv],
+                           [nu, placed(nu, 0, 2), placed(nu, 1, 2)])
+        R, Rinv, twist, first, second = kernel.maps
+        factors = {None: twist}
+        for sign, r in ((1, R), (-1, Rinv)):
+            factors[sign, 0, 0] = r
+            factors[sign, 1, 0] = product(r, first)
+            factors[sign, 0, 1] = product(r, second)
+            factors[sign, 1, 1] = product(factors[sign, 1, 0], second)
         object.__setattr__(self, "_kernel", kernel)
-        object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_scales", {})
 
@@ -149,7 +159,7 @@ def make_turaev(pair: SwitchbackPair, a, b) -> TuraevData:
     taken.  Nothing is left to solve: turaev_first_failure checks both
     traces against these values.
     """
-    check_strands(3, pair.d)
+    check_strands(2, pair.d)
     td = TuraevData(build_R(pair, a, b), make_nu(pair))
     failure = turaev_first_failure(td)
     if failure is not None:
@@ -193,34 +203,12 @@ def _pair_failure(pair: SwitchbackPair, nu: LinearMap) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _factor(td: TuraevData, key):
-    """A scaled factor of r_of_word, made once per Turaev data: the twist
-    for the key None, and R^sign . (twist^a x twist^b) for (sign, a, b),
-    with a and b each 0 or 1, as products of the packed R, R^-1 and twist;
-    (sign, 1, 1) is made from (sign, 1, 0)."""
-    f = td._factors.get(key)
-    if f is None:
-        R, Rinv, nu = td._kernel.maps
-        if key is None:
-            f = nu
-        else:
-            sign, a, b = key
-            if b:
-                f = product(_factor(td, (sign, a, 0)), padded(nu, td.pair.d, 1))
-            elif a:
-                f = product(_factor(td, (sign, 0, 0)), padded(nu, td.pair.d, 0))
-            else:
-                f = R if sign > 0 else Rinv
-        td._factors[key] = f
-    return f
-
-
 def _plan(td: TuraevData, key, bits: int):
     """The kernel's plan of one factor of r_of_word at width bits, made
     once per Turaev data."""
     plan = td._plans.get((key, bits))
     if plan is None:
-        plan = td._plans[key, bits] = td._kernel.plan(_factor(td, key), bits)
+        plan = td._plans[key, bits] = td._kernel.plan(td._factors[key], bits)
     return plan
 
 
@@ -238,7 +226,9 @@ def r_of_word(td: TuraevData, w: BraidWord):
     strands i and i+1, places R^(sign) . (twist^a x twist^b), with a = 1
     when strand i is fresh and b = 1 when strand i+1 is.  Only the strands
     that no letter touches get a one-strand twist of their own, placed on
-    the identity first.
+    the identity first.  The nine factors, keyed None for the twist and
+    (sign, a, b) for a letter, are built once with the Turaev data
+    (td._factors), and only their plans are made here, once per width.
 
     These placements, in order, are cut in two: L is the product of the
     lower ones and U of the upper ones, each applied to the packed
@@ -246,23 +236,26 @@ def r_of_word(td: TuraevData, w: BraidWord):
     word; an empty half is the identity.  The trace is read as the dot
     product Tr(U . L) = sum over r, c of U_rc L_cr (_packed.trace_product).
 
-    R, R^-1 and the twist are each scaled on their own, M = M'/D, and packed
-    as the _packed docstring sets out; its bound on the width B applies with
-    this N.  U . L is the product of the n one-strand twists and one local
-    map per letter, so every entry of U, of L and of every partial product
-    of either (each factor is invertible, so ||.|| >= 1) has |.| <= N0 =
+    R, R^-1 and the twist's family (the twist and its placements twist x 1
+    and 1 x twist) are each scaled on their own, M = M'/D, and packed as the
+    _packed docstring sets out; its bound on the width B applies with this
+    N.  U . L is the product of the n one-strand twists and one local map
+    per letter, so every entry of U, of L and of every partial product of
+    either (each factor is invertible, so ||.|| >= 1) has |.| <= N0 =
     ||twist'||^n * prod over letters of ||R'^(+-1)||, and so does
-    ||U'|| * ||L'||.  A folded factor has ||R'^(+-1) (twist'^a x twist'^b)||
-    <= ||R'^(+-1)|| * ||twist'||^(a+b), the norm it carries, and placing it
-    keeps ||.||, so folding leaves N0 as it is.  Every partial sum of the
-    dot product, in every lane, is bounded by sum over r, c of |U'_rc|
-    |L'_cr| <= sum over c of ||L'|| * (sum over r of |U'_rc|) <= d^n *
-    ||L'|| * ||U'||, as |L'_cr|, one entry of column r, is at most ||L'||.
-    So N = d^n * N0 bounds every coefficient met, as it did for the trace
-    of the whole product.
+    ||U'|| * ||L'||.  The placed members hold the twist's own entries, so
+    they carry its scale and its norm ||twist'||, and a folded factor, their
+    product with R'^(+-1), carries the norm ||R'^(+-1)|| * ||twist'||^(a+b)
+    >= ||R'^(+-1) (twist'^a x twist'^b)||; placing it keeps ||.||, so
+    folding leaves N0 as it is.  Every partial sum of the dot product, in
+    every lane, is bounded by sum over r, c of |U'_rc| |L'_cr| <= sum over
+    c of ||L'|| * (sum over r of |U'_rc|) <= d^n * ||L'|| * ||U'||, as
+    |L'_cr|, one entry of column r, is at most ||L'||.  So N = d^n * N0
+    bounds every coefficient met, as it did for the trace of the whole
+    product.
     """
     kern = td._kernel
-    R, Rinv, nu = kern.maps
+    R, Rinv, nu = kern.maps[:3]
     d, n = td.pair.d, w.n
     check_strands(n, d)
     pos = sum(sign > 0 for _, sign in w.letters)

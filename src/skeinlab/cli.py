@@ -35,6 +35,7 @@ from .identities import (
 )
 from .linmap import LinearMap
 from .rmatrix import (
+    build_R,
     check_strands,
     solve_deformed_coefficients,
     tl_first_failure,
@@ -279,28 +280,27 @@ def cmd_deform(args, out: Out) -> int:
     return out.exit_code("deformation does not satisfy the switchback conditions")
 
 
-def _turaev_data(args):
-    """Build Turaev data for the pair, widened to a field, or, with
-    --cocycle, for its first-order deformation with solved dual
-    coefficients."""
+def _skein_data(args):
+    """(pair, a, b) for the skein R-matrix a*1 + b*cupcap: the pair widened
+    to a field and --a, --b, or, with --cocycle, its first-order
+    deformation with solved dual coefficients."""
     base = _field_pair(_load_pair(args))
     a, b = (base.scalar(parse_scalar(text)) for text in (args.a, args.b))
-    if args.cocycle:
-        work = deform(base, *_load_cocycle(args, base))
-        a, b = solve_deformed_coefficients(work, a, b)
-    else:
-        work = base
-    return make_turaev(work, a, b)
+    if not args.cocycle:
+        return base, a, b
+    work = deform(base, *_load_cocycle(args, base))
+    return (work, *solve_deformed_coefficients(work, a, b))
 
 
 def cmd_verify_ybe(args, out: Out) -> int:
-    td = _turaev_data(args)
+    # the equation reads R alone: no twist and no Turaev checks
+    pair, a, b = _skein_data(args)
+    check_strands(3, pair.d)
+    rmx = build_R(pair, a, b)
     if args.cocycle:
-        out.emit("coefficient", [("a", format_scalar(td.rmx.a))],
-                 f"a = {format_scalar(td.rmx.a)}")
-        out.emit("coefficient", [("b", format_scalar(td.rmx.b))],
-                 f"b = {format_scalar(td.rmx.b)}")
-    res = ybe_residual(td.rmx.R)
+        out.emit("coefficient", [("a", format_scalar(a))], f"a = {format_scalar(a)}")
+        out.emit("coefficient", [("b", format_scalar(b))], f"b = {format_scalar(b)}")
+    res = ybe_residual(rmx.R)
     ok = res.is_zero()
     out.verdict(ok, "ybe", [], f"ybe residual zero: {str(ok).lower()}")
     if not ok:
@@ -337,7 +337,7 @@ def _invariant_line(out: Out, word: str, value):
 
 
 def cmd_invariant(args, out: Out) -> int:
-    td = _turaev_data(args)
+    td = make_turaev(*_skein_data(args))
     for text in args.braid:
         w = parse_braid(text)
         value = normalized_invariant(td, w)
@@ -362,7 +362,7 @@ _CORPUS = ("", "s1 s1 s1", "s1 s2^-1 s1 s2^-1", "s1 s1 s1 s1 s1")
 
 
 def cmd_compare(args, out: Out) -> int:
-    td = _turaev_data(args)
+    td = make_turaev(*_skein_data(args))
     if args.braid:
         corpus = [parse_braid(t) for t in args.braid]
     else:

@@ -147,7 +147,7 @@ def unfolded_r_of_word(td, w: BraidWord):
     braid.r_of_word returns them, by n twist placements on the packed
     identity and one placement of R^(sign) per letter."""
     kern = td._kernel
-    R, Rinv, nu = kern.maps
+    R, Rinv, nu = kern.maps[:3]
     d, n = td.pair.d, w.n
     pos = sum(sign > 0 for _, sign in w.letters)
     neg = len(w.letters) - pos

@@ -510,7 +510,7 @@ def test_folded_factors_are_r_times_the_twists(case):
     for sign, f in ((1, td.rmx.R), (-1, td.rmx.Rinv)):
         for a in (0, 1):
             for b in (0, 1):
-                factor = braid._factor(td, (sign, a, b))
+                factor = td._factors[sign, a, b]
                 want = compose(f, kron(_power(td.nu, a), _power(td.nu, b)))
                 # the factor alone: N = max(1, ||factor'||) bounds what placing
                 # it on the identity meets
@@ -607,19 +607,40 @@ def test_invariant_rejects_too_many_strands(monkeypatch):
 
 
 def test_make_turaev_refuses_a_pair_too_wide_for_three_strands(monkeypatch):
-    # Turaev data serve closed braids, whose relations s1 s2 s1 = s2 s1 s2
-    # need three strands; at d = 11, V^3 has 1331 dimensions, past the
-    # limit, so the pair is refused before any map is built
+    # R, R^-1 and the Turaev checks live on V^2; at d = 33, V^2 has 1089
+    # dimensions, past the limit, so the pair is refused before any map is
+    # built
     def build(*args):
         pytest.fail("a map was built")
 
     for name in ("build_R", "make_nu"):
         monkeypatch.setattr(braid, name, build)
     monkeypatch.setattr(LinearMap, "identity", staticmethod(build))
-    d = 11
+    d = 33
     pair = SwitchbackPair(d, GAUSS, LinearMap.zero(d, 2, 0, GAUSS), LinearMap.zero(d, 0, 2, GAUSS))
-    with pytest.raises(RMatrixError, match="^3 strands is more than the limit of 2$"):
+    with pytest.raises(RMatrixError, match="^2 strands is more than the limit of 1$"):
         make_turaev(pair, GAUSS.one(), GAUSS.one())
+
+
+def test_make_turaev_takes_a_pair_with_two_strands_only():
+    # d = 12: V^2 has 144 dimensions and V^3 1728, so Turaev data are made
+    # and serve two-strand words, while a three-strand word is refused.
+    # The pairing is six blocks [[0, r], [1, 0]], so delta0 is the sum of
+    # r + 1/r = -5/2, and a = 2, b = 1 pass the quadratic condition
+    i = GaussRat(0, 1)
+    blocks = [GAUSS.from_int(-2), GAUSS.one(), GAUSS.from_int(-1), i, i, i]
+    rows = [[GAUSS.zero()] * 12 for _ in range(12)]
+    for k, r in enumerate(blocks):
+        rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = r, GAUSS.one()
+    td = make_turaev(pair_from_matrix(rows, GAUSS), GAUSS.from_int(2), GAUSS.one())
+    for text, want in (("", parse_scalar("-5/2", GAUSS)), ("s1", GAUSS.one()),
+                       ("s1 s1^-1 s1", GAUSS.one())):
+        w = parse_braid(text, n=2)
+        value = normalized_invariant(td, w)
+        assert value == want
+        assert matches_oracle(td, value, w)
+    with pytest.raises(RMatrixError, match="^3 strands is more than the limit of 2$"):
+        r_of_word(td, parse_braid("s1 s2"))
 
 
 def test_unnormalized_unknot_is_the_loop_value():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import cli
+from skeinlab import braid, cli
 from skeinlab.cli import main
 from skeinlab.scalars import RATFUN, A, GaussRat, ScalarError, into_ring, ring_by_name
 from skeinlab.switchback import (
@@ -142,6 +142,33 @@ def test_verify_ybe_deformed(capsys):
     assert "t*(" in lines[0]
     assert lines[1].startswith("b = ")
     assert lines[2] == "ybe residual zero: true"
+
+
+@pytest.mark.parametrize("cocycle", [None, "xx", "xy", "yx", "yy"])
+def test_verify_ybe_builds_no_twist(capsys, monkeypatch, cocycle):
+    # the Yang-Baxter equation reads R alone
+    def build(*args):
+        pytest.fail("the twist or the Turaev data were built")
+
+    monkeypatch.setattr(cli, "make_turaev", build)
+    monkeypatch.setattr(braid, "make_nu", build)
+    code, out = run(capsys, "verify-ybe", *(("--cocycle", cocycle) if cocycle else ()))
+    assert code == 0
+    assert out.endswith("ybe residual zero: true\n")
+
+
+def test_verify_ybe_refuses_a_pair_too_wide_for_three_strands(capsys, monkeypatch, tmp_path):
+    # the equation lives on V^3, 1331 dimensions at d = 11: refused before R
+    # is built
+    def build(*args):
+        pytest.fail("R was built")
+
+    monkeypatch.setattr(cli, "build_R", build)
+    pair = tmp_path / "wide.pair"
+    pair.write_text("dimension = 11\nring = gauss\n"
+                    f"beta = {', '.join(['0'] * 121)}\ngamma = {'; '.join(['0'] * 121)}\n")
+    code, out = run(capsys, "verify-ybe", "--pair", str(pair), "--a=1", "--b=1")
+    assert (code, out) == (2, "FAIL: 3 strands is more than the limit of 2\n")
 
 
 def test_tl_check(capsys):

@@ -61,6 +61,7 @@ _BOTH_MODES = [
     # exit 1: a verification fails
     ["verify-switchback", "--pair", "@broken.pair"],
     ["deform", "--cocycle", "@bad.cfg"],
+    ["verify-ybe", "--pair", "@twisted.pair", "--a=1", "--b=1"],
     # exit 2: the input is refused
     ["verify-switchback", "--pair", "nope"],
     ["invariant", "--braid", "z9"],
