@@ -3,8 +3,8 @@
 The closed-braid trace (braid), the Temperley-Lieb relations and the
 Yang-Baxter residual (rmatrix) are products of a few maps over one ring of
 the tower.  Here those products run on Python ints, in a placement loop
-shaped like linmap.apply_local's, and only the values that are read go back
-to scalars.
+that pushes each stored entry through the moves of its column, and only
+the values that are read go back to scalars.
 
 Scaling.  A family of maps and scalars (a scalar is a 1 x 1 map) over the
 base ring K, or over its dual with parts M = M0 + t*M1, is written over one
@@ -29,7 +29,9 @@ body im, slope re, slope im) over the dual of K.  The im part of an entry
 takes an im lane to a re lane negated, as i*i = -1, and the slope part of
 an entry takes body lanes to slope lanes only, as t*t = 0.  Lanes that no
 entry of the kernel's maps can reach from lane 0 (every imaginary lane when
-all entries are real, say) are not stored.
+all entries are real, say) are not stored.  A packed map on a space of
+dimension size is one flat dict per lane, {row*size + col: nonzero int},
+so the key's digits in base size are its row and its column.
 
 The width B.  Write |P| = sum_k |a_k| + |b_k| and, for a matrix, ||M'|| =
 max over columns c of sum over rows r of |M'_rc|, where a dual entry counts
@@ -62,9 +64,22 @@ of its columns one column of the map, so as a member of the map's family
 it gets the map's scale and norm and each entry's moves (braid packs the
 twist with its two placements on two strands as one family).  So a product
 placed as one factor meets no coefficient beyond the bound that its
-factors, placed in turn, are given.  trace_product(f, g) reads Tr(f . g) of two packed
-values without forming f . g: its sums are sums of entries read by the
-caller, which bounds them (braid.r_of_word).
+factors, placed in turn, are given.
+
+Placing.  place(plan, step, span, acc) applies 1^slot x f x 1^rest to a
+packed map by pushing: each stored entry (key, v) of acc is visited once,
+its local digit t = key // step % span read off (step is the place value of
+f's lowest digit in the flat key), and v times the packed factor of each
+move of f's column t is added at key + (fr - t)*step, the entry of row fr
+of f; an entry that cancels to 0 is deleted.  Pulling each output entry
+from the entries that differ from it in f's digits only adds the same
+terms in another order.  Every partial sum in either order, in every lane,
+is a sum over a subset of the lane parts of the terms f_rk*acc_kc, so it
+is bounded by sum over k of |f_rk| |acc_kc| <= ||f|| ||acc||, and the width
+proof above holds as it is.  trace_product(f, g, size) reads Tr(f .
+g) of two packed values without forming f . g, by one lookup of g at
+col*size + row per stored entry of f: its sums are sums of entries read by
+the caller, which bounds them (braid.r_of_word).
 """
 
 from __future__ import annotations
@@ -225,26 +240,23 @@ class Kernel:
                      for sm in maps)
         return Kernel(lanes, maps)
 
-    def plan(self, sm: Scaled, bits: int):
-        """Per output local index: (out lane, [(source local index, in
-        lane, odd multiplier, shift)]).  A packed factor f is split as
-        f = odd * 2^shift, so that the usual monomial factors (odd = +-1)
-        act by a shift alone."""
-        by_out: dict[int, dict[int, list]] = {}
-        factors = {}      # id of a polynomial of sm -> (odd, shift)
+    def plan(self, sm: Scaled, bits: int) -> list[dict]:
+        """Per in lane: {local column t: [(out lane, fr - t, packed
+        factor)]}, a move of sm's entry (fr, t) with its polynomial
+        evaluated at 2^bits; a lane that no move leaves has {}."""
+        by_in: list[dict] = [{} for _ in range(self.lanes)]
+        factors = {}      # id of a polynomial of sm -> its packed factor
         for r, c, o, i, poly in sm.moves:
-            factor = factors.get(id(poly))
-            if factor is None:
-                f = sum(v << (e * bits) for e, v in poly.items())
-                shift = (f & -f).bit_length() - 1
-                factor = factors[id(poly)] = (f >> shift, shift)
-            by_out.setdefault(r, {}).setdefault(o, []).append((c, i, *factor))
-        return [(r, list(outs.items())) for r, outs in sorted(by_out.items())]
+            f = factors.get(id(poly))
+            if f is None:
+                f = factors[id(poly)] = sum(v << (e * bits) for e, v in poly.items())
+            by_in[i].setdefault(c, []).append((o, r - c, f))
+        return by_in
 
     def identity(self, size: int) -> list[dict]:
         """The packed identity on a space of the given dimension."""
         acc: list[dict] = [{} for _ in range(self.lanes)]
-        acc[0] = {r: {r: 1} for r in range(size)}
+        acc[0] = dict.fromkeys(range(0, size * size, size + 1), 1)
         return acc
 
 
@@ -254,65 +266,56 @@ def width(bound: int) -> int:
     return bound.bit_length() + 2
 
 
-def place(plan, low: int, block: int, acc: list[dict]) -> list[dict]:
+def place(plan, step: int, span: int, acc: list[dict]) -> list[dict]:
     """(1^slot x f x 1^rest) . acc on packed lanes, for the plan of a local
-    f; low and block are the place values of f's lowest digit and of its
-    whole block of digits.  With low = 1 and block the dimension of acc's
-    rows this is f . acc, and with low = block = 1 for a 1 x 1 f it is the
-    scalar multiple.  Each output row is pulled from the rows that differ
-    from it in f's digits only; cancelled entries are dropped."""
+    f of dimension span; step is the place value, in acc's flat keys
+    row*size + col, of f's lowest digit.  With step = size and span = size
+    this is f . acc, and with step = span = 1 for a 1 x 1 f it is the
+    scalar multiple.  Each stored entry is pushed through the moves of its
+    local column, and entries that cancel are dropped (module docstring,
+    Placing)."""
     new: list[dict] = [{} for _ in acc]
-    bases = {r - r % block // low * low for lane in acc for r in lane}
-    for base in bases:
-        for fr, outs in plan:
-            key = base + fr * low
-            for o, terms in outs:
-                row = None
-                for local, i, odd, shift in terms:
-                    src = acc[i].get(base + local * low)
-                    if src is None:
-                        continue
-                    if row is None:
-                        # the first term is the row; later ones merge into it
-                        if odd == 1:
-                            row = {s: g << shift for s, g in src.items()} if shift else dict(src)
-                        elif odd == -1:
-                            row = {s: -(g << shift) for s, g in src.items()}
-                        else:
-                            row = {s: odd * g << shift for s, g in src.items()}
-                        continue
-                    get = row.get
-                    for s, g in src.items():
-                        v = get(s, 0) + (odd * g << shift)
-                        if v:
-                            row[s] = v
-                        else:
-                            del row[s]
-                if row:
-                    new[o][key] = row
+    for cols, lane in zip(plan, acc):
+        if not cols or not lane:
+            continue
+        # per local column: (output lane, key offset, packed factor)
+        moves = [()] * span
+        for t, col in cols.items():
+            moves[t] = [(new[o], df * step, f) for o, df, f in col]
+        for key, v in lane.items():
+            for out, off, f in moves[key // step % span]:
+                k = key + off
+                x = out.get(k)
+                if x is None:
+                    out[k] = v * f
+                else:
+                    x += v * f
+                    if x:
+                        out[k] = x
+                    else:
+                        del out[k]
     return new
 
 
-def trace_product(f: list[dict], g: list[dict]) -> list[int]:
+def trace_product(f: list[dict], g: list[dict], size: int) -> list[int]:
     """The lanes of Tr(f . g) = sum over r, c of f_rc g_cr, for packed maps
-    f and g on one space.  Lanes multiply as their parts do: the lanes
-    of (dual degree, power of i) (t1, j1) and (t2, j2) give (t1 + t2, j1 +
-    j2 mod 2), negated when j1 = j2 = 1 (i*i = -1) and dropped when t1 +
-    t2 = 2 (t*t = 0)."""
+    f and g on a space of dimension size.  Lanes multiply as their parts
+    do: the lanes of (dual degree, power of i) (t1, j1) and (t2, j2) give
+    (t1 + t2, j1 + j2 mod 2), negated when j1 = j2 = 1 (i*i = -1) and
+    dropped when t1 + t2 = 2 (t*t = 0)."""
     out = [0] * len(f)
     for o1, fl in enumerate(f):
         for o2, gl in enumerate(g):
             t = (o1 >> 1) + (o2 >> 1)
             if not fl or not gl or t > 1:
                 continue
+            get = gl.get
             total = 0
-            for r, frow in fl.items():
-                for c, x in frow.items():
-                    grow = gl.get(c)
-                    if grow is not None:
-                        y = grow.get(r)
-                        if y is not None:
-                            total += x * y
+            for key, x in fl.items():
+                r, c = divmod(key, size)
+                y = get(c * size + r)
+                if y is not None:
+                    total += x * y
             out[2 * t + ((o1 ^ o2) & 1)] += -total if o1 & o2 & 1 else total
     return out
 

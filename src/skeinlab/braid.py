@@ -219,7 +219,8 @@ def r_of_word(td: TuraevData, w: BraidWord):
     takes in the twist^(x n) as well, because only the trace
     Tr(twist^(x n) . R(w)) = Tr(R(w) . twist^(x n)) is ever read.  Returns
     (upper, lower, bits, scale): R(w) . twist^(x n) = U . L / scale, with U
-    and L held as packed lanes of bits-bit digits and scale a LaurentA.
+    and L held as packed lanes of bits-bit digits, flat-keyed row*d^n + col,
+    and scale a LaurentA.
 
     A strand's twist commutes with every letter that does not touch the
     strand, so it rides on the first letter that does: that letter, on
@@ -272,11 +273,12 @@ def r_of_word(td: TuraevData, w: BraidWord):
         fresh[i - 1] = fresh[i] = 0
     steps[:0] = [(None, d ** (n - 1 - slot), d) for slot in range(n) if fresh[slot]]
     cut = len(steps) // 2
+    size = d**n
     halves = []
     for part in (steps[cut:], steps[:cut]):
-        acc = kern.identity(d**n)
+        acc = kern.identity(size)
         for key, low, span in part:
-            acc = place(_plan(td, key, bits), low, low * span, acc)
+            acc = place(_plan(td, key, bits), low * size, span, acc)
         halves.append(acc)
     scale = td._scales.get((n, pos, neg))
     if scale is None:
@@ -295,7 +297,8 @@ def invariant(td: TuraevData, w: BraidWord):
     the ring of td, and its scaling divided out, once."""
     upper, lower, bits, scale = r_of_word(td, w)
     base = td.rmx.R.ring.base or td.rmx.R.ring
-    tr = unpack(trace_product(upper, lower), bits, base, into_ring(scale, base).inv())
+    lanes = trace_product(upper, lower, td.pair.d**w.n)
+    tr = unpack(lanes, bits, base, into_ring(scale, base).inv())
     return td.u ** (-w.writhe) * tr
 
 

@@ -41,11 +41,11 @@ class RMatrixError(SkeinlabError):
 # Largest dimension d^n of V^(x n) on which maps are built; maps on it are
 # d^n x d^n.  On a 2-core x86-64 host (Intel Xeon) under CPython 3.11, whose
 # speed swings by up to 2x, the Temperley-Lieb check of the Laurent bracket
-# pair (d = 2), generators included, takes 0.017-0.035 s at 8 strands and
-# 0.11-0.22 s at 10, and of the d = 3 identity pair 0.022-0.045 s at 6
-# strands.  The ratfun invariant of s1 s2 ... s(n-1) takes 0.0024-0.006 s
-# at 8 strands and 0.013-0.03 s at 10, and of a 20-letter word on 10
-# strands 0.04-0.11 s (0.15-0.37 s deformed by a cocycle).
+# pair (d = 2), generators included, takes 0.012-0.021 s at 8 strands and
+# 0.07-0.12 s at 10, and of the d = 3 identity pair 0.019-0.028 s at 6
+# strands.  The ratfun invariant of s1 s2 ... s(n-1) takes 0.0009-0.0014 s
+# at 8 strands and 0.0047-0.0053 s at 10, and of a 20-letter word on 10
+# strands 0.035-0.038 s (0.22-0.24 s deformed by a cocycle).
 MAX_DIM = 2**10
 
 
@@ -124,21 +124,23 @@ def ybe_residual(R: LinearMap) -> LinearMap:
     bits = width(max(1, scaled.norm) ** 3)
     plan = kern.plan(scaled, bits)
 
-    def at(slot, acc):
-        low = d ** (1 - slot)
-        return place(plan, low, low * d * d, acc)
+    size = d**3
 
-    start = kern.identity(d**3)
+    def at(slot, acc):
+        return place(plan, d ** (1 - slot) * size, d * d, acc)
+
+    start = kern.identity(size)
     left = at(0, at(1, at(0, start)))
     right = at(1, at(0, at(1, start)))
     if left == right:
         return LinearMap.zero(d, 3, 3, R.ring)
     base = R.ring.base or R.ring
     factor = into_ring(scaled.scale, base).inv() ** 3
-    rows = [[R.ring.zero()] * d**3 for _ in range(d**3)]
-    for r, c in {(r, c) for lane in (*left, *right) for r, row in lane.items() for c in row}:
-        values = [x.get(r, {}).get(c, 0) - y.get(r, {}).get(c, 0) for x, y in zip(left, right)]
+    rows = [[R.ring.zero()] * size for _ in range(size)]
+    for key in {key for lane in (*left, *right) for key in lane}:
+        values = [x.get(key, 0) - y.get(key, 0) for x, y in zip(left, right)]
         if any(values):
+            r, c = divmod(key, size)
             rows[r][c] = unpack(values, bits, base, factor)
     return LinearMap.from_rows(d, 3, 3, R.ring, rows)
 
@@ -229,15 +231,17 @@ def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
     bits = width(max(1, *(sm.norm for sm in kern.maps)) ** 3)
     *plans, by_delta, by_d = (kern.plan(sm, bits) for sm in kern.maps)
 
+    size = shape.cols
+
     def times(i, acc):
         # M_i' acc
-        return place(plans[i], 1, shape.cols, acc)
+        return place(plans[i], size, size, acc)
 
     def scaled(plan, acc):
         # a packed scalar (delta' or D) times acc
         return place(plan, 1, 1, acc)
 
-    packed = [times(i, kern.identity(shape.cols)) for i in range(len(gens))]
+    packed = [times(i, kern.identity(size)) for i in range(len(gens))]
     for i, e in enumerate(packed):
         if times(i, e) != scaled(by_delta, e):
             return f"e{i + 1}^2 != delta*e{i + 1}"

@@ -36,6 +36,9 @@ in Z[i].  The integer denominators and the factor that makes the new
 denominator's constant coefficient 1 are folded into one Gaussian
 rational, and each coefficient is reduced once by `_gauss`.  A division
 that is not exact is an internal fault and raises ScalarInvariantError.
+A sum of two canonical values is Henrici's: it takes the gcd of the two
+denominators and then only that of the numerator with it, never the gcd
+of the numerator with the whole product of denominators.
 """
 
 from __future__ import annotations
@@ -507,12 +510,18 @@ def _zi_gcd(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> list[tuple[in
 
 def _zi_cofactors(p: list[tuple[int, int]], q: list[tuple[int, int]]):
     """(p', q') over Z[i] with p'/q' = p/q and no common factor of positive
-    degree.  The PRS gcd g is c * g0 for a primitive g0 and a content c
-    that can be far larger than p and q, so it is replaced by
-    g' = l * g / lead(g) = (l / lead(g0)) * g0 for the lead l of q: lead(g0)
-    divides l by Gauss's lemma.  l*p / g' and l*q / g' are lead(g0) times
-    the cofactors of g0, so each step of their long division is exact."""
-    g = _zi_gcd(p, q)
+    degree: their PRS gcd divided out."""
+    return _zi_divide_out(p, q, _zi_gcd(p, q))
+
+
+def _zi_divide_out(p: list[tuple[int, int]], q: list[tuple[int, int]], g):
+    """(p', q') over Z[i] with p'/q' = p/q and g divided out, for g over
+    Z[i] a common factor of p and q over Q(i) ([1] for none).  g is c * g0
+    for a primitive g0 and a content c that can be far larger than p and q,
+    so it is replaced by g' = l * g / lead(g) = (l / lead(g0)) * g0 for the
+    lead l of q: lead(g0) divides l by Gauss's lemma.  l*p / g' and l*q / g'
+    are lead(g0) times the cofactors of g0, so each step of their long
+    division is exact."""
     if len(g) == 1:
         return p, q
     l = q[-1]
@@ -558,19 +567,7 @@ class RatFunA(_Scalar):
             # num/den = A^(vn - vd) * (md/mn) * p/q with p, q over Z[i]
             p, vn, mn = _zi_dense(num)
             q, vd, md = _zi_dense(den)
-            p, q = _zi_cofactors(p, q)
-            # divided through by q(0), den has the constant coefficient 1
-            c, d = q[0]
-            n = c * c + d * d
-            a, b, m = md * c, -md * d, mn * n
-            num = _laurent(tuple([
-                (vn - vd + k, _gauss(a * x - b * y, a * y + b * x, m))
-                for k, (x, y) in enumerate(p) if x or y
-            ]))
-            den = _laurent(tuple([
-                (k, _gauss(x * c + y * d, y * c - x * d, n))
-                for k, (x, y) in enumerate(q) if x or y
-            ]))
+            num, den = _canonical(*_zi_cofactors(p, q), vn - vd, md, mn)
         _set_num(self, num)
         _set_den(self, den)
 
@@ -581,15 +578,39 @@ class RatFunA(_Scalar):
         return _ratfun(_laurent_const(GaussRat(x)), _L_ONE)
 
     def __add__(self, other):
+        """Henrici's sum (Knuth, TAOCP 4.5.1): for coprime a/b and c/d with
+        g = gcd(b, d), a/b + c/d = (a*(d/g) + c*(b/g)) / (b*(d/g)), and the
+        numerator can share a factor with g only.  So a unit denominator or
+        g = 1 needs no gcd, and otherwise only the gcd with g is taken."""
         if other.__class__ is not RatFunA:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
-            return _ratfun(self.num + other.num, _L_ONE)
-        return RatFunA(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.terms == _ONE_TERMS:
+            if d.terms == _ONE_TERMS:
+                return _ratfun(a + c, _L_ONE)
+            return _ratfun(a * d + c, d)
+        if d.terms == _ONE_TERMS:
+            return _ratfun(a + c * b, b)
+        # canonical denominators are polynomials with constant coefficient 1
+        bz, _, mb = _zi_dense(b)
+        dz, _, md = _zi_dense(d)
+        g = _zi_gcd(bz, dz)
+        if len(g) == 1:
+            return _ratfun(a * d + c * b, b * d)
+        # bq = l*bz/g' and dq = l*dz/g' for one l/g', so with bz = mb*b and
+        # dz = md*d the sum is (a*mb*dq + c*md*bq) / (bz*dq)
+        bq, dq = _zi_divide_out(bz, dz, g)
+        scaled = _laurent_zi(dq, mb)
+        num = a * scaled + c * _laurent_zi(bq, md)
+        if num.is_zero():
+            return _ratfun(_L_ZERO, _L_ONE)
+        p, vn, mn = _zi_dense(num)
+        # bz*dq is over Z[i] with a nonzero constant coefficient
+        q, _, _ = _zi_dense(b * scaled)
+        p, q = _zi_divide_out(p, q, _zi_gcd(p, g))
+        return _ratfun(*_canonical(p, q, vn, 1, mn))
 
     __radd__ = __add__
 
@@ -630,6 +651,29 @@ class RatFunA(_Scalar):
 
 
 _set_num, _set_den = _setters(RatFunA)
+
+
+def _laurent_zi(p: list[tuple[int, int]], m: int) -> LaurentA:
+    """The polynomial m * p(A) for p dense over Z[i]."""
+    return _laurent(tuple([(k, _gauss(m * x, m * y, 1)) for k, (x, y) in enumerate(p) if x or y]))
+
+
+def _canonical(p: list[tuple[int, int]], q: list[tuple[int, int]], v: int, md: int, mn: int):
+    """The canonical parts of A^v * (md/mn) * p/q, for p and q coprime over
+    Z[i] and q(0) != 0: divided through by q(0), den has the constant
+    coefficient 1."""
+    c, d = q[0]
+    n = c * c + d * d
+    a, b, m = md * c, -md * d, mn * n
+    num = _laurent(tuple([
+        (v + k, _gauss(a * x - b * y, a * y + b * x, m))
+        for k, (x, y) in enumerate(p) if x or y
+    ]))
+    den = _laurent(tuple([
+        (k, _gauss(x * c + y * d, y * c - x * d, n))
+        for k, (x, y) in enumerate(q) if x or y
+    ]))
+    return num, den
 
 
 def _ratfun(num: LaurentA, den: LaurentA) -> RatFunA:

@@ -7,12 +7,17 @@ that builds a padded map with it checks placement against something else.
 whole matrix gives it; the program finds its 2-cocycles and degree-2
 extensions without one.
 `conjugated` and `stabilized` make the two Markov moves of a braid word.
+`packed_placement` lays out 1^slot x f x 1^rest as a flat packed matrix
+by index arithmetic from the lane moves of a packed f, and
+`packed_product` multiplies two packed maps as matrices, lane by lane;
+the program pushes each stored entry through its column's moves
+(_packed.place) and never forms the placed matrix.
 `unfolded_r_of_word` is braid.r_of_word without folding each strand's
 twist into its first letter: the packed identity, then n one-strand
-twists, then one placement of R or R^-1 per letter.
-`packed_product` multiplies two packed maps as matrices, lane by lane,
-so that the two halves that braid.r_of_word returns can be checked
-against that loop; the program reads only the trace of their product.
+twists, then one placement of R or R^-1 per letter, each multiplied in
+by packed_product, so that the two halves that braid.r_of_word returns
+can be checked against that loop; the program reads only the trace of
+their product.
 `evaluate` builds an identity-DSL expression bottom-up, a tensor as the
 kron of its parts and a composition as the compose of its parts; the
 program evaluates its sums as one compiled program of placements.
@@ -32,7 +37,7 @@ function by Euclid's algorithm over Q(i), on GaussRat arithmetic; the
 program takes the gcd by a subresultant sequence over Z[i].
 """
 
-from skeinlab._packed import place, width
+from skeinlab._packed import width
 from skeinlab.braid import BraidWord
 from skeinlab.identities import COCHAIN, Compose, Id, Swap, Sym, Tensor
 from skeinlab.linmap import (
@@ -142,35 +147,61 @@ def ybe_residual(R: LinearMap) -> LinearMap:
     return compose(compose(left, right), left) - compose(compose(right, left), right)
 
 
+def packed_identity(lanes: int, size: int) -> list[dict]:
+    """The identity on a space of dimension size as flat packed lanes
+    {row*size + col: int}."""
+    return [{r * size + r: 1 for r in range(size)}] + [{} for _ in range(lanes - 1)]
+
+
+def packed_placement(sm, lanes: int, bits: int, low: int, span: int, size: int) -> list[dict]:
+    """1^slot x f x 1^rest as flat packed lanes, for a packed f of dimension
+    span whose lowest digit has the place value low in an index below size.
+    A move (r, c, o, 0, poly) of f out of lane 0 is the part of f's entry
+    (r, c) in lane o, and it is laid out at row base + r*low and column
+    base + c*low for every index base whose f digits are 0, as poly at
+    2^bits."""
+    out = [{} for _ in range(lanes)]
+    bases = [x for x in range(size) if x // low % span == 0]
+    for r, c, o, i, poly in sm.moves:
+        if i:
+            continue
+        value = sum(v * 2 ** (e * bits) for e, v in poly.items())
+        for base in bases:
+            out[o][(base + r * low) * size + base + c * low] = value
+    return out
+
+
 def unfolded_r_of_word(td, w: BraidWord):
     """(lanes, bits, scale) of R(w) . twist^(x n) on the packed kernel, as
     braid.r_of_word returns them, by n twist placements on the packed
-    identity and one placement of R^(sign) per letter."""
+    identity and one placement of R^(sign) per letter, each multiplied in
+    by packed_product."""
     kern = td._kernel
     R, Rinv, nu = kern.maps[:3]
     d, n = td.pair.d, w.n
+    size = d**n
     pos = sum(sign > 0 for _, sign in w.letters)
     neg = len(w.letters) - pos
     bits = width(d**n * nu.norm**n * R.norm**pos * Rinv.norm**neg)
-    acc = kern.identity(d**n)
-    twist = kern.plan(nu, bits)
+    acc = packed_identity(kern.lanes, size)
     for slot in range(n):
-        low = d ** (n - 1 - slot)
-        acc = place(twist, low, low * d, acc)
-    plans = {1: kern.plan(R, bits), -1: kern.plan(Rinv, bits)}
+        twist = packed_placement(nu, kern.lanes, bits, d ** (n - 1 - slot), d, size)
+        acc = packed_product(twist, acc, size)
     for i, sign in w.letters:
-        low = d ** (n - i - 1)
-        acc = place(plans[sign], low, low * d * d, acc)
+        letter = packed_placement(R if sign > 0 else Rinv, kern.lanes, bits,
+                                  d ** (n - i - 1), d * d, size)
+        acc = packed_product(letter, acc, size)
     scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
     return acc, bits, scale
 
 
-def packed_product(f: list[dict], g: list[dict]) -> list[dict]:
-    """f . g for packed maps held as lanes {row: {col: int}}, lane 2t + j
-    holding the part of dual degree t and power of i j: entry (r, c) of
-    lane (t, j) sums f[(t1, j1)][r][k] * g[(t2, j2)][k][c] over k and the
-    lanes with t1 + t2 = t and j1 + j2 = j mod 2, times -1 when j1 = j2 =
-    1; t1 + t2 = 2 vanishes.  Zero entries and empty rows are left out."""
+def packed_product(f: list[dict], g: list[dict], size: int) -> list[dict]:
+    """f . g for packed maps on a space of dimension size, held as lanes
+    {row*size + col: int}, lane 2t + j holding the part of dual degree t
+    and power of i j: entry (r, c) of lane (t, j) sums f[(t1, j1)][r][k] *
+    g[(t2, j2)][k][c] over k and the lanes with t1 + t2 = t and j1 + j2 = j
+    mod 2, times -1 when j1 = j2 = 1; t1 + t2 = 2 vanishes.  Zero entries
+    are left out."""
     out = [{} for _ in f]
     for lf, f_lane in enumerate(f):
         tf, jf = divmod(lf, 2)
@@ -180,15 +211,16 @@ def packed_product(f: list[dict], g: list[dict]) -> list[dict]:
                 continue
             sign = -1 if jf == jg == 1 else 1
             lane = out[2 * (tf + tg) + (jf + jg) % 2]
-            for r, f_row in f_lane.items():
-                for k, x in f_row.items():
-                    for c, y in g_lane.get(k, {}).items():
-                        row = lane.setdefault(r, {})
-                        row[c] = row.get(c, 0) + sign * x * y
-    return [
-        {r: kept for r, row in lane.items() if (kept := {c: v for c, v in row.items() if v})}
-        for lane in out
-    ]
+            g_rows = {}
+            for key, y in g_lane.items():
+                k, c = divmod(key, size)
+                g_rows.setdefault(k, []).append((c, y))
+            for key, x in f_lane.items():
+                r, k = divmod(key, size)
+                for c, y in g_rows.get(k, ()):
+                    at = r * size + c
+                    lane[at] = lane.get(at, 0) + sign * x * y
+    return [{key: v for key, v in lane.items() if v} for lane in out]
 
 
 def zigzags(b: LinearMap, g: LinearMap) -> tuple[LinearMap, LinearMap]:

@@ -435,11 +435,11 @@ def test_criterion_13_ten_strand_words_against_the_oracle(criterion):
             assert values[0] == oracle
             assert values[1].body == oracle
 
-    # 1.2-1.9 s on a 2-core x86-64 host (Intel Xeon) under CPython 3.11:
-    # in one timed pass 0.9-1.05 s in the packed kernel of
-    # normalized_invariant, most of it on the deformed words, 0.45-0.6 s in
-    # the whole-value matches_oracle checks and 0.2 s in the Jones
-    # polynomials.  That host's speed swings by up to 2x, and the budget
-    # leaves about fifteen times its slowest reading
+    # 1.25-1.55 s on a 2-core x86-64 host (Intel Xeon) under CPython 3.11:
+    # 0.8-1.4 s in the packed kernel of normalized_invariant, most of it on
+    # the deformed words, 0.33-0.62 s in the whole-value matches_oracle
+    # checks and 0.14-0.28 s in the Jones polynomials.  That host's speed
+    # swings by up to 2x, and the budget leaves about twenty times its
+    # slowest reading
     criterion(13, "ten-strand words of 20 letters against the oracle, ratfun and deformed",
               body, budget=30.0)

@@ -442,7 +442,7 @@ def _assert_unfolded(td, w):
     upper, lower, bits, scale = r_of_word(td, w)
     lanes, want_bits, want_scale = unfolded_r_of_word(td, w)
     assert (bits, scale) == (want_bits, want_scale)
-    product = packed_product(upper, lower)
+    product = packed_product(upper, lower, td.pair.d**w.n)
     assert len(product) == len(lanes)
     for got, want in zip(product, lanes):
         assert got == want
@@ -515,12 +515,12 @@ def test_folded_factors_are_r_times_the_twists(case):
                 # the factor alone: N = max(1, ||factor'||) bounds what placing
                 # it on the identity meets
                 bits = width(max(1, factor.norm))
-                lanes = place(kern.plan(factor, bits), 1, d * d, kern.identity(d * d))
+                lanes = place(kern.plan(factor, bits), d * d, d * d, kern.identity(d * d))
                 over = into_ring(factor.scale, base).inv()
                 colnorm = {}
                 for r in range(d * d):
                     for c in range(d * d):
-                        values = [lane.get(r, {}).get(c, 0) for lane in lanes]
+                        values = [lane.get(r * d * d + c, 0) for lane in lanes]
                         assert unpack(values, bits, base, over) == want.entry(r, c)
                         colnorm[c] = colnorm.get(c, 0) + sum(
                             abs(x) for v in values for x in digits(v, bits).values())

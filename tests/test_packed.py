@@ -1,5 +1,7 @@
-"""The Temperley-Lieb check and the Yang-Baxter residual on the packed
-kernel, against scalar references that share no code with it."""
+"""The packed kernel's placement and trace against a flat packed matrix
+laid out by index arithmetic, and the Temperley-Lieb check and the
+Yang-Baxter residual on the kernel, against scalar references that share
+no code with it."""
 
 import copy
 import random
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import reference
-from reference import kron
+from reference import kron, packed_identity, packed_placement, packed_product
 from skeinlab import _packed, rmatrix
-from skeinlab._packed import Kernel
+from skeinlab._packed import Kernel, place, trace_product, width
 from skeinlab.linmap import LinearMap, ShapeMismatchError, apply_local, compose, equal
 from skeinlab.rmatrix import (
     build_R,
@@ -30,6 +32,7 @@ from skeinlab.scalars import (
     RingMismatchError,
     into_ring,
     parse_scalar,
+    ring_of,
 )
 from skeinlab.switchback import (
     SwitchbackPair,
@@ -72,6 +75,117 @@ def _gauged(rng):
         LinearMap.from_rows(2, 2, 0, LAURENT, [brow]),
         LinearMap.from_rows(2, 0, 2, LAURENT, gcol),
     )
+
+
+# ---------------------------------------------------------------------------
+# place and trace_product against laid-out matrices
+# ---------------------------------------------------------------------------
+
+# entry pools per case: odd and negative multipliers, i (live im lanes), and
+# over the dual ring slopes (live slope lanes) and denominators, which the
+# scale clears into polynomial multipliers
+_L = lambda text: parse_scalar(text, LAURENT)  # noqa: E731
+_KERNEL_POOLS = {
+    "laurent-real": (2, [_L(x) for x in ("0", "0", "1", "-1", "3", "-5*A", "2*A^-2")]),
+    "laurent-im": (2, [_L(x) for x in ("0", "0", "1", "-1", "3i", "-5*A", "-i*A^2", "7")]),
+    "laurent-im-d3": (3, [_L(x) for x in ("0", "0", "0", "1", "-1", "i", "-3*A")]),
+    "dual-ratfun": (2, [
+        Dual(parse_scalar(x, RATFUN), parse_scalar(y, RATFUN))
+        for x, y in (("0", "0"), ("0", "0"), ("1", "0"), ("-1", "0"), ("0", "i"),
+                     ("( 3 )/( 1 + A )", "-A"), ("-5i", "( 1 )/( 2 - A )"), ("A", "1"))
+    ]),
+}
+
+
+def _random_map(rng, d, strands, pool):
+    ring = ring_of(pool[0])
+    dim = d**strands
+    return LinearMap.from_rows(d, strands, strands, ring,
+                               [[rng.choice(pool) for _ in range(dim)] for _ in range(dim)])
+
+
+def _body(v):
+    return v.body if isinstance(v, Dual) else v
+
+
+def _cancelling(strands, low, values):
+    """A map on V^strands, d = 2, on which a one-strand f whose two columns
+    are opposite, placed with its digit at the place value low, cancels in
+    every even column: there the two rows that differ in that digit only
+    hold equal entries, and in the odd columns opposite ones."""
+    dim = 2**strands
+    rows = [[values[(r // (2 * low) + c) % len(values)] for c in range(dim)]
+            for r in range(dim)]
+    for r in range(dim):
+        for c in range(1, dim, 2):
+            if r // low % 2:
+                rows[r][c] = -rows[r][c]
+    return LinearMap.from_rows(2, strands, strands, ring_of(values[0]), rows)
+
+
+def _trace(f, g, size):
+    return [sum(lane.get(r * size + r, 0) for r in range(size))
+            for lane in packed_product(f, g, size)]
+
+
+def _stored_nonzero(lanes):
+    assert all(v for lane in lanes for v in lane.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(_KERNEL_POOLS))
+def test_place_and_trace_match_the_laid_out_matrix(case, seed):
+    d, pool = _KERNEL_POOLS[case]
+    rng = random.Random(seed)
+    n = 3
+    size = d**n
+    f = _random_map(rng, d, 2 if d == 2 else 1, pool)
+    k = f.shape.p
+    span = d**k
+    g, h = _random_map(rng, d, n, pool), _random_map(rng, d, n, pool)
+    # entries whose products do not vanish
+    nonzero = [v for v in pool if not _body(v).is_zero()]
+    kern = Kernel.of([f], [g], [h], [rng.choice(nonzero)])
+    lanes = kern.lanes
+    fm, gm, hm, sm = kern.maps
+    assert lanes == (4 if case.startswith("dual") else 2)
+    bits = width(size * max(1, fm.norm) * max(1, gm.norm) * max(1, hm.norm) * max(1, sm.norm))
+    one = packed_identity(lanes, size)
+    assert kern.identity(size) == one
+    # g placed whole on the identity is its laid-out matrix
+    acc = place(kern.plan(gm, bits), size, size, kern.identity(size))
+    assert acc == packed_product(packed_placement(gm, lanes, bits, 1, size, size), one, size)
+    other = packed_placement(hm, lanes, bits, 1, size, size)
+    if case != "laurent-real":
+        assert any(acc[1:]), "the im or slope lanes are not live"
+    for slot in range(n - k + 1):
+        low = d ** (n - k - slot)
+        got = place(kern.plan(fm, bits), low * size, span, acc)
+        want = packed_product(packed_placement(fm, lanes, bits, low, span, size), acc, size)
+        assert got == want
+        _stored_nonzero(got)
+        assert trace_product(got, other, size) == _trace(got, other, size)
+        assert trace_product(other, got, size) == _trace(other, got, size)
+    if d == 2:
+        x, y = rng.choice(nonzero), rng.choice(nonzero)
+        opposite = LinearMap.from_rows(2, 1, 1, f.ring, [[x, -x], [y, -y]])
+        for slot in range(n):
+            low = 2 ** (n - 1 - slot)
+            cancel = Kernel.of([opposite], [_cancelling(n, low, nonzero)])
+            om, bm = cancel.maps
+            cbits = width(max(1, om.norm) * max(1, bm.norm))
+            start = packed_product(packed_placement(bm, lanes, cbits, 1, size, size), one, size)
+            got = place(cancel.plan(om, cbits), low * size, 2, start)
+            want = packed_product(packed_placement(om, lanes, cbits, low, 2, size), start, size)
+            assert got == want
+            _stored_nonzero(got)
+            # the even columns cancel, the odd ones do not
+            assert {key % size % 2 for lane in got for key in lane} == {1}
+    # a scalar multiplies every entry
+    got = place(kern.plan(sm, bits), 1, 1, acc)
+    assert got == packed_product(packed_placement(sm, lanes, bits, 1, 1, size), acc, size)
+    _stored_nonzero(got)
+    assert trace_product(acc, one, size) == _trace(acc, one, size)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -524,6 +524,46 @@ def test_ratfun_normalisation_matches_euclid_over_q_i(parts):
         assert (y.num, y.den) == ratfun_parts(den, num)
 
 
+@st.composite
+def _ratfun_sums(draw):
+    """Two ratfuns whose denominators are equal, share planted factors,
+    share none, or of which one is 1; their sum sometimes cancels, in
+    whole or in part."""
+    kind = draw(st.sampled_from(("equal", "shared", "coprime", "unit")))
+    picked = draw(st.permutations(range(len(_PLANTED))))
+    first, second = (math.prod((_PLANTED[k] for k in picked[a:b]), start=LAURENT.one())
+                     for a, b in ((0, 2), (2, 4)))
+    if kind == "equal":
+        dens = (first, first)
+    elif kind == "shared":
+        shared = _PLANTED[picked[4]]
+        dens = (first * shared, draw(_polynomials(max_terms=3)) * shared)
+    elif kind == "coprime":
+        dens = (first, second)
+    else:
+        unit = draw(st.sampled_from((_G(1), _G(-2, 1), _G(0, Fraction(1, 3)))))
+        dens = (first, LaurentA(((draw(st.integers(-2, 2)), unit),)))
+    if draw(st.booleans()):
+        dens = dens[::-1]
+    x = RatFunA(draw(_polynomials()), dens[0])
+    y = RatFunA(draw(_polynomials()), dens[1])
+    cancel = draw(st.integers(0, 3))
+    if cancel == 0:
+        y = -x
+    elif cancel == 1:
+        y = y - x
+    return x, y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ratfun_sums())
+def test_ratfun_sums_match_euclid_over_q_i(pair):
+    x, y = pair
+    want = ratfun_parts(x.num * y.den + y.num * x.den, x.den * y.den)
+    for total in (x + y, y + x):
+        assert (total.num, total.den) == want
+
+
 # -- GaussRat against a (Fraction, Fraction) reference -----------------------
 #
 # The invariant and the planar oracle share this layer, so it is checked
