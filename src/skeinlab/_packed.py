@@ -337,12 +337,17 @@ def digits(x: int, bits: int) -> dict[int, int]:
 
 
 def unpack(values: list[int], bits: int, base: Ring, factor):
-    """The scalar whose lanes pack to values, times factor (in base): over
-    the dual of base when there are four lanes."""
+    """The scalar whose lanes pack to values, over the dual of base when
+    there are four lanes, times factor: a scalar of base, or of the dual of
+    base when there are four lanes."""
     parts = []
     for re_value, im_value in zip(values[0::2], values[1::2]):
         re, im = digits(re_value, bits), digits(im_value, bits)
         poly = LaurentA({k: GaussRat(re.get(k, 0), im.get(k, 0))
                          for k in re.keys() | im.keys()})
-        parts.append(into_ring(poly, base) * factor)
-    return Dual(*parts) if len(parts) == 2 else parts[0]
+        parts.append(into_ring(poly, base))
+    if len(parts) == 1:
+        return parts[0] * factor
+    if factor.__class__ is Dual:
+        return Dual(*parts) * factor
+    return Dual(parts[0] * factor, parts[1] * factor)

@@ -112,12 +112,14 @@ class TuraevData:
     # R, R^-1 and the twist's family [twist, twist x 1, 1 x twist] scaled for
     # the packed kernel, and the factors of r_of_word made from them by key,
     # all built once here; the kernel's plans of the factors by (factor key,
-    # width), and the scales of its words by (strands, positive letters,
-    # negative letters)
+    # width); and by word shape (strands, positive letters, negative
+    # letters), the scales of r_of_word and the scalar factors of the trace
+    # (_closed_trace), the latter with a fourth key, normalized or not
     _kernel: Kernel = field(init=False, repr=False, compare=False)
     _factors: dict = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False)
     _scales: dict = field(init=False, repr=False, compare=False)
+    _tails: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", self.rmx.loop * self.rmx.a + self.rmx.b)
@@ -142,6 +144,7 @@ class TuraevData:
         object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_scales", {})
+        object.__setattr__(self, "_tails", {})
 
     @property
     def pair(self) -> SwitchbackPair:
@@ -292,14 +295,9 @@ def r_of_word(td: TuraevData, w: BraidWord):
 
 
 def invariant(td: TuraevData, w: BraidWord):
-    """u^(-writhe) * Tr(twist^(x n) . R(w)); the trace of the
-    packed word, read off its two halves as Tr(U . L), is unpacked into
-    the ring of td, and its scaling divided out, once."""
-    upper, lower, bits, scale = r_of_word(td, w)
-    base = td.rmx.R.ring.base or td.rmx.R.ring
-    lanes = trace_product(upper, lower, td.pair.d**w.n)
-    tr = unpack(lanes, bits, base, into_ring(scale, base).inv())
-    return td.u ** (-w.writhe) * tr
+    """u^(-writhe) * Tr(twist^(x n) . R(w)), read off the packed word with
+    one scalar factor per word shape (_closed_trace)."""
+    return _closed_trace(td, w, None)
 
 
 def normalized_invariant(td: TuraevData, w: BraidWord):
@@ -309,7 +307,30 @@ def normalized_invariant(td: TuraevData, w: BraidWord):
     over = td.unknot_inv
     if over is None:
         over = td.unknot.inv()
-    return invariant(td, w) * over
+    return _closed_trace(td, w, over)
+
+
+def _closed_trace(td: TuraevData, w: BraidWord, over):
+    """u^(-writhe) * Tr(twist^(x n) . R(w)), times over (1/unknot) unless it
+    is None.  The trace of the packed word, read off its two halves as
+    Tr(U . L), is unpacked into the ring of td times one factor,
+    u^(-writhe) / scale, times over when given: each is fixed by the word's
+    shape (strands, positive letters, negative letters) and made once per
+    Turaev data, so a word costs one scalar product after unpacking."""
+    upper, lower, bits, scale = r_of_word(td, w)
+    pos = sum(sign > 0 for _, sign in w.letters)
+    neg = len(w.letters) - pos
+    key = (w.n, pos, neg, over is not None)
+    factor = td._tails.get(key)
+    ring = td.rmx.R.ring
+    if factor is None:
+        factor = td.u ** (neg - pos) * into_ring(scale, ring).inv()
+        if over is not None:
+            factor = factor * over
+        td._tails[key] = factor
+    base = ring.base or ring
+    lanes = trace_product(upper, lower, td.pair.d**w.n)
+    return unpack(lanes, bits, base, factor)
 
 
 def skein_triple_check(td: TuraevData, wp: BraidWord, wm: BraidWord, w0: BraidWord) -> bool:

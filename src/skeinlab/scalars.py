@@ -36,6 +36,11 @@ in Z[i].  The integer denominators and the factor that makes the new
 denominator's constant coefficient 1 are folded into one Gaussian
 rational, and each coefficient is reduced once by `_gauss`.  A division
 that is not exact is an internal fault and raises ScalarInvariantError.
+When the denominator's lead is a unit of Z[i] (1 + A^4, or (3 - iA)^k once
+cleared), the long division of the numerator by it is exact at every step,
+so it is tried first: with no remainder the quotient over 1 is the answer,
+and no gcd is taken; otherwise the PRS starts from the denominator and that
+remainder.
 A sum of two canonical values is Henrici's: it takes the gcd of the two
 denominators and then only that of the numerator with it, never the gcd
 of the numerator with the whole product of denominators.
@@ -508,9 +513,21 @@ def _zi_gcd(p: list[tuple[int, int]], q: list[tuple[int, int]]) -> list[tuple[in
     return [(1, 0)]
 
 
+_ZI_UNITS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
+
+
 def _zi_cofactors(p: list[tuple[int, int]], q: list[tuple[int, int]]):
     """(p', q') over Z[i] with p'/q' = p/q and no common factor of positive
-    degree: their PRS gcd divided out."""
+    degree: their PRS gcd divided out.  When q is not constant, is no
+    longer than p and has a unit of Z[i] as its lead, the long division of
+    p by q is exact at every step: a zero remainder r gives (p/q, 1) with
+    no gcd at all, and otherwise the gcd of q and r, which is that of p
+    and q, is divided out."""
+    if 1 < len(q) <= len(p) and q[-1] in _ZI_UNITS:
+        quo, r = _zi_divmod(p, q)
+        if not r:
+            return quo, [(1, 0)]
+        return _zi_divide_out(p, q, _zi_gcd(q, r))
     return _zi_divide_out(p, q, _zi_gcd(p, q))
 
 

@@ -407,6 +407,16 @@ def test_invariant_matches_the_reference_on_long_powers(case):
         assert invariant(td, w) == _reference_invariant(td, w)
 
 
+def test_long_powers_at_rational_weights_match_the_oracle():
+    # the oracle sums the weights a = 2A/(3 - iA), b = 2A^-1/(3 - iA) over
+    # one denominator, so s1^30 at this non-unit denominator is a check of
+    # well under a second
+    td = KERNEL_CASES["ratfun-a-b"]
+    for sign in (1, -1):
+        w = BraidWord(2, ((1, sign),) * 30)
+        assert matches_oracle(td, normalized_invariant(td, w), w)
+
+
 @pytest.mark.parametrize("case", ["laurent", "gauss"])
 def test_invariant_matches_the_reference_on_a_long_ten_strand_word(case):
     w = parse_braid(

@@ -9,13 +9,15 @@ from itertools import product
 
 import pytest
 
+from skeinlab import planar
 from skeinlab.planar import (
     PlanarityError,
     PlanarMatching,
+    _count_states,
     bracket_state_sum,
     jones_polynomial,
 )
-from skeinlab.scalars import GaussRat, LaurentA, parse_scalar, specialize
+from skeinlab.scalars import RATFUN, GaussRat, LaurentA, parse_scalar, specialize
 
 E = PlanarMatching.cup_cap
 ID = PlanarMatching.identity
@@ -202,6 +204,47 @@ def test_state_sum_with_weights_equals_brute_force_enumeration(a, b, delta):
     for n, letters in words:
         expected = _brute_force_sum(n, letters, a, b, delta)
         assert bracket_state_sum(n, letters, a, b, delta) == expected
+
+
+# rational-function weights are summed over one denominator: a and b with
+# one denominator (a = A*f, b = A^-1*f, so a/b = A^2), with two coprime
+# ones, and delta with a denominator of its own
+def _rf(text):
+    return parse_scalar(text, RATFUN)
+
+
+@pytest.mark.parametrize("a, b, delta", [
+    (_rf("( 2*A )/( 3 - i*A )"), _rf("( 2*A^-1 )/( 3 - i*A )"), _rf("-A^2 - A^-2")),
+    (_rf("( A + 1 )/( 2 - A )"), _rf("( 3 )/( 1 + A^2 )"), _rf("( A - 1 )/( 1 + i*A )")),
+])
+def test_state_sum_at_rational_weights_equals_brute_force_enumeration(a, b, delta):
+    rng = random.Random(6)
+    words = [(n, _random_letters(rng, n, 6)) for n in (rng.randint(2, 5) for _ in range(6))]
+    words += [(2, [(1, 1)] * 6), (3, [(2, -1), (1, -1)] * 2), (2, [])]
+    for n, letters in words:
+        expected = _brute_force_sum(n, letters, a, b, delta)
+        assert bracket_state_sum(n, letters, a, b, delta) == expected
+
+
+def test_counts_from_a_cold_state_table_equal_those_from_a_warm_one():
+    # the states of each strand count are numbered once and shared by every
+    # word, so no count may depend on which words met them first: count
+    # words on 2-7 strands in two interleaved orders, each from a cleared
+    # table and then again from the table that it left
+    rng = random.Random(5)
+    words = [(n, _random_letters(rng, n, 3 * n)) for n in range(2, 8) for _ in range(3)]
+    rng.shuffle(words)
+    runs = []
+    for order in (words, words[::-1]):
+        planar._STATES.clear()
+        cold = {(n, tuple(w)): _count_states(n, w) for n, w in order}
+        warm = {(n, tuple(w)): _count_states(n, w) for n, w in order}
+        assert cold == warm
+        runs.append(cold)
+    assert runs[0] == runs[1]
+    for (n, letters), counts in runs[0].items():
+        # every smoothing is counted once
+        assert sum(counts.values()) == 2 ** len(letters)
 
 
 @pytest.mark.parametrize("letter", [(3, 1), (0, -1)])

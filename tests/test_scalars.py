@@ -524,6 +524,45 @@ def test_ratfun_normalisation_matches_euclid_over_q_i(parts):
         assert (y.num, y.den) == ratfun_parts(den, num)
 
 
+def _lp(text):
+    return parse_scalar(text, LAURENT)
+
+
+# (q, r): q's lead over Z[i], once its denominators are cleared, is 1, -i
+# (3 - i*A), i, and the non-units 6i, 3 and 1 + i; every r has a unit lead
+_DIVISORS = [
+    ("1 + A^4", "2 + A"),
+    ("1 - 1/3i*A", "1 + A^2"),
+    ("2 + 1/3i*A^2", "3 - A"),
+    ("1/3i + 2i*A", "i + A"),
+    ("1 + 3*A", "1 + A + A^2"),
+    ("2 + A + i*A", "1 - A"),
+]
+
+
+@pytest.mark.parametrize("q, r", _DIVISORS)
+def test_ratfun_with_a_dividing_denominator_matches_the_gcd_path(q, r, monkeypatch):
+    # RatFunA(p*q, q) and RatFunA(p*q, q*r): with a unit lead the first is
+    # one exact division and takes no gcd at all, and the second takes the
+    # gcd of q*r and the division's remainder.  Both give the canonical
+    # value of the gcd path, and of Euclid over Q(i)
+    p, q, r = _lp("1/2*A^-1 + 3 - i*A^3 + A^5"), _lp(q), _lp(r)
+    cases = [(p * q, q), (p * q, q * r), (p * q * r, q * r * r)]
+    calls = []
+    gcd = scalars._zi_gcd
+    monkeypatch.setattr(scalars, "_zi_gcd", lambda u, v: calls.append(1) or gcd(u, v))
+    fast = [RatFunA(num, den) for num, den in cases]
+    unit = scalars._zi_dense(q)[0][-1] in scalars._ZI_UNITS
+    assert len(calls) == (2 if unit else 3)
+    calls.clear()
+    monkeypatch.setattr(scalars, "_ZI_UNITS", frozenset())
+    slow = [RatFunA(num, den) for num, den in cases]
+    assert len(calls) == len(cases)
+    for x, y, (num, den) in zip(fast, slow, cases):
+        assert (x.num, x.den) == (y.num, y.den) == ratfun_parts(num, den)
+    assert (fast[0].num, fast[0].den) == (p, LAURENT.one())
+
+
 @st.composite
 def _ratfun_sums(draw):
     """Two ratfuns whose denominators are equal, share planted factors,

@@ -49,6 +49,24 @@ def test_specialization_lives_with_the_pair():
         assert names & {"specialize", "map_specialize"} == set(), name
 
 
+def test_the_oracle_shares_no_code_with_the_trace():
+    # planar is the independent side of every invariant-versus-oracle check:
+    # it may use the scalars, but no module of the trace's pipeline
+    pipeline = {"linmap", "_packed", "braid", "rmatrix", "switchback"}
+    found = []
+    for node in ast.walk(ast.parse((SRC / "planar.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {(node.module or "").rsplit(".", 1)[-1]}
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = {part for alias in node.names for part in alias.name.split(".")}
+        else:
+            continue
+        found += [f"planar.py:{node.lineno} {name}" for name in sorted(names & pipeline)]
+    assert _imports(SRC / "planar.py"), "planar.py imports nothing from skeinlab"
+    assert found == []
+
+
 def test_switchback_does_not_pad_to_three_tensor_factors():
     # the complex is computed on bent d x d matrices; reaching tensor or
     # tensor_all would let a zig-zag or differential pad to V^3 again
