@@ -31,7 +31,8 @@ an entry takes body lanes to slope lanes only, as t*t = 0.  Lanes that no
 entry of the kernel's maps can reach from lane 0 (every imaginary lane when
 all entries are real, say) are not stored.  A packed map on a space of
 dimension size is one flat dict per lane, {row*size + col: nonzero int},
-so the key's digits in base size are its row and its column.
+the key that linmap stores its entries under, so the key's digits in base
+size are its row and its column.
 
 The width B.  Write |P| = sum_k |a_k| + |b_k| and, for a matrix, ||M'|| =
 max over columns c of sum over rows r of |M'_rc|, where a dual entry counts

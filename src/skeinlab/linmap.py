@@ -9,10 +9,13 @@ acts on digits slot .. slot+k-1 of g's codomain index.  It is the one product
 loop, and `compose` is it at slot 0.  On the identity, for a square f, it is
 `placed(f, slot, n)`, which lays out f's own entries with no product.
 
-Storage is sparse, and only this module knows its format: row -> {col:
-scalar}, where no stored scalar is an exact zero and no stored row is
-empty.  Every operation visits nonzero entries only, results that cancel
-are dropped (over the dual numbers this includes products such as t*t), and
+Storage is sparse, and only this module knows its format: one flat dict
+{row * cols + col: scalar}, where no stored scalar is an exact zero; the
+packed kernel's lanes (_packed) use the same key.  `reshape` keeps the flat
+key, so it shares the dict and changes only the shape, and `_place` pushes
+each stored entry of g through the column of f that its digits select.
+Every operation visits nonzero entries only, results that cancel are
+dropped (over the dual numbers this includes products such as t*t), and
 `is_zero` is O(1).  Read entries with `entry` or `nonzeros`; `rows` is a
 dense read-only view, built on first read, for printing.
 
@@ -67,23 +70,17 @@ def _zero(ring: Ring) -> Scalar:
     return ring.zero()
 
 
-def _pruned(rows) -> dict[int, dict[int, Scalar]]:
-    """Sparse storage from (row, {col: scalar}) pairs: exact zeros and the
-    rows they leave empty are dropped."""
-    out = {}
-    for r, row in rows:
-        kept = {c: v for c, v in row.items() if not v.is_zero()}
-        if kept:
-            out[r] = kept
-    return out
+def _pruned(items) -> dict[int, Scalar]:
+    """Sparse storage from (key, scalar) pairs, exact zeros dropped."""
+    return {k: v for k, v in items if not v.is_zero()}
 
 
 @dataclass(frozen=True)
 class LinearMap:
     shape: MapShape
     ring: Ring
-    # row -> {col: nonzero scalar}; built only by this module
-    _entries: dict[int, dict[int, Scalar]]
+    # row * cols + col -> nonzero scalar; built only by this module
+    _entries: dict[int, Scalar]
 
     # -- constructors -------------------------------------------------------
 
@@ -97,8 +94,9 @@ class LinearMap:
                 f"matrix is {len(rows)} x {len(rows[0]) if rows else 0}, "
                 f"shape {shape} wants {shape.rows} x {shape.cols}"
             )
+        cols = shape.cols
         return LinearMap(shape, ring, _pruned(
-            (i, dict(enumerate(r))) for i, r in enumerate(rows)
+            (i * cols + j, v) for i, r in enumerate(rows) for j, v in enumerate(r)
         ))
 
     @staticmethod
@@ -107,39 +105,42 @@ class LinearMap:
 
     @staticmethod
     def identity(d: int, n: int, ring: Ring) -> "LinearMap":
-        o = ring.one()
-        return LinearMap(MapShape(d, n, n), ring, {i: {i: o} for i in range(d**n)})
+        o, size = ring.one(), d**n
+        return LinearMap(MapShape(d, n, n), ring,
+                         {i * (size + 1): o for i in range(size)})
 
     # -- reading ------------------------------------------------------------
 
     @cached_property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense read-only view: d^q rows of d^p scalars, zeros included."""
-        z = _zero(self.ring)
-        empty = (z,) * self.shape.cols
-        out = []
-        for r in range(self.shape.rows):
-            row = self._entries.get(r)
+        cols = self.shape.cols
+        empty = (_zero(self.ring),) * cols
+        dense: dict[int, list] = {}
+        for k, v in self._entries.items():
+            r, c = divmod(k, cols)
+            row = dense.get(r)
             if row is None:
-                out.append(empty)
-                continue
-            dense = list(empty)
-            for c, v in row.items():
-                dense[c] = v
-            out.append(tuple(dense))
+                row = dense[r] = list(empty)
+            row[c] = v
+        out = [empty] * self.shape.rows
+        for r, row in dense.items():
+            out[r] = tuple(row)
         return tuple(out)
 
     def entry(self, i: int, j: int) -> Scalar:
-        row = self._entries.get(i)
-        v = None if row is None else row.get(j)
-        return _zero(self.ring) if v is None else v
+        if not (0 <= i < self.shape.rows and 0 <= j < self.shape.cols):
+            raise ShapeMismatchError(
+                f"entry ({i}, {j}) is outside the {self.shape.rows} x "
+                f"{self.shape.cols} matrix of shape {self.shape}"
+            )
+        return self._entries.get(i * self.shape.cols + j, _zero(self.ring))
 
     def nonzeros(self):
         """(row, col, scalar) for every nonzero entry, in row-major order."""
-        for r in sorted(self._entries):
-            row = self._entries[r]
-            for c in sorted(row):
-                yield r, c, row[c]
+        cols = self.shape.cols
+        for k in sorted(self._entries):
+            yield *divmod(k, cols), self._entries[k]
 
     def is_zero(self) -> bool:
         return not self._entries
@@ -159,20 +160,17 @@ class LinearMap:
     def _merged(self, other: "LinearMap", what: str, negate: bool) -> "LinearMap":
         """self + other, or self - other when negate, in one pass."""
         self._check_same(other, what)
-        out = {r: dict(row) for r, row in self._entries.items()}
-        for r, orow in other._entries.items():
-            row = out.setdefault(r, {})
-            for c, v in orow.items():
-                if c not in row:
-                    row[c] = -v if negate else v
-                    continue
-                s = row[c] - v if negate else row[c] + v
-                if s.is_zero():
-                    del row[c]
-                else:
-                    row[c] = s
-            if not row:
-                del out[r]
+        out = dict(self._entries)
+        for k, v in other._entries.items():
+            x = out.get(k)
+            if x is None:
+                out[k] = -v if negate else v
+                continue
+            s = x - v if negate else x + v
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
         return LinearMap(self.shape, self.ring, out)
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
@@ -182,18 +180,16 @@ class LinearMap:
         return self._merged(other, "subtract", True)
 
     def __neg__(self) -> "LinearMap":
-        return LinearMap(self.shape, self.ring, {
-            r: {c: -v for c, v in row.items()} for r, row in self._entries.items()
-        })
+        return LinearMap(self.shape, self.ring,
+                         {k: -v for k, v in self._entries.items()})
 
     def scale(self, s: Scalar) -> "LinearMap":
         if not isinstance(s, int) and ring_of(s) != self.ring:
             raise RingMismatchError(
                 f"scalar ring {ring_of(s)} differs from map ring {self.ring}"
             )
-        return LinearMap(self.shape, self.ring, _pruned(
-            (r, {c: s * v for c, v in row.items()}) for r, row in self._entries.items()
-        ))
+        return LinearMap(self.shape, self.ring,
+                         _pruned((k, s * v) for k, v in self._entries.items()))
 
 
 def equal(f: LinearMap, g: LinearMap) -> bool:
@@ -205,28 +201,29 @@ def equal(f: LinearMap, g: LinearMap) -> bool:
 
 
 def _place(f: LinearMap, slot: int, g: LinearMap) -> LinearMap:
-    """apply_local unchecked.  Each output row is pulled from the rows of g
-    that differ from it in f's digits only; cancelled entries are dropped."""
+    """apply_local unchecked.  Each stored entry of g is pushed through the
+    column of f that its digits select; cancelled entries are dropped at
+    the end."""
     d, k, l, q = f.shape.d, f.shape.p, f.shape.q, g.shape.q
-    low = d ** (q - k - slot)      # place value of f's lowest digit
-    hi, out_hi = low * d**k, low * d**l
-    grows = g._entries
-    out = {}
-    for a, c in {(r // hi, r % low) for r in grows}:
-        gbase, obase = a * hi + c, a * out_hi + c
-        for rf, frow in f._entries.items():
-            acc: dict[int, Scalar] = {}
-            for t, x in frow.items():
-                grow = grows.get(gbase + t * low)
-                if grow is None:
-                    continue
-                for s, gv in grow.items():
-                    prev = acc.get(s)
-                    acc[s] = x * gv if prev is None else prev + x * gv
-            row = {s: v for s, v in acc.items() if not v.is_zero()}
-            if row:
-                out[obase + rf * low] = row
-    return LinearMap(MapShape(d, g.shape.p, q - k + l), f.ring, out)
+    span = d**k
+    # place value, in g's flat key, of f's lowest digit
+    step = d ** (q - k - slot) * g.shape.cols
+    hi, out_hi = step * span, step * d**l
+    moves: list[list] = [[] for _ in range(span)]
+    for key, x in f._entries.items():
+        fr, t = divmod(key, span)
+        moves[t].append((fr * step, x))
+    acc: dict[int, Scalar] = {}
+    for key, v in g._entries.items():
+        col = moves[key // step % span]
+        if not col:
+            continue
+        base = key // hi * out_hi + key % step
+        for off, x in col:
+            o = base + off
+            prev = acc.get(o)
+            acc[o] = x * v if prev is None else prev + x * v
+    return LinearMap(MapShape(d, g.shape.p, q - k + l), f.ring, _pruned(acc.items()))
 
 
 def _check_pair(f: LinearMap, g: LinearMap, what: str):
@@ -260,14 +257,18 @@ def placed(f: LinearMap, slot: int, n: int) -> LinearMap:
         raise ShapeMismatchError(
             f"placed: {f.shape} does not fit at slot {slot} of {n} strands"
         )
-    low = d ** (n - k - slot)      # place value of f's lowest digit
-    hi = low * d**k
+    low, span, size = d ** (n - k - slot), d**k, d**n
+    hi = low * span
+    # entry (rf, t) of f sits at row base + rf*low, column base + t*low,
+    # for every base = a*hi + c with c < low
+    local = [((key // span * size + key % span) * low, x)
+             for key, x in f._entries.items()]
     out = {}
-    for a in range(d**slot):
-        for c in range(low):
-            base = a * hi + c
-            for rf, frow in f._entries.items():
-                out[base + rf * low] = {base + t * low: x for t, x in frow.items()}
+    for a in range(0, size, hi):
+        for base in range(a, a + low):
+            at = base * (size + 1)
+            for off, x in local:
+                out[at + off] = x
     return LinearMap(MapShape(d, n, n), f.ring, out)
 
 
@@ -282,36 +283,29 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
 
 
 def reshape(f: LinearMap, p: int, q: int) -> LinearMap:
-    """The same coefficients regrouped as V^p -> V^q: the flat index
-    row * d^p_f + col of each entry is kept.  Bends a pairing V^2 -> K or a
-    copairing K -> V^2 into its d x d matrix, and back."""
+    """The same coefficients regrouped as V^p -> V^q: the flat key
+    row * d^p_f + col of each entry is kept, so the storage is shared.
+    Bends a pairing V^2 -> K or a copairing K -> V^2 into its d x d
+    matrix, and back."""
     if p + q != f.shape.p + f.shape.q or p < 0 or q < 0:
         raise ShapeMismatchError(
             f"reshape: {f.shape} has {f.shape.p + f.shape.q} slots, not {p}+{q}"
         )
-    shape = MapShape(f.shape.d, p, q)
-    old, new = f.shape.cols, shape.cols
-    out: dict[int, dict[int, Scalar]] = {}
-    for r, row in f._entries.items():
-        for c, v in row.items():
-            k = r * old + c
-            out.setdefault(k // new, {})[k % new] = v
-    return LinearMap(shape, f.ring, out)
+    return LinearMap(MapShape(f.shape.d, p, q), f.ring, f._entries)
 
 
 def transpose(f: LinearMap) -> LinearMap:
     """The transpose matrix, as a map V^q -> V^p."""
-    out: dict[int, dict[int, Scalar]] = {}
-    for r, row in f._entries.items():
-        for c, v in row.items():
-            out.setdefault(c, {})[r] = v
-    return LinearMap(MapShape(f.shape.d, f.shape.q, f.shape.p), f.ring, out)
+    rows, cols = f.shape.rows, f.shape.cols
+    return LinearMap(MapShape(f.shape.d, f.shape.q, f.shape.p), f.ring, {
+        k % cols * rows + k // cols: v for k, v in f._entries.items()
+    })
 
 
 def swap(d: int, ring: Ring) -> LinearMap:
     """The adjacent transposition e_i⊗e_j -> e_j⊗e_i on V ⊗ V."""
     o = ring.one()
-    out = {j * d + i: {i * d + j: o} for i in range(d) for j in range(d)}
+    out = {(j * d + i) * d * d + i * d + j: o for i in range(d) for j in range(d)}
     return LinearMap(MapShape(d, 2, 2), ring, out)
 
 
@@ -324,27 +318,25 @@ def partial_trace(f: LinearMap, slot: int) -> LinearMap:
         raise ShapeMismatchError(f"slot {slot} out of range for arity {p}")
     # place value of the traced digit; dropping it keeps the digits below
     # and shifts the ones above down by one place
-    low = d ** (p - 1 - slot)
-    high = low * d
-    acc: dict[int, dict[int, Scalar]] = {}
-    for r, row in f._entries.items():
-        digit = r // low % d
-        out_row = None
-        for c, v in row.items():
-            if c // low % d != digit:
-                continue
-            if out_row is None:
-                out_row = acc.setdefault(r // high * low + r % low, {})
-            k = c // high * low + c % low
-            prev = out_row.get(k)
-            out_row[k] = v if prev is None else prev + v
+    low, size = d ** (p - 1 - slot), f.shape.cols
+    high, out_size = low * d, size // d
+    acc: dict[int, Scalar] = {}
+    for key, v in f._entries.items():
+        r, c = divmod(key, size)
+        if r // low % d != c // low % d:
+            continue
+        o = (r // high * low + r % low) * out_size + c // high * low + c % low
+        prev = acc.get(o)
+        acc[o] = v if prev is None else prev + v
     return LinearMap(MapShape(d, p - 1, p - 1), f.ring, _pruned(acc.items()))
 
 
 def full_trace(f: LinearMap) -> Scalar:
     if f.shape.p != f.shape.q:
         raise ShapeMismatchError(f"trace needs square shape, got {f.shape}")
-    return sum((row[r] for r, row in f._entries.items() if r in row), _zero(f.ring))
+    # key r*size + c is a multiple of size + 1 exactly when r == c
+    diag = f.shape.cols + 1
+    return sum((v for k, v in f._entries.items() if not k % diag), _zero(f.ring))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +413,7 @@ def invert_rows(rows, ring: Ring) -> list[list[Scalar]] | None:
 
 def map_apply(f: LinearMap, fn, ring: Ring) -> LinearMap:
     """fn applied to every entry; fn must send zero to zero."""
-    return LinearMap(f.shape, ring, _pruned(
-        (r, {c: fn(v) for c, v in row.items()}) for r, row in f._entries.items()
-    ))
+    return LinearMap(f.shape, ring, _pruned((k, fn(v)) for k, v in f._entries.items()))
 
 
 def map_specialize(f: LinearMap, value) -> LinearMap:
@@ -454,10 +444,7 @@ def dual_from_parts(body: LinearMap, slope: LinearMap) -> LinearMap:
             f"body has shape {body.shape} but slope {slope.shape}"
         )
     z = _zero(body.ring)
-    out = {}
-    for r in body._entries.keys() | slope._entries.keys():
-        brow, srow = body._entries.get(r, {}), slope._entries.get(r, {})
-        out[r] = {
-            c: Dual(brow.get(c, z), srow.get(c, z)) for c in brow.keys() | srow.keys()
-        }
-    return LinearMap(body.shape, dual(body.ring), out)
+    b, s = body._entries, slope._entries
+    return LinearMap(body.shape, dual(body.ring), {
+        k: Dual(b.get(k, z), s.get(k, z)) for k in b.keys() | s.keys()
+    })

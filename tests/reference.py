@@ -60,13 +60,14 @@ def kron(f: LinearMap, g: LinearMap) -> LinearMap:
     that vanish (t*t over a dual ring) are dropped."""
     g_rows, g_cols = g.shape.rows, g.shape.cols
     g_entries = list(g.nonzeros())
-    entries: dict[int, dict[int, object]] = {}
+    shape = MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q)
+    cols = shape.cols
+    entries: dict[int, object] = {}
     for r, c, x in f.nonzeros():
         for s, u, y in g_entries:
             v = x * y
             if not v.is_zero():
-                entries.setdefault(r * g_rows + s, {})[c * g_cols + u] = v
-    shape = MapShape(f.shape.d, f.shape.p + g.shape.p, f.shape.q + g.shape.q)
+                entries[(r * g_rows + s) * cols + c * g_cols + u] = v
     return LinearMap(shape, f.ring, entries)
 
 

@@ -59,6 +59,30 @@ def test_shape_and_entry_layout():
     # column index encodes basis tensors with the leftmost factor most significant
     g = LinearMap.zero(2, 2, 0, GAUSS)
     assert g.shape.cols == 4
+    # every shape with p + q <= 3, arity 0 included: nonzeros walks the
+    # nonzero cells of rows in row-major order and entry reads rows
+    rng = random.Random(56)
+    for d in (1, 2, 3):
+        for p in range(4):
+            for q in range(4 - p):
+                body, slope = (LinearMap.from_rows(d, p, q, GAUSS, [
+                    [GAUSS.from_int(rng.choice((0, 0, rng.randint(-5, 5))))
+                     for _ in range(d**p)] for _ in range(d**q)
+                ]) for _ in range(2))
+                for m in (body, dual_from_parts(body, slope)):
+                    cells = [(r, c, v) for r, row in enumerate(m.rows)
+                             for c, v in enumerate(row)]
+                    assert list(m.nonzeros()) == [x for x in cells if not x[2].is_zero()]
+                    assert all(m.entry(r, c) == v for r, c, v in cells)
+                    assert transpose(transpose(m)) == m
+
+
+def test_entry_outside_the_matrix_is_refused():
+    f = _rand_map(random.Random(3), 2, 1, 2)
+    assert f.entry(3, 1) == f.rows[3][1]
+    for i, j in [(-1, 0), (0, -1), (4, 0), (0, 2), (1, 2), (3, 2)]:
+        with pytest.raises(ShapeMismatchError):
+            f.entry(i, j)
 
 
 def test_compose_shapes_and_identity():

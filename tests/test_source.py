@@ -168,13 +168,17 @@ def test_only_linmap_builds_tensor_products():
 
 def test_only_linmap_reads_map_storage():
     # a map's storage format stays behind linmap: every other module reads
-    # entries through entry, nonzeros or rows
+    # entries through entry, nonzeros or rows, and builds maps through
+    # from_rows, zero, identity or the operations on maps, as a direct
+    # LinearMap(...) call would have to know the key format
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "linmap.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Attribute) and node.attr == "_entries"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "LinearMap"
     ]
     assert (SRC / "linmap.py").read_text().count("._entries") > 0
     assert found == []
