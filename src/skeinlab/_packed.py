@@ -89,7 +89,7 @@ from dataclasses import dataclass
 from math import lcm, prod
 
 from .linmap import LinearMap
-from .scalars import LAURENT, Dual, GaussRat, LaurentA, RatFunA, Ring, into_ring
+from .scalars import LAURENT, Dual, GaussRat, LaurentA, RatFunA, into_ring, ring_of
 
 
 @dataclass(frozen=True)
@@ -337,18 +337,15 @@ def digits(x: int, bits: int) -> dict[int, int]:
     return out
 
 
-def unpack(values: list[int], bits: int, base: Ring, factor):
-    """The scalar whose lanes pack to values, over the dual of base when
-    there are four lanes, times factor: a scalar of base, or of the dual of
-    base when there are four lanes."""
+def unpack(values: list[int], bits: int, factor):
+    """The scalar whose lanes pack to values, times factor, in factor's
+    ring: the base ring over two lanes, its dual over four."""
+    ring = ring_of(factor)
+    base = ring.base or ring
     parts = []
     for re_value, im_value in zip(values[0::2], values[1::2]):
         re, im = digits(re_value, bits), digits(im_value, bits)
         poly = LaurentA({k: GaussRat(re.get(k, 0), im.get(k, 0))
                          for k in re.keys() | im.keys()})
         parts.append(into_ring(poly, base))
-    if len(parts) == 1:
-        return parts[0] * factor
-    if factor.__class__ is Dual:
-        return Dual(*parts) * factor
-    return Dual(parts[0] * factor, parts[1] * factor)
+    return (parts[0] if len(parts) == 1 else Dual(*parts)) * factor

@@ -32,7 +32,7 @@ from .linmap import (
 )
 from .planar import bracket_state_sum, jones_polynomial
 from .rmatrix import SkeinRMatrix, build_R, check_strands
-from .scalars import LaurentA, NotInvertibleError, into_ring
+from .scalars import LaurentA, into_ring
 from .switchback import SwitchbackPair
 
 
@@ -105,31 +105,24 @@ class TuraevData:
     nu: LinearMap
     # delta0*a + b: closing one strand gives Tr_2(R (nu x nu)) = u*nu
     u: object = field(init=False)
-    # the one-strand unknot value Tr(nu), by which invariants are normalized,
-    # and its inverse, None where it is not a unit (over the Laurent ring)
+    # the one-strand unknot value Tr(nu), by which invariants are normalized
     unknot: object = field(init=False)
-    unknot_inv: object = field(init=False)
     # R, R^-1 and the twist's family [twist, twist x 1, 1 x twist] scaled for
     # the packed kernel, and the factors of r_of_word made from them by key,
     # all built once here; the kernel's plans of the factors by (factor key,
     # width); and by word shape (strands, positive letters, negative
-    # letters), the scales of r_of_word and the scalar factors of the trace
-    # (_closed_trace), the latter with a fourth key, normalized or not
+    # letters), the width and scale of r_of_word (_shapes) and the scalar
+    # factors of the trace (_tails), the latter with a fourth key,
+    # normalized or not
     _kernel: Kernel = field(init=False, repr=False, compare=False)
     _factors: dict = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False)
-    _scales: dict = field(init=False, repr=False, compare=False)
+    _shapes: dict = field(init=False, repr=False, compare=False)
     _tails: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", self.rmx.loop * self.rmx.a + self.rmx.b)
-        unknot = full_trace(self.nu)
-        try:
-            unknot_inv = unknot.inv()
-        except NotInvertibleError:
-            unknot_inv = None
-        object.__setattr__(self, "unknot", unknot)
-        object.__setattr__(self, "unknot_inv", unknot_inv)
+        object.__setattr__(self, "unknot", full_trace(self.nu))
         nu = self.nu
         kernel = Kernel.of([self.rmx.R], [self.rmx.Rinv],
                            [nu, placed(nu, 0, 2), placed(nu, 1, 2)])
@@ -143,7 +136,7 @@ class TuraevData:
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_plans", {})
-        object.__setattr__(self, "_scales", {})
+        object.__setattr__(self, "_shapes", {})
         object.__setattr__(self, "_tails", {})
 
     @property
@@ -215,6 +208,20 @@ def _plan(td: TuraevData, key, bits: int):
     return plan
 
 
+def _shape(td: TuraevData, n: int, pos: int, neg: int):
+    """(bits, scale) of r_of_word for the word shape (n, pos, neg), made
+    once per Turaev data, and only once n passes the strand limit."""
+    shape = td._shapes.get((n, pos, neg))
+    if shape is None:
+        d = td.pair.d
+        check_strands(n, d)
+        R, Rinv, nu = td._kernel.maps[:3]
+        bound = d**n * nu.norm**n * R.norm**pos * Rinv.norm**neg
+        scale = nu.scale**n * R.scale**pos * Rinv.scale**neg
+        shape = td._shapes[n, pos, neg] = (width(bound), scale)
+    return shape
+
+
 def r_of_word(td: TuraevData, w: BraidWord):
     """The letter loop: product over letters of 1^(i-1) x R^(sign) x
     1^(n-i-1), first letter applied first (bottom of the diagram), each
@@ -233,6 +240,8 @@ def r_of_word(td: TuraevData, w: BraidWord):
     the identity first.  The nine factors, keyed None for the twist and
     (sign, a, b) for a letter, are built once with the Turaev data
     (td._factors), and only their plans are made here, once per width.
+    The width B, from the bound N below, and the scale are fixed by the
+    word's shape and read from td's table of shapes (_shape).
 
     These placements, in order, are cut in two: L is the product of the
     lower ones and U of the upper ones, each applied to the packed
@@ -259,13 +268,9 @@ def r_of_word(td: TuraevData, w: BraidWord):
     product.
     """
     kern = td._kernel
-    R, Rinv, nu = kern.maps[:3]
     d, n = td.pair.d, w.n
-    check_strands(n, d)
     pos = sum(sign > 0 for _, sign in w.letters)
-    neg = len(w.letters) - pos
-    bound = d**n * nu.norm**n * R.norm**pos * Rinv.norm**neg
-    bits = width(bound)
+    bits, scale = _shape(td, n, pos, len(w.letters) - pos)
     fresh = [1] * n
     # the placements, first applied first, each as (factor key, place value
     # of the factor's lowest digit, span of its digits): the letters, and
@@ -283,9 +288,6 @@ def r_of_word(td: TuraevData, w: BraidWord):
         for key, low, span in part:
             acc = place(_plan(td, key, bits), low * size, span, acc)
         halves.append(acc)
-    scale = td._scales.get((n, pos, neg))
-    if scale is None:
-        scale = td._scales[n, pos, neg] = nu.scale**n * R.scale**pos * Rinv.scale**neg
     return (*halves, bits, scale)
 
 
@@ -297,40 +299,36 @@ def r_of_word(td: TuraevData, w: BraidWord):
 def invariant(td: TuraevData, w: BraidWord):
     """u^(-writhe) * Tr(twist^(x n) . R(w)), read off the packed word with
     one scalar factor per word shape (_closed_trace)."""
-    return _closed_trace(td, w, None)
+    return _closed_trace(td, w, False)
 
 
 def normalized_invariant(td: TuraevData, w: BraidWord):
     """invariant(w) divided by the one-strand unknot value; needs a ring
     where the loop value is invertible (the rational-function field or its
-    dual); elsewhere unknot.inv() refuses it."""
-    over = td.unknot_inv
-    if over is None:
-        over = td.unknot.inv()
-    return _closed_trace(td, w, over)
+    dual); elsewhere unknot.inv() refuses it before any letter is placed."""
+    return _closed_trace(td, w, True)
 
 
-def _closed_trace(td: TuraevData, w: BraidWord, over):
-    """u^(-writhe) * Tr(twist^(x n) . R(w)), times over (1/unknot) unless it
-    is None.  The trace of the packed word, read off its two halves as
-    Tr(U . L), is unpacked into the ring of td times one factor,
-    u^(-writhe) / scale, times over when given: each is fixed by the word's
-    shape (strands, positive letters, negative letters) and made once per
-    Turaev data, so a word costs one scalar product after unpacking."""
-    upper, lower, bits, scale = r_of_word(td, w)
+def _closed_trace(td: TuraevData, w: BraidWord, normalized: bool):
+    """u^(-writhe) * Tr(twist^(x n) . R(w)), divided by the unknot value
+    when normalized.  The trace of the packed word, read off its two halves
+    as Tr(U . L), is unpacked into the ring of td times one factor,
+    u^(-writhe) / scale, times 1/unknot when normalized: each is fixed by
+    the word's shape (strands, positive letters, negative letters), so the
+    factor is made once per shape and Turaev data, before the word is
+    placed, and a word costs one scalar product after unpacking."""
     pos = sum(sign > 0 for _, sign in w.letters)
     neg = len(w.letters) - pos
-    key = (w.n, pos, neg, over is not None)
+    key = (w.n, pos, neg, normalized)
     factor = td._tails.get(key)
-    ring = td.rmx.R.ring
     if factor is None:
-        factor = td.u ** (neg - pos) * into_ring(scale, ring).inv()
-        if over is not None:
-            factor = factor * over
+        _, scale = _shape(td, w.n, pos, neg)
+        factor = td.u ** (neg - pos) * into_ring(scale, td.rmx.R.ring).inv()
+        if normalized:
+            factor = factor * td.unknot.inv()
         td._tails[key] = factor
-    base = ring.base or ring
-    lanes = trace_product(upper, lower, td.pair.d**w.n)
-    return unpack(lanes, bits, base, factor)
+    upper, lower, bits, _ = r_of_word(td, w)
+    return unpack(trace_product(upper, lower, td.pair.d**w.n), bits, factor)
 
 
 def skein_triple_check(td: TuraevData, wp: BraidWord, wm: BraidWord, w0: BraidWord) -> bool:

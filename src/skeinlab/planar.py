@@ -288,15 +288,12 @@ def bracket_state_sum(n: int, letters, a=A, b=A_INV, delta=_DELTA0):
         sum over c[i][L] of c[i][L] * a^(i-N) * b^(P-i) * delta^(L-1),
 
     evaluated once in the ring of a, b and delta from the integer state
-    counts of _count_states.  The default weights give the classical
-    bracket in A, whose coefficients are read off directly (_bracket_in_A).
-    Rational-function weights are summed over one denominator
-    (_over_one_denominator), and any others by Horner's rule in delta."""
+    counts of _count_states.  Rational-function weights are summed over
+    one denominator (_over_one_denominator), and any others, the default
+    weights in A included, by Horner's rule in delta."""
     counts = _count_states(n, letters)
     pos = sum(sign > 0 for _, sign in letters)
     neg = len(letters) - pos
-    if a is A and b is A_INV and delta is _DELTA0:
-        return _bracket_in_A(counts, pos, neg, 0)
     by_i: dict[int, dict[int, int]] = {}
     for (i, loops), c in counts.items():
         by_i.setdefault(i, {})[loops - 1] = c

@@ -134,14 +134,13 @@ def ybe_residual(R: LinearMap) -> LinearMap:
     right = at(1, at(0, at(1, start)))
     if left == right:
         return LinearMap.zero(d, 3, 3, R.ring)
-    base = R.ring.base or R.ring
-    factor = into_ring(scaled.scale, base).inv() ** 3
+    factor = into_ring(scaled.scale, R.ring).inv() ** 3
     rows = [[R.ring.zero()] * size for _ in range(size)]
     for key in {key for lane in (*left, *right) for key in lane}:
         values = [x.get(key, 0) - y.get(key, 0) for x, y in zip(left, right)]
         if any(values):
             r, c = divmod(key, size)
-            rows[r][c] = unpack(values, bits, base, factor)
+            rows[r][c] = unpack(values, bits, factor)
     return LinearMap.from_rows(d, 3, 3, R.ring, rows)
 
 

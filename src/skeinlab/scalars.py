@@ -199,6 +199,8 @@ class GaussRat(_Scalar):
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
+            if isinstance(re, float) or isinstance(im, float):
+                raise TypeError("parts must be int or Fraction, not float")
             re, im = Fraction(re), Fraction(im)
             d = lcm(re.denominator, im.denominator)
             a = re.numerator * (d // re.denominator)

@@ -46,6 +46,7 @@ from skeinlab.scalars import (
     RATFUN,
     Dual,
     GaussRat,
+    NotInvertibleError,
     dual,
     into_ring,
     parse_scalar,
@@ -503,8 +504,9 @@ def test_r_of_word_split_edges_against_the_loop_and_the_oracle(case):
         # the normalized invariant is the oracle, in td's ring
         assert (value.body if isinstance(value, Dual) else value) == unknot * into_ring(
             jones, ring_of(unknot))
-        # and, slope included, the state sum at td's weights
-        if td.unknot_inv is not None:
+        # and, slope included, the state sum at td's weights, where the
+        # unknot value is a unit: everywhere but over the Laurent ring
+        if td.rmx.R.ring is not LAURENT:
             assert matches_oracle(td, normalized_invariant(td, w), w)
 
 
@@ -516,7 +518,6 @@ def _power(f: LinearMap, k: int) -> LinearMap:
 def test_folded_factors_are_r_times_the_twists(case):
     td = KERNEL_CASES[case]
     kern, d = td._kernel, td.pair.d
-    base = td.rmx.R.ring.base or td.rmx.R.ring
     for sign, f in ((1, td.rmx.R), (-1, td.rmx.Rinv)):
         for a in (0, 1):
             for b in (0, 1):
@@ -526,12 +527,12 @@ def test_folded_factors_are_r_times_the_twists(case):
                 # it on the identity meets
                 bits = width(max(1, factor.norm))
                 lanes = place(kern.plan(factor, bits), d * d, d * d, kern.identity(d * d))
-                over = into_ring(factor.scale, base).inv()
+                over = into_ring(factor.scale, td.rmx.R.ring).inv()
                 colnorm = {}
                 for r in range(d * d):
                     for c in range(d * d):
                         values = [lane.get(r * d * d + c, 0) for lane in lanes]
-                        assert unpack(values, bits, base, over) == want.entry(r, c)
+                        assert unpack(values, bits, over) == want.entry(r, c)
                         colnorm[c] = colnorm.get(c, 0) + sum(
                             abs(x) for v in values for x in digits(v, bits).values())
                 assert factor.norm >= max(colnorm.values())
@@ -548,13 +549,19 @@ def test_plans_are_reused_per_width():
 
 
 def test_word_scales_are_reused_per_letter_count():
-    # the scale depends on the strands and the counts of positive and
-    # negative letters only, so these three words share one
+    # the width and the scale depend on the strands and the counts of
+    # positive and negative letters only, so these three words share one
+    # shape, and one trace factor per normalization
     td = _turaev(RATFUN)
     words = [parse_braid(text, n=3) for text in ("s1 s2^-1 s1", "s2 s1 s2^-1", "s1^-1 s1 s2")]
     for w in words + words:
         _assert_unfolded(td, w)
-    assert list(td._scales) == [(3, 2, 1)]
+    assert list(td._shapes) == [(3, 2, 1)]
+    for w in words:
+        invariant(td, w)
+        normalized_invariant(td, w)
+    assert list(td._shapes) == [(3, 2, 1)]
+    assert sorted(td._tails) == [(3, 2, 1, False), (3, 2, 1, True)]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -651,6 +658,19 @@ def test_make_turaev_takes_a_pair_with_two_strands_only():
         assert matches_oracle(td, value, w)
     with pytest.raises(RMatrixError, match="^3 strands is more than the limit of 2$"):
         r_of_word(td, parse_braid("s1 s2"))
+
+
+def test_laurent_normalization_is_refused_before_any_letter_is_placed(monkeypatch):
+    # the unknot value -A^2 - A^-2 is no unit of the Laurent ring, and its
+    # own inv() says so before the word is placed
+    td = KERNEL_CASES["laurent"]
+
+    def refuse(*args):
+        raise AssertionError("a letter was placed")
+
+    monkeypatch.setattr(braid, "place", refuse)
+    with pytest.raises(NotInvertibleError, match=r"-A\^-2 - A\^2"):
+        normalized_invariant(td, parse_braid("s1 s2^-1 s1"))
 
 
 def test_unnormalized_unknot_is_the_loop_value():

@@ -722,6 +722,15 @@ def test_gaussrat_hashes_as_the_number_it_equals():
     assert GaussRat(0) in {0} and GaussRat(0, 1) not in {0, 1}
 
 
+def test_gaussrat_refuses_a_float_part():
+    # 0.1 is not 1/10 in binary; a float part would enter as its exact
+    # binary value, so it is refused as a non-int exponent is
+    for re, im in ((0.1, 0), (0, 0.5), (Fraction(1, 2), 2.0), (1.0, 1.0)):
+        with pytest.raises(TypeError, match="float"):
+            GaussRat(re, im)
+    assert GaussRat(Fraction(1, 10)) == Fraction(1, 10)
+
+
 # -- Laurent and dual fast paths ---------------------------------------------
 
 _small_gauss = st.sampled_from([
