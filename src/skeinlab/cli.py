@@ -107,13 +107,19 @@ class Out:
         self.emit("fail", [("reason", reason)], f"FAIL: {reason}")
 
 
-def _resolve(name: str, suffix: str, prefix: str = "") -> Path:
-    """The file `name`, else the bundled fixture `name` or `name` + suffix;
-    then the same three for prefix + name."""
+def _read(name: str, suffix: str, prefix: str = "") -> tuple[str, str]:
+    """The text and path of the file `name`, else of the bundled fixture
+    `name` or `name` + suffix; then the same three for prefix + name.  A
+    file that is not UTF-8 text is refused, by its path."""
     for stem in (name, prefix + name):
-        for cand in (Path(stem), _FIXTURES / stem, _FIXTURES / (stem + suffix)):
-            if cand.is_file():
-                return cand
+        for path in (Path(stem), _FIXTURES / stem, _FIXTURES / (stem + suffix)):
+            if path.is_file():
+                try:
+                    return path.read_text(encoding="utf-8"), str(path)
+                except UnicodeDecodeError as e:
+                    raise CliError(
+                        f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
+                    ) from None
     raise CliError(f"no such file or bundled fixture: {name}")
 
 
@@ -130,8 +136,7 @@ def _specialized_at(args):
 def _load_pair(args) -> SwitchbackPair:
     """The pair file, brought into --ring and then specialized by
     --specialize; cocycles and coefficients follow it via pair.scalar."""
-    path = _resolve(args.pair, ".pair")
-    pair = parse_pair_config(path.read_text(), str(path))
+    pair = parse_pair_config(*_read(args.pair, ".pair"))
     if args.ring:
         pair = pair.into_ring(ring_by_name(args.ring))
     at = _specialized_at(args)
@@ -145,8 +150,8 @@ def _field_pair(pair: SwitchbackPair) -> SwitchbackPair:
 
 
 def _load_cocycle(args, pair: SwitchbackPair):
-    path = _resolve(args.cocycle, ".cfg", "cocycle_")
-    return parse_cocycle_config(path.read_text(), pair, str(path))
+    text, path = _read(args.cocycle, ".cfg", "cocycle_")
+    return parse_cocycle_config(text, pair, path)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,7 @@ def _random_f(d: int, ring, rng: random.Random) -> LinearMap:
 
 
 def _load_identities(args):
-    path = _resolve(args.file, ".idl")
-    idf = parse_identity_file(path.read_text())
+    idf = parse_identity_file(_read(args.file, ".idl")[0])
     return idf.identities if not args.identity else (idf.identity(args.identity),)
 
 

@@ -14,11 +14,13 @@ identity, `X` the adjacent transposition):
     term := atom ('x' atom)*
     atom := 'id' | 'X' | generator-name | '(' expr ')'
 
-Infiltration walks every generator occurrence of an identity, replaces that
-one occurrence by the generator's cochain symbol phi[gen], and collects the
-terms into a formal sum; lhs terms minus rhs terms is the identity's
-2-differential.  The induced 1-differential of a generator F: p -> q on a
-one-strand map f is
+Every leaf of an expression is an Id or a Sym: a generator, its cochain
+symbol phi[gen], the marked map f, or the swap X (X_SWAP).  Infiltration
+walks every generator occurrence of an identity, replaces that one
+occurrence by phi[gen], and collects the terms into a formal sum; lhs
+terms minus rhs terms is the identity's 2-differential.  X is the one
+symbol it skips: never numbered, never replaced.  The induced
+1-differential of a generator F: p -> q on a one-strand map f is
 
     sum_{i=1..q} (id^{i-1} x f x id^{q-i}) F  -  sum_{j=1..p} F (id^{j-1} x f x id^{p-j})
 
@@ -75,11 +77,13 @@ class UnknownNameError(DslError):
 GEN = "gen"
 COCHAIN = "cochain"
 MARKED = "marked"
+SWAP = "swap"
 
 
 @dataclass(frozen=True)
 class Sym:
-    """A named map symbol: a generator, its cochain, or the marked test map."""
+    """A named map symbol: a generator, its cochain, the marked test map,
+    or the swap X (X_SWAP), which infiltration never numbers or replaces."""
 
     name: str
     p: int
@@ -91,11 +95,6 @@ class Sym:
 @dataclass(frozen=True)
 class Id:
     n: int
-
-
-@dataclass(frozen=True)
-class Swap:
-    """The adjacent transposition X of two strands."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ class Compose:
 
 Expr = object
 
-X_SWAP = Swap()
+X_SWAP = Sym("X", 2, 2, role=SWAP)
 
 
 def signature(expr: Expr) -> tuple[int, int]:
@@ -121,8 +120,6 @@ def signature(expr: Expr) -> tuple[int, int]:
         return expr.p, expr.q
     if isinstance(expr, Id):
         return expr.n, expr.n
-    if isinstance(expr, Swap):
-        return 2, 2
     if isinstance(expr, Tensor):
         p = q = 0
         for part in expr.parts:
@@ -153,15 +150,8 @@ def to_text(expr: Expr) -> str:
         return base if expr.occ is None else f"{base}#{expr.occ}"
     if isinstance(expr, Id):
         return "id" if expr.n == 1 else " x ".join(["id"] * max(expr.n, 0)) or "id0"
-    if isinstance(expr, Swap):
-        return "X"
-    if isinstance(expr, Tensor):
-        return " x ".join(
-            f"({to_text(p)})" if isinstance(p, (Compose, Tensor)) else to_text(p)
-            for p in expr.parts
-        )
-    if isinstance(expr, Compose):
-        return "*".join(
+    if isinstance(expr, (Tensor, Compose)):
+        return (" x " if isinstance(expr, Tensor) else "*").join(
             f"({to_text(p)})" if isinstance(p, (Compose, Tensor)) else to_text(p)
             for p in expr.parts
         )
@@ -172,8 +162,8 @@ def canonicalize(expr: Expr) -> Expr:
     """Normal form for structural comparison: nested Compose/Tensor are
     flattened, identity factors in a composition are dropped, and adjacent
     identity strands in a tensor are merged."""
-    if isinstance(expr, (Sym, Id, Swap)):
-        return expr if not isinstance(expr, Sym) or expr.occ is None else replace(expr, occ=None)
+    if isinstance(expr, (Sym, Id)):
+        return expr if isinstance(expr, Id) or expr.occ is None else replace(expr, occ=None)
     if isinstance(expr, Tensor):
         parts: list[Expr] = []
         for part in expr.parts:
@@ -310,6 +300,15 @@ _DslTok = namedtuple("_DslTok", "kind text line col")
 # decimal digits, exactly what int() accepts
 _DSL_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>\w+)|(?P<op>->|[:;=*()])|\S")
 
+# the deepest parenthesis nesting the parser reads; each level is three
+# Python frames, so a bound keeps deep input from a RecursionError
+_MAX_NESTING = 200
+
+
+def _at(tok: _DslTok, msg, cls=DslSyntaxError) -> DslError:
+    """cls(msg), prefixed with tok's line and column."""
+    return cls(f"line {tok.line}, column {tok.col}: {msg}")
+
 
 def _dsl_tokens(text: str) -> list[_DslTok]:
     """Tokens with 1-based line and column.  A `#` comment runs to the end
@@ -336,13 +335,18 @@ class _DslParser:
     def take(self, kind: str, what: str = "") -> _DslTok:
         t = self.toks[self.i]
         if t.kind != kind:
-            want = what or repr(kind)
-            raise DslSyntaxError(
-                f"line {t.line}, column {t.col}: expected {want}, "
-                f"found {t.text or 'end of input'!r}"
-            )
+            found = t.text or "end of input"
+            raise _at(t, f"expected {what or repr(kind)}, found {found!r}")
         self.i += 1
         return t
+
+    @staticmethod
+    def placed(tok: _DslTok, make):
+        """make(), with an ArityError it raises placed at tok."""
+        try:
+            return make()
+        except ArityError as e:
+            raise _at(tok, e, ArityError) from None
 
     def parse_file(self) -> IdentityFile:
         gens: dict[str, tuple[int, int]] = {}
@@ -353,10 +357,7 @@ class _DslParser:
                 name_tok = self.take("name", "generator name")
                 name = name_tok.text
                 if name in _RESERVED:
-                    raise DslSyntaxError(
-                        f"line {name_tok.line}, column {name_tok.col}: "
-                        f"{name!r} is reserved"
-                    )
+                    raise _at(name_tok, f"{name!r} is reserved")
                 if name in gens:
                     raise DslSyntaxError(
                         f"line {name_tok.line}: generator {name!r} redeclared"
@@ -379,35 +380,37 @@ class _DslParser:
                 self.take("=")
                 rhs = self.expr(gens)
                 self.take(";")
-                idents.append(SingleTermIdentity(label, dict(gens), lhs, rhs))
+                idents.append(self.placed(
+                    label_tok, lambda: SingleTermIdentity(label, dict(gens), lhs, rhs)))
             else:
-                raise DslSyntaxError(
-                    f"line {head.line}, column {head.col}: expected 'gen' or "
-                    f"'identity', found {head.text!r}"
-                )
+                raise _at(head, f"expected 'gen' or 'identity', found {head.text!r}")
         return IdentityFile(gens, tuple(idents))
 
-    def expr(self, gens) -> Expr:
-        parts = [self.term(gens)]
+    def expr(self, gens, depth: int = 0) -> Expr:
+        """An expression inside depth parentheses."""
+        first = self.peek()
+        parts = [self.term(gens, depth)]
         while self.peek().kind == "*":
             self.take("*")
-            parts.append(self.term(gens))
+            parts.append(self.term(gens, depth))
         out = parts[0] if len(parts) == 1 else Compose(tuple(parts))
-        signature(out)  # arity check here, where we still know the source
+        self.placed(first, lambda: signature(out))  # where we still know the source
         return out
 
-    def term(self, gens) -> Expr:
-        parts = [self.atom(gens)]
+    def term(self, gens, depth: int) -> Expr:
+        parts = [self.atom(gens, depth)]
         while self.peek().kind == "name" and self.peek().text == "x":
             self.take("name")
-            parts.append(self.atom(gens))
+            parts.append(self.atom(gens, depth))
         return parts[0] if len(parts) == 1 else Tensor(tuple(parts))
 
-    def atom(self, gens) -> Expr:
+    def atom(self, gens, depth: int) -> Expr:
         t = self.peek()
         if t.kind == "(":
+            if depth == _MAX_NESTING:
+                raise _at(t, f"parentheses nested deeper than {_MAX_NESTING}")
             self.take("(")
-            inner = self.expr(gens)
+            inner = self.expr(gens, depth + 1)
             self.take(")")
             return inner
         tok = self.take("name", "'id', 'X' or a generator name")
@@ -418,9 +421,7 @@ class _DslParser:
         if tok.text in gens:
             p, q = gens[tok.text]
             return Sym(tok.text, p, q)
-        raise DslSyntaxError(
-            f"line {tok.line}, column {tok.col}: unknown generator {tok.text!r}"
-        )
+        raise _at(tok, f"unknown generator {tok.text!r}")
 
 
 def parse_identity_file(text: str) -> IdentityFile:
@@ -446,10 +447,10 @@ class ElaboratePlan:
 
 def _map_syms(expr: Expr, fn) -> Expr:
     """expr with every Sym leaf x replaced by fn(x), visited depth-first
-    and left to right."""
-    if isinstance(expr, Sym):
+    and left to right; the swap X is never replaced."""
+    if isinstance(expr, Sym) and expr.role != SWAP:
         return fn(expr)
-    if isinstance(expr, (Id, Swap)):
+    if isinstance(expr, (Sym, Id)):
         return expr
     if isinstance(expr, (Tensor, Compose)):
         return type(expr)(tuple(_map_syms(p, fn) for p in expr.parts))
@@ -526,9 +527,6 @@ def _placements(expr: Expr) -> tuple:
             return e.q
         if isinstance(e, Id):
             return e.n
-        if isinstance(e, Swap):
-            out.append(("X", slot))
-            return 2
         if isinstance(e, Tensor):
             end = slot
             for part in e.parts:

@@ -519,6 +519,18 @@ def _parse_matrix(text: str, key: str, into, path: str) -> list[list]:
     return rows
 
 
+def _pairing_maps(kv, keys, into, d: int, ring, path: str) -> tuple[LinearMap, LinearMap]:
+    """The literals of keys (row, column) as a pairing V^2 -> 1, written
+    1 x d^2, and a copairing 1 -> V^2, written d^2 x 1, over ring."""
+    n = d * d
+    row, col = (_parse_matrix(kv[k], k, into, path) for k in keys)
+    if len(row) != 1 or len(row[0]) != n:
+        raise PairConfigError(f"{path}: {keys[0]} must be 1 x {n}")
+    if len(col) != n or len(col[0]) != 1:
+        raise PairConfigError(f"{path}: {keys[1]} must be {n} x 1")
+    return LinearMap.from_rows(d, 2, 0, ring, row), LinearMap.from_rows(d, 0, 2, ring, col)
+
+
 def format_matrix(m: LinearMap) -> str:
     """m as a matrix literal of the config files: rows split by `;`,
     entries by `,`."""
@@ -543,16 +555,8 @@ def parse_pair_config(text: str, path: str = "<config>") -> SwitchbackPair:
         ring = ring_by_name(kv["ring"])
     except ScalarError as e:
         raise type(e)(f"{path}: ring: {e}") from None
-    brows, grows = (
-        _parse_matrix(kv[k], k, lambda x: into_ring(x, ring), path) for k in ("beta", "gamma")
-    )
-    if len(brows) != 1 or len(brows[0]) != d * d:
-        raise PairConfigError(f"{path}: beta must be 1 x {d * d}")
-    if len(grows) != d * d or len(grows[0]) != 1:
-        raise PairConfigError(f"{path}: gamma must be {d * d} x 1")
-    b = LinearMap.from_rows(d, 2, 0, ring, brows)
-    g = LinearMap.from_rows(d, 0, 2, ring, grows)
-    return SwitchbackPair(d, ring, b, g)
+    maps = _pairing_maps(kv, ("beta", "gamma"), lambda x: into_ring(x, ring), d, ring, path)
+    return SwitchbackPair(d, ring, *maps)
 
 
 def parse_cocycle_config(
@@ -578,13 +582,4 @@ def parse_cocycle_config(
         raise PairConfigError(
             f"{path}: need either beta1_xx..beta1_yy or phi1 and phi2"
         )
-    n = pair.d**2
-    p1, p2 = (_parse_matrix(kv[k], k, pair.scalar, path) for k in ("phi1", "phi2"))
-    if len(p1) != 1 or len(p1[0]) != n:
-        raise PairConfigError(f"{path}: phi1 must be 1 x {n}")
-    if len(p2) != n or len(p2[0]) != 1:
-        raise PairConfigError(f"{path}: phi2 must be {n} x 1")
-    return (
-        LinearMap.from_rows(pair.d, 2, 0, pair.ring, p1),
-        LinearMap.from_rows(pair.d, 0, 2, pair.ring, p2),
-    )
+    return _pairing_maps(kv, ("phi1", "phi2"), pair.scalar, pair.d, pair.ring, path)

@@ -39,7 +39,7 @@ program takes the gcd by a subresultant sequence over Z[i].
 
 from skeinlab._packed import width
 from skeinlab.braid import BraidWord
-from skeinlab.identities import COCHAIN, Compose, Id, Swap, Sym, Tensor
+from skeinlab.identities import COCHAIN, X_SWAP, Compose, Id, Sym, Tensor
 from skeinlab.linmap import (
     LinearMap,
     MapShape,
@@ -75,12 +75,12 @@ def evaluate(expr, env, d, ring) -> LinearMap:
     """expr as a map, with phi[gen], gen and f bound by env: id^n is the
     identity, X the swap, a tensor the kron of its parts left to right and
     a composition the compose of its parts, the leftmost applied last."""
+    if expr == X_SWAP:
+        return swap(d, ring)
     if isinstance(expr, Sym):
         return env[f"phi[{expr.name}]" if expr.role == COCHAIN else expr.name]
     if isinstance(expr, Id):
         return LinearMap.identity(d, expr.n, ring)
-    if isinstance(expr, Swap):
-        return swap(d, ring)
     parts = [evaluate(part, env, d, ring) for part in expr.parts]
     out = parts[0]
     if isinstance(expr, Tensor):

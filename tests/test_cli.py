@@ -689,6 +689,32 @@ def test_records_failure_mode(capsys):
     assert out == "fail\treason=no such file or bundled fixture: nosuch\n"
 
 
+_UNDECODABLE = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("argv, name, data, reason", [
+    (["verify-switchback", "--pair"], "bad.pair", _UNDECODABLE, None),
+    (["deform", "--cocycle"], "bad.cfg", _UNDECODABLE, None),
+    (["infiltrate"], "bad.idl", _UNDECODABLE, None),
+    (["infiltrate"], "deep.idl",
+     f"gen mu: 2 -> 1;\nidentity a: {'(' * 330}mu{')' * 330} = mu;\n".encode(),
+     "line 2, column 213: parentheses nested deeper than 200"),
+    (["infiltrate"], "arity.idl", b"gen mu: 2 -> 1;\nidentity a: mu*(mu x id) = mu*mu;\n",
+     "line 2, column 28: composition mismatch: mu takes 2 strands but is fed 1"),
+], ids=["pair", "cocycle", "identities", "nesting", "arity"])
+def test_malformed_input_files_end_in_a_fail_record(capsys, tmp_path, argv, name, data, reason):
+    # bad input is exit 2 and a fail record, never a traceback
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = main(argv + [str(path), "--output", "records"])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert code == 2
+    assert last.startswith("fail\treason=")
+    if reason is None:
+        reason = f"{path}: not UTF-8 text (invalid start byte at byte 0)"
+    assert last == f"fail\treason={reason}"
+
+
 def test_output_is_deterministic(capsys):
     _, first = run(capsys, "compare")
     _, second = run(capsys, "compare")

@@ -108,6 +108,40 @@ def test_arity_checked_at_parse():
         parse_identity_file("gen mu: 2 -> 1; identity a: mu = mu*(mu x id);")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a composition: where its expression starts, innermost first
+    ("gen mu: 2 -> 1;\nidentity a: mu*(mu x id) = mu*mu;",
+     "line 2, column 28: composition mismatch: mu takes 2 strands but is fed 1"),
+    ("gen mu: 2 -> 1;\nidentity a: mu*(id x (mu*mu)) = mu;",
+     "line 2, column 23: composition mismatch: mu takes 2 strands but is fed 1"),
+    # two sides that differ: at the identity's label
+    ("gen mu: 2 -> 1;\nidentity a: mu = id;",
+     r"line 2, column 10: identity a: sides have different signatures \(2, 1\) vs \(1, 1\)"),
+], ids=["composition", "inner-composition", "sides"])
+def test_arity_errors_name_their_position(text, message):
+    with pytest.raises(ArityError, match=f"^{message}$"):
+        parse_identity_file(text)
+
+
+def test_parentheses_nest_at_most_200_deep():
+    def nested(n):
+        return f"gen mu: 2 -> 1;\nidentity a: {'(' * n}mu{')' * n} = mu;"
+
+    assert parse_identity_file(nested(200)).identity("a").lhs == Sym("mu", 2, 1)
+    for n in (201, 400):
+        with pytest.raises(DslSyntaxError, match="^line 2, column 213: parentheses nested deeper than 200$"):
+            parse_identity_file(nested(n))
+
+
+def test_the_swap_is_a_symbol_that_infiltration_skips():
+    assert X_SWAP == Sym("X", 2, 2, role="swap")
+    ident = parse_identity_file("gen mu: 2 -> 1;\nidentity c: mu*X = mu*X*X*X;").identity("c")
+    plan = elaborate(ident)
+    assert plan.lhs == Compose((Sym("mu", 2, 1, occ=1), X_SWAP))
+    assert plan.lhs_counts == plan.rhs_counts == {"mu": 1}
+    assert infiltrate(plan).to_text() == "phi[mu]*X - phi[mu]*X*X*X"
+
+
 def test_unknown_symbol_rejected():
     with pytest.raises(DslSyntaxError):
         parse_identity_file("gen mu: 2 -> 1; identity a: nu*(mu x id) = mu*(id x mu);")
