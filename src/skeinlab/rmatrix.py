@@ -6,7 +6,11 @@ where delta0 is the pair's loop value.  The inverse is then
 R^-1 = a^-1*1 + b^-1*(copairing after pairing).
 
 The cup-cap composites e_i = 1^(i-1) x (copairing pairing) x 1^(n-i-1)
-represent the Temperley-Lieb algebra with parameter delta0.
+represent the Temperley-Lieb algebra with parameter delta0.  Each relation
+is checked on the strands that its generators occupy, not on all n: padding
+with identities, X -> 1^a x X x 1^b, is an injective algebra homomorphism,
+so a relation holds exactly when it holds there, and padding keeps the norm
+that fixes the packed width (tl_first_failure).
 
 Both checks run on the packed kernel and take only what they can pack: TL
 generators of one square shape and ring with delta in that ring, an R on two
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 from . import SkeinlabError
 from ._packed import Kernel, place, unpack, width
-from .linmap import LinearMap, ShapeMismatchError, compose, equal, placed
+from .linmap import LinearMap, ShapeMismatchError, compose, equal, placed, unplaced
 from .scalars import (
     A,
     A_INV,
@@ -41,11 +45,13 @@ class RMatrixError(SkeinlabError):
 # Largest dimension d^n of V^(x n) on which maps are built; maps on it are
 # d^n x d^n.  On a 2-core x86-64 host (Intel Xeon) under CPython 3.11, whose
 # speed swings by up to 2x, the Temperley-Lieb check of the Laurent bracket
-# pair (d = 2), generators included, takes 0.012-0.021 s at 8 strands and
-# 0.07-0.12 s at 10, and of the d = 3 identity pair 0.019-0.028 s at 6
-# strands.  The ratfun invariant of s1 s2 ... s(n-1) takes 0.0009-0.0014 s
-# at 8 strands and 0.0047-0.0053 s at 10, and of a 20-letter word on 10
-# strands 0.035-0.038 s (0.22-0.24 s deformed by a cocycle).
+# pair (d = 2), generators included, takes 0.0009-0.0012 s at 8 strands
+# and 0.003-0.004 s at 10, and of the d = 3 identity pair 0.0015-0.0020 s
+# at 6 strands; each relation runs on at most three strands, so laying out
+# the generators is most of it.  The ratfun invariant of s1 s2 ... s(n-1)
+# takes 0.0009-0.0014 s at 8 strands and 0.0047-0.0053 s at 10, and of a
+# 20-letter word on 10 strands 0.035-0.038 s (0.22-0.24 s deformed by a
+# cocycle).
 MAX_DIM = 2**10
 
 
@@ -208,12 +214,25 @@ def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
     must have that shape and e1's ring, and delta must be a scalar of that
     ring; the first violation raises ShapeMismatchError or RingMismatchError.
 
-    The generators and delta are packed once over one scale D, e_i = M_i'/D
-    and delta = delta'/D, and each relation is an equality of packed maps:
-    M_i'M_i' = delta'M_i', M_i'M_j'M_i' = D^2 M_i' and M_i'M_j' = M_j'M_i'.
-    Each side is at most a product of three packed maps, or of packed
-    scalars and maps, so N = c^3 in the _packed docstring's bound.  The
-    relations are checked squares first, then braids, then commutations."""
+    Each generator is split by linmap.unplaced into its core, the map on
+    the strands between its identity strands at either end, and those
+    strands; a generator with no identity strands is its own core on all n
+    strands.  The distinct cores and delta are packed once over one scale
+    D, core = M'/D and delta = delta'/D, and each relation is an equality
+    of packed maps on the strands that its generators occupy, with each
+    core placed on its own strands there: e_i^2 = delta*e_i on e_i's
+    strands (M_i'M_i' = delta'M_i'), e_i e_j e_i = e_i on the union of
+    the two (M_i'M_j'M_i' = D^2 M_i'), and e_i e_j = e_j e_i on the union
+    when the two share a strand (M_i'M_j' = M_j'M_i').  This is exact:
+    X -> X x 1 on the other strands is an injective algebra homomorphism,
+    so a relation holds on n strands exactly when it holds on those it
+    touches, and maps on disjoint strands commute.  A relation depends
+    only on the cores and their places, so each arrangement is checked
+    once.  Placing keeps ||.||, so each side, at most a product of three
+    packed maps or of packed scalars and maps, has N = c^3 in the _packed
+    docstring's bound as on n strands.  The relations are checked squares
+    first, then braids, then commutations, and the first failure is
+    reported in that order."""
     if not gens:
         return None
     shape, ring = gens[0].shape, gens[0].ring
@@ -226,33 +245,70 @@ def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
             raise RingMismatchError(f"Temperley-Lieb: rings differ, e{k} {g.ring} vs e1 {ring}")
     if ring_of(delta) != ring:
         raise RingMismatchError(f"Temperley-Lieb: rings differ, delta {ring_of(delta)} vs e1 {ring}")
-    kern = Kernel.of([*gens, delta, GaussRat(1)])
+    d = shape.d
+    cores, at = [], []      # the distinct cores; per generator (core, strands)
+    for g in gens:
+        slot, f = unplaced(g)
+        c = next((c for c, x in enumerate(cores) if x.shape == f.shape and equal(x, f)),
+                 len(cores))
+        if c == len(cores):
+            cores.append(f)
+        at.append((c, range(slot, slot + f.shape.p)))
+    kern = Kernel.of([*cores, delta, GaussRat(1)])
     bits = width(max(1, *(sm.norm for sm in kern.maps)) ** 3)
     *plans, by_delta, by_d = (kern.plan(sm, bits) for sm in kern.maps)
 
-    size = shape.cols
+    def site(i, strands):
+        # e_i's core, with the step and span that place it on `strands`,
+        # which hold e_i's own
+        c, own = at[i]
+        after = sum(s >= own.stop for s in strands)
+        return c, d ** (after + len(strands)), d ** len(own)
 
-    def times(i, acc):
-        # M_i' acc
-        return place(plans[i], size, size, acc)
+    def times(i, strands, acc):
+        # M_i' acc, for acc on `strands`
+        c, step, span = site(i, strands)
+        return place(plans[c], step, span, acc)
 
     def scaled(plan, acc):
         # a packed scalar (delta' or D) times acc
         return place(plan, 1, 1, acc)
 
-    packed = [times(i, kern.identity(size)) for i in range(len(gens))]
-    for i, e in enumerate(packed):
-        if times(i, e) != scaled(by_delta, e):
+    def square(strands, i):
+        e = times(i, strands, kern.identity(d ** len(strands)))
+        return times(i, strands, e) == scaled(by_delta, e)
+
+    def braid(strands, a, b):
+        e = times(a, strands, kern.identity(d ** len(strands)))
+        return times(a, strands, times(b, strands, e)) == scaled(by_d, scaled(by_d, e))
+
+    def commute(strands, a, b):
+        one = kern.identity(d ** len(strands))
+        ab = times(a, strands, times(b, strands, one))
+        return ab == times(b, strands, times(a, strands, one))
+
+    verdicts = {}
+
+    def holds(relation, *ids):
+        # the relation on the strands that the generators ids occupy; it
+        # depends only on their cores and places there, so each arrangement
+        # is checked once
+        strands = tuple(sorted({s for i in ids for s in at[i][1]}))
+        key = relation, len(strands), *(site(i, strands) for i in ids)
+        if key not in verdicts:
+            verdicts[key] = relation(strands, *ids)
+        return verdicts[key]
+
+    for i in range(len(gens)):
+        if not holds(square, i):
             return f"e{i + 1}^2 != delta*e{i + 1}"
-    squared_d = {}    # i -> D^2 M_i'
     for i in range(len(gens) - 1):
         for a, b in ((i, i + 1), (i + 1, i)):
-            if a not in squared_d:
-                squared_d[a] = scaled(by_d, scaled(by_d, packed[a]))
-            if times(a, times(b, packed[a])) != squared_d[a]:
+            if not holds(braid, a, b):
                 return f"e{a + 1}*e{b + 1}*e{a + 1} != e{a + 1}"
     for i in range(len(gens)):
         for j in range(i + 2, len(gens)):
-            if times(i, packed[j]) != times(j, packed[i]):
+            # generators on disjoint strands commute
+            if set(at[i][1]) & set(at[j][1]) and not holds(commute, i, j):
                 return f"e{i + 1} and e{j + 1} do not commute"
     return None

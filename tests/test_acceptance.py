@@ -36,6 +36,7 @@ from skeinlab.identities import (
 from skeinlab.linmap import LinearMap, compose
 from skeinlab.rmatrix import (
     build_R,
+    max_strands,
     solve_deformed_coefficients,
     tl_first_failure,
     tl_generators,
@@ -306,16 +307,18 @@ def test_criterion_09_yang_baxter(criterion):
 def test_criterion_10_temperley_lieb(criterion):
     def body():
         pair = make_bracket_pair()
-        for n in range(2, 6):
+        top = max_strands(pair.d)
+        assert top == 10
+        for n in range(2, top + 1):
             assert tl_first_failure(tl_generators(pair, n), delta0(pair)) is None
         base = make_bracket_pair(RATFUN)
         for phi1, phi2 in solve_2cocycles(base):
             pair_t = deform(base, phi1, phi2)
             delta_t = delta0(pair_t)
-            for n in range(2, 6):
+            for n in range(2, top + 1):
                 assert tl_first_failure(tl_generators(pair_t, n), delta_t) is None
 
-    criterion(10, "Temperley-Lieb relations to 5 strands, undeformed and deformed",
+    criterion(10, "Temperley-Lieb relations to 10 strands, undeformed and deformed",
               body)
 
 

@@ -185,6 +185,15 @@ def test_tl_check_deformed(capsys):
     assert lines[1:] == ["tl n=2: OK", "tl n=3: OK"]
 
 
+def test_tl_check_deformed_at_the_strand_limit(capsys):
+    code, out = run(capsys, "tl-check", "--strands", "10", "--cocycle", "xy",
+                    "--ring", "ratfun", "--output", "records")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("delta0\tvalue=")
+    assert lines[1:] == [f"tl\tstrands={n}\tok=true" for n in range(2, 11)]
+
+
 # ---------------------------------------------------------------------------
 # infiltration
 # ---------------------------------------------------------------------------

@@ -26,11 +26,13 @@ from skeinlab.linmap import (
     rref,
     swap,
     transpose,
+    unplaced,
 )
 from skeinlab.scalars import (
     GAUSS,
     LAURENT,
     RATFUN,
+    Dual,
     GaussRat,
     RingMismatchError,
     dual,
@@ -579,6 +581,69 @@ def test_placed_refusals():
         with pytest.raises(ShapeMismatchError) as got:
             placed(f, slot, n)
         assert str(got.value) == message
+
+
+_UNPLACE_POOLS = {
+    "gauss": [GaussRat(*x) for x in ((0, 0), (0, 0), (1, 0), (-1, 0), (0, 1), (1, -2))],
+    "dual-gauss": [Dual(GaussRat(*x), GaussRat(*y)) for x, y in (
+        ((0, 0), (0, 0)), ((0, 0), (0, 0)), ((1, 0), (0, 0)), ((0, 0), (0, 1)),
+        ((2, -1), (3, 0)), ((-1, 0), (1, 1)),
+    )],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(_UNPLACE_POOLS))
+def test_unplaced_undoes_placed(name, d):
+    values = _UNPLACE_POOLS[name]
+    ring = dual(GAUSS) if name == "dual-gauss" else GAUSS
+    rng = random.Random(f"unplaced-{name}-{d}")
+    for k in (1, 2, 3):
+        dim = d**k
+        rows = [[rng.choice(values) for _ in range(dim)] for _ in range(dim)]
+        # row 0 and the last column differ in every digit, so no strand of
+        # f is an identity strand
+        rows[0][-1] = values[2]
+        f = LinearMap.from_rows(d, k, k, ring, rows)
+        for n in range(k, k + 3):
+            if d**n > 3**5:
+                continue
+            for slot in range(n - k + 1):
+                m = placed(f, slot, n)
+                got_slot, got = unplaced(m)
+                assert (got_slot, got.shape, got.ring) == (slot, f.shape, ring)
+                assert list(got.nonzeros()) == list(f.nonzeros())
+
+
+def test_unplaced_returns_anything_else_whole():
+    rng = random.Random(15)
+    f = _rand_map(rng, 2, 2, 2)
+    f = LinearMap.from_rows(2, 2, 2, GAUSS, [
+        [GaussRat(7) if (r, c) == (0, 3) else x for c, x in enumerate(row)]
+        for r, row in enumerate(f.rows)
+    ])
+    m = placed(f, 1, 4)
+    assert unplaced(m)[0] == 1
+    # entry (0, 1) of f in the copy at outer digits (1, 1): row 1001, column
+    # 1011 in base 2
+    changed = LinearMap.from_rows(2, 4, 4, GAUSS, [
+        [x + GaussRat(1) if (r, c) == (9, 11) else x for c, x in enumerate(row)]
+        for r, row in enumerate(m.rows)
+    ])
+    nu = LinearMap.from_rows(2, 1, 1, GAUSS, [[GaussRat(1), GaussRat(0)],
+                                               [GaussRat(0), GaussRat(2)]])
+    whole = {
+        "one entry changed": changed,
+        "not square": _rand_map(rng, 2, 2, 3),
+        "zero": LinearMap.zero(2, 3, 3, GAUSS),
+        "d = 1": LinearMap.identity(1, 3, GAUSS),
+        "one strand": _rand_map(rng, 2, 1, 1),
+        "diagonal": placed(nu, 1, 3),
+        "identity": LinearMap.identity(2, 3, GAUSS),
+    }
+    for case, m in whole.items():
+        slot, got = unplaced(m)
+        assert (slot, got) == (0, m) and got is m, case
 
 
 def test_scale_trace_and_dual_refusals():

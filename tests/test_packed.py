@@ -13,7 +13,15 @@ import reference
 from reference import kron, packed_identity, packed_placement, packed_product
 from skeinlab import _packed, rmatrix
 from skeinlab._packed import Kernel, place, trace_product, width
-from skeinlab.linmap import LinearMap, ShapeMismatchError, apply_local, compose, equal
+from skeinlab.linmap import (
+    LinearMap,
+    ShapeMismatchError,
+    apply_local,
+    compose,
+    equal,
+    placed,
+    unplaced,
+)
 from skeinlab.rmatrix import (
     build_R,
     cupcap,
@@ -249,26 +257,129 @@ def test_ratfun_pairs_with_denominators(name):
             assert _agree(gens, wrong) == "e1^2 != delta*e1"
 
 
-def test_broken_generators():
+def _changed(m: LinearMap, r: int, c: int, by) -> LinearMap:
+    """m with by added to entry (r, c)."""
+    return LinearMap.from_rows(m.shape.d, m.shape.p, m.shape.q, m.ring, [
+        [x + by if (i, j) == (r, c) else x for j, x in enumerate(row)]
+        for i, row in enumerate(m.rows)
+    ])
+
+
+def _dropped(m: LinearMap, outer) -> LinearMap:
+    """m on 4 strands, d = 2, without the entries whose row and column both
+    have the given (first, last) digits: one copy of a core on the middle
+    two strands taken out, so no square changes."""
+    return LinearMap.from_rows(2, 4, 4, m.ring, [
+        [m.ring.zero() if (i >> 3, i & 1) == (j >> 3, j & 1) == outer else x
+         for j, x in enumerate(row)]
+        for i, row in enumerate(m.rows)
+    ])
+
+
+def _broken_generator_lists():
+    """(name, generators, delta, the first failure) for generator lists
+    whose cores lie on every kind of strand arrangement."""
     pair = make_bracket_pair()
     delta = delta0(pair)
+    cc = cupcap(pair)
     e1, e2, e3 = tl_generators(pair, 4)
     one = LinearMap.identity(2, 1, LAURENT)
     o, z = LAURENT.one(), LAURENT.zero()
     hold = LinearMap.from_rows(2, 1, 1, LAURENT, [[o, z], [z, z]])
-    g = kron(kron(cupcap(pair), hold), one)
+    g = kron(kron(cc, hold), one)
     ident = LinearMap.identity(2, 4, LAURENT)
     a2 = LaurentA(((2, GaussRat(1)),))
+    # u = 1 + A^2 e commutes with e and has inverse 1 + A^-2 e, so u e' u^-1
+    # keeps every relation with e and e' but puts e' on three strands
     u, u_inv = ident + e2.scale(a2), ident + e2.scale(a2.inv())
+    f1 = compose(compose(u, e1), u_inv)
     f3 = compose(compose(u, e3), u_inv)
-    cases = {
-        "e2^2 != delta*e2": [e1, e2.scale(2), e3],
-        "e1*e2*e1 != e1": [e1, e1, e3],
-        "e2*e1*e2 != e2": [g, e2, e3],
-        "e1 and e3 do not commute": [e1, e2, f3],
-    }
-    for message, gens in cases.items():
-        assert _agree(gens, delta) == message
+    # idempotents times delta, on one and three strands, that no identity
+    # strand pads
+    step = LinearMap.from_rows(2, 1, 1, LAURENT, [[o, o], [z, z]]).scale(delta)
+    corner = LinearMap.from_rows(2, 3, 3, LAURENT, [
+        [o if (r, c) in ((0, 0), (0, 7)) else z for c in range(8)] for r in range(8)
+    ]).scale(delta)
+    (r, c, _), *_ = e2.nonzeros()
+
+    p3 = pair_from_matrix([[GaussRat(int(i == j)) for j in range(3)] for i in range(3)], GAUSS)
+    delta3, cc3 = delta0(p3), cupcap(p3)
+    d3 = tl_generators(p3, 4)
+    (r3, c3, _), *_ = d3[1].nonzeros()
+
+    rat = make_bracket_pair(RATFUN)
+    pair_t = deform(rat, *parse_cocycle_config((FIXTURES / "cocycle_xy.cfg").read_text(), rat))
+    delta_t, cc_t = delta0(pair_t), cupcap(pair_t)
+    t1, t2, t3 = tl_generators(pair_t, 4)
+    (rt, ct, _), *_ = t3.nonzeros()
+    slope = Dual(RATFUN.zero(), RATFUN.one())
+    return [
+        ("square", [e1, e2.scale(2), e3], delta, "e2^2 != delta*e2"),
+        ("braid", [e1, e1, e3], delta, "e1*e2*e1 != e1"),
+        ("whole strands", [g, e2, e3], delta, "e2*e1*e2 != e2"),
+        ("overlap at slot 1", [e1, e2, f3], delta, "e1 and e3 do not commute"),
+        ("overlap at slot 0", [f1, e2, e3], delta, "e1 and e3 do not commute"),
+        ("overlap commuting", [e1, e2, e1], delta, None),
+        ("one entry", [e1, _changed(e2, r, c, o), e3], delta, "e2^2 != delta*e2"),
+        ("one copy", [e1, _dropped(e2, (1, 1)), e3], delta, "e1*e2*e1 != e1"),
+        ("cores on 1, 2, 3", [placed(step, 0, 4), e2, placed(corner, 1, 4)], delta,
+         "e1*e2*e1 != e1"),
+        ("cores on 3, 2, 1", [placed(corner, 0, 4), e3, placed(step, 1, 4)], delta,
+         "e1*e2*e1 != e1"),
+        ("disjoint", [placed(cc, 0, 5), placed(cc, 3, 5)], delta, "e1*e2*e1 != e1"),
+        ("d3", d3, delta3, None),
+        ("d3 one entry", [d3[0], _changed(d3[1], r3, c3, GaussRat(1)), d3[2]], delta3,
+         "e2^2 != delta*e2"),
+        ("d3 disjoint", [placed(cc3, 0, 4), placed(cc3, 2, 4)], delta3, "e1*e2*e1 != e1"),
+        ("dual", [t1, t2, t3], delta_t, None),
+        ("dual one entry", [t1, t2, _changed(t3, rt, ct, slope)], delta_t, "e3^2 != delta*e3"),
+        ("dual one copy", [t1, _dropped(t2, (0, 1)), t3], delta_t, "e1*e2*e1 != e1"),
+        ("dual disjoint", [placed(cc_t, 0, 5), placed(cc_t, 3, 5)], delta_t, "e1*e2*e1 != e1"),
+        ("dual overlap commuting", [t1, t2, t1], delta_t, None),
+    ]
+
+
+def test_broken_generators():
+    cases = {name: case for name, *case in _broken_generator_lists()}
+    for name, (gens, delta, message) in cases.items():
+        assert _agree(gens, delta) == message, name
+    # a changed copy is no placement, so its generator is checked whole
+    for name in ("one entry", "one copy", "d3 one entry", "dual one entry", "dual one copy"):
+        gens = cases[name][0]
+        assert [unplaced(g)[1].shape.p for g in gens].count(4) == 1, name
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_relations_are_checked_on_the_strands_they_touch(monkeypatch, d):
+    # the bracket pair at 10 strands and the d = 3 identity pair at 6: every
+    # packed map is on at most three strands, the union of two cup-caps
+    if d == 2:
+        pair = make_bracket_pair()
+    else:
+        pair = pair_from_matrix([[GaussRat(int(i == j)) for j in range(3)]
+                                 for i in range(3)], GAUSS)
+    gens = tl_generators(pair, rmatrix.max_strands(d))
+    assert len(gens) == (9 if d == 2 else 5)
+    dims, keys = [], []
+    identity = Kernel.identity
+
+    def spied_place(plan, step, span, acc):
+        out = place(plan, step, span, acc)
+        keys.extend(key for lane in (*acc, *out) for key in lane)
+        return out
+
+    def spied_identity(kern, size):
+        dims.append(size)
+        return identity(kern, size)
+
+    monkeypatch.setattr(rmatrix, "place", spied_place)
+    monkeypatch.setattr(Kernel, "identity", spied_identity)
+    assert tl_first_failure(gens, delta0(pair)) is None
+    # every product starts from an identity on at most three strands, and
+    # every key row*size + col that a placement reads or writes is below
+    # (d^3)^2
+    assert max(dims) == d**3
+    assert max(keys) < d**6
 
 
 def test_wide_coefficients_and_exponents():
@@ -417,7 +528,7 @@ def _nothing_is_built(monkeypatch):
     def built(*args, **kwargs):
         pytest.fail("malformed input reached the kernel or the linear maps")
 
-    for name in ("Kernel", "compose", "placed"):
+    for name in ("Kernel", "compose", "placed", "unplaced"):
         monkeypatch.setattr(rmatrix, name, built)
 
 
