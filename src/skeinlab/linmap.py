@@ -7,8 +7,9 @@ sum_k i_k * d^{n-1-k}, i.e. the leftmost tensor factor is the most
 significant digit, so `apply_local(f, slot, g)` = (1^slot ⊗ f ⊗ 1^rest) ∘ g
 acts on digits slot .. slot+k-1 of g's codomain index.  It is the one product
 loop, and `compose` is it at slot 0.  On the identity, for a square f, it is
-`placed(f, slot, n)`, which lays out f's own entries with no product, and
-`unplaced` undoes it, finding f and its slot in a placement.
+`placed(f, slot, n)`, which lays out f's own entries with no product and
+records (slot, f) on the map it returns.  `unplaced` reads that record back:
+a map's core is known only when `placed` built it.
 
 Storage is sparse, and only this module knows its format: one flat dict
 {row * cols + col: scalar}, where no stored scalar is an exact zero; the
@@ -82,6 +83,9 @@ class LinearMap:
     ring: Ring
     # row * cols + col -> nonzero scalar; built only by this module
     _entries: dict[int, Scalar]
+    # (slot, f) on a map that placed(f, slot, n) built; a class attribute,
+    # not a field, so equality, repr and every other constructor ignore it
+    _placement = None
 
     # -- constructors -------------------------------------------------------
 
@@ -270,45 +274,15 @@ def placed(f: LinearMap, slot: int, n: int) -> LinearMap:
             at = base * (size + 1)
             for off, x in local:
                 out[at + off] = x
-    return LinearMap(MapShape(d, n, n), f.ring, out)
+    m = LinearMap(MapShape(d, n, n), f.ring, out)
+    object.__setattr__(m, "_placement", (slot, f))
+    return m
 
 
 def unplaced(m: LinearMap) -> tuple[int, LinearMap]:
-    """(slot, f) with m == placed(f, slot, n), f on the strands between the
-    identity strands at either end of m; (0, m) for anything else.
-
-    One pass over the stored entries finds the most leading and trailing
-    strands on which row and column digits agree in every entry.  f is the
-    corner of m where those digits are all 0, and m must equal
-    placed(f, slot, n) entry for entry.  m comes back whole when it fails
-    that check, when it is not square, when d < 2 or n < 2, and when every
-    digit agrees (m is diagonal, the zero map included), as no strand is
-    then singled out as f's."""
-    d, n = m.shape.d, m.shape.p
-    if m.shape.q != n or d < 2 or n < 2:
-        return 0, m
-    size = d**n
-    # row and column digits agree at places >= top and < bottom in every
-    # entry so far; hi = d^top, lo = d^bottom
-    top, bottom, hi, lo = 0, n, 1, size
-    for key in m._entries:
-        r, c = divmod(key, size)
-        while r // hi != c // hi:
-            top, hi = top + 1, hi * d
-        while (r - c) % lo:
-            bottom, lo = bottom - 1, lo // d
-    if top <= bottom or (top, bottom) == (n, 0):
-        return 0, m
-    slot, span = n - top, hi // lo
-    # entry (rf, cf) of f is entry (rf*lo, cf*lo) of m
-    corner = ((rf * span + cf, (rf * size + cf) * lo)
-              for rf in range(span) for cf in range(span))
-    entries = m._entries
-    f = LinearMap(MapShape(d, top - bottom, top - bottom), m.ring,
-                  {k: entries[key] for k, key in corner if key in entries})
-    if placed(f, slot, n)._entries != entries:
-        return 0, m
-    return slot, f
+    """(slot, f) when placed(f, slot, n) built m; (0, m) for any map that
+    placed did not build, even one equal to a placement."""
+    return m._placement or (0, m)
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:

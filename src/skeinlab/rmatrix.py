@@ -45,13 +45,13 @@ class RMatrixError(SkeinlabError):
 # Largest dimension d^n of V^(x n) on which maps are built; maps on it are
 # d^n x d^n.  On a 2-core x86-64 host (Intel Xeon) under CPython 3.11, whose
 # speed swings by up to 2x, the Temperley-Lieb check of the Laurent bracket
-# pair (d = 2), generators included, takes 0.0009-0.0012 s at 8 strands
-# and 0.003-0.004 s at 10, and of the d = 3 identity pair 0.0015-0.0020 s
+# pair (d = 2), generators included, takes 0.0007 s at 8 strands and
+# 0.0015-0.0017 s at 10, and of the d = 3 identity pair 0.0008-0.0010 s
 # at 6 strands; each relation runs on at most three strands, so laying out
-# the generators is most of it.  The ratfun invariant of s1 s2 ... s(n-1)
-# takes 0.0009-0.0014 s at 8 strands and 0.0047-0.0053 s at 10, and of a
-# 20-letter word on 10 strands 0.035-0.038 s (0.22-0.24 s deformed by a
-# cocycle).
+# the generators is about half of it at 8 strands and most of it at 10.
+# The ratfun invariant of s1 s2 ... s(n-1) takes 0.0009-0.0014 s at 8
+# strands and 0.0047-0.0053 s at 10, and of a 20-letter word on 10 strands
+# 0.035-0.038 s (0.22-0.24 s deformed by a cocycle).
 MAX_DIM = 2**10
 
 
@@ -214,10 +214,9 @@ def tl_first_failure(gens: list[LinearMap], delta) -> str | None:
     must have that shape and e1's ring, and delta must be a scalar of that
     ring; the first violation raises ShapeMismatchError or RingMismatchError.
 
-    Each generator is split by linmap.unplaced into its core, the map on
-    the strands between its identity strands at either end, and those
-    strands; a generator with no identity strands is its own core on all n
-    strands.  The distinct cores and delta are packed once over one scale
+    Each generator is split by linmap.unplaced into its core, the map that
+    placed padded with identity strands, and the strands it sits on; a
+    generator that placed did not build is its own core on all n strands.  The distinct cores and delta are packed once over one scale
     D, core = M'/D and delta = delta'/D, and each relation is an equality
     of packed maps on the strands that its generators occupy, with each
     core placed on its own strands there: e_i^2 = delta*e_i on e_i's

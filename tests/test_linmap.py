@@ -598,47 +598,58 @@ def test_unplaced_undoes_placed(name, d):
     values = _UNPLACE_POOLS[name]
     ring = dual(GAUSS) if name == "dual-gauss" else GAUSS
     rng = random.Random(f"unplaced-{name}-{d}")
-    for k in (1, 2, 3):
+
+    def core(k, diagonal=False):
         dim = d**k
-        rows = [[rng.choice(values) for _ in range(dim)] for _ in range(dim)]
-        # row 0 and the last column differ in every digit, so no strand of
-        # f is an identity strand
-        rows[0][-1] = values[2]
-        f = LinearMap.from_rows(d, k, k, ring, rows)
-        for n in range(k, k + 3):
-            if d**n > 3**5:
-                continue
-            for slot in range(n - k + 1):
-                m = placed(f, slot, n)
-                got_slot, got = unplaced(m)
-                assert (got_slot, got.shape, got.ring) == (slot, f.shape, ring)
-                assert list(got.nonzeros()) == list(f.nonzeros())
+        return LinearMap.from_rows(d, k, k, ring, [
+            [rng.choice(values) if r == c or not diagonal else values[0]
+             for c in range(dim)]
+            for r in range(dim)
+        ])
+
+    for k in (1, 2, 3):
+        # cores that are diagonal, the identity, or carry their own
+        # identity strand come back as they were placed too
+        cores = [core(k), core(k, diagonal=True), LinearMap.identity(d, k, ring)]
+        if k > 1:
+            one = LinearMap.identity(d, 1, ring)
+            cores += [kron(core(k - 1), one), kron(one, core(k - 1))]
+        for f in cores:
+            for n in range(k, k + 3):
+                if d**n > 3**5:
+                    continue
+                for slot in range(n - k + 1):
+                    got_slot, got = unplaced(placed(f, slot, n))
+                    assert got_slot == slot and got is f
 
 
 def test_unplaced_returns_anything_else_whole():
     rng = random.Random(15)
     f = _rand_map(rng, 2, 2, 2)
-    f = LinearMap.from_rows(2, 2, 2, GAUSS, [
-        [GaussRat(7) if (r, c) == (0, 3) else x for c, x in enumerate(row)]
-        for r, row in enumerate(f.rows)
-    ])
     m = placed(f, 1, 4)
-    assert unplaced(m)[0] == 1
+    assert unplaced(m) == (1, f)
+    # equality ignores the record: the same entries built another way are
+    # equal to the placement, but no placement
+    rebuilt = LinearMap.from_rows(2, 4, 4, GAUSS, m.rows)
+    assert m == rebuilt and equal(m, rebuilt)
     # entry (0, 1) of f in the copy at outer digits (1, 1): row 1001, column
     # 1011 in base 2
     changed = LinearMap.from_rows(2, 4, 4, GAUSS, [
         [x + GaussRat(1) if (r, c) == (9, 11) else x for c, x in enumerate(row)]
         for r, row in enumerate(m.rows)
     ])
-    nu = LinearMap.from_rows(2, 1, 1, GAUSS, [[GaussRat(1), GaussRat(0)],
-                                               [GaussRat(0), GaussRat(2)]])
     whole = {
+        "rebuilt": rebuilt,
+        "scaled": m.scale(2),
+        "negated": -m,
+        "plus zero": m + LinearMap.zero(2, 4, 4, GAUSS),
+        "reshaped": reshape(m, 3, 5),
+        "composed": compose(LinearMap.identity(2, 4, GAUSS), m),
         "one entry changed": changed,
         "not square": _rand_map(rng, 2, 2, 3),
         "zero": LinearMap.zero(2, 3, 3, GAUSS),
         "d = 1": LinearMap.identity(1, 3, GAUSS),
         "one strand": _rand_map(rng, 2, 1, 1),
-        "diagonal": placed(nu, 1, 3),
         "identity": LinearMap.identity(2, 3, GAUSS),
     }
     for case, m in whole.items():

@@ -301,6 +301,10 @@ def _broken_generator_lists():
         [o if (r, c) in ((0, 0), (0, 7)) else z for c in range(8)] for r in range(8)
     ]).scale(delta)
     (r, c, _), *_ = e2.nonzeros()
+    # delta and 1 as maps on no strands: placed, each is that scalar times
+    # the identity, a core that touches no strand
+    scalar_delta = LinearMap.from_rows(2, 0, 0, LAURENT, [[delta]])
+    scalar_one = LinearMap.from_rows(2, 0, 0, LAURENT, [[o]])
 
     p3 = pair_from_matrix([[GaussRat(int(i == j)) for j in range(3)] for i in range(3)], GAUSS)
     delta3, cc3 = delta0(p3), cupcap(p3)
@@ -327,6 +331,9 @@ def _broken_generator_lists():
         ("cores on 3, 2, 1", [placed(corner, 0, 4), e3, placed(step, 1, 4)], delta,
          "e1*e2*e1 != e1"),
         ("disjoint", [placed(cc, 0, 5), placed(cc, 3, 5)], delta, "e1*e2*e1 != e1"),
+        ("core on no strand", [e1, placed(scalar_delta, 2, 4), e3], delta, "e1*e2*e1 != e1"),
+        ("core on no strand at the end", [e1, e2, placed(scalar_one, 4, 4)], delta,
+         "e3^2 != delta*e3"),
         ("d3", d3, delta3, None),
         ("d3 one entry", [d3[0], _changed(d3[1], r3, c3, GaussRat(1)), d3[2]], delta3,
          "e2^2 != delta*e2"),
@@ -343,6 +350,12 @@ def test_broken_generators():
     cases = {name: case for name, *case in _broken_generator_lists()}
     for name, (gens, delta, message) in cases.items():
         assert _agree(gens, delta) == message, name
+        # rebuilt from their rows, the generators are no placements, so each
+        # is checked whole on all n strands, with the same verdict
+        rebuilt = [LinearMap.from_rows(g.shape.d, g.shape.p, g.shape.q, g.ring, g.rows)
+                   for g in gens]
+        assert all(unplaced(g)[1] is g for g in rebuilt), name
+        assert _agree(rebuilt, delta) == message, name
     # a changed copy is no placement, so its generator is checked whole
     for name in ("one entry", "one copy", "d3 one entry", "dual one entry", "dual one copy"):
         gens = cases[name][0]

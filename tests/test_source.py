@@ -170,17 +170,19 @@ def test_only_linmap_reads_map_storage():
     # a map's storage format stays behind linmap: every other module reads
     # entries through entry, nonzeros or rows, and builds maps through
     # from_rows, zero, identity or the operations on maps, as a direct
-    # LinearMap(...) call would have to know the key format
+    # LinearMap(...) call would have to know the key format; the placement
+    # that placed records is read through unplaced alone
+    storage = ("_entries", "_placement")
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "linmap.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "_entries"
+        if isinstance(node, ast.Attribute) and node.attr in storage
         or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "LinearMap"
     ]
-    assert (SRC / "linmap.py").read_text().count("._entries") > 0
+    assert all((SRC / "linmap.py").read_text().count(f".{name}") > 0 for name in storage)
     assert found == []
 
 
