@@ -13,7 +13,10 @@ parts of its entries, and the positive int m and the int s are chosen so
 that every part of every entry of M' = D*M is a polynomial in A with
 Gaussian-integer coefficients and no negative exponent.  For a part
 p = num/den, the numerator of Q*p is num times the other distinct
-denominators: a product of Laurent polynomials, with no gcd.  The scalar 1
+denominators: a product of Laurent polynomials, with no gcd.  Each such
+numerator is read in its stored form A^v * P(A) / n (LaurentA.as_ints),
+P over the Gaussian integers, so m is the lcm of the n and s the largest
+-v, and the coefficients of M' are those of P times m/n.  The scalar 1
 in a family scales to D itself.  The placements of one map hold that map's
 entry objects (linmap.placed), so each distinct entry object is scaled and
 turned into lane moves once, with its share of its column's norm, and the
@@ -168,34 +171,33 @@ def _scaled(family, lanes: int) -> list[Scaled]:
     others = {den: prod(dens[:k] + dens[k + 1:], start=LAURENT.one())
               for k, den in enumerate(dens)}
     others[None] = prod(dens, start=LAURENT.one())
-    # per entry id: (t-degree, key) for each part of Q*v, where a key lists
-    # the terms (exponent, a, b, d) of a polynomial with coefficients
-    # (a + b*i)/d
+    # per entry id: (t-degree, form) for each part of Q*v, where a form is
+    # the stored (v, p, m) of the polynomial A^v * p(A) / m
     keyed = {
-        k: [(tdeg, tuple((e, *g.as_ints()) for e, g in (
-            num * others[den] if dens else num).terms))
-            for tdeg, num, den in ps]
+        k: [(tdeg, (num * others[den] if dens else num).as_ints()) for tdeg, num, den in ps]
         for k, (_, ps) in parts.items()
     }
-    terms = {t for ks in keyed.values() for _, key in ks for t in key}
-    mult = lcm(*(d for *_, d in terms))
-    shift = -min((e for e, *_ in terms), default=0)
+    forms = {form for ks in keyed.values() for _, form in ks}
+    mult = lcm(*(m for _, _, m in forms))
+    shift = -min((v for v, _, _ in forms), default=0)
     scale = LaurentA(((shift, GaussRat(mult)),)) * others[None]
     # the integer polynomials of M', once for each distinct entry part:
     # (re, im, -im, |.|) with re and im as {exponent: nonzero int}
     polys = {}
-    for key in {key for ks in keyed.values() for _, key in ks}:
-        re = {e + shift: a * (mult // d) for e, a, _, d in key if a}
-        im = {e + shift: b * (mult // d) for e, _, b, d in key if b}
+    for form in forms:
+        v, p, m = form
+        times = mult // m
+        re = {e: a * times for e, (a, _) in enumerate(p, v + shift) if a}
+        im = {e: b * times for e, (_, b) in enumerate(p, v + shift) if b}
         size = sum(map(abs, re.values())) + sum(map(abs, im.values()))
-        polys[key] = (re, im, {e: -v for e, v in im.items()}, size)
+        polys[form] = (re, im, {e: -b for e, b in im.items()}, size)
     # per entry id: its lane moves (out lane, in lane, poly) and its share
     # of its column's norm
     packed = {}
     for k, ks in keyed.items():
         lane_moves, share = [], 0
-        for tdeg, key in ks:
-            re, im, neg, size = polys[key]
+        for tdeg, form in ks:
+            re, im, neg, size = polys[form]
             share += size
             # (x + y*i)(re + im*i) = (re*x - im*y) + (re*y + im*x)*i, and the
             # slope part of the entry takes body lanes to slope lanes
@@ -345,7 +347,7 @@ def unpack(values: list[int], bits: int, factor):
     parts = []
     for re_value, im_value in zip(values[0::2], values[1::2]):
         re, im = digits(re_value, bits), digits(im_value, bits)
-        poly = LaurentA({k: GaussRat(re.get(k, 0), im.get(k, 0))
-                         for k in re.keys() | im.keys()})
+        top = max((*re, *im), default=-1)
+        poly = LaurentA.from_ints(0, [(re.get(k, 0), im.get(k, 0)) for k in range(top + 1)])
         parts.append(into_ring(poly, base))
     return (parts[0] if len(parts) == 1 else Dual(*parts)) * factor

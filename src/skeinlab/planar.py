@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import SkeinlabError
-from .scalars import A, A_INV, GaussRat, LaurentA, RatFunA
+from .scalars import A, A_INV, LaurentA, RatFunA
 
 
 class PlanarityError(SkeinlabError):
@@ -326,7 +326,8 @@ def _bracket_in_A(counts, pos: int, neg: int, writhe: int) -> LaurentA:
         for k in range(loops):
             e = top - 4 * k
             coeffs[e] = coeffs.get(e, 0) + signed * comb(loops - 1, k)
-    return LaurentA({e: GaussRat(c) for e, c in coeffs.items() if c})
+    lo, hi = min(coeffs, default=0), max(coeffs, default=-1)
+    return LaurentA.from_ints(lo, [(coeffs.get(e, 0), 0) for e in range(lo, hi + 1)])
 
 
 def _over_one_denominator(by_i, pos: int, neg: int, a, b, delta) -> RatFunA:

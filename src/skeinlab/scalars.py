@@ -1,5 +1,5 @@
-"""Exact scalars: Gaussian rationals, sparse Laurent polynomials in one
-variable A, their fraction field, and square-zero dual numbers.
+"""Exact scalars: Gaussian rationals, Laurent polynomials in one variable
+A, their fraction field, and square-zero dual numbers.
 
 The tower is
 
@@ -12,38 +12,40 @@ arithmetic operation raises RingMismatchError.  A value changes ring only
 explicitly, through `into_ring`: up the tower always, down it and out of
 a dual ring when the value lies in the target.
 
-All arithmetic is exact and runs on Python ints: a GaussRat is Gaussian-
-integer parts over one positive denominator, and every other ring is built
-from GaussRat coefficients.  Fractions appear only at the edges (the `re` /
-`im` views, text, and `GaussRat(re, im)`); there is no floating point
-anywhere in this module.  Values are immutable, and arithmetic builds its
-results in canonical form directly, so the normalising public constructors
-run only on values that come from outside.
+All arithmetic is exact and runs on Python ints, on one stored form per
+ring, so that equal values have equal parts.  A GaussRat is (a + b*i)/d,
+three ints with d > 0 and gcd(a, b, d) = 1.  A LaurentA is A^v * p(A) / m:
+the shift v, the coefficients of p over the Gaussian integers Z[i] from
+A^0 up as (re, im) int pairs with nonzero first and last pairs, and an
+int m > 0 that shares no factor with every part of p; zero is (0, (), 1).
+`LaurentA.as_ints` and `LaurentA.from_ints` read and build that form, and
+no other module reads the slots.  Fractions appear only at the edges (the
+`re` / `im` views, `terms`, text, and the public constructors); there is
+no floating point anywhere in this module.  Values are immutable, and
+arithmetic builds its results in stored form directly, taking a gcd only
+when a denominator is not 1.
 
-A RatFunA is normalised on polynomials over the Gaussian integers Z[i].
-Each part is cleared to a dense list of (re, im) int pairs over one
-integer denominator, its power of A set aside.  The gcd of the two parts
-is the last remainder of the subresultant polynomial remainder sequence
-(Collins 1967, Brown 1971).  Each step takes a pseudo-remainder of
-l^k * u by v, whose long division has its quotient in Z[i][A], and divides
-it by g * h^delta, which the subresultant theorem says divides it; so every
-division is exact in Z[i].  That gcd may carry a content far larger than
-the parts.  Its primitive part g0 divides both parts in Z[i][A] (Gauss's
-lemma), so lead(g0) divides the lead l of the denominator.  The parts are
-multiplied by l and divided by l * gcd / lead(gcd) = (l / lead(g0)) * g0,
-whose lead is l, and each quotient coefficient is again an exact division
-in Z[i].  The integer denominators and the factor that makes the new
-denominator's constant coefficient 1 are folded into one Gaussian
-rational, and each coefficient is reduced once by `_gauss`.  A division
-that is not exact is an internal fault and raises ScalarInvariantError.
-When the denominator's lead is a unit of Z[i] (1 + A^4, or (3 - iA)^k once
-cleared), the long division of the numerator by it is exact at every step,
-so it is tried first: with no remainder the quotient over 1 is the answer,
-and no gcd is taken; otherwise the PRS starts from the denominator and that
-remainder.
-A sum of two canonical values is Henrici's: it takes the gcd of the two
-denominators and then only that of the numerator with it, never the gcd
-of the numerator with the whole product of denominators.
+A RatFunA is normalised on the stored polynomials p and q of its parts,
+their shifts and denominators set aside.  Their gcd is the last remainder
+of the subresultant polynomial remainder sequence (Collins 1967, Brown
+1971).  Each step takes a pseudo-remainder of l^k * u by v, whose long
+division has its quotient in Z[i][A], and divides it by g * h^delta,
+which the subresultant theorem says divides it; so every division is
+exact in Z[i].  That gcd may carry a content far larger than p and q.
+Its primitive part g0 divides both in Z[i][A] (Gauss's lemma), so
+lead(g0) divides the lead l of q.  p and q are multiplied by l and
+divided by l * gcd / lead(gcd) = (l / lead(g0)) * g0, whose lead is l,
+and each quotient coefficient is again an exact division in Z[i].  The
+set-aside denominators and the factor that makes the new denominator's
+constant coefficient 1 become the parts' new m, reduced once per part.
+A division that is not exact is an internal fault and raises
+ScalarInvariantError.  When q's lead is a unit of Z[i] (1 + A^4, or
+(3 - iA)^k once cleared), the long division of p by q is exact at every
+step, so it is tried first: with no remainder the quotient over 1 is the
+answer, and no gcd is taken; otherwise the PRS starts from q and that
+remainder.  A sum of two canonical values is Henrici's: it takes the gcd
+of the two denominators and then only that of the numerator with it,
+never the gcd of the numerator with the whole product of denominators.
 """
 
 from __future__ import annotations
@@ -217,10 +219,6 @@ class GaussRat(_Scalar):
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    def as_ints(self) -> tuple[int, int, int]:
-        """The stored parts (a, b, d): self = (a + b*i)/d."""
-        return self._a, self._b, self._d
-
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
@@ -304,29 +302,50 @@ I = GaussRat(0, 1)
 
 
 class LaurentA(_Scalar):
-    """Sparse Laurent polynomial: ascending (exponent, nonzero coeff) pairs."""
+    """Laurent polynomial over Q(i), stored as the ints (v, p, m) of
+    A^v * p(A) / m that the module docstring sets out; `terms` reads its
+    nonzero terms as ascending (exponent, GaussRat) pairs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_v", "_p", "_m")
 
-    terms: tuple[tuple[int, GaussRat], ...]
-
-    def __init__(self, terms: Iterable[tuple[int, GaussRat]] = ()):
+    def __new__(cls, terms: Iterable[tuple[int, GaussRat]] = ()):
         acc: dict[int, GaussRat] = {}
         for k, c in terms.items() if isinstance(terms, dict) else terms:
             acc[k] = acc.get(k, _G_ZERO) + c
-        _set_terms(self, _sorted_terms(acc))
+        # the lcm of the reduced denominators is the least m that clears them
+        v, m = min(acc, default=0), lcm(*[c._d for c in acc.values()])
+        p = [(0, 0)] * (max(acc, default=-1) - v + 1)
+        for k, c in acc.items():
+            p[k - v] = (c._a * (m // c._d), c._b * (m // c._d))
+        return _trimmed(v, p, m)
+
+    @staticmethod
+    def from_ints(v: int, p, m: int = 1) -> "LaurentA":
+        """A^v * p(A) / m for an int m > 0 and the coefficients p of A^0 up
+        as (re, im) int pairs; the inverse of `as_ints`.  Zero pairs at the
+        ends of p go, and so does the factor m shares with every part."""
+        if m <= 0:
+            raise ScalarError(f"denominator {m} is not positive")
+        return _trimmed(v, list(p), m)
+
+    def as_ints(self) -> tuple[int, tuple[tuple[int, int], ...], int]:
+        """The stored form (v, p, m): self = A^v * p(A) / m."""
+        return self._v, self._p, self._m
+
+    @property
+    def terms(self) -> tuple[tuple[int, GaussRat], ...]:
+        v, m = self._v, self._m
+        return tuple([(v + k, _gauss(a, b, m)) for k, (a, b) in enumerate(self._p) if a or b])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._p
 
     def coeff(self, k: int) -> GaussRat:
-        for e, c in self.terms:
-            if e == k:
-                return c
-        return _G_ZERO
+        k -= self._v
+        return _gauss(*self._p[k], self._m) if 0 <= k < len(self._p) else _G_ZERO
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._p) == 1
 
     def _const(self, x: RationalLike) -> "LaurentA":
         return _laurent_const(GaussRat(x))
@@ -336,109 +355,128 @@ class LaurentA(_Scalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        s, o = self.terms, other.terms
-        if not o:
+        p, q = self._p, other._p
+        if not q:
             return self
-        if not s:
+        if not p:
             return other
-        if len(s) == 1 and len(o) == 1:
-            (k1, c1), (k2, c2) = s[0], o[0]
-            if k1 != k2:
-                return _laurent((s[0], o[0]) if k1 < k2 else (o[0], s[0]))
-            c = c1 + c2
-            return _L_ZERO if c.is_zero() else _laurent(((k1, c),))
-        acc = dict(s)
-        for k, c in o:
-            prev = acc.get(k)
-            acc[k] = c if prev is None else prev + c
-        return _laurent(_sorted_terms(acc))
+        m, n = self._m, other._m
+        if m != n:
+            g = gcd(m, n)
+            j, k = n // g, m // g
+            p, q, m = [(a * j, b * j) for a, b in p], [(a * k, b * k) for a, b in q], k * n
+        u, w = self._v, other._v
+        if u == w and len(p) == 1 and len(q) == 1:
+            (a, b), (c, d) = p[0], q[0]
+            return _reduced(u, ((a + c, b + d),), m) if a + c or b + d else _L_ZERO
+        if u > w:
+            p, q, u, w = q, p, w, u
+        gap = w - u - len(p)
+        if gap >= 0:
+            # no exponent is shared, so nothing cancels
+            return _reduced(u, (*p, *((0, 0),) * gap, *q), m)
+        # q's coefficients land from index w - u of p's
+        out = list(p) + [(0, 0)] * (w - u + len(q) - len(p))
+        for k, (c, d) in enumerate(q, w - u):
+            a, b = out[k]
+            out[k] = (a + c, b + d)
+        return _trimmed(u, out, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _laurent(tuple([(k, -c) for k, c in self.terms]))
+        return _reduced(self._v, [(-a, -b) for a, b in self._p], self._m)
 
     def __mul__(self, other):
         if other.__class__ is not LaurentA:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        s, o = self.terms, other.terms
-        if not s or not o:
+        p, q = self._p, other._p
+        if not p or not q:
             return _L_ZERO
-        # a monomial factor, moved into o as the product commutes, shifts
-        # exponents and scales coefficients; Q(i) has no zero divisors, so
-        # no term vanishes and the order holds
-        if len(s) == 1:
-            s, o = o, s
-        if len(o) == 1:
-            k2, c2 = o[0]
-            return _laurent(tuple([(k + k2, c * c2) for k, c in s]))
-        acc: dict[int, GaussRat] = {}
-        for k1, c1 in s:
-            for k2, c2 in o:
-                k = k1 + k2
-                prev = acc.get(k)
-                acc[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return _laurent(_sorted_terms(acc))
+        # Z[i] has no zero divisors, so the product's end pairs are nonzero
+        v, m = self._v + other._v, self._m * other._m
+        if len(p) == 1:
+            p, q = q, p
+        if len(q) == 1:
+            c, d = q[0]
+            if len(p) == 1:
+                a, b = p[0]
+                return _reduced(v, ((a * c - b * d, a * d + b * c),), m)
+            return _reduced(v, [(a * c - b * d, a * d + b * c) for a, b in p], m)
+        re = [0] * (len(p) + len(q) - 1)
+        im = re[:]
+        for j, (a, b) in enumerate(p):
+            for k, (c, d) in enumerate(q, j):
+                re[k] += a * c - b * d
+                im[k] += a * d + b * c
+        return _reduced(v, list(zip(re, im)), m)
 
     __rmul__ = __mul__
 
     def inv(self) -> "LaurentA":
-        if not self.is_monomial():
+        p = self._p
+        if not p:
+            raise NotInvertibleError("division by zero in the Laurent ring")
+        if len(p) > 1:
             raise NotInvertibleError(
                 f"{format_scalar(self)!r} is not a unit in the Laurent ring; "
                 "convert into ratfun with into_ring for general division"
             )
-        k, c = self.terms[0]
-        return _laurent(((-k, c.inv()),))
+        (a, b), m = p[0], self._m
+        return _reduced(-self._v, ((m * a, -m * b),), a * a + b * b)
 
     def __eq__(self, other):
         if other.__class__ is not LaurentA:
             return NotImplemented
-        return self.terms == other.terms
+        return self._p == other._p and self._v == other._v and self._m == other._m
 
     def __hash__(self):
-        return hash((self.terms,))
+        return hash((self._v, self._p, self._m))
 
 
-(_set_terms,) = _setters(LaurentA)
+_set_v, _set_p, _set_m = _setters(LaurentA)
 
 
-def _laurent(terms: tuple[tuple[int, GaussRat], ...]) -> LaurentA:
-    """LaurentA from terms already ascending, with distinct exponents and
-    nonzero coefficients."""
+def _reduced(v: int, p, m: int) -> LaurentA:
+    """A^v * p(A) / m in stored form, for p with nonzero end pairs: p and m
+    divided through by the factor they share, looked for only if m != 1."""
+    if m != 1:
+        g = m
+        for a, b in p:
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        if g != 1:
+            p, m = [(a // g, b // g) for a, b in p], m // g
     x = _new(LaurentA)
-    _set_terms(x, terms)
+    _set_v(x, v)
+    _set_p(x, tuple(p))
+    _set_m(x, m)
     return x
 
 
-def _sorted_terms(acc: dict[int, GaussRat]) -> tuple[tuple[int, GaussRat], ...]:
-    return tuple([(k, acc[k]) for k in sorted(acc) if not acc[k].is_zero()])
+def _trimmed(v: int, p: list[tuple[int, int]], m: int) -> LaurentA:
+    """`_reduced` after the zero pairs at either end of p are dropped."""
+    while p and p[-1] == (0, 0):
+        p.pop()
+    if not p:
+        return _L_ZERO
+    lo = 0
+    while p[lo] == (0, 0):
+        lo += 1
+    return _reduced(v + lo, p[lo:], m)
 
 
 def _laurent_const(c: GaussRat) -> LaurentA:
-    return _L_ZERO if c.is_zero() else _laurent(((0, c),))
+    return _L_ZERO if c.is_zero() else _reduced(0, ((c._a, c._b),), c._d)
 
 
-_L_ZERO = _laurent(())
-_ONE_TERMS = ((0, _G_ONE),)
-_L_ONE = _laurent(_ONE_TERMS)
-A = _laurent(((1, _G_ONE),))
-A_INV = _laurent(((-1, _G_ONE),))
-
-
-def _zi_dense(x: LaurentA) -> tuple[list[tuple[int, int]], int, int]:
-    """(p, v, m) with x = A^v * p(A) / m: p a dense polynomial over Z[i]
-    with p(0) != 0, and m > 0 the lcm of the coefficients' denominators."""
-    terms = x.terms
-    v = terms[0][0]
-    m = lcm(*[c._d for _, c in terms])
-    p = [(0, 0)] * (terms[-1][0] - v + 1)
-    for k, c in terms:
-        e = m // c._d
-        p[k - v] = (c._a * e, c._b * e)
-    return p, v, m
+_L_ZERO = _reduced(0, (), 1)
+_L_ONE = _reduced(0, ((1, 0),), 1)
+A = _reduced(1, ((1, 0),), 1)
+A_INV = _reduced(-1, ((1, 0),), 1)
 
 
 def _zi_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -557,18 +595,13 @@ def _zi_divide_out(p: list[tuple[int, int]], q: list[tuple[int, int]], g):
 
 
 class RatFunA(_Scalar):
-    """Fraction num/den of Laurent polynomials, kept canonical.
-
-    Canonical form: the common power of A is folded into the numerator, the
-    denominator is an honest polynomial with constant coefficient 1, and
-    numerator and denominator share no polynomial factor.  Structural
-    equality on (num, den) is then true equality of rational functions.
-
-    The constructor finds the common factor by the subresultant gcd over
-    Z[i] and divides it out by exact divisions in Z[i], as the module
-    docstring sets out; `inv` needs no gcd, since canonical parts are
-    already coprime.
-    """
+    """Fraction num/den of Laurent polynomials, kept canonical: the common
+    power of A is folded into the numerator, the denominator is a
+    polynomial with constant coefficient 1, and the parts share no
+    polynomial factor, so structural equality on (num, den) is equality of
+    rational functions.  The constructor divides out the common factor as
+    the module docstring sets out; `inv` needs no gcd, as canonical parts
+    are already coprime."""
 
     __slots__ = ("num", "den")
 
@@ -582,16 +615,14 @@ class RatFunA(_Scalar):
             raise NotInvertibleError("zero denominator in ratfun")
         if num.is_zero():
             num, den = _L_ZERO, _L_ONE
-        elif den.terms != _ONE_TERMS:
+        elif den != _L_ONE:
             # num/den = A^(vn - vd) * (md/mn) * p/q with p, q over Z[i]
-            p, vn, mn = _zi_dense(num)
-            q, vd, md = _zi_dense(den)
-            num, den = _canonical(*_zi_cofactors(p, q), vn - vd, md, mn)
+            num, den = _canonical(*_zi_cofactors(num._p, den._p), num._v - den._v, den._m, num._m)
         _set_num(self, num)
         _set_den(self, den)
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num._p
 
     def _const(self, x: RationalLike) -> "RatFunA":
         return _ratfun(_laurent_const(GaussRat(x)), _L_ONE)
@@ -605,31 +636,30 @@ class RatFunA(_Scalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        # a canonical denominator has the constant coefficient 1, so it is 1
+        # exactly when it is a monomial
         a, b, c, d = self.num, self.den, other.num, other.den
-        if b.terms == _ONE_TERMS:
-            if d.terms == _ONE_TERMS:
+        if len(b._p) == 1:
+            if len(d._p) == 1:
                 return _ratfun(a + c, _L_ONE)
             return _ratfun(a * d + c, d)
-        if d.terms == _ONE_TERMS:
+        if len(d._p) == 1:
             return _ratfun(a + c * b, b)
-        # canonical denominators are polynomials with constant coefficient 1
-        bz, _, mb = _zi_dense(b)
-        dz, _, md = _zi_dense(d)
+        # and it is a polynomial: b = bz/mb and d = dz/md with bz, dz over Z[i]
+        (bz, mb), (dz, md) = (b._p, b._m), (d._p, d._m)
         g = _zi_gcd(bz, dz)
         if len(g) == 1:
             return _ratfun(a * d + c * b, b * d)
-        # bq = l*bz/g' and dq = l*dz/g' for one l/g', so with bz = mb*b and
-        # dz = md*d the sum is (a*mb*dq + c*md*bq) / (bz*dq)
+        # bq = l*bz/g' and dq = l*dz/g' for one l/g', so the sum is
+        # (a*mb*dq + c*md*bq) / (bz*dq)
         bq, dq = _zi_divide_out(bz, dz, g)
-        scaled = _laurent_zi(dq, mb)
-        num = a * scaled + c * _laurent_zi(bq, md)
+        scaled = _reduced(0, [(mb * x, mb * y) for x, y in dq], 1)
+        num = a * scaled + c * _reduced(0, [(md * x, md * y) for x, y in bq], 1)
         if num.is_zero():
             return _ratfun(_L_ZERO, _L_ONE)
-        p, vn, mn = _zi_dense(num)
-        # bz*dq is over Z[i] with a nonzero constant coefficient
-        q, _, _ = _zi_dense(b * scaled)
-        p, q = _zi_divide_out(p, q, _zi_gcd(p, g))
-        return _ratfun(*_canonical(p, q, vn, 1, mn))
+        # b*scaled = bz*dq is over Z[i], so its m is 1
+        p, q = _zi_divide_out(num._p, (b * scaled)._p, _zi_gcd(num._p, g))
+        return _ratfun(*_canonical(p, q, num._v, 1, num._m))
 
     __radd__ = __add__
 
@@ -641,24 +671,19 @@ class RatFunA(_Scalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.den.terms == _ONE_TERMS and other.den.terms == _ONE_TERMS:
+        if len(self.den._p) == 1 and len(other.den._p) == 1:
             return _ratfun(self.num * other.num, _L_ONE)
         return RatFunA(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "RatFunA":
-        num, den = self.num.terms, self.den.terms
-        if not num:
+        num, den = self.num, self.den
+        if not num._p:
             raise NotInvertibleError("division by zero in ratfun")
         # the parts are coprime, so den/num is canonical once num's lowest
         # term is made the constant 1
-        v, c = num[0]
-        c = c.inv()
-        return _ratfun(
-            _laurent(tuple([(k - v, x * c) for k, x in den])),
-            _laurent(tuple([(k - v, x * c) for k, x in num])),
-        )
+        return _ratfun(*_canonical(den._p, num._p, -num._v, num._m, den._m))
 
     def __eq__(self, other):
         if other.__class__ is not RatFunA:
@@ -672,27 +697,15 @@ class RatFunA(_Scalar):
 _set_num, _set_den = _setters(RatFunA)
 
 
-def _laurent_zi(p: list[tuple[int, int]], m: int) -> LaurentA:
-    """The polynomial m * p(A) for p dense over Z[i]."""
-    return _laurent(tuple([(k, _gauss(m * x, m * y, 1)) for k, (x, y) in enumerate(p) if x or y]))
-
-
-def _canonical(p: list[tuple[int, int]], q: list[tuple[int, int]], v: int, md: int, mn: int):
-    """The canonical parts of A^v * (md/mn) * p/q, for p and q coprime over
-    Z[i] and q(0) != 0: divided through by q(0), den has the constant
-    coefficient 1."""
+def _canonical(p, q, v: int, md: int, mn: int):
+    """The canonical parts of A^v * (md/mn) * p/q, for p and q over Z[i]
+    coprime, with nonzero end pairs: divided through by q(0), den has the
+    constant coefficient 1."""
     c, d = q[0]
     n = c * c + d * d
-    a, b, m = md * c, -md * d, mn * n
-    num = _laurent(tuple([
-        (v + k, _gauss(a * x - b * y, a * y + b * x, m))
-        for k, (x, y) in enumerate(p) if x or y
-    ]))
-    den = _laurent(tuple([
-        (k, _gauss(x * c + y * d, y * c - x * d, n))
-        for k, (x, y) in enumerate(q) if x or y
-    ]))
-    return num, den
+    a, b = md * c, -md * d
+    num = _reduced(v, [(a * x - b * y, a * y + b * x) for x, y in p], mn * n)
+    return num, _reduced(0, [(x * c + y * d, y * c - x * d) for x, y in q], n)
 
 
 def _ratfun(num: LaurentA, den: LaurentA) -> RatFunA:
@@ -761,11 +774,14 @@ class Dual(_Scalar):
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        if self.slope.is_zero() and o.slope.is_zero():
-            return _dual(self.body * o.body, self.slope)
-        return _dual(
-            self.body * o.body, self.body * o.slope + self.slope * o.body
-        )
+        # (b + t*s)(c + t*u) = b*c + t*(b*u + s*c), with no product by a
+        # zero slope
+        b, s, c, u = self.body, self.slope, o.body, o.slope
+        if s.is_zero():
+            return _dual(b * c, s if u.is_zero() else b * u)
+        if u.is_zero():
+            return _dual(b * c, s * c)
+        return _dual(b * c, b * u + s * c)
 
     __rmul__ = __mul__
 
@@ -878,7 +894,7 @@ def into_ring(x, target: Ring):
     if x.__class__ is RatFunA:
         if name == "ratfun":
             return x
-        if x.den.terms != _ONE_TERMS:
+        if len(x.den._p) != 1:
             raise RingMismatchError(
                 f"{format_scalar(x)} has a nontrivial denominator; not demotable"
             )
@@ -893,7 +909,7 @@ def into_ring(x, target: Ring):
         return x
     if name == "ratfun":
         return _ratfun(x, _L_ONE)
-    if x.terms and (len(x.terms) > 1 or x.terms[0][0] != 0):
+    if len(x._p) > 1 or x._p and x._v:
         raise RingMismatchError(f"{format_scalar(x)} involves A; not a Gaussian rational")
     return x.coeff(0)
 
@@ -905,6 +921,8 @@ def specialize(x, value: GaussRat):
     if isinstance(x, GaussRat):
         return x
     if isinstance(x, LaurentA):
+        if x._v < 0 and value.is_zero():
+            raise NotInvertibleError(f"A^{x._v} is undefined at A = 0")
         out = _G_ZERO
         for k, c in x.terms:
             out = out + c * value**k
@@ -932,42 +950,23 @@ def _fmt_rat(r: Fraction) -> str:
 
 def _fmt_piece(mag: Fraction, imag: bool, k: int) -> str:
     """One signless term: magnitude, i marker, A^k part."""
-    if imag:
-        g = "i" if mag == 1 else f"{_fmt_rat(mag)}i"
-    else:
-        g = _fmt_rat(mag)
+    g = ("i" if mag == 1 else f"{_fmt_rat(mag)}i") if imag else _fmt_rat(mag)
     if k == 0:
         return g
     a = "A" if k == 1 else f"A^{k}"
-    if not imag and mag == 1:
-        return a
-    return f"{g}*{a}"
-
-
-def _sum_pieces(x) -> list[tuple[int, str]]:
-    """Signed term list for a GaussRat or LaurentA, ascending exponent."""
-    if isinstance(x, GaussRat):
-        terms = [(0, x)] if not x.is_zero() else []
-    else:
-        terms = list(x.terms)
-    out: list[tuple[int, str]] = []
-    for k, c in terms:
-        if c.re:
-            out.append((1 if c.re > 0 else -1, _fmt_piece(abs(c.re), False, k)))
-        if c.im:
-            out.append((1 if c.im > 0 else -1, _fmt_piece(abs(c.im), True, k)))
-    return out
+    return a if not imag and mag == 1 else f"{g}*{a}"
 
 
 def _fmt_sum(x) -> str:
-    pieces = _sum_pieces(x)
-    if not pieces:
-        return "0"
-    head_sign, head = pieces[0]
-    text = ("-" if head_sign < 0 else "") + head
-    for sign, p in pieces[1:]:
-        text += (" - " if sign < 0 else " + ") + p
-    return text
+    """A GaussRat or LaurentA as signed pieces by ascending exponent, each
+    term's real piece before its imaginary one."""
+    text = ""
+    for k, c in x.terms if x.__class__ is LaurentA else ((0, x),):
+        for part, imag in ((c.re, False), (c.im, True)):
+            if part:
+                text += (" - " if part < 0 else " + ") + _fmt_piece(abs(part), imag, k)
+    # the leading " - " is written "-", and the leading " + " left out
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
 
 
 def format_scalar(x) -> str:
@@ -1078,14 +1077,13 @@ class _ScalarParser:
     def sum(self) -> LaurentA:
         """Signed terms, up to the first token that does not continue the
         sum; a sign before the dual marker t ends the sum too."""
-        acc: dict[int, GaussRat] = {}
+        terms = []
         sign = self._sign() if self.peek().kind in "+-" else 1
         while True:
             k, g = self.term()
-            g = g if sign > 0 else -g
-            acc[k] = acc.get(k, _G_ZERO) + g
+            terms.append((k, g if sign > 0 else -g))
             if self.peek().kind not in "+-" or self._dual_marker():
-                return LaurentA(acc)
+                return LaurentA(terms)
             sign = self._sign()
 
     def _ratfun_ahead(self) -> bool:
@@ -1113,7 +1111,7 @@ class _ScalarParser:
             return RatFunA(num, den)
         start = self.i
         val = self.sum()
-        if all(k == 0 for k, _ in val.terms) and all(
+        if len(val._p) <= 1 and not val._v and all(
             t.kind != "A" for t in self.toks[start:self.i]
         ):
             return val.coeff(0)

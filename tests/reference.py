@@ -35,7 +35,14 @@ the bent d x d matrices of the pairing and copairing.
 `ratfun_parts` is the canonical numerator and denominator of a rational
 function by Euclid's algorithm over Q(i), on GaussRat arithmetic; the
 program takes the gcd by a subresultant sequence over Z[i].
+`laurent_add`, `laurent_neg`, `laurent_mul`, `laurent_inv` and
+`laurent_text` are Laurent arithmetic and the canonical text on
+{exponent: (re, im)} dicts of the stdlib's Fractions; the program holds a
+Laurent polynomial as one shift, one tuple of Gaussian-integer pairs and
+one integer denominator.
 """
+
+from fractions import Fraction
 
 from skeinlab._packed import width
 from skeinlab.braid import BraidWord
@@ -310,3 +317,74 @@ def ratfun_parts(num: LaurentA, den: LaurentA) -> tuple[LaurentA, LaurentA]:
         LaurentA(tuple((k + vn - vd, x * c) for k, x in enumerate(p))),
         LaurentA(tuple((k, x * c) for k, x in enumerate(q))),
     )
+
+
+# -- Laurent polynomials as {exponent: (re, im)} over Fractions ---------------
+
+
+def laurent_terms(x: LaurentA) -> dict[int, tuple[Fraction, Fraction]]:
+    """x as {exponent: (re, im)}, read off its public terms."""
+    return {k: (c.re, c.im) for k, c in x.terms}
+
+
+def _nonzero(x: dict) -> dict:
+    return {k: c for k, c in x.items() if c[0] or c[1]}
+
+
+def laurent_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for k, (a, b) in y.items():
+        c, d = out.get(k, (0, 0))
+        out[k] = (c + a, d + b)
+    return _nonzero(out)
+
+
+def laurent_neg(x: dict) -> dict:
+    return {k: (-a, -b) for k, (a, b) in x.items()}
+
+
+def laurent_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for j, (a, b) in x.items():
+        for k, (c, d) in y.items():
+            e, f = out.get(j + k, (0, 0))
+            out[j + k] = (e + a * c - b * d, f + a * d + b * c)
+    return _nonzero(out)
+
+
+def laurent_inv(x: dict) -> dict:
+    """The inverse of a monomial c*A^k: A^-k / c."""
+    ((k, (a, b)),) = x.items()
+    n = a * a + b * b
+    return {-k: (Fraction(a) / n, Fraction(-b) / n)}
+
+
+def laurent_text(x: dict) -> str:
+    """format_scalar's text: by ascending exponent, each term's real piece
+    and then its imaginary one, with a sign between pieces; a magnitude 1
+    is left out before A and written i alone."""
+
+    def rat(r: Fraction) -> str:
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+
+    pieces = []
+    for k in sorted(x):
+        power = "" if k == 0 else "A" if k == 1 else f"A^{k}"
+        for part, unit in zip(x[k], ("", "i")):
+            if not part:
+                continue
+            mag = abs(Fraction(part))
+            number = unit if unit and mag == 1 else rat(mag) + unit
+            if not power:
+                text = number
+            elif mag == 1 and not unit:
+                text = power
+            else:
+                text = f"{number}*{power}"
+            pieces.append((part < 0, text))
+    if not pieces:
+        return "0"
+    out = ("-" if pieces[0][0] else "") + pieces[0][1]
+    for negative, piece in pieces[1:]:
+        out += (" - " if negative else " + ") + piece
+    return out

@@ -80,6 +80,7 @@ _BOTH_MODES = [
     ["check-d2d1", "assoc", "--model", "bracket", "--trials", "1"],
     ["deform", "--pair", "@broken.pair", "--cocycle", "@zero.cfg"],
     ["cohomology", "--specialize", "B=2"],
+    ["cohomology", "--specialize", "A=0"],
 ]
 
 INVOCATIONS = [

@@ -13,8 +13,18 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from reference import ratfun_parts
+from reference import (
+    laurent_add,
+    laurent_inv,
+    laurent_mul,
+    laurent_neg,
+    laurent_terms,
+    laurent_text,
+    ratfun_parts,
+)
 from skeinlab import scalars
+from skeinlab._packed import unpack
+from skeinlab.planar import jones_polynomial
 from skeinlab.scalars import (
     GAUSS,
     LAURENT,
@@ -311,8 +321,11 @@ def test_laurent_inverse_only_for_monomials():
         match=" is not a unit in the Laurent ring; convert into ratfun with into_ring for general division$",
     ):
         parse_scalar("A + 1", LAURENT).inv()
-    with pytest.raises(NotInvertibleError):
-        LaurentA().inv()
+    # converting into ratfun cannot help with zero, so zero is refused as
+    # gauss and ratfun refuse it
+    for zero in (LaurentA(), Dual(LAURENT.zero(), LAURENT.one())):
+        with pytest.raises(NotInvertibleError, match="^division by zero in the Laurent ring$"):
+            zero.inv()
 
 
 def test_dual_inverse():
@@ -349,6 +362,21 @@ def test_specialize_tower():
     vanishing = parse_scalar("( 1 )/( A - 2 )", RATFUN)
     with pytest.raises(NotInvertibleError):
         specialize(vanishing, two)
+
+
+def test_specialize_at_zero_names_the_negative_power():
+    # a negative power of A has no value at A = 0; the refusal names it, as
+    # a vanishing denominator is named
+    zero = GaussRat(0)
+    assert specialize(parse_scalar("A^2 + 3", LAURENT), zero) == GaussRat(3)
+    assert specialize(parse_scalar("( 1 + A )/( 1 - A )", RATFUN), zero) == GaussRat(1)
+    for x in (
+        parse_scalar("A^2 - 3*A^-2", LAURENT),
+        parse_scalar("( 1 + A )/( A^2 - 2*A^4 )", RATFUN),
+        Dual(LAURENT.one(), parse_scalar("i*A^-2", LAURENT)),
+    ):
+        with pytest.raises(NotInvertibleError, match="^A\\^-2 is undefined at A = 0$"):
+            specialize(x, zero)
 
 
 def test_format_is_canonical_and_ascending():
@@ -552,7 +580,7 @@ def test_ratfun_with_a_dividing_denominator_matches_the_gcd_path(q, r, monkeypat
     gcd = scalars._zi_gcd
     monkeypatch.setattr(scalars, "_zi_gcd", lambda u, v: calls.append(1) or gcd(u, v))
     fast = [RatFunA(num, den) for num, den in cases]
-    unit = scalars._zi_dense(q)[0][-1] in scalars._ZI_UNITS
+    unit = q.as_ints()[1][-1] in scalars._ZI_UNITS
     assert len(calls) == (2 if unit else 3)
     calls.clear()
     monkeypatch.setattr(scalars, "_ZI_UNITS", frozenset())
@@ -776,6 +804,100 @@ def test_laurent_arithmetic_matches_the_normalising_constructor(pair):
     assert (x * 0).terms == () and 0 + x == x and x + 0 == x
 
 
+# -- LaurentA against a {exponent: (Fraction, Fraction)} reference -------------
+
+_ref_parts = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+# gapped exponents, so that 1 + A^4 and A^-3 + A^6 are drawn
+_ref_polys = st.dictionaries(
+    st.sampled_from((-3, -1, 0, 1, 4, 6)), st.tuples(_ref_parts, _ref_parts), max_size=4,
+).map(lambda x: {k: c for k, c in x.items() if any(c)})
+
+
+@st.composite
+def _ref_pairs(draw):
+    """Two reference polynomials; the second may take the negation of some
+    or all of the first's terms, so that their sum cancels them."""
+    x, y = draw(_ref_polys), draw(_ref_polys)
+    for k in draw(st.lists(st.sampled_from(sorted(x)), unique=True)) if x else ():
+        y[k] = (-x[k][0], -x[k][1])
+    return x, y
+
+
+def _laurent_of(ref) -> LaurentA:
+    return LaurentA({k: GaussRat(*c) for k, c in ref.items()})
+
+
+def _assert_stored_form(x):
+    v, p, m = x.as_ints()
+    assert type(p) is tuple and all(type(n) is int for n in (v, m, *(n for c in p for n in c)))
+    if not p:
+        assert (v, m) == (0, 1)
+    else:
+        assert p[0] != (0, 0) and p[-1] != (0, 0)
+        assert m > 0 and math.gcd(m, *(n for c in p for n in c)) == 1
+    assert LaurentA.from_ints(v, p, m) == x
+
+
+@settings(max_examples=300, deadline=None,
+          phases=tuple(p for p in Phase if p is not Phase.explain))
+@given(_ref_pairs())
+def test_laurent_arithmetic_matches_the_fraction_reference(pair):
+    rx, ry = pair
+    x, y = _laurent_of(rx), _laurent_of(ry)
+    for value, ref in (
+        (x, rx), (y, ry), (-x, laurent_neg(rx)),
+        (x + y, laurent_add(rx, ry)), (y + x, laurent_add(ry, rx)),
+        (x - y, laurent_add(rx, laurent_neg(ry))),
+        (x * y, laurent_mul(rx, ry)), (y * x, laurent_mul(ry, rx)),
+    ):
+        assert laurent_terms(value) == ref
+        assert format_scalar(value) == laurent_text(ref)
+        _assert_stored_form(value)
+    for value, ref in ((x, rx), (y, ry)):
+        if len(ref) == 1:
+            assert laurent_terms(value.inv()) == laurent_inv(ref)
+            _assert_stored_form(value.inv())
+    # equal values have equal stored forms and hashes, however reached
+    assert (x == y) == (rx == ry)
+    back = (x + y) - y
+    assert back == x and back.as_ints() == x.as_ints() and hash(back) == hash(x)
+    if rx == ry:
+        assert hash(x) == hash(y)
+
+
+def test_laurent_from_ints_is_the_inverse_of_as_ints():
+    # zero pairs at either end are dropped, and the factor 2 that m shares
+    # with every part is divided out
+    x = LaurentA.from_ints(-2, [(0, 0), (2, 0), (0, 0), (0, 4), (0, 0)], 6)
+    assert x.as_ints() == (-1, ((1, 0), (0, 0), (0, 2)), 3)
+    assert x == parse_scalar("1/3*A^-1 + 2/3i*A", LAURENT)
+    assert LaurentA.from_ints(5, [(0, 0)], 7).as_ints() == (0, (), 1)
+    assert LaurentA.from_ints(*x.as_ints()) == x
+    for m in (0, -3):
+        with pytest.raises(ScalarError, match=f"^denominator {m} is not positive$"):
+            LaurentA.from_ints(0, [(1, 0)], m)
+
+
+def test_every_way_to_build_a_laurent_value_gives_one_stored_form():
+    # parsed, computed, moved down from ratfun, unpacked from packed lanes
+    # and read off the oracle's state counts, the trefoil's polynomial is
+    # one stored form, so == and hash agree across all of them
+    a = scalars.A
+    want = parse_scalar("-A^-16 + A^-12 + A^-4", LAURENT)
+    lanes = [sum(c << 8 * (e + 16) for e, c in ((-16, -1), (-12, 1), (-4, 1))), 0]
+    built = [
+        -(a**-16) + a**-12 + a**-4,
+        (a**12 - 1 + a**4) * a**-16 * (2 * a) * (a.inv() / 2),
+        into_ring(RatFunA(want * (1 + a), 1 + a), LAURENT),
+        unpack(lanes, 8, a**-16),
+        jones_polynomial(2, [(1, 1)] * 3),
+        LaurentA.from_ints(*want.as_ints()),
+    ]
+    for x in built:
+        assert x == want and hash(x) == hash(want) and x.as_ints() == want.as_ints()
+    assert want.as_ints() == (-16, ((-1, 0), *((0, 0),) * 3, (1, 0), *((0, 0),) * 7, (1, 0)), 1)
+
+
 def test_dual_arithmetic_keeps_its_coercion_rule():
     over_ratfun = Dual(into_ring(scalars.A, RATFUN), RATFUN.one())
     over_laurent = Dual(scalars.A, LAURENT.one())
@@ -812,7 +934,7 @@ def test_scalars_are_immutable(x):
     before = format_scalar(x)
     fields = {
         GaussRat: ("re", "im", "_a", "_b", "_d"),
-        LaurentA: ("terms",),
+        LaurentA: ("terms", "_v", "_p", "_m"),
         RatFunA: ("num", "den"),
         Dual: ("body", "slope"),
     }[type(x)]

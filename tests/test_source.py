@@ -186,6 +186,24 @@ def test_only_linmap_reads_map_storage():
     assert found == []
 
 
+def test_only_scalars_reads_scalar_storage():
+    # a scalar's stored form is one module's decision: every other module
+    # reads a Laurent polynomial through as_ints or terms and a Gaussian
+    # rational through re and im, and builds them through from_ints and
+    # the constructors.  The slots are LaurentA's (v, p, m) and GaussRat's
+    # (a, b, d)
+    storage = ("_v", "_p", "_m", "_a", "_b", "_d")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "scalars.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in storage
+    ]
+    assert all((SRC / "scalars.py").read_text().count(f".{name}") > 0 for name in storage)
+    assert found == []
+
+
 def _referenced(tree):
     """The names a tree reads or imports."""
     names = set()
